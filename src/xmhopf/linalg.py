@@ -9,7 +9,10 @@ Conventions fixed here and used by every other module:
   * tensor products flatten left-major: the basis vector u_i (x) v_j of
     U (x) V has flat index i * dim(V) + j;
   * kernel bases and solves use reduced row echelon form with
-    smallest-index pivoting, so results are reproducible bit for bit.
+    smallest-index pivoting, so results are reproducible bit for bit;
+  * storage is dense, but `@`, `kron` and `apply` do work only on nonzero
+    entries: the structure maps and tensor flips they compose are mostly
+    zero.
 """
 
 from __future__ import annotations
@@ -23,16 +26,36 @@ from .errors import DivisionByZeroError, MixedFieldsError, ShapeMismatchError
 Scalar = Union[Fraction, int]
 
 
+# Deterministic Miller-Rabin: the prime bases 2..37 decide primality exactly
+# for every n below psi_12 (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality for n < _MR_LIMIT; ValueError above it."""
+    if n >= _MR_LIMIT:
+        raise ValueError(
+            f"characteristic {n} is too large: primality is decided only below {_MR_LIMIT}"
+        )
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -88,7 +111,7 @@ class Field:
         return -a if self.kind == "rational" else (-a) % self.p
 
     def inv(self, a: Scalar) -> Scalar:
-        if a == 0:
+        if not a:
             raise DivisionByZeroError("inverse of zero")
         if self.kind == "rational":
             return 1 / Fraction(a)
@@ -216,8 +239,7 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field}: [{body}])"
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     def is_identity(self) -> bool:
         if self.rows != self.cols:
@@ -262,34 +284,38 @@ class Matrix:
             raise ShapeMismatchError(
                 f"product of {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
+        # Only nonzero products contribute: walk the nonzero a_ik of each
+        # left row against the nonzero (j, b_kj) of right row k, listed once.
+        # Sums start from field.zero (a Fraction over Q); over GF(p) they run
+        # in plain ints and are reduced once per output entry.
         f = self.field
-        add, mul, zero = f.add, f.mul, f.zero
-        bt = tuple(zip(*other.data)) if other.data else tuple()
+        zero, p, cols = f.zero, f.p, other.cols
+        nonzero = [[(j, b) for j, b in enumerate(brow) if b] for brow in other.data]
         out = []
         for arow in self.data:
-            orow = []
-            for j in range(other.cols):
-                bcol = bt[j] if bt else ()
-                s = zero
-                for a, b in zip(arow, bcol):
-                    if a != zero and b != zero:
-                        s = add(s, mul(a, b))
-                orow.append(s)
-            out.append(orow)
-        return Matrix(f, out, self.rows, other.cols)
+            acc = [zero] * cols
+            for a, bk in zip(arow, nonzero):
+                if a:
+                    for j, b in bk:
+                        acc[j] += a * b
+            out.append([s % p for s in acc] if p else acc)
+        return Matrix(f, out, self.rows, cols)
 
     def apply(self, vec: Sequence[Scalar]) -> tuple:
         """Matrix-vector product (vec as coordinates of the source)."""
         if len(vec) != self.cols:
             raise ShapeMismatchError(f"apply {self.rows}x{self.cols} to vector of length {len(vec)}")
         f = self.field
+        zero, p = f.zero, f.p
+        nonzero = [(k, v) for k, v in enumerate(vec) if v]
         out = []
         for row in self.data:
-            s = f.zero
-            for a, v in zip(row, vec):
-                if a != f.zero and v != f.zero:
-                    s = f.add(s, f.mul(a, v))
-            out.append(s)
+            s = zero
+            for k, v in nonzero:
+                a = row[k]
+                if a:
+                    s += a * v
+            out.append(s % p if p else s)
         return tuple(out)
 
     def transpose(self) -> "Matrix":
@@ -304,18 +330,22 @@ class Matrix:
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, left factor major (row index i*other.rows + j)."""
         require_same_field(self.field, other.field)
-        mul = self.field.mul
-        rows = self.rows * other.rows
-        cols = self.cols * other.cols
-        out = [[None] * cols for _ in range(rows)]
-        for i in range(self.rows):
-            for j in range(other.rows):
-                r = i * other.rows + j
-                for k in range(self.cols):
-                    aik = self.data[i][k]
-                    for l in range(other.cols):
-                        out[r][k * other.cols + l] = mul(aik, other.data[j][l])
-        return Matrix(self.field, out, rows, cols)
+        f = self.field
+        zero, p = f.zero, f.p
+        gap = [zero] * other.cols  # the block row of a zero a_ik
+        out = []
+        for arow in self.data:
+            for brow in other.data:
+                row = []
+                for a in arow:
+                    if not a:
+                        row += gap
+                    elif p:
+                        row += [a * b % p for b in brow]
+                    else:
+                        row += [a * b if b else zero for b in brow]
+                out.append(row)
+        return Matrix(f, out, self.rows * other.rows, self.cols * other.cols)
 
     # -- elimination ----------------------------------------------------------
 
@@ -332,7 +362,7 @@ class Matrix:
                 break
             pivot_row = None
             for i in range(r, self.rows):
-                if m[i][c] != f.zero:
+                if m[i][c]:
                     pivot_row = i
                     break
             if pivot_row is None:
@@ -341,7 +371,7 @@ class Matrix:
             pinv = f.inv(m[r][c])
             m[r] = [f.mul(pinv, x) for x in m[r]]
             for i in range(self.rows):
-                if i != r and m[i][c] != f.zero:
+                if i != r and m[i][c]:
                     factor = m[i][c]
                     m[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(m[i], m[r])]
             pivots.append(c)

@@ -2,17 +2,19 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "xmhopf.cli", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -60,6 +62,37 @@ def test_malformed_document_is_input_error(tmp_path):
     bad.write_text("{")
     proc = run_cli("verify", str(bad), "x")
     assert proc.returncode == 2
+
+
+def trivial_group_document(tmp_path, characteristic):
+    doc = tmp_path / f"gf_{characteristic}.json"
+    doc.write_text(json.dumps({
+        "field": {"kind": "prime", "characteristic": characteristic},
+        "groups": {"one": {"cyclic": 1}},
+        "crossed_modules": {"cm": {"identity": "one"}},
+        "hopf": {"k": {"trivial": "cm"}},
+    }))
+    return str(doc)
+
+
+def test_large_prime_characteristic_verifies_promptly(tmp_path):
+    # 2^61 - 1 is prime; trial division up to its square root never finished
+    doc = trivial_group_document(tmp_path, 2**61 - 1)
+    start = time.monotonic()
+    for name in ("one", "k"):
+        proc = run_cli("verify", doc, name, timeout=60)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "result: PASS" in proc.stdout
+    assert time.monotonic() - start < 30
+
+
+def test_characteristic_beyond_primality_bound_is_input_error(tmp_path):
+    doc = trivial_group_document(tmp_path, 2**89 - 1)
+    proc = run_cli("verify", doc, "one", timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "input error" in proc.stderr and "too large" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_stdin_input():

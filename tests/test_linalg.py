@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from xmhopf.errors import DivisionByZeroError, MixedFieldsError, ShapeMismatchError
-from xmhopf.linalg import Field, Matrix
+from xmhopf.linalg import _MR_LIMIT, Field, Matrix, _is_prime
 
 QQ = Field.rational()
 GF5 = Field.prime(5)
@@ -56,6 +56,40 @@ def test_field_validation():
         Field("rational", 3)
 
 
+def trial_division_is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    mismatches = [n for n in range(10**5) if _is_prime(n) != trial_division_is_prime(n)]
+    assert mismatches == []
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # psi_4: strong pseudoprime to bases 2, 3, 5, 7; psi_9: to every prime base up to 23
+    assert 3215031751 == 151 * 751 * 28351
+    assert 3825123056546413051 == 149491 * 747451 * 34233211
+    assert not _is_prime(3215031751)
+    assert not _is_prime(3825123056546413051)
+
+
+def test_is_prime_large_characteristics():
+    assert _is_prime(2**61 - 1)
+    assert not _is_prime(2**61 + 1)
+    # psi_12 itself passes every base up to 37, so it is refused, not answered
+    with pytest.raises(ValueError):
+        _is_prime(_MR_LIMIT)
+    with pytest.raises(ValueError):
+        Field.prime(2**89 - 1)
+
+
 @given(a=rationals, b=rationals, c=rationals)
 def test_field_axioms_rational(a, b, c):
     f = QQ
@@ -89,6 +123,10 @@ def test_matmul_identity_and_involution():
     assert swap @ swap == Matrix.identity(QQ, 2)
 
 
+# -- reference kernels: every slot is computed through the field's own
+# operations, with no zero skipping, to check the sparse-aware ones in Matrix.
+
+
 def naive_mul(a: Matrix, b: Matrix) -> Matrix:
     f = a.field
     out = [[f.zero] * b.cols for _ in range(a.rows)]
@@ -96,7 +134,123 @@ def naive_mul(a: Matrix, b: Matrix) -> Matrix:
         for j in range(b.cols):
             for k in range(a.cols):
                 out[i][j] = f.add(out[i][j], f.mul(a[i, k], b[k, j]))
-    return Matrix(f, out)
+    return Matrix(f, out, a.rows, b.cols)
+
+
+def naive_kron(a: Matrix, b: Matrix) -> Matrix:
+    f = a.field
+    rows, cols = a.rows * b.rows, a.cols * b.cols
+    out = [[None] * cols for _ in range(rows)]
+    for i in range(a.rows):
+        for j in range(b.rows):
+            for k in range(a.cols):
+                for l in range(b.cols):
+                    out[i * b.rows + j][k * b.cols + l] = f.mul(a[i, k], b[j, l])
+    return Matrix(f, out, rows, cols)
+
+
+def naive_apply(m: Matrix, vec) -> tuple:
+    f = m.field
+    out = []
+    for i in range(m.rows):
+        s = f.zero
+        for k in range(m.cols):
+            s = f.add(s, f.mul(m[i, k], vec[k]))
+        out.append(s)
+    return tuple(out)
+
+
+ORACLE_FIELDS = (QQ, Field.prime(2), GF5, Field.prime(2**61 - 1))
+
+
+def sparse_scalars(field):
+    """Field elements, three in four of them zero."""
+    if field.p is None:
+        nonzero = st.builds(
+            Fraction,
+            st.integers(min_value=-9, max_value=9).filter(bool),
+            st.integers(min_value=1, max_value=6),
+        )
+    elif field.p < 100:
+        nonzero = st.sampled_from(range(1, field.p))
+    else:
+        nonzero = st.integers(min_value=1, max_value=field.p - 1)
+    return st.tuples(st.integers(min_value=0, max_value=3), nonzero).map(
+        lambda t: t[1] if t[0] == 3 else field.zero
+    )
+
+
+def draw_matrix(data, field, rows, cols):
+    entries = data.draw(st.lists(sparse_scalars(field), min_size=rows * cols, max_size=rows * cols))
+    return Matrix(field, [entries[i * cols:(i + 1) * cols] for i in range(rows)], rows, cols)
+
+
+def assert_canonical(field, entries):
+    for x in entries:
+        if field.p is None:
+            assert type(x) is Fraction
+        else:
+            assert type(x) is int and 0 <= x < field.p
+
+
+dims = st.integers(min_value=0, max_value=5)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@given(data=st.data(), shape=st.tuples(dims, dims, dims))
+def test_matmul_matches_naive_oracle(field, data, shape):
+    rows, inner, cols = shape
+    a = draw_matrix(data, field, rows, inner)
+    b = draw_matrix(data, field, inner, cols)
+    product = a @ b
+    assert product == naive_mul(a, b)
+    assert (product.rows, product.cols) == (rows, cols)
+    assert_canonical(field, [x for row in product.data for x in row])
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@given(data=st.data(), shape=st.tuples(dims, dims, dims, dims))
+def test_kron_matches_naive_oracle(field, data, shape):
+    r1, c1, r2, c2 = shape
+    a = draw_matrix(data, field, r1, c1)
+    b = draw_matrix(data, field, r2, c2)
+    k = a.kron(b)
+    assert k == naive_kron(a, b)
+    assert (k.rows, k.cols) == (r1 * r2, c1 * c2)
+    assert_canonical(field, [x for row in k.data for x in row])
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@given(data=st.data(), shape=st.tuples(dims, dims))
+def test_apply_matches_naive_oracle(field, data, shape):
+    rows, cols = shape
+    m = draw_matrix(data, field, rows, cols)
+    vec = tuple(data.draw(st.lists(sparse_scalars(field), min_size=cols, max_size=cols)))
+    image = m.apply(vec)
+    assert image == naive_apply(m, vec)
+    assert len(image) == rows
+    assert_canonical(field, image)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@given(data=st.data(), shape=st.tuples(dims, dims))
+def test_is_zero_matches_entrywise_comparison(field, data, shape):
+    rows, cols = shape
+    m = draw_matrix(data, field, rows, cols)
+    assert m.is_zero() == all(x == field.zero for row in m.data for x in row)
+
+
+def test_flip_sandwich_matches_naive_oracle():
+    # the shape of the coproduct-multiplicativity check: (I (x) flip (x) I) composites
+    for field in (QQ, GF5):
+        i2, i3 = Matrix.identity(field, 2), Matrix.identity(field, 3)
+        sandwich = i2.kron(Matrix.flip(field, 2, 3)).kron(i3)
+        back = i2.kron(Matrix.flip(field, 3, 2)).kron(i3)
+        assert sandwich == naive_kron(naive_kron(i2, Matrix.flip(field, 2, 3)), i3)
+        m = Matrix(field, [[field.of(i * 7 + j) for j in range(36)] for i in range(5)])
+        assert m @ sandwich == naive_mul(m, sandwich)
+        assert back @ sandwich == Matrix.identity(field, 36)
+        assert sandwich.apply(m.data[1]) == naive_apply(sandwich, m.data[1])
 
 
 @given(st.lists(st.integers(min_value=0, max_value=4), min_size=32, max_size=32))
