@@ -17,7 +17,7 @@ from .crossed import kernel_image_cokernel, validate_components, validate_crosse
 from .docio import DocumentError, StructureDocument, parse
 from .errors import XmhopfError
 from .groups import validate_group
-from .hopf import enumerate_grouplikes, grouplike_report, is_grouplike
+from .hopf import enumerate_grouplikes, grouplike_report
 from .hopfmod import (
     coinvariants,
     distinguished_grouplike,
@@ -52,49 +52,40 @@ def _show_family(f: Field, fam) -> list:
 
 
 class CommandResult:
+    """The checks of one command, merged into one Report, and its outputs."""
+
     def __init__(self, command: str, digest: str, target: str):
-        self.payload = {
-            "command": command,
-            "digest": digest,
-            "object": target,
-            "checks": [],
-            "outputs": {},
-        }
+        self.header = {"command": command, "digest": digest, "object": target}
+        self.report = Report(command)
+        self.outputs = {}
 
     def add_report(self, rep: Report) -> None:
-        for c in rep.checks:
-            self.payload["checks"].append(
-                {
-                    "name": f"{rep.title}: {c.name}",
-                    "status": "pass" if c.ok else "fail",
-                    "violations": c.violations,
-                    "witnesses": list(c.witnesses),
-                }
-            )
+        self.report.merge(rep)
 
     def output(self, key: str, value) -> None:
-        self.payload["outputs"][key] = value
+        self.outputs[key] = value
 
     @property
     def ok(self) -> bool:
-        return all(c["status"] == "pass" for c in self.payload["checks"])
+        return self.report.ok
 
     def render(self, as_json: bool) -> str:
-        self.payload["ok"] = self.ok
+        checks = self.report.as_dict()["checks"]
         if as_json:
-            return json.dumps(self.payload, indent=2, sort_keys=True) + "\n"
+            payload = dict(self.header, checks=checks, outputs=self.outputs, ok=self.ok)
+            return json.dumps(payload, indent=2, sort_keys=True) + "\n"
         lines = [
-            f"command: {self.payload['command']}",
-            f"document-sha256: {self.payload['digest']}",
-            f"object: {self.payload['object']}",
+            f"command: {self.header['command']}",
+            f"document-sha256: {self.header['digest']}",
+            f"object: {self.header['object']}",
         ]
-        for c in self.payload["checks"]:
+        for c in checks:
             status = "pass" if c["status"] == "pass" else f"FAIL ({c['violations']} violations)"
             lines.append(f"check {c['name']}: {status}")
             for w in c["witnesses"]:
                 lines.append(f"  witness: {w}")
-        for key in sorted(self.payload["outputs"]):
-            lines.append(f"output {key}: {json.dumps(self.payload['outputs'][key], sort_keys=True)}")
+        for key in sorted(self.outputs):
+            lines.append(f"output {key}: {json.dumps(self.outputs[key], sort_keys=True)}")
         lines.append(f"result: {'PASS' if self.ok else 'FAIL'}")
         return "\n".join(lines) + "\n"
 
@@ -125,8 +116,9 @@ def _verify_object(doc: StructureDocument, name: str, res: CommandResult) -> Non
     elif section == "grouplikes":
         over, fam = obj
         a = doc.hopf[over]
-        res.add_report(grouplike_report(a.base, fam))
-        if is_grouplike(a.base, fam):
+        rep = grouplike_report(a.base, fam)
+        res.add_report(rep)
+        if rep.ok:
             pairing = grouplike_pairing(a, fam)
             res.output(
                 "pairing", {str(e): a.field.show(v) for e, v in sorted(pairing.items())}

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 from .crossed import (
     CrossedModule,
@@ -82,33 +81,14 @@ class StructureDocument:
 
     def lookup(self, name: str):
         """Resolve a name across all sections; returns (section, object)."""
-        for section in (
-            "groups",
-            "crossed_modules",
-            "hopf",
-            "modules",
-            "hopf_modules",
-            "grouplikes",
-            "integrals",
-        ):
+        for section, _, _ in SECTIONS:
             table = getattr(self, section)
             if name in table:
                 return section, table[name]
         raise UnknownNameError(f"no object named {name!r} in the document")
 
     def all_names(self):
-        names = []
-        for section in (
-            "groups",
-            "crossed_modules",
-            "hopf",
-            "modules",
-            "hopf_modules",
-            "grouplikes",
-            "integrals",
-        ):
-            names.extend(sorted(getattr(self, section).keys()))
-        return names
+        return [name for section, _, _ in SECTIONS for name in sorted(getattr(self, section))]
 
 
 # -- scalar and matrix parsing ------------------------------------------------------------
@@ -155,6 +135,19 @@ def _parse_matrix(f: Field, raw, where, rows=None, cols=None) -> Matrix:
     return Matrix(f, data)
 
 
+def _parse_table(f: Field, raw, where, what, keys, rows, cols, shape) -> dict:
+    """One matrix per (i, j) in rows x cols, keyed "i,j"; shape(i, j) is its (rows, cols)."""
+    table = _expect(raw, dict, where, f"an object keyed '{keys}'")
+    out = {}
+    for i in rows:
+        for j in cols:
+            key = f"{i},{j}"
+            if key not in table:
+                raise DocumentSyntaxError(f"missing {what} entry {key}", where)
+            out[(i, j)] = _parse_matrix(f, table[key], f"{where}[{key}]", *shape(i, j))
+    return out
+
+
 def _expect(raw, typ, where, what):
     if not isinstance(raw, typ):
         raise DocumentSyntaxError(f"expected {what}", where)
@@ -183,7 +176,10 @@ def _parse_field(raw) -> Field:
 def _parse_group(doc: StructureDocument, name: str, raw) -> FiniteGroup:
     where = f"groups.{name}"
     spec = _expect(raw, dict, where, "an object")
-    group = _parse_group_body(doc, spec, where)
+    try:
+        group = _parse_group_body(doc, spec, where)
+    except ValueError as exc:
+        raise DocumentSyntaxError(str(exc), where)
     if "elements" in spec:
         labels = _expect(spec["elements"], list, f"{where}.elements", "a list of labels")
         if len(labels) != group.order or len(set(labels)) != group.order:
@@ -211,7 +207,7 @@ def _parse_group_body(doc: StructureDocument, spec, where) -> FiniteGroup:
             raise DocumentSyntaxError("table is not order x order", where)
         for i, row in enumerate(table):
             for j, v in enumerate(row):
-                if not isinstance(v, int):
+                if not isinstance(v, int) or not 0 <= v < n:
                     raise DocumentSyntaxError("table entries must be indices", f"{where}.table[{i}][{j}]")
         return FiniteGroup.from_table(table)
     raise DocumentSyntaxError("unknown group constructor", where)
@@ -235,13 +231,23 @@ def _get_hopf(doc: StructureDocument, name, where) -> HopfXiCoalgebra:
     return doc.hopf[name]
 
 
-def _parse_int_list(raw, where, length=None):
+def _parse_degree(a: HopfXiCoalgebra, raw, where) -> int:
+    x = _expect(raw, int, where, "an integer")
+    if not 0 <= x < a.H.order:
+        raise DocumentSyntaxError(f"degree {x} is not an element index 0..{a.H.order - 1}", where)
+    return x
+
+
+def _parse_int_list(raw, where, length, order=None):
+    """length integers; with order given, each an element index 0..order-1."""
     lst = _expect(raw, list, where, "a list of indices")
-    if length is not None and len(lst) != length:
+    if len(lst) != length:
         raise DocumentSyntaxError(f"expected {length} entries", where)
     for v in lst:
         if not isinstance(v, int):
             raise DocumentSyntaxError("entries must be integers", where)
+        if order is not None and not 0 <= v < order:
+            raise DocumentSyntaxError(f"entry {v} is not an element index 0..{order - 1}", where)
     return lst
 
 
@@ -258,17 +264,18 @@ def _parse_crossed_module(doc: StructureDocument, name: str, raw) -> CrossedModu
         inc = _expect(spec["inclusion"], dict, where, "an object")
         src = _get_group(doc, inc.get("source"), where)
         tgt = _get_group(doc, inc.get("target"), where)
-        emb = GroupHom(src, tgt, tuple(_parse_int_list(inc.get("map"), f"{where}.map", src.order)))
-        return inclusion(emb)
+        emb = _parse_int_list(inc.get("map"), f"{where}.map", src.order, tgt.order)
+        return inclusion(GroupHom(src, tgt, tuple(emb)))
     if "E" in spec and "H" in spec:
         e_grp = _get_group(doc, spec["E"], where)
         h_grp = _get_group(doc, spec["H"], where)
-        xi = GroupHom(e_grp, h_grp, tuple(_parse_int_list(spec.get("xi"), f"{where}.xi", e_grp.order)))
+        xi_map = _parse_int_list(spec.get("xi"), f"{where}.xi", e_grp.order, h_grp.order)
+        xi = GroupHom(e_grp, h_grp, tuple(xi_map))
         act_raw = _expect(spec.get("action"), list, f"{where}.action", "a table")
         if len(act_raw) != h_grp.order:
             raise DocumentSyntaxError("action table needs one row per H element", f"{where}.action")
         action_table = tuple(
-            tuple(_parse_int_list(row, f"{where}.action[{i}]", e_grp.order))
+            tuple(_parse_int_list(row, f"{where}.action[{i}]", e_grp.order, e_grp.order))
             for i, row in enumerate(act_raw)
         )
         from .groups import GroupAction
@@ -333,20 +340,11 @@ def _parse_hopf(doc: StructureDocument, name: str, raw) -> HopfXiCoalgebra:
             )
         unit = _parse_vector(f, c.get("unit"), f"{cw}.unit", dim)
         comps.append(ComponentAlgebra.from_structure_constants(f, tensor, unit))
-    coproduct = {}
-    cop_raw = _expect(spec.get("coproduct"), dict, f"{where}.coproduct", "an object keyed 'x,y'")
-    for x in H.elements():
-        for y in H.elements():
-            key = f"{x},{y}"
-            if key not in cop_raw:
-                raise DocumentSyntaxError(f"missing coproduct entry {key}", f"{where}.coproduct")
-            coproduct[(x, y)] = _parse_matrix(
-                f,
-                cop_raw[key],
-                f"{where}.coproduct[{key}]",
-                comps[x].dim * comps[y].dim,
-                comps[H.mul(x, y)].dim,
-            )
+    coproduct = _parse_table(
+        f, spec.get("coproduct"), f"{where}.coproduct", "coproduct", "x,y",
+        H.elements(), H.elements(),
+        lambda x, y: (comps[x].dim * comps[y].dim, comps[H.mul(x, y)].dim),
+    )
     counit = Matrix.row(f, _parse_vector(f, spec.get("counit"), f"{where}.counit", comps[H.identity].dim))
     antipode = None
     if spec.get("antipode") is not None:
@@ -362,17 +360,11 @@ def _parse_hopf(doc: StructureDocument, name: str, raw) -> HopfXiCoalgebra:
         computed = compute_antipode(base)
         if computed is not None:
             base = base.with_antipode(computed)
-    act_raw = _expect(spec.get("action"), dict, f"{where}.action", "an object keyed 'x,e'")
-    action = {}
-    for x in H.elements():
-        for e in cm.E.elements():
-            key = f"{x},{e}"
-            if key not in act_raw:
-                raise DocumentSyntaxError(f"missing action entry {key}", f"{where}.action")
-            tgt = H.mul(cm.xi_of(e), x)
-            action[(x, e)] = _parse_matrix(
-                f, act_raw[key], f"{where}.action[{key}]", comps[tgt].dim, comps[x].dim
-            )
+    action = _parse_table(
+        f, spec.get("action"), f"{where}.action", "action", "x,e",
+        H.elements(), cm.E.elements(),
+        lambda x, e: (comps[H.mul(cm.xi_of(e), x)].dim, comps[x].dim),
+    )
     return HopfXiCoalgebra(cm, base, action)
 
 
@@ -384,13 +376,13 @@ def _parse_module(doc: StructureDocument, name: str, raw):
     f = doc.field
     if "line" in spec:
         d = _expect(spec["line"], dict, where, "an object")
-        x = _expect(d.get("degree"), int, f"{where}.degree", "an integer")
+        x = _parse_degree(a, d.get("degree"), f"{where}.degree")
         character = Matrix.row(
             f, _parse_vector(f, d.get("character"), f"{where}.character", a.dim(x))
         )
         return over, line_module(a, x, character)
     if "regular" in spec:
-        return over, regular_module(a, _expect(spec["regular"], int, where, "an integer"))
+        return over, regular_module(a, _parse_degree(a, spec["regular"], where))
     if spec.get("unit"):
         return over, unit_module(a)
     dims = tuple(_parse_int_list(spec.get("dims"), f"{where}.dims", a.H.order))
@@ -409,7 +401,10 @@ def _parse_hopf_module(doc: StructureDocument, name: str, raw):
     a = _get_hopf(doc, over, where)
     f = doc.field
     if "trivial" in spec:
-        return over, trivial_hopf_module(a, _expect(spec["trivial"], int, where, "an integer"))
+        try:
+            return over, trivial_hopf_module(a, _expect(spec["trivial"], int, where, "an integer"))
+        except ValueError as exc:
+            raise DocumentSyntaxError(str(exc), where)
     if spec.get("dual"):
         return over, dual_hopf_module(a)
     H, E = a.H, a.E
@@ -418,25 +413,14 @@ def _parse_hopf_module(doc: StructureDocument, name: str, raw):
         _parse_matrix(f, m, f"{where}.r[{x}]", dims[x], a.dim(x) * dims[x])
         for x, m in enumerate(_expect(spec.get("r"), list, f"{where}.r", "a list"))
     )
-    rho_raw = _expect(spec.get("rho"), dict, f"{where}.rho", "an object keyed 'x,y'")
-    rho = {}
-    for x in H.elements():
-        for y in H.elements():
-            key = f"{x},{y}"
-            if key not in rho_raw:
-                raise DocumentSyntaxError(f"missing coaction entry {key}", f"{where}.rho")
-            rho[(x, y)] = _parse_matrix(
-                f, rho_raw[key], f"{where}.rho[{key}]", a.dim(x) * dims[y], dims[H.mul(x, y)]
-            )
-    psi_raw = _expect(spec.get("psi"), dict, f"{where}.psi", "an object keyed 'x,e'")
-    psi = {}
-    for x in H.elements():
-        for e in E.elements():
-            key = f"{x},{e}"
-            if key not in psi_raw:
-                raise DocumentSyntaxError(f"missing psi entry {key}", f"{where}.psi")
-            tgt = H.mul(a.cm.xi_of(e), x)
-            psi[(x, e)] = _parse_matrix(f, psi_raw[key], f"{where}.psi[{key}]", dims[tgt], dims[x])
+    rho = _parse_table(
+        f, spec.get("rho"), f"{where}.rho", "coaction", "x,y", H.elements(), H.elements(),
+        lambda x, y: (a.dim(x) * dims[y], dims[H.mul(x, y)]),
+    )
+    psi = _parse_table(
+        f, spec.get("psi"), f"{where}.psi", "psi", "x,e", H.elements(), E.elements(),
+        lambda x, e: (dims[H.mul(a.cm.xi_of(e), x)], dims[x]),
+    )
     return over, HopfXiModule(a, dims, r, rho, psi)
 
 
@@ -484,35 +468,16 @@ def parse(data: bytes) -> StructureDocument:
     doc = StructureDocument(field=_parse_field(raw["field"]))
 
     seen = set()
-
-    def claim(name, where):
-        if not isinstance(name, str) or not name:
-            raise DocumentSyntaxError("names must be nonempty strings", where)
-        if name in seen:
-            raise DocumentSyntaxError(f"duplicate name {name!r}", where)
-        seen.add(name)
-
-    for name, spec in raw.get("groups", {}).items():
-        claim(name, "groups")
-        doc.groups[name] = _parse_group(doc, name, spec)
-    for name, spec in raw.get("crossed_modules", {}).items():
-        claim(name, "crossed_modules")
-        doc.crossed_modules[name] = _parse_crossed_module(doc, name, spec)
-    for name, spec in raw.get("hopf", {}).items():
-        claim(name, "hopf")
-        doc.hopf[name] = _parse_hopf(doc, name, spec)
-    for name, spec in raw.get("modules", {}).items():
-        claim(name, "modules")
-        doc.modules[name] = _parse_module(doc, name, spec)
-    for name, spec in raw.get("hopf_modules", {}).items():
-        claim(name, "hopf_modules")
-        doc.hopf_modules[name] = _parse_hopf_module(doc, name, spec)
-    for name, spec in raw.get("grouplikes", {}).items():
-        claim(name, "grouplikes")
-        doc.grouplikes[name] = _parse_grouplike(doc, name, spec)
-    for name, spec in raw.get("integrals", {}).items():
-        claim(name, "integrals")
-        doc.integrals[name] = _parse_integral(doc, name, spec)
+    for section, parse_entry, _ in SECTIONS:
+        entries = _expect(raw.get(section, {}), dict, section, "an object")
+        table = getattr(doc, section)
+        for name, spec in entries.items():
+            if not isinstance(name, str) or not name:
+                raise DocumentSyntaxError("names must be nonempty strings", section)
+            if name in seen:
+                raise DocumentSyntaxError(f"duplicate name {name!r}", section)
+            seen.add(name)
+            table[name] = parse_entry(doc, name, spec)
     return doc
 
 
@@ -527,15 +492,141 @@ def _show_vector(f: Field, v):
     return [f.show(x) for x in v]
 
 
+def _show_table(f: Field, rows, cols, matrix) -> dict:
+    """The matrix(i, j) for (i, j) in rows x cols, keyed "i,j"."""
+    return {f"{i},{j}": _show_matrix(f, matrix(i, j)) for i in rows for j in cols}
+
+
 def _group_json(g: FiniteGroup):
     return {"order": g.order, "table": [list(r) for r in g.table]}
 
 
-def _find_group_name(doc: StructureDocument, g: FiniteGroup) -> Optional[str]:
-    for name, known in doc.groups.items():
-        if known == g:
-            return name
-    return None
+def _cms_equal(a: CrossedModule, b: CrossedModule) -> bool:
+    return a.E == b.E and a.H == b.H and a.xi == b.xi and a.action == b.action
+
+
+class _Refs:
+    """Names of the groups and crossed modules that serialized objects refer to.
+
+    One the document does not name gets a fresh name built from a hint; the
+    serializer writes these extra objects after the named ones.
+    """
+
+    def __init__(self, doc: StructureDocument):
+        self.doc = doc
+        self.groups = {}
+        self.cms = {}
+
+    def group(self, g: FiniteGroup, hint: str) -> str:
+        for name, known in self.doc.groups.items():
+            if known == g:
+                return name
+        if hint in self.groups and self.groups[hint] == g:
+            return hint
+        n, i = hint, 0
+        while n in self.doc.groups or (n in self.groups and self.groups[n] != g):
+            i += 1
+            n = f"{hint}_{i}"
+        self.groups[n] = g
+        return n
+
+    def cm(self, cm: CrossedModule, hint: str) -> str:
+        for name, known in self.doc.crossed_modules.items():
+            if known is cm or _cms_equal(known, cm):
+                return name
+        for name, known in self.cms.items():
+            if _cms_equal(known, cm):
+                return name
+        n, i = hint, 0
+        while n in self.doc.crossed_modules or n in self.cms:
+            i += 1
+            n = f"{hint}_{i}"
+        self.cms[n] = cm
+        return n
+
+
+def _show_group(refs: _Refs, name: str, g: FiniteGroup):
+    out = _group_json(g)
+    if name in refs.doc.element_names:
+        out["elements"] = list(refs.doc.element_names[name])
+    return out
+
+
+def _show_crossed_module(refs: _Refs, name: str, cm: CrossedModule):
+    return {
+        "E": refs.group(cm.E, f"{name}_E"),
+        "H": refs.group(cm.H, f"{name}_H"),
+        "xi": list(cm.xi.map),
+        "action": [list(r) for r in cm.action.table],
+    }
+
+
+def _show_hopf(refs: _Refs, name: str, a: HopfXiCoalgebra):
+    f = refs.doc.field
+    comps = [
+        {
+            "mul": [
+                [_show_vector(f, row) for row in plane]
+                for plane in a.component(x).structure_constants()
+            ],
+            "unit": _show_vector(f, a.component(x).unit),
+        }
+        for x in a.H.elements()
+    ]
+    spec = {
+        "cm": refs.cm(a.cm, f"{name}_cm"),
+        "components": comps,
+        "coproduct": _show_table(f, a.H.elements(), a.H.elements(), a.delta),
+        "counit": _show_vector(f, a.counit.data[0]),
+        "action": _show_table(f, a.H.elements(), a.E.elements(), a.phi),
+    }
+    if a.base.antipode is not None:
+        spec["antipode"] = [_show_matrix(f, a.S(x)) for x in a.H.elements()]
+    return spec
+
+
+def _show_module(refs: _Refs, name: str, entry):
+    over, m = entry
+    return {
+        "over": over,
+        "dims": list(m.dims),
+        "actions": [_show_matrix(refs.doc.field, m.r(x)) for x in m.algebra.H.elements()],
+    }
+
+
+def _show_hopf_module(refs: _Refs, name: str, entry):
+    over, m = entry
+    f, a = refs.doc.field, m.algebra
+    return {
+        "over": over,
+        "dims": list(m.dims),
+        "r": [_show_matrix(f, m.r[x]) for x in a.H.elements()],
+        "rho": _show_table(f, a.H.elements(), a.H.elements(), lambda x, y: m.rho[(x, y)]),
+        "psi": _show_table(f, a.H.elements(), a.E.elements(), lambda x, e: m.psi[(x, e)]),
+    }
+
+
+def _show_grouplike(refs: _Refs, name: str, entry):
+    over, fam = entry
+    return {"in": over, "family": [_show_vector(refs.doc.field, v) for v in fam]}
+
+
+def _show_integral(refs: _Refs, name: str, entry):
+    over, side, fam = entry
+    return {"in": over, "side": side, "family": [_show_vector(refs.doc.field, v) for v in fam]}
+
+
+# The document sections, in parse, lookup and serialization order: (name, parse, show).
+# An object name is unique across all sections.
+SECTIONS = (
+    ("groups", _parse_group, _show_group),
+    ("crossed_modules", _parse_crossed_module, _show_crossed_module),
+    ("hopf", _parse_hopf, _show_hopf),
+    ("modules", _parse_module, _show_module),
+    ("hopf_modules", _parse_hopf_module, _show_hopf_module),
+    ("grouplikes", _parse_grouplike, _show_grouplike),
+    ("integrals", _parse_integral, _show_integral),
+)
 
 
 def serialize(doc: StructureDocument) -> bytes:
@@ -545,150 +636,14 @@ def serialize(doc: StructureDocument) -> bytes:
     out["field"] = (
         {"kind": "rational"} if f.kind == "rational" else {"kind": "prime", "characteristic": f.p}
     )
-    groups = {}
-    extra = {}
-
-    def group_ref(g: FiniteGroup, hint: str) -> str:
-        name = _find_group_name(doc, g)
-        if name is not None:
-            return name
-        if hint in extra and extra[hint] == g:
-            return hint
-        n = hint
-        i = 0
-        while n in doc.groups or (n in extra and extra[n] != g):
-            i += 1
-            n = f"{hint}_{i}"
-        extra[n] = g
-        return n
-
-    for name in sorted(doc.groups):
-        groups[name] = _group_json(doc.groups[name])
-        if name in doc.element_names:
-            groups[name]["elements"] = list(doc.element_names[name])
-
-    cms = {}
-    extra_cms = {}
-
-    def cm_json(cm: CrossedModule, hint: str):
-        return {
-            "E": group_ref(cm.E, f"{hint}_E"),
-            "H": group_ref(cm.H, f"{hint}_H"),
-            "xi": list(cm.xi.map),
-            "action": [list(r) for r in cm.action.table],
-        }
-
-    for name in sorted(doc.crossed_modules):
-        cms[name] = cm_json(doc.crossed_modules[name], name)
-
-    def cms_equal(a: CrossedModule, b: CrossedModule) -> bool:
-        return a.E == b.E and a.H == b.H and a.xi == b.xi and a.action == b.action
-
-    def cm_ref(cm: CrossedModule, hint: str) -> str:
-        for name, known in doc.crossed_modules.items():
-            if known is cm or cms_equal(known, cm):
-                return name
-        for name, known in extra_cms.items():
-            if cms_equal(known, cm):
-                return name
-        n, i = hint, 0
-        while n in doc.crossed_modules or n in extra_cms:
-            i += 1
-            n = f"{hint}_{i}"
-        extra_cms[n] = cm
-        return n
-
-    hopfs = {}
-    for name in sorted(doc.hopf):
-        a = doc.hopf[name]
-        comps = []
-        for x in a.H.elements():
-            c = a.component(x)
-            comps.append(
-                {
-                    "mul": [
-                        [_show_vector(f, row) for row in plane]
-                        for plane in c.structure_constants()
-                    ],
-                    "unit": _show_vector(f, c.unit),
-                }
-            )
-        spec = {
-            "cm": cm_ref(a.cm, f"{name}_cm"),
-            "components": comps,
-            "coproduct": {
-                f"{x},{y}": _show_matrix(f, a.delta(x, y))
-                for x in a.H.elements()
-                for y in a.H.elements()
-            },
-            "counit": _show_vector(f, a.counit.data[0]),
-            "action": {
-                f"{x},{e}": _show_matrix(f, a.phi(x, e))
-                for x in a.H.elements()
-                for e in a.E.elements()
-            },
-        }
-        if a.base.antipode is not None:
-            spec["antipode"] = [_show_matrix(f, a.S(x)) for x in a.H.elements()]
-        hopfs[name] = spec
-
-    modules = {}
-    for name in sorted(doc.modules):
-        over, m = doc.modules[name]
-        modules[name] = {
-            "over": over,
-            "dims": list(m.dims),
-            "actions": [_show_matrix(f, m.r(x)) for x in m.algebra.H.elements()],
-        }
-
-    hopf_modules = {}
-    for name in sorted(doc.hopf_modules):
-        over, m = doc.hopf_modules[name]
-        a = m.algebra
-        hopf_modules[name] = {
-            "over": over,
-            "dims": list(m.dims),
-            "r": [_show_matrix(f, m.r[x]) for x in a.H.elements()],
-            "rho": {
-                f"{x},{y}": _show_matrix(f, m.rho[(x, y)])
-                for x in a.H.elements()
-                for y in a.H.elements()
-            },
-            "psi": {
-                f"{x},{e}": _show_matrix(f, m.psi[(x, e)])
-                for x in a.H.elements()
-                for e in a.E.elements()
-            },
-        }
-
-    grouplikes = {}
-    for name in sorted(doc.grouplikes):
-        over, fam = doc.grouplikes[name]
-        grouplikes[name] = {"in": over, "family": [_show_vector(f, v) for v in fam]}
-
-    integrals = {}
-    for name in sorted(doc.integrals):
-        over, side, fam = doc.integrals[name]
-        integrals[name] = {
-            "in": over,
-            "side": side,
-            "family": [_show_vector(f, v) for v in fam],
-        }
-
-    for name in sorted(extra_cms):
-        cms[name] = cm_json(extra_cms[name], name)
-    for name in sorted(extra):
-        groups[name] = _group_json(extra[name])
-
-    for key, value in (
-        ("groups", groups),
-        ("crossed_modules", cms),
-        ("hopf", hopfs),
-        ("modules", modules),
-        ("hopf_modules", hopf_modules),
-        ("grouplikes", grouplikes),
-        ("integrals", integrals),
-    ):
-        if value:
-            out[key] = value
+    refs = _Refs(doc)
+    for section, _, show in SECTIONS:
+        table = getattr(doc, section)
+        out[section] = {name: show(refs, name, table[name]) for name in sorted(table)}
+    # extra crossed modules may name extra groups, so they are written first
+    for name in sorted(refs.cms):
+        out["crossed_modules"][name] = _show_crossed_module(refs, name, refs.cms[name])
+    for name in sorted(refs.groups):
+        out["groups"][name] = _group_json(refs.groups[name])
+    out = {key: value for key, value in out.items() if value}
     return (json.dumps(out, indent=2, sort_keys=True) + "\n").encode("utf-8")

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .hopf import is_grouplike
 from .linalg import Matrix
-from .report import Report
+from .report import Report, holds
 from .xihopf import HopfXiCoalgebra, is_xi_grouplike
 
 
@@ -95,14 +95,9 @@ def validate_hopf_xi_module(a: HopfXiCoalgebra, m: HopfXiModule) -> Report:
         for y in H.elements():
             xy = H.mul(x, y)
             lhs = m.rho[(x, y)] @ m.r[xy]
-            mid = (
-                Matrix.identity(f, a.dim(x))
-                .kron(Matrix.flip(f, a.dim(y), a.dim(x)))
-                .kron(Matrix.identity(f, m.dim(y)))
-            )
+            dx = a.dim(x)
             rhs = (
-                a.component(x).mul.kron(m.r[y])
-                @ mid
+                a.component(x).mul.kron(m.r[y]).flip_cols(dx, a.dim(y), dx, m.dim(y))
                 @ a.delta(x, y).kron(m.rho[(x, y)])
             )
             if lhs != rhs:
@@ -333,12 +328,17 @@ def integral_space(a: HopfXiCoalgebra, side: str) -> list[tuple]:
     ]
 
 
-def is_integral(a: HopfXiCoalgebra, lam: tuple, side: str) -> bool:
+def _integral_violations(a: HopfXiCoalgebra, lam: tuple, side: str):
+    """(check name, witness) pairs of the side-integral conditions, in report order."""
     f, H, E = a.field, a.H, a.E
+    yield "shape", None
+    if len(lam) != H.order or any(len(lam[x]) != a.dim(x) for x in H.elements()):
+        yield "shape", "family has wrong component dimensions"
+        return
+    yield "coproduct condition", None
     for x in H.elements():
         for y in H.elements():
-            xy = H.mul(x, y)
-            lam_row = Matrix.row(f, lam[xy])
+            lam_row = Matrix.row(f, lam[H.mul(x, y)])
             if side == "left":
                 lhs = Matrix.identity(f, a.dim(x)).kron(Matrix.row(f, lam[y])) @ a.delta(x, y)
                 rhs = a.component(x).unit_col() @ lam_row
@@ -346,42 +346,22 @@ def is_integral(a: HopfXiCoalgebra, lam: tuple, side: str) -> bool:
                 lhs = Matrix.row(f, lam[x]).kron(Matrix.identity(f, a.dim(y))) @ a.delta(x, y)
                 rhs = a.component(y).unit_col() @ lam_row
             if lhs != rhs:
-                return False
+                yield "coproduct condition", f"(x,y)=({x},{y})"
+    yield "action invariance", None
+    for x in H.elements():
         for e in E.elements():
             tgt = H.mul(a.cm.xi_of(e), x)
             if Matrix.row(f, lam[tgt]) @ a.phi(x, e) != Matrix.row(f, lam[x]):
-                return False
-    return True
+                yield "action invariance", f"(x,e)=({x},{e})"
+
+
+def is_integral(a: HopfXiCoalgebra, lam: tuple, side: str) -> bool:
+    return holds(_integral_violations(a, lam, side))
 
 
 def integral_report(a: HopfXiCoalgebra, lam: tuple, side: str) -> Report:
     """Witness-reporting version of is_integral for candidate families."""
-    rep = Report(f"{side} integral candidate")
-    f, H, E = a.field, a.H, a.E
-    shape = rep.check("shape")
-    if len(lam) != H.order or any(len(lam[x]) != a.dim(x) for x in H.elements()):
-        shape.add("family has wrong component dimensions")
-        return rep
-    coprod = rep.check("coproduct condition")
-    for x in H.elements():
-        for y in H.elements():
-            xy = H.mul(x, y)
-            lam_row = Matrix.row(f, lam[xy])
-            if side == "left":
-                lhs = Matrix.identity(f, a.dim(x)).kron(Matrix.row(f, lam[y])) @ a.delta(x, y)
-                rhs = a.component(x).unit_col() @ lam_row
-            else:
-                lhs = Matrix.row(f, lam[x]).kron(Matrix.identity(f, a.dim(y))) @ a.delta(x, y)
-                rhs = a.component(y).unit_col() @ lam_row
-            if lhs != rhs:
-                coprod.add(f"(x,y)=({x},{y})")
-    invar = rep.check("action invariance")
-    for x in H.elements():
-        for e in E.elements():
-            tgt = H.mul(a.cm.xi_of(e), x)
-            if Matrix.row(f, lam[tgt]) @ a.phi(x, e) != Matrix.row(f, lam[x]):
-                invar.add(f"(x,e)=({x},{e})")
-    return rep
+    return Report(f"{side} integral candidate").collect(_integral_violations(a, lam, side))
 
 
 def antipode_transport(a: HopfXiCoalgebra, lam: tuple) -> tuple:

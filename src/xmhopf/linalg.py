@@ -11,15 +11,16 @@ Conventions fixed here and used by every other module:
   * kernel bases and solves use reduced row echelon form with
     smallest-index pivoting, so results are reproducible bit for bit;
   * storage is dense, but `@`, `kron` and `apply` do work only on nonzero
-    entries: the structure maps and tensor flips they compose are mostly
-    zero.
+    entries: the structure maps they compose are mostly zero;
+  * a tensor flip inside a composite is a column reindexing
+    (`Matrix.flip_cols`), never a permutation-matrix product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import DivisionByZeroError, MixedFieldsError, ShapeMismatchError
 
@@ -120,9 +121,6 @@ class Field:
     def div(self, a: Scalar, b: Scalar) -> Scalar:
         return self.mul(a, self.inv(b))
 
-    def eq(self, a: Scalar, b: Scalar) -> bool:
-        return a == b
-
     # -- scalar literals ---------------------------------------------------
 
     def parse(self, text: Union[str, int]) -> Scalar:
@@ -195,10 +193,6 @@ class Matrix:
         return Matrix(field, [[o if i == j else z for j in range(n)] for i in range(n)], n, n)
 
     @staticmethod
-    def from_rows(field: Field, rows: Sequence[Sequence[Scalar]]) -> "Matrix":
-        return Matrix(field, rows)
-
-    @staticmethod
     def col(field: Field, entries: Sequence[Scalar]) -> "Matrix":
         return Matrix(field, [[e] for e in entries], len(entries), 1)
 
@@ -209,12 +203,7 @@ class Matrix:
     @staticmethod
     def flip(field: Field, a: int, b: int) -> "Matrix":
         """Permutation matrix of the tensor flip U (x) V -> V (x) U, dim U = a, dim V = b."""
-        z, o = field.zero, field.one
-        m = [[z] * (a * b) for _ in range(a * b)]
-        for i in range(a):
-            for j in range(b):
-                m[j * a + i][i * b + j] = o
-        return Matrix(field, m)
+        return Matrix.identity(field, a * b).flip_cols(1, a, b, 1)
 
     # -- basic queries -----------------------------------------------------
 
@@ -317,6 +306,21 @@ class Matrix:
                     s += a * v
             out.append(s % p if p else s)
         return tuple(out)
+
+    def flip_cols(self, p: int, a: int, b: int, q: int) -> "Matrix":
+        """self @ (I_p (x) flip(a, b) (x) I_q), by reindexing columns.
+
+        Column ((s*a + i)*b + j)*q + t of the result is column
+        ((s*b + j)*a + i)*q + t of self.
+        """
+        n = p * a * b * q
+        if self.cols != n:
+            raise ShapeMismatchError(f"product of {self.rows}x{self.cols} with {n}x{n}")
+        src = [
+            ((s * b + j) * a + i) * q + t
+            for s in range(p) for i in range(a) for j in range(b) for t in range(q)
+        ]
+        return Matrix(self.field, [[row[k] for k in src] for row in self.data], self.rows, n)
 
     def transpose(self) -> "Matrix":
         if self.rows == 0:
@@ -434,41 +438,6 @@ class Matrix:
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
-
-
-# -- free functions mirroring the operation names used elsewhere -------------
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    return a.kron(b)
-
-
-def kernel_basis(a: Matrix) -> list[tuple]:
-    return a.kernel_basis()
-
-
-def solve_linear(a: Matrix, rhs: Sequence[Scalar]) -> Optional[tuple]:
-    return a.solve(rhs)
-
-
-def stack_rows(field: Field, matrices: Iterable[Matrix]) -> Matrix:
-    """Vertical stack; all blocks must share the column count."""
-    rows = []
-    cols = None
-    for m in matrices:
-        require_same_field(field, m.field)
-        if cols is None:
-            cols = m.cols
-        elif m.cols != cols:
-            raise ShapeMismatchError("stack_rows with differing column counts")
-        rows.extend(m.data)
-    if cols is None:
-        cols = 0
-    return Matrix(field, rows, len(rows), cols)
 
 
 def linear_map_matrix(field: Field, n_unknowns: int, apply_fn) -> Matrix:

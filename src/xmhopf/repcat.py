@@ -163,10 +163,7 @@ def tensor_modules(a: HopfXiCoalgebra, m: AModule, n: AModule) -> AModule:
                 continue
             my, nz = m.dim(y), n.dim(z)
             block = (
-                m.r(y).kron(n.r(z))
-                @ Matrix.identity(f, a.dim(y))
-                .kron(Matrix.flip(f, a.dim(z), my))
-                .kron(Matrix.identity(f, nz))
+                m.r(y).kron(n.r(z)).flip_cols(a.dim(y), a.dim(z), my, nz)
                 @ a.delta(y, z).kron(Matrix.identity(f, size))
             )
             for i in range(size):

@@ -3,13 +3,24 @@
 Every validator in this package returns a Report rather than a bare
 boolean: each named check carries the first few concrete witnesses of a
 violation, so user-supplied structure constants can be debugged.
+
+Where a boolean predicate is also needed (is_grouplike, is_integral), it
+and its report share one violation generator of (check name, witness)
+pairs: `Report.collect` records every pair, `holds` stops at the first
+witness.  A pair whose witness is None opens a check and records nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Optional
 
 WITNESS_CAP = 10
+
+
+def holds(violations: Iterable[tuple[str, Optional[str]]]) -> bool:
+    """True when no pair carries a witness; stops at the first that does."""
+    return all(witness is None for _, witness in violations)
 
 
 @dataclass
@@ -43,6 +54,16 @@ class Report:
         if not ok:
             c.add(witness or name)
 
+    def collect(self, violations: Iterable[tuple[str, Optional[str]]]) -> "Report":
+        """Record (check name, witness) pairs; each check is opened by a None witness."""
+        checks = {}
+        for name, witness in violations:
+            if witness is None:
+                checks[name] = self.check(name)
+            else:
+                checks[name].add(witness)
+        return self
+
     def merge(self, other: "Report") -> None:
         for c in other.checks:
             sub = Check(f"{other.title}: {c.name}", list(c.witnesses), c.violations)
@@ -55,15 +76,6 @@ class Report:
     @property
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.ok]
-
-    def summary(self) -> str:
-        lines = [f"{self.title}: {'PASS' if self.ok else 'FAIL'}"]
-        for c in self.checks:
-            status = "pass" if c.ok else f"fail ({c.violations} violations)"
-            lines.append(f"  {c.name}: {status}")
-            for w in c.witnesses:
-                lines.append(f"    witness: {w}")
-        return "\n".join(lines)
 
     def as_dict(self) -> dict:
         return {

@@ -523,13 +523,11 @@ def validate_hopf_xi_algebra(b: HopfXiAlgebra) -> Report:
         for y in H.elements():
             xy = H.mul(x, y)
             dx, dy = b.dim(x), b.dim(y)
-            mid = (
-                Matrix.identity(f, dx)
-                .kron(Matrix.flip(f, dx, dy))
-                .kron(Matrix.identity(f, dy))
-            )
             lhs = b.delta[xy] @ b.mul[(x, y)]
-            rhs = b.mul[(x, y)].kron(b.mul[(x, y)]) @ mid @ b.delta[x].kron(b.delta[y])
+            rhs = (
+                b.mul[(x, y)].kron(b.mul[(x, y)]).flip_cols(dx, dx, dy, dy)
+                @ b.delta[x].kron(b.delta[y])
+            )
             if lhs != rhs:
                 compat.add(f"coproduct at (x,y)=({x},{y})")
             if b.eps[xy] @ b.mul[(x, y)] != b.eps[x].kron(b.eps[y]):

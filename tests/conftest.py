@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 from hypothesis import settings
 
@@ -21,6 +23,18 @@ from xmhopf.linalg import Matrix  # noqa: E402
 
 QQ = Field.rational()
 GF5 = Field.prime(5)
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def fixture_structures():
+    """(file:name, structure) for every Hopf structure in the shipped fixture documents."""
+    from xmhopf.docio import parse
+
+    out = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = parse(path.read_bytes())
+        out.extend((f"{path.name}:{name}", a) for name, a in sorted(doc.hopf.items()))
+    return out
 
 
 def z3_in_s3():
@@ -117,6 +131,14 @@ def make_sweedler(field=QQ):
     base = GradedHopfCoalgebra(f, cm.H, (alg,), {(0, 0): delta}, counit)
     base = base.with_antipode(compute_antipode(base))
     return HopfXiCoalgebra(cm, base, {(0, 0): Matrix.identity(f, 4)})
+
+
+@pytest.fixture(scope="session")
+def determinism_pair():
+    """Two full runs of the CLI suite, computed once and shared by the tests that compare them."""
+    from tests.test_cli import full_suite_outputs
+
+    return full_suite_outputs(), full_suite_outputs()
 
 
 @pytest.fixture

@@ -299,10 +299,7 @@ def test_criterion_8_mutation_sensitivity():
     report_line("8 (ten shipped mutations each fail with a witness)", ok)
 
 
-def test_criterion_9_determinism():
-    from tests.test_cli import full_suite_outputs
-
-    first = full_suite_outputs()
-    second = full_suite_outputs()
+def test_criterion_9_determinism(determinism_pair):
+    first, second = determinism_pair
     ok = first == second and all(out for (_, _, _, _, _, out) in first)
     report_line("9 (byte-identical reports across runs)", ok)

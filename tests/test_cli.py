@@ -64,6 +64,53 @@ def test_malformed_document_is_input_error(tmp_path):
     assert proc.returncode == 2
 
 
+WELL_FORMED = {
+    "field": {"kind": "rational"},
+    "groups": {"g": {"cyclic": 2}},
+    "crossed_modules": {"cm": {"identity": "g"}},
+    "hopf": {"k": {"trivial": "cm"}},
+}
+
+# each entry replaces sections of WELL_FORMED; the result must be an input error (exit 2)
+MALFORMED = {
+    "groups-not-object": {"groups": []},
+    "hopf-not-object": {"hopf": "x"},
+    "cyclic-0": {"groups": {"g": {"cyclic": 0}}},
+    "cyclic-negative": {"groups": {"g": {"cyclic": -2}}},
+    "symmetric-9": {"groups": {"g": {"symmetric": 9}}},
+    "table-entry-5": {"groups": {"g": {"table": [[0, 5], [1, 0]]}}},
+    "xi-entry-7": {
+        "crossed_modules": {"cm": {"E": "g", "H": "g", "xi": [0, 7], "action": [[0, 1], [0, 1]]}}
+    },
+    "action-entry-9": {
+        "crossed_modules": {"cm": {"E": "g", "H": "g", "xi": [0, 1], "action": [[0, 1], [0, 9]]}}
+    },
+    "inclusion-entry-9": {
+        "crossed_modules": {"cm": {"inclusion": {"source": "g", "target": "g", "map": [0, 9]}}}
+    },
+    "line-degree-7": {"modules": {"m": {"over": "k", "line": {"degree": 7, "character": ["1"]}}}},
+    "line-degree-negative": {
+        "modules": {"m": {"over": "k", "line": {"degree": -1, "character": ["1"]}}}
+    },
+    "regular-5": {"modules": {"m": {"over": "k", "regular": 5}}},
+    "regular-negative": {"modules": {"m": {"over": "k", "regular": -1}}},
+    "trivial-hopf-module-negative": {"hopf_modules": {"m": {"over": "k", "trivial": -1}}},
+}
+
+
+@pytest.mark.parametrize("sections", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_section_is_input_error(sections):
+    proc = subprocess.run(
+        [sys.executable, "-m", "xmhopf.cli", "verify", "-", "g"],
+        input=json.dumps(dict(WELL_FORMED, **sections)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "input error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def trivial_group_document(tmp_path, characteristic):
     doc = tmp_path / f"gf_{characteristic}.json"
     doc.write_text(json.dumps({
@@ -218,5 +265,6 @@ def full_suite_outputs():
     return outputs
 
 
-def test_reports_are_byte_identical_across_runs():
-    assert full_suite_outputs() == full_suite_outputs()
+def test_reports_are_byte_identical_across_runs(determinism_pair):
+    first, second = determinism_pair
+    assert first == second

@@ -1,8 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from tests.conftest import QQ, make_bichar_z2, make_k_h_z2
+from tests.conftest import QQ, fixture_structures, make_bichar_z2, make_k_h_z2
 from xmhopf.errors import MissingAntipodeError, NotGrouplikeError
 from xmhopf.groups import cyclic
 from xmhopf.hopf import (
@@ -152,6 +153,24 @@ def test_no_antipode_when_not_hopf():
     assert compute_antipode(a) is None
 
 
+def test_no_antipode_when_only_the_left_identity_solves():
+    # k[x]/(x^2) with Delta(1) = 1 (x) 1 and Delta(x) = x (x) 1: the left identity
+    # forces S(1) = 1 and S(x) = 0, and then mu (id (x) S) Delta(x) = x != eps(x) 1
+    f = QQ
+    c = [
+        [[f.one, f.zero], [f.zero, f.one]],
+        [[f.zero, f.one], [f.zero, f.zero]],
+    ]
+    alg = ComponentAlgebra.from_structure_constants(f, c, (f.one, f.zero))
+    delta = Matrix(f, [[f.one, f.zero], [f.zero, f.zero], [f.zero, f.one], [f.zero, f.zero]])
+    a = classical_hopf(f, alg, delta, Matrix.row(f, (f.one, f.zero)))
+    s, unique = antipode_solve_details(a, 0)
+    assert unique and s == Matrix(f, [[f.one, f.zero], [f.zero, f.zero]])
+    failed = {c.name for c in validate_antipode(a.with_antipode((s,))).failures}
+    assert failed == {"right identity mu (id (x) S) Delta = eta eps", "bijectivity"}
+    assert compute_antipode(a) is None
+
+
 def test_convolution_unit_and_antipode_axiom():
     a = make_k_h_z2().base
     eps = a.counit
@@ -196,6 +215,30 @@ def test_grouplike_report_witnesses():
     a = make_k_h_z2().base
     rep = grouplike_report(a, ((QQ.one,), (QQ.zero,)))
     assert not rep.ok
+
+
+def sign_basis_families(a):
+    """Every family with one +-basis vector per component: the grouplike search space."""
+    f = a.field
+    per_component = []
+    for x in a.H.elements():
+        d = a.dim(x)
+        basis = [tuple(f.one if j == i else f.zero for j in range(d)) for i in range(d)]
+        negated = [tuple(f.neg(c) for c in v) for v in basis]
+        per_component.append(basis + [v for v in negated if v not in basis])
+    return itertools.product(*per_component)
+
+
+def test_grouplike_predicate_agrees_with_report():
+    for label, a in fixture_structures():
+        verdicts = set()
+        for fam in sign_basis_families(a.base):
+            verdict = is_grouplike(a.base, fam)
+            assert verdict == grouplike_report(a.base, fam).ok, (label, fam)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}, label
+        assert not is_grouplike(a.base, ())
+        assert [c.name for c in grouplike_report(a.base, ()).failures] == ["shape"]
 
 
 def test_group_algebra_grouplikes_are_group_elements():

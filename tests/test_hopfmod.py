@@ -3,6 +3,7 @@ import pytest
 from tests.conftest import (
     GF5,
     QQ,
+    fixture_structures,
     make_bichar_z2,
     make_k_xi_s3,
     make_k_xi_z2,
@@ -140,6 +141,27 @@ def test_integral_basis_satisfies_pointwise_checker():
             for lam in integral_space(a, side):
                 assert is_integral(a, lam, side)
                 assert integral_report(a, lam, side).ok
+
+
+def test_integral_predicate_agrees_with_report():
+    # the basis integrals and every single-entry perturbation of them, on both sides
+    verdicts = set()
+    for label, a in fixture_structures():
+        f = a.field
+        for side in ("left", "right"):
+            for lam in integral_space(a, side):
+                families = [lam]
+                for x in a.H.elements():
+                    for i in range(a.dim(x)):
+                        comp = list(lam[x])
+                        comp[i] = f.add(comp[i], f.one)
+                        families.append(lam[:x] + (tuple(comp),) + lam[x + 1:])
+                for fam in families:
+                    for checked in ("left", "right"):
+                        verdict = is_integral(a, fam, checked)
+                        assert verdict == integral_report(a, fam, checked).ok, (label, fam)
+                        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_integral_bichar_is_delta_at_identity():

@@ -251,6 +251,32 @@ def test_flip_sandwich_matches_naive_oracle():
         assert m @ sandwich == naive_mul(m, sandwich)
         assert back @ sandwich == Matrix.identity(field, 36)
         assert sandwich.apply(m.data[1]) == naive_apply(sandwich, m.data[1])
+        assert m.flip_cols(2, 2, 3, 3) == naive_mul(m, sandwich)
+        with pytest.raises(ShapeMismatchError):
+            m.flip_cols(2, 3, 2, 2)
+
+
+def naive_flip(field, a, b):
+    """u_i (x) v_j -> v_j (x) u_i as a permutation matrix, dim U = a, dim V = b."""
+    out = [[field.zero] * (a * b) for _ in range(a * b)]
+    for i in range(a):
+        for j in range(b):
+            out[j * a + i][i * b + j] = field.one
+    return Matrix(field, out, a * b, a * b)
+
+
+flip_dims = st.integers(min_value=0, max_value=3)
+
+
+@pytest.mark.parametrize("field", (QQ, GF5), ids=repr)
+@given(data=st.data(), shape=st.tuples(dims, flip_dims, flip_dims, flip_dims, flip_dims))
+def test_flip_cols_matches_naive_sandwich(field, data, shape):
+    rows, p, a, b, q = shape
+    x = draw_matrix(data, field, rows, p * a * b * q)
+    i_p, i_q = Matrix.identity(field, p), Matrix.identity(field, q)
+    sandwich = naive_kron(naive_kron(i_p, naive_flip(field, a, b)), i_q)
+    assert x.flip_cols(p, a, b, q) == naive_mul(x, sandwich)
+    assert Matrix.flip(field, a, b) == naive_flip(field, a, b)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=4), min_size=32, max_size=32))
