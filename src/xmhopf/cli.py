@@ -51,6 +51,13 @@ def _show_family(f: Field, fam) -> list:
     return [[f.show(v) for v in comp] for comp in fam]
 
 
+def _pairing(a, fam) -> tuple[dict, bool]:
+    """The shown pairing <G, e> of a grouplike family, and whether every value is 1."""
+    pairing = grouplike_pairing(a, fam)
+    shown = {str(e): a.field.show(v) for e, v in sorted(pairing.items())}
+    return shown, all(v == a.field.one for v in pairing.values())
+
+
 class CommandResult:
     """The checks of one command, merged into one Report, and its outputs."""
 
@@ -119,11 +126,9 @@ def _verify_object(doc: StructureDocument, name: str, res: CommandResult) -> Non
         rep = grouplike_report(a.base, fam)
         res.add_report(rep)
         if rep.ok:
-            pairing = grouplike_pairing(a, fam)
-            res.output(
-                "pairing", {str(e): a.field.show(v) for e, v in sorted(pairing.items())}
-            )
-            res.output("xi_grouplike", is_xi_grouplike(a, fam))
+            pairing, xi_grouplike = _pairing(a, fam)
+            res.output("pairing", pairing)
+            res.output("xi_grouplike", xi_grouplike)
     else:  # integrals
         over, side, fam = obj
         a = doc.hopf[over]
@@ -161,14 +166,9 @@ def cmd_grouplikes(doc: StructureDocument, args, res: CommandResult) -> None:
     fams = enumerate_grouplikes(a.base)
     out = []
     for fam in fams:
-        pairing = grouplike_pairing(a, fam)
-        out.append(
-            {
-                "family": _show_family(a.field, fam),
-                "pairing": {str(e): a.field.show(v) for e, v in sorted(pairing.items())},
-                "xi_grouplike": is_xi_grouplike(a, fam),
-            }
-        )
+        pairing, xi_grouplike = _pairing(a, fam)
+        family = _show_family(a.field, fam)
+        out.append({"family": family, "pairing": pairing, "xi_grouplike": xi_grouplike})
     res.output("count", len(fams))
     res.output("families", out)
     chk = Report("grouplike enumeration")

@@ -55,18 +55,14 @@ def validate_crossed_module(cm: CrossedModule) -> Report:
     rep = Report("crossed module")
     E, H = cm.E, cm.H
 
-    equi = rep.check("equivariance xi(x.e) = x xi(e) x^-1")
-    for x in H.elements():
-        for e in E.elements():
-            if cm.xi(cm.act(x, e)) != H.conj(x, cm.xi(e)):
-                equi.add(f"x={x} e={e}")
-
-    peiffer = rep.check("Peiffer identity xi(e).f = e f e^-1")
-    for e in E.elements():
-        xe = cm.xi(e)
-        for f in E.elements():
-            if cm.act(xe, f) != E.mul(E.mul(e, f), E.inv(e)):
-                peiffer.add(f"e={e} f={f}")
+    rep.identity("equivariance xi(x.e) = x xi(e) x^-1", (
+        (f"x={x} e={e}", cm.xi(cm.act(x, e)), H.conj(x, cm.xi(e)))
+        for x in H.elements() for e in E.elements()
+    ))
+    rep.identity("Peiffer identity xi(e).f = e f e^-1", (
+        (f"e={e} f={f}", cm.act(cm.xi(e), f), E.conj(e, f))
+        for e in E.elements() for f in E.elements()
+    ))
     return rep
 
 
@@ -150,18 +146,13 @@ def kernel_image_cokernel(cm: CrossedModule) -> KernelImageCokernel:
     kernel = tuple(sorted(e for e in E.elements() if cm.xi(e) == H.identity))
     image = tuple(sorted({cm.xi(e) for e in E.elements()}))
 
-    central = rep.check("kernel is central in E")
-    for k in kernel:
-        for e in E.elements():
-            if E.mul(k, e) != E.mul(e, k):
-                central.add(f"k={k} e={e}")
-
-    normal = rep.check("image is normal in H")
+    rep.identity("kernel is central in E", (
+        (f"k={k} e={e}", E.mul(k, e), E.mul(e, k)) for k in kernel for e in E.elements()
+    ))
     image_set = set(image)
-    for x in H.elements():
-        for i in image:
-            if H.conj(x, i) not in image_set:
-                normal.add(f"x={x} i={i}")
+    rep.identity("image is normal in H", (
+        (f"x={x} i={i}", H.conj(x, i) in image_set, True) for x in H.elements() for i in image
+    ))
 
     # cosets of the image, each named by its least element
     coset_of = {}
@@ -185,11 +176,10 @@ def kernel_image_cokernel(cm: CrossedModule) -> KernelImageCokernel:
     inverses = tuple(projection[H.inv(reps[a])] for a in range(m))
     coker = FiniteGroup(table, projection[H.identity], inverses)
 
-    welldef = rep.check("projection is a homomorphism")
-    for x in H.elements():
-        for y in H.elements():
-            if projection[H.mul(x, y)] != coker.mul(projection[x], projection[y]):
-                welldef.add(f"x={x} y={y}")
+    rep.identity("projection is a homomorphism", (
+        (f"x={x} y={y}", projection[H.mul(x, y)], coker.mul(projection[x], projection[y]))
+        for x in H.elements() for y in H.elements()
+    ))
 
     return KernelImageCokernel(kernel, image, coker, projection, tuple(reps), rep)
 
@@ -205,21 +195,16 @@ def coker_action_on_kernel(cm: CrossedModule) -> tuple[tuple[tuple[int, ...], ..
     kernel = kic.kernel
     kpos = {k: i for i, k in enumerate(kernel)}
 
-    closed = rep.check("kernel is stable under the H-action")
-    for x in cm.H.elements():
-        for k in kernel:
-            if cm.act(x, k) not in kpos:
-                closed.add(f"x={x} k={k}")
-
-    welldef = rep.check("action factors through the cokernel")
-    for c in range(kic.cokernel.order):
-        rep_x = kic.section[c]
-        for x in cm.H.elements():
-            if kic.projection[x] != c:
-                continue
-            for k in kernel:
-                if cm.act(x, k) != cm.act(rep_x, k):
-                    welldef.add(f"coset {c}: x={x} vs rep {rep_x} on k={k}")
+    rep.identity("kernel is stable under the H-action", (
+        (f"x={x} k={k}", cm.act(x, k) in kpos, True) for x in cm.H.elements() for k in kernel
+    ))
+    rep.identity("action factors through the cokernel", (
+        (f"coset {c}: x={x} vs rep {rep_x} on k={k}", cm.act(x, k), cm.act(rep_x, k))
+        for c, rep_x in enumerate(kic.section)
+        for x in cm.H.elements()
+        if kic.projection[x] == c
+        for k in kernel
+    ))
 
     table = tuple(
         tuple(kpos.get(cm.act(kic.section[c], k), -1) for k in kernel)

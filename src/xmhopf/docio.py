@@ -106,7 +106,7 @@ def _parse_scalar(f: Field, raw, where):
                 raise FieldMismatchError(f"{where}: rational literal {raw!r} in a GF({f.p}) document")
             except ValueError:
                 pass
-            if isinstance(raw, int):
+            if type(raw) is int:
                 raise FieldMismatchError(f"{where}: residue {raw} out of range for GF({f.p})")
         raise DocumentSyntaxError(str(exc), where)
 
@@ -154,6 +154,15 @@ def _expect(raw, typ, where, what):
     return raw
 
 
+def _int(raw, where, below=None) -> int:
+    """An integer (JSON true and false are not); with `below`, an index 0..below-1."""
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise DocumentSyntaxError("expected an integer", where)
+    if below is not None and not 0 <= raw < below:
+        raise DocumentSyntaxError(f"{raw} is not an element index 0..{below - 1}", where)
+    return raw
+
+
 # -- section parsers -------------------------------------------------------------------------
 
 
@@ -163,9 +172,7 @@ def _parse_field(raw) -> Field:
     if kind == "rational":
         return Field.rational()
     if kind == "prime":
-        p = spec.get("characteristic")
-        if not isinstance(p, int):
-            raise DocumentSyntaxError("prime field needs an integer characteristic", "field")
+        p = _int(spec.get("characteristic"), "field.characteristic")
         try:
             return Field.prime(p)
         except ValueError as exc:
@@ -192,9 +199,9 @@ def _parse_group(doc: StructureDocument, name: str, raw) -> FiniteGroup:
 
 def _parse_group_body(doc: StructureDocument, spec, where) -> FiniteGroup:
     if "cyclic" in spec:
-        return cyclic(_expect(spec["cyclic"], int, where, "an integer"))
+        return cyclic(_int(spec["cyclic"], where))
     if "symmetric" in spec:
-        return symmetric(_expect(spec["symmetric"], int, where, "an integer"))
+        return symmetric(_int(spec["symmetric"], where))
     if "product" in spec:
         pair = _expect(spec["product"], list, where, "a pair of names")
         if len(pair) != 2:
@@ -202,14 +209,13 @@ def _parse_group_body(doc: StructureDocument, spec, where) -> FiniteGroup:
         return direct_product(_get_group(doc, pair[0], where), _get_group(doc, pair[1], where))
     if "table" in spec:
         table = _expect(spec["table"], list, where, "a multiplication table")
-        n = spec.get("order", len(table))
+        n = _int(spec.get("order", len(table)), f"{where}.order")
         if n != len(table) or any(not isinstance(r, list) or len(r) != n for r in table):
             raise DocumentSyntaxError("table is not order x order", where)
-        for i, row in enumerate(table):
-            for j, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < n:
-                    raise DocumentSyntaxError("table entries must be indices", f"{where}.table[{i}][{j}]")
-        return FiniteGroup.from_table(table)
+        return FiniteGroup.from_table(
+            [[_int(v, f"{where}.table[{i}][{j}]", n) for j, v in enumerate(row)]
+             for i, row in enumerate(table)]
+        )
     raise DocumentSyntaxError("unknown group constructor", where)
 
 
@@ -231,24 +237,12 @@ def _get_hopf(doc: StructureDocument, name, where) -> HopfXiCoalgebra:
     return doc.hopf[name]
 
 
-def _parse_degree(a: HopfXiCoalgebra, raw, where) -> int:
-    x = _expect(raw, int, where, "an integer")
-    if not 0 <= x < a.H.order:
-        raise DocumentSyntaxError(f"degree {x} is not an element index 0..{a.H.order - 1}", where)
-    return x
-
-
 def _parse_int_list(raw, where, length, order=None):
     """length integers; with order given, each an element index 0..order-1."""
     lst = _expect(raw, list, where, "a list of indices")
     if len(lst) != length:
         raise DocumentSyntaxError(f"expected {length} entries", where)
-    for v in lst:
-        if not isinstance(v, int):
-            raise DocumentSyntaxError("entries must be integers", where)
-        if order is not None and not 0 <= v < order:
-            raise DocumentSyntaxError(f"entry {v} is not an element index 0..{order - 1}", where)
-    return lst
+    return [_int(v, f"{where}[{i}]", order) for i, v in enumerate(lst)]
 
 
 def _parse_crossed_module(doc: StructureDocument, name: str, raw) -> CrossedModule:
@@ -376,13 +370,13 @@ def _parse_module(doc: StructureDocument, name: str, raw):
     f = doc.field
     if "line" in spec:
         d = _expect(spec["line"], dict, where, "an object")
-        x = _parse_degree(a, d.get("degree"), f"{where}.degree")
+        x = _int(d.get("degree"), f"{where}.degree", a.H.order)
         character = Matrix.row(
             f, _parse_vector(f, d.get("character"), f"{where}.character", a.dim(x))
         )
         return over, line_module(a, x, character)
     if "regular" in spec:
-        return over, regular_module(a, _parse_degree(a, spec["regular"], where))
+        return over, regular_module(a, _int(spec["regular"], where, a.H.order))
     if spec.get("unit"):
         return over, unit_module(a)
     dims = tuple(_parse_int_list(spec.get("dims"), f"{where}.dims", a.H.order))
@@ -402,7 +396,7 @@ def _parse_hopf_module(doc: StructureDocument, name: str, raw):
     f = doc.field
     if "trivial" in spec:
         try:
-            return over, trivial_hopf_module(a, _expect(spec["trivial"], int, where, "an integer"))
+            return over, trivial_hopf_module(a, _int(spec["trivial"], where))
         except ValueError as exc:
             raise DocumentSyntaxError(str(exc), where)
     if spec.get("dual"):

@@ -109,13 +109,10 @@ def validate_group(g: FiniteGroup) -> Report:
         if g.table[a][b] != e or g.table[b][a] != e:
             invs.add(f"{a}*{b} = {g.table[a][b]}, {b}*{a} = {g.table[b][a]}, expected {e}")
 
-    assoc = rep.check("associativity")
-    for a in range(n):
-        for b in range(n):
-            ab = g.table[a][b]
-            for c in range(n):
-                if g.table[ab][c] != g.table[a][g.table[b][c]]:
-                    assoc.add(f"({a}*{b})*{c} != {a}*({b}*{c})")
+    rep.identity("associativity", (
+        (f"({a}*{b})*{c} != {a}*({b}*{c})", g.mul(g.mul(a, b), c), g.mul(a, g.mul(b, c)))
+        for a in range(n) for b in range(n) for c in range(n)
+    ))
     return rep
 
 
@@ -201,15 +198,13 @@ def validate_hom(f: GroupHom) -> Report:
     if not rng.ok:
         return rep
 
-    unit = rep.check("preserves identity")
-    if f.map[g.identity] != h.identity:
-        unit.add(f"map(1) = {f.map[g.identity]} != {h.identity}")
-
-    mult = rep.check("multiplicative")
-    for a in g.elements():
-        for b in g.elements():
-            if f.map[g.mul(a, b)] != h.mul(f.map[a], f.map[b]):
-                mult.add(f"map({a}*{b}) != map({a})*map({b})")
+    rep.identity("preserves identity", [
+        (f"map(1) = {f.map[g.identity]} != {h.identity}", f.map[g.identity], h.identity),
+    ])
+    rep.identity("multiplicative", (
+        (f"map({a}*{b}) != map({a})*map({b})", f.map[g.mul(a, b)], h.mul(f.map[a], f.map[b]))
+        for a in g.elements() for b in g.elements()
+    ))
     return rep
 
 
@@ -252,18 +247,15 @@ def validate_action(a: GroupAction) -> Report:
     if not shape.ok:
         return rep
 
-    unit = rep.check("identity acts trivially")
-    for e in e_grp.elements():
-        if a.act(h.identity, e) != e:
-            unit.add(f"act(1, {e}) = {a.act(h.identity, e)}")
-
-    comp = rep.check("action is multiplicative in the actor")
-    for x in h.elements():
-        for y in h.elements():
-            xy = h.mul(x, y)
-            for e in e_grp.elements():
-                if a.act(x, a.act(y, e)) != a.act(xy, e):
-                    comp.add(f"act({x}, act({y}, {e})) != act({x}*{y}, {e})")
+    rep.identity("identity acts trivially", (
+        (f"act(1, {e}) = {a.act(h.identity, e)}", a.act(h.identity, e), e)
+        for e in e_grp.elements()
+    ))
+    rep.identity("action is multiplicative in the actor", (
+        (f"act({x}, act({y}, {e})) != act({x}*{y}, {e})",
+         a.act(x, a.act(y, e)), a.act(h.mul(x, y), e))
+        for x in h.elements() for y in h.elements() for e in e_grp.elements()
+    ))
 
     auto = rep.check("each actor element acts by an automorphism")
     for x in h.elements():

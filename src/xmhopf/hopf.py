@@ -80,20 +80,16 @@ class ComponentAlgebra:
 
     def validate(self) -> Report:
         rep = Report("component algebra")
-        f = self.field
-        ident = Matrix.identity(f, self.dim)
-        assoc = rep.check("associativity")
+        ident = Matrix.identity(self.field, self.dim)
         lhs = self.mul @ self.mul.kron(ident)
         rhs = self.mul @ ident.kron(self.mul)
-        if lhs != rhs:
-            for j in range(lhs.cols):
-                if lhs.column(j) != rhs.column(j):
-                    assoc.add(f"basis triple index {j}")
-        unital = rep.check("two-sided unit")
-        if self.mul @ self.unit_col().kron(ident) != ident:
-            unital.add("1 . v != v")
-        if self.mul @ ident.kron(self.unit_col()) != ident:
-            unital.add("v . 1 != v")
+        rep.identity("associativity", (
+            (f"basis triple index {j}", lhs.column(j), rhs.column(j)) for j in range(lhs.cols)
+        ))
+        rep.identity("two-sided unit", [
+            ("1 . v != v", self.mul @ self.unit_col().kron(ident), ident),
+            ("v . 1 != v", self.mul @ ident.kron(self.unit_col()), ident),
+        ])
         return rep
 
 
@@ -159,25 +155,22 @@ def validate_h_coalgebra(a: GradedHopfCoalgebra) -> Report:
     a.check_shapes()
     rep = Report("graded coalgebra")
     H, f = a.H, a.field
-
-    coassoc = rep.check("coassociativity")
-    for x in H.elements():
-        for y in H.elements():
-            xy = H.mul(x, y)
-            for z in H.elements():
-                lhs = a.delta(x, y).kron(Matrix.identity(f, a.dim(z))) @ a.delta(xy, z)
-                rhs = Matrix.identity(f, a.dim(x)).kron(a.delta(y, z)) @ a.delta(x, H.mul(y, z))
-                if lhs != rhs:
-                    coassoc.add(f"(x,y,z)=({x},{y},{z})")
-
-    counit = rep.check("counit laws")
-    one = H.identity
-    for x in H.elements():
-        ident = Matrix.identity(f, a.dim(x))
-        if ident.kron(a.counit) @ a.delta(x, one) != ident:
-            counit.add(f"(id (x) eps) Delta_({x},1) != id")
-        if a.counit.kron(ident) @ a.delta(one, x) != ident:
-            counit.add(f"(eps (x) id) Delta_(1,{x}) != id")
+    xs, one = H.elements(), H.identity
+    ident = [Matrix.identity(f, a.dim(x)) for x in xs]
+    rep.identity("coassociativity", (
+        (f"(x,y,z)=({x},{y},{z})",
+         a.delta(x, y).kron(ident[z]) @ a.delta(H.mul(x, y), z),
+         ident[x].kron(a.delta(y, z)) @ a.delta(x, H.mul(y, z)))
+        for x in xs for y in xs for z in xs
+    ))
+    rep.identity("counit laws", (
+        case for x in xs for case in (
+            (f"(id (x) eps) Delta_({x},1) != id",
+             ident[x].kron(a.counit) @ a.delta(x, one), ident[x]),
+            (f"(eps (x) id) Delta_(1,{x}) != id",
+             a.counit.kron(ident[x]) @ a.delta(one, x), ident[x]),
+        )
+    ))
     return rep
 
 
@@ -185,35 +178,32 @@ def validate_bicoalgebra(a: GradedHopfCoalgebra) -> Report:
     """Each component is an algebra and Delta, eps are algebra maps."""
     a.check_shapes()
     rep = Report("graded bicoalgebra")
-    H, f = a.H, a.field
+    H, f, comps = a.H, a.field, a.components
+    xs = H.elements()
 
-    for x in H.elements():
-        comp_rep = a.components[x].validate()
+    for x in xs:
+        comp_rep = comps[x].validate()
         comp_rep.title = f"component {x}"
         rep.merge(comp_rep)
 
-    mult = rep.check("coproduct is multiplicative")
-    unit = rep.check("coproduct preserves units")
-    for x in H.elements():
-        for y in H.elements():
-            xy = H.mul(x, y)
-            ax, ay = a.components[x], a.components[y]
-            lhs = a.delta(x, y) @ a.components[xy].mul
-            rhs = (
-                ax.mul.kron(ay.mul).flip_cols(ax.dim, ay.dim, ax.dim, ay.dim)
-                @ a.delta(x, y).kron(a.delta(x, y))
-            )
-            if lhs != rhs:
-                mult.add(f"(x,y)=({x},{y})")
-            if a.delta(x, y) @ a.components[xy].unit_col() != ax.unit_col().kron(ay.unit_col()):
-                unit.add(f"(x,y)=({x},{y})")
-
-    eps = rep.check("counit is an algebra map")
-    one = H.identity
-    if a.counit @ a.components[one].mul != a.counit.kron(a.counit):
-        eps.add("eps mu_1 != eps (x) eps")
-    if a.counit @ a.components[one].unit_col() != Matrix(f, [[f.one]]):
-        eps.add("eps(1_1) != 1")
+    rep.identity("coproduct is multiplicative", (
+        (f"(x,y)=({x},{y})",
+         a.delta(x, y) @ comps[H.mul(x, y)].mul,
+         comps[x].mul.kron(comps[y].mul).flip_cols(a.dim(x), a.dim(y), a.dim(x), a.dim(y))
+         @ a.delta(x, y).kron(a.delta(x, y)))
+        for x in xs for y in xs
+    ))
+    rep.identity("coproduct preserves units", (
+        (f"(x,y)=({x},{y})",
+         a.delta(x, y) @ comps[H.mul(x, y)].unit_col(),
+         comps[x].unit_col().kron(comps[y].unit_col()))
+        for x in xs for y in xs
+    ))
+    one = comps[H.identity]
+    rep.identity("counit is an algebra map", [
+        ("eps mu_1 != eps (x) eps", a.counit @ one.mul, a.counit.kron(a.counit)),
+        ("eps(1_1) != 1", a.counit @ one.unit_col(), Matrix(f, [[f.one]])),
+    ])
     return rep
 
 
@@ -268,20 +258,19 @@ def validate_antipode(a: GradedHopfCoalgebra) -> Report:
     if a.antipode is None:
         raise MissingAntipodeError("validate_antipode needs an antipode")
     rep = Report("antipode axioms")
-    H, f = a.H, a.field
-    left = rep.check("left identity mu (S (x) id) Delta = eta eps")
-    right = rep.check("right identity mu (id (x) S) Delta = eta eps")
-    bij = rep.check("bijectivity")
-    for x in H.elements():
-        xinv = H.inv(x)
-        ident = Matrix.identity(f, a.dim(x))
-        target = a.components[x].unit_col() @ a.counit
-        if a.components[x].mul @ a.S(x).kron(ident) @ a.delta(xinv, x) != target:
-            left.add(f"x={x}")
-        if a.components[x].mul @ ident.kron(a.S(x)) @ a.delta(x, xinv) != target:
-            right.add(f"x={x}")
-        if not a.S(x).is_invertible():
-            bij.add(f"x={x}")
+    H, f, comps = a.H, a.field, a.components
+    xs = H.elements()
+    ident = [Matrix.identity(f, a.dim(x)) for x in xs]
+    eta_eps = [comps[x].unit_col() @ a.counit for x in xs]
+    rep.identity("left identity mu (S (x) id) Delta = eta eps", (
+        (f"x={x}", comps[x].mul @ a.S(x).kron(ident[x]) @ a.delta(H.inv(x), x), eta_eps[x])
+        for x in xs
+    ))
+    rep.identity("right identity mu (id (x) S) Delta = eta eps", (
+        (f"x={x}", comps[x].mul @ ident[x].kron(a.S(x)) @ a.delta(x, H.inv(x)), eta_eps[x])
+        for x in xs
+    ))
+    rep.identity("bijectivity", ((f"x={x}", a.S(x).is_invertible(), True) for x in xs))
     return rep
 
 
@@ -291,35 +280,27 @@ def antipode_properties(a: GradedHopfCoalgebra) -> Report:
     if a.antipode is None:
         raise MissingAntipodeError("antipode_properties needs an antipode")
     rep = Report("antipode properties")
-    H = a.H
-
-    antimul = rep.check("anti-multiplicativity")
-    units = rep.check("unit preservation")
-    for x in H.elements():
-        xinv = H.inv(x)
-        lhs = a.S(x) @ a.components[xinv].mul
-        rhs = a.components[x].mul.flip_cols(1, a.dim(x), a.dim(x), 1) @ a.S(x).kron(a.S(x))
-        if lhs != rhs:
-            antimul.add(f"x={x}")
-        if a.S(x) @ a.components[xinv].unit_col() != a.components[x].unit_col():
-            units.add(f"x={x}")
-
-    anticomul = rep.check("anti-comultiplicativity")
-    for x in H.elements():
-        for y in H.elements():
-            xy = H.mul(x, y)
-            xinv, yinv = H.inv(x), H.inv(y)
-            lhs = a.delta(x, y) @ a.S(xy)
-            rhs = (
-                a.S(x).kron(a.S(y)).flip_cols(1, a.dim(yinv), a.dim(xinv), 1)
-                @ a.delta(yinv, xinv)
-            )
-            if lhs != rhs:
-                anticomul.add(f"(x,y)=({x},{y})")
-
-    counit = rep.check("counit compatibility")
-    if a.counit @ a.S(a.H.identity) != a.counit:
-        counit.add("eps S_1 != eps")
+    H, comps = a.H, a.components
+    xs = H.elements()
+    rep.identity("anti-multiplicativity", (
+        (f"x={x}",
+         a.S(x) @ comps[H.inv(x)].mul,
+         comps[x].mul.flip_cols(1, a.dim(x), a.dim(x), 1) @ a.S(x).kron(a.S(x)))
+        for x in xs
+    ))
+    rep.identity("unit preservation", (
+        (f"x={x}", a.S(x) @ comps[H.inv(x)].unit_col(), comps[x].unit_col()) for x in xs
+    ))
+    rep.identity("anti-comultiplicativity", (
+        (f"(x,y)=({x},{y})",
+         a.delta(x, y) @ a.S(H.mul(x, y)),
+         a.S(x).kron(a.S(y)).flip_cols(1, a.dim(H.inv(y)), a.dim(H.inv(x)), 1)
+         @ a.delta(H.inv(y), H.inv(x)))
+        for x in xs for y in xs
+    ))
+    rep.identity("counit compatibility", [
+        ("eps S_1 != eps", a.counit @ a.S(H.identity), a.counit),
+    ])
     return rep
 
 
@@ -434,16 +415,19 @@ def is_pivotal_element(a: GradedHopfCoalgebra, G: GrouplikeFamily) -> Report:
     if not is_grouplike(a, G):
         raise NotGrouplikeError("pivotal candidate must be grouplike")
     ginv = grouplike_inverse(a, G)
-    rep = Report("pivotal element")
     H, f = a.H, a.field
-    chk = rep.check("S_x S_{x^-1} equals conjugation by G")
-    for x in H.elements():
-        comp = a.components[x]
-        ss = a.S(x) @ a.S(H.inv(x))
-        for i in range(comp.dim):
-            basis = tuple(f.one if j == i else f.zero for j in range(comp.dim))
-            if ss.apply(basis) != comp.multiply(comp.multiply(G[x], basis), ginv[x]):
-                chk.add(f"x={x} basis={i}")
+
+    def cases():
+        for x in H.elements():
+            comp = a.components[x]
+            ss = a.S(x) @ a.S(H.inv(x))
+            for i in range(comp.dim):
+                basis = tuple(f.one if j == i else f.zero for j in range(comp.dim))
+                conjugated = comp.multiply(comp.multiply(G[x], basis), ginv[x])
+                yield f"x={x} basis={i}", ss.apply(basis), conjugated
+
+    rep = Report("pivotal element")
+    rep.identity("S_x S_{x^-1} equals conjugation by G", cases())
     return rep
 
 

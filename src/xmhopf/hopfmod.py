@@ -66,65 +66,57 @@ def validate_hopf_xi_module(a: HopfXiCoalgebra, m: HopfXiModule) -> Report:
     m.check_shapes()
     rep = Report("Hopf crossed-module module")
     f, H, E, cm = a.field, a.H, a.E, a.cm
+    xs, es, one = H.elements(), E.elements(), H.identity
+    ident_a = [Matrix.identity(f, a.dim(x)) for x in xs]
+    ident_m = [Matrix.identity(f, m.dim(x)) for x in xs]
 
-    mod = rep.check("(a) each M_x is an A_x-module")
-    for x in H.elements():
-        comp = a.component(x)
-        ident_m = Matrix.identity(f, m.dim(x))
-        if m.r[x] @ comp.mul.kron(ident_m) != m.r[x] @ Matrix.identity(f, comp.dim).kron(m.r[x]):
-            mod.add(f"associativity at x={x}")
-        if m.r[x] @ comp.unit_col().kron(ident_m) != ident_m:
-            mod.add(f"unitality at x={x}")
+    def tgt(x, e):
+        return H.mul(cm.xi_of(e), x)
 
-    com = rep.check("(b) (M, rho) is a comodule")
-    for x in H.elements():
-        for y in H.elements():
-            xy = H.mul(x, y)
-            for z in H.elements():
-                lhs = a.delta(x, y).kron(Matrix.identity(f, m.dim(z))) @ m.rho[(xy, z)]
-                rhs = Matrix.identity(f, a.dim(x)).kron(m.rho[(y, z)]) @ m.rho[(x, H.mul(y, z))]
-                if lhs != rhs:
-                    com.add(f"coassociativity at (x,y,z)=({x},{y},{z})")
-    one = H.identity
-    for x in H.elements():
-        if a.counit.kron(Matrix.identity(f, m.dim(x))) @ m.rho[(one, x)] != Matrix.identity(f, m.dim(x)):
-            com.add(f"counitality at x={x}")
+    def module_cases():
+        for x in xs:
+            comp = a.component(x)
+            yield (f"associativity at x={x}",
+                   m.r[x] @ comp.mul.kron(ident_m[x]), m.r[x] @ ident_a[x].kron(m.r[x]))
+            yield f"unitality at x={x}", m.r[x] @ comp.unit_col().kron(ident_m[x]), ident_m[x]
 
-    mix = rep.check("(c) action and coaction intertwine")
-    for x in H.elements():
-        for y in H.elements():
-            xy = H.mul(x, y)
-            lhs = m.rho[(x, y)] @ m.r[xy]
-            dx = a.dim(x)
-            rhs = (
-                a.component(x).mul.kron(m.r[y]).flip_cols(dx, a.dim(y), dx, m.dim(y))
-                @ a.delta(x, y).kron(m.rho[(x, y)])
-            )
-            if lhs != rhs:
-                mix.add(f"(x,y)=({x},{y})")
+    def comodule_cases():
+        for x in xs:
+            for y in xs:
+                for z in xs:
+                    yield (f"coassociativity at (x,y,z)=({x},{y},{z})",
+                           a.delta(x, y).kron(ident_m[z]) @ m.rho[(H.mul(x, y), z)],
+                           ident_a[x].kron(m.rho[(y, z)]) @ m.rho[(x, H.mul(y, z))])
+        for x in xs:
+            yield f"counitality at x={x}", a.counit.kron(ident_m[x]) @ m.rho[(one, x)], ident_m[x]
 
-    equiv = rep.check("(d) psi equivariance laws")
-    for x in H.elements():
-        if m.psi[(x, E.identity)] != Matrix.identity(f, m.dim(x)):
-            equiv.add(f"psi_(x,1) != id at x={x}")
-        for e in E.elements():
-            ex = H.mul(cm.xi_of(e), x)
-            for g in E.elements():
-                if m.psi[(ex, g)] @ m.psi[(x, e)] != m.psi[(x, E.mul(g, e))]:
-                    equiv.add(f"composition at x={x} e={e} f={g}")
-            if m.psi[(x, e)] @ m.r[x] != m.r[ex] @ a.phi(x, e).kron(m.psi[(x, e)]):
-                equiv.add(f"action compatibility at x={x} e={e}")
-        for y in H.elements():
-            xy = H.mul(x, y)
-            for e in E.elements():
-                ex = H.mul(cm.xi_of(e), x)
-                for g in E.elements():
-                    gy = H.mul(cm.xi_of(g), y)
-                    label = E.mul(e, cm.act(x, g))
-                    lhs = a.phi(x, e).kron(m.psi[(y, g)]) @ m.rho[(x, y)]
-                    rhs = m.rho[(ex, gy)] @ m.psi[(xy, label)]
-                    if lhs != rhs:
-                        equiv.add(f"coaction compatibility at x={x} y={y} e={e} f={g}")
+    def equivariance_cases():
+        for x in xs:
+            yield f"psi_(x,1) != id at x={x}", m.psi[(x, E.identity)], ident_m[x]
+            for e in es:
+                for g in es:
+                    yield (f"composition at x={x} e={e} f={g}",
+                           m.psi[(tgt(x, e), g)] @ m.psi[(x, e)], m.psi[(x, E.mul(g, e))])
+                yield (f"action compatibility at x={x} e={e}",
+                       m.psi[(x, e)] @ m.r[x], m.r[tgt(x, e)] @ a.phi(x, e).kron(m.psi[(x, e)]))
+            for y in xs:
+                for e in es:
+                    for g in es:
+                        label = E.mul(e, cm.act(x, g))
+                        yield (f"coaction compatibility at x={x} y={y} e={e} f={g}",
+                               a.phi(x, e).kron(m.psi[(y, g)]) @ m.rho[(x, y)],
+                               m.rho[(tgt(x, e), tgt(y, g))] @ m.psi[(H.mul(x, y), label)])
+
+    rep.identity("(a) each M_x is an A_x-module", module_cases())
+    rep.identity("(b) (M, rho) is a comodule", comodule_cases())
+    rep.identity("(c) action and coaction intertwine", (
+        (f"(x,y)=({x},{y})",
+         m.rho[(x, y)] @ m.r[H.mul(x, y)],
+         a.component(x).mul.kron(m.r[y]).flip_cols(a.dim(x), a.dim(y), a.dim(x), m.dim(y))
+         @ a.delta(x, y).kron(m.rho[(x, y)]))
+        for x in xs for y in xs
+    ))
+    rep.identity("(d) psi equivariance laws", equivariance_cases())
     return rep
 
 

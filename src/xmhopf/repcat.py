@@ -73,17 +73,17 @@ class GradedHom:
 def validate_module(a: HopfXiCoalgebra, m: AModule) -> Report:
     m.check_shapes()
     rep = Report("graded module")
-    f = a.field
-    assoc = rep.check("action is associative")
-    unital = rep.check("action is unital")
-    for x in a.H.elements():
-        r = m.r(x)
-        ident_m = Matrix.identity(f, m.dim(x))
-        comp = a.component(x)
-        if r @ comp.mul.kron(ident_m) != r @ Matrix.identity(f, comp.dim).kron(r):
-            assoc.add(f"x={x}")
-        if r @ comp.unit_col().kron(ident_m) != ident_m:
-            unital.add(f"x={x}")
+    f, xs = a.field, a.H.elements()
+    ident_m = [Matrix.identity(f, m.dim(x)) for x in xs]
+    rep.identity("action is associative", (
+        (f"x={x}",
+         m.r(x) @ a.component(x).mul.kron(ident_m[x]),
+         m.r(x) @ Matrix.identity(f, a.dim(x)).kron(m.r(x)))
+        for x in xs
+    ))
+    rep.identity("action is unital", (
+        (f"x={x}", m.r(x) @ a.component(x).unit_col().kron(ident_m[x]), ident_m[x]) for x in xs
+    ))
     return rep
 
 
@@ -384,17 +384,18 @@ def dual_zigzag_report(a: HopfXiCoalgebra, m: AModule, piv: tuple) -> Report:
     md = m.dim(m.degree())
     ident = Matrix.identity(f, md)
 
-    left = rep.check("left duality")
-    if dd.left_ev.kron(ident) @ ident.kron(dd.left_coev) != ident:
-        left.add("(lev (x) id)(id (x) lcoev) != id on M*")
-    if ident.kron(dd.left_ev) @ dd.left_coev.kron(ident) != ident:
-        left.add("(id (x) lev)(lcoev (x) id) != id on M")
-
-    right = rep.check("right duality")
-    if dd.right_ev.kron(ident) @ ident.kron(dd.right_coev) != ident:
-        right.add("(rev (x) id)(id (x) rcoev) != id on M")
-    if ident.kron(dd.right_ev) @ dd.right_coev.kron(ident) != ident:
-        right.add("(id (x) rev)(rcoev (x) id) != id on M*")
+    rep.identity("left duality", [
+        ("(lev (x) id)(id (x) lcoev) != id on M*",
+         dd.left_ev.kron(ident) @ ident.kron(dd.left_coev), ident),
+        ("(id (x) lev)(lcoev (x) id) != id on M",
+         ident.kron(dd.left_ev) @ dd.left_coev.kron(ident), ident),
+    ])
+    rep.identity("right duality", [
+        ("(rev (x) id)(id (x) rcoev) != id on M",
+         dd.right_ev.kron(ident) @ ident.kron(dd.right_coev), ident),
+        ("(id (x) rev)(rcoev (x) id) != id on M*",
+         ident.kron(dd.right_ev) @ dd.right_coev.kron(ident), ident),
+    ])
     return rep
 
 

@@ -4,6 +4,13 @@ Every validator in this package returns a Report rather than a bare
 boolean: each named check carries the first few concrete witnesses of a
 violation, so user-supplied structure constants can be debugged.
 
+Every exact identity is checked through `Report.identity(name, cases)`:
+it opens the check `name` and walks a lazily generated stream of
+(label, lhs, rhs) cases, recording the label of each case whose sides
+differ.  A validator is then the list of its identities, each written once
+as a generator over its index space.  Only checks that test ranges or stop
+early open a check with `Report.check` and call `Check.add` themselves.
+
 Where a boolean predicate is also needed (is_grouplike, is_integral), it
 and its report share one violation generator of (check name, witness)
 pairs: `Report.collect` records every pair, `holds` stops at the first
@@ -13,7 +20,7 @@ witness.  A pair whose witness is None opens a check and records nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Any, Iterable, Optional
 
 WITNESS_CAP = 10
 
@@ -48,6 +55,13 @@ class Report:
         c = Check(name)
         self.checks.append(c)
         return c
+
+    def identity(self, name: str, cases: Iterable[tuple[str, Any, Any]]) -> None:
+        """Open check `name`; record the label of each (label, lhs, rhs) case with lhs != rhs."""
+        c = self.check(name)
+        for label, lhs, rhs in cases:
+            if lhs != rhs:
+                c.add(label)
 
     def settle(self, name: str, ok: bool, witness: str = "") -> None:
         c = self.check(name)

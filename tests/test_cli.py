@@ -95,6 +95,22 @@ MALFORMED = {
     "regular-5": {"modules": {"m": {"over": "k", "regular": 5}}},
     "regular-negative": {"modules": {"m": {"over": "k", "regular": -1}}},
     "trivial-hopf-module-negative": {"hopf_modules": {"m": {"over": "k", "trivial": -1}}},
+    # JSON true and false are not integers
+    "cyclic-true": {"groups": {"g": {"cyclic": True}}},
+    "symmetric-true": {"groups": {"g": {"symmetric": True}}},
+    "order-true": {"groups": {"g": {"order": True, "table": [[0]]}}},
+    "table-entry-false": {"groups": {"g": {"table": [[0, 1], [1, False]]}}},
+    "xi-entry-true": {
+        "crossed_modules": {"cm": {"E": "g", "H": "g", "xi": [0, True], "action": [[0, 1], [0, 1]]}}
+    },
+    "line-degree-true": {
+        "modules": {"m": {"over": "k", "line": {"degree": True, "character": ["1"]}}}
+    },
+    "regular-true": {"modules": {"m": {"over": "k", "regular": True}}},
+    "dims-true": {
+        "modules": {"m": {"over": "k", "dims": [True, 0], "actions": [[["1"]], []]}}
+    },
+    "trivial-hopf-module-true": {"hopf_modules": {"m": {"over": "k", "trivial": True}}},
 }
 
 
@@ -169,6 +185,50 @@ def test_grouplikes_command():
     assert payload["outputs"]["count"] == 2
     flags = sorted(f["xi_grouplike"] for f in fams)
     assert flags == [False, True]
+
+
+def test_grouplike_pairing_computed_once_per_family(monkeypatch, capsys):
+    import xmhopf.cli as cli
+    import xmhopf.xihopf as xihopf
+
+    calls = []
+    original = xihopf.grouplike_pairing
+
+    def counting(a, fam):
+        calls.append(fam)
+        return original(a, fam)
+
+    monkeypatch.setattr(xihopf, "grouplike_pairing", counting)
+    monkeypatch.setattr(cli, "grouplike_pairing", counting)
+    assert cli.main(["grouplikes", str(FIXTURES / "bichar_z2.json"), "bichar_z2", "--json"]) == 0
+    families = json.loads(capsys.readouterr().out)["outputs"]["families"]
+    assert len(families) == 2
+    assert len(calls) == 2 and len(set(calls)) == 2
+    calls.clear()
+    assert cli.main(["verify", str(FIXTURES / "k_xi_z2.json"), "sign_family"]) == 0
+    assert "output xi_grouplike: false" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+# (document, name) for every Hopf structure in every shipped fixture and mutation
+HOPF_STRUCTURES = [
+    (path, name)
+    for path in sorted(FIXTURES.glob("*.json")) + sorted(FIXTURES.glob("mutations/mut*.json"))
+    for name in sorted(json.loads(path.read_text()).get("hopf", {}))
+]
+
+
+@pytest.mark.parametrize(
+    "path,name", HOPF_STRUCTURES, ids=[f"{p.name}:{n}" for p, n in HOPF_STRUCTURES]
+)
+def test_dual_and_verify_agree(path, name, capsys):
+    # the dual report is the coalgebra stack on the transposed structure, so it
+    # must reject exactly what verify rejects, a broken group or crossed module included
+    from xmhopf.cli import main
+
+    verdicts = [main([command, str(path), name]) for command in ("verify", "dual")]
+    capsys.readouterr()
+    assert verdicts[0] == verdicts[1]
 
 
 def test_dual_command():

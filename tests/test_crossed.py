@@ -177,6 +177,13 @@ def test_coker_action_on_kernel_well_defined():
     cm2 = inclusion(z3_in_s3())
     table2, rep2 = coker_action_on_kernel(cm2)
     assert rep2.ok and table2 == ((0,), (0,))
+    # Z/2 inverting Z/3 through the trivial map: two cosets, each acting differently
+    z3, z2 = cyclic(3), cyclic(2)
+    inversion = GroupAction(z2, z3, ((0, 1, 2), (0, 2, 1)))
+    cm3 = CrossedModule(z3, z2, GroupHom(z3, z2, (0, 0, 0)), inversion)
+    assert validate_components(cm3).ok and validate_crossed_module(cm3).ok
+    table3, rep3 = coker_action_on_kernel(cm3)
+    assert rep3.ok and table3 == ((0, 1, 2), (0, 2, 1))
 
 
 def test_constructors_and_errors():

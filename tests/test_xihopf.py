@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from tests.conftest import (
@@ -316,4 +318,36 @@ def test_dual_algebra_mutation_witness():
     )
     rep = validate_hopf_xi_algebra(mutated)
     assert not rep.ok
-    assert any("coalgebra morphisms" in c.name or "associativity" in c.name for c in rep.failures)
+    # mu_{x,y} is the transpose of Delta_{x,y}, so the derived report names the coalgebra check
+    assert any(c.name == "graded bicoalgebra: coproduct is multiplicative" for c in rep.failures)
+
+
+def single_entry_perturbations(b, name):
+    """b with 1 added to one entry of the structure map or unit `name`, once per entry."""
+    f, maps = b.field, getattr(b, name)
+    if name == "unit":
+        for i in range(len(maps)):
+            unit = list(maps)
+            unit[i] = f.add(unit[i], f.one)
+            yield dataclasses.replace(b, unit=tuple(unit))
+        return
+    keyed = maps if isinstance(maps, dict) else dict(enumerate(maps))
+    for key, m in keyed.items():
+        for i in range(m.rows):
+            for j in range(m.cols):
+                rows = [list(r) for r in m.data]
+                rows[i][j] = f.add(rows[i][j], f.one)
+                changed = dict(keyed)
+                changed[key] = Matrix(f, rows, m.rows, m.cols)
+                if not isinstance(maps, dict):
+                    changed = tuple(changed.values())
+                yield dataclasses.replace(b, **{name: changed})
+
+
+# Sweedler's algebra (168 perturbations) is left out to keep the suite fast.
+@pytest.mark.parametrize("name", ["mul", "unit", "delta", "eps", "antipode", "action"])
+@pytest.mark.parametrize("build", ALL_EXAMPLES, ids=lambda build: build.__name__[5:])
+def test_dual_validator_rejects_every_single_entry_perturbation(build, name):
+    perturbed = list(single_entry_perturbations(dualize(build()), name))
+    assert perturbed
+    assert not any(validate_hopf_xi_algebra(p).ok for p in perturbed)
