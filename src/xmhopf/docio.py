@@ -183,10 +183,7 @@ def _parse_field(raw) -> Field:
 def _parse_group(doc: StructureDocument, name: str, raw) -> FiniteGroup:
     where = f"groups.{name}"
     spec = _expect(raw, dict, where, "an object")
-    try:
-        group = _parse_group_body(doc, spec, where)
-    except ValueError as exc:
-        raise DocumentSyntaxError(str(exc), where)
+    group = _parse_group_body(doc, spec, where)
     if "elements" in spec:
         labels = _expect(spec["elements"], list, f"{where}.elements", "a list of labels")
         if len(labels) != group.order or len(set(labels)) != group.order:
@@ -289,10 +286,7 @@ def _parse_hopf(doc: StructureDocument, name: str, raw) -> HopfXiCoalgebra:
         e_grp = _get_group(doc, b.get("E"), where)
         g_grp = _get_group(doc, b.get("G"), where)
         omega_raw = _expect(b.get("omega"), list, f"{where}.omega", "a table")
-        omega = [
-            [_parse_scalar(f, v, f"{where}.omega[{i}][{j}]") for j, v in enumerate(row)]
-            for i, row in enumerate(omega_raw)
-        ]
+        omega = [_parse_vector(f, row, f"{where}.omega[{i}]") for i, row in enumerate(omega_raw)]
         return mk_bicharacter_group_algebra(f, e_grp, g_grp, omega)
     if "from_h_action" in spec:
         d = _expect(spec["from_h_action"], dict, where, "an object")
@@ -362,6 +356,18 @@ def _parse_hopf(doc: StructureDocument, name: str, raw) -> HopfXiCoalgebra:
     return HopfXiCoalgebra(cm, base, action)
 
 
+def _parse_graded_action(doc: StructureDocument, a, spec, where, key):
+    """`dims` and one action matrix A_x (x) M_x -> M_x per group element, under `key`."""
+    dims = tuple(_parse_int_list(spec.get("dims"), f"{where}.dims", a.H.order))
+    raw = _expect(spec.get(key), list, f"{where}.{key}", "a list of matrices")
+    if len(raw) != a.H.order:
+        raise DocumentSyntaxError(f"expected {a.H.order} entries", f"{where}.{key}")
+    return dims, tuple(
+        _parse_matrix(doc.field, m, f"{where}.{key}[{x}]", dims[x], a.dim(x) * dims[x])
+        for x, m in enumerate(raw)
+    )
+
+
 def _parse_module(doc: StructureDocument, name: str, raw):
     where = f"modules.{name}"
     spec = _expect(raw, dict, where, "an object")
@@ -379,12 +385,7 @@ def _parse_module(doc: StructureDocument, name: str, raw):
         return over, regular_module(a, _int(spec["regular"], where, a.H.order))
     if spec.get("unit"):
         return over, unit_module(a)
-    dims = tuple(_parse_int_list(spec.get("dims"), f"{where}.dims", a.H.order))
-    act_raw = _expect(spec.get("actions"), list, f"{where}.actions", "a list of matrices")
-    actions = tuple(
-        _parse_matrix(f, m, f"{where}.actions[{x}]", dims[x], a.dim(x) * dims[x])
-        for x, m in enumerate(act_raw)
-    )
+    dims, actions = _parse_graded_action(doc, a, spec, where, "actions")
     return over, AModule(a, dims, actions)
 
 
@@ -395,18 +396,11 @@ def _parse_hopf_module(doc: StructureDocument, name: str, raw):
     a = _get_hopf(doc, over, where)
     f = doc.field
     if "trivial" in spec:
-        try:
-            return over, trivial_hopf_module(a, _int(spec["trivial"], where))
-        except ValueError as exc:
-            raise DocumentSyntaxError(str(exc), where)
+        return over, trivial_hopf_module(a, _int(spec["trivial"], where))
     if spec.get("dual"):
         return over, dual_hopf_module(a)
     H, E = a.H, a.E
-    dims = tuple(_parse_int_list(spec.get("dims"), f"{where}.dims", H.order))
-    r = tuple(
-        _parse_matrix(f, m, f"{where}.r[{x}]", dims[x], a.dim(x) * dims[x])
-        for x, m in enumerate(_expect(spec.get("r"), list, f"{where}.r", "a list"))
-    )
+    dims, r = _parse_graded_action(doc, a, spec, where, "r")
     rho = _parse_table(
         f, spec.get("rho"), f"{where}.rho", "coaction", "x,y", H.elements(), H.elements(),
         lambda x, y: (a.dim(x) * dims[y], dims[H.mul(x, y)]),
@@ -471,7 +465,10 @@ def parse(data: bytes) -> StructureDocument:
             if name in seen:
                 raise DocumentSyntaxError(f"duplicate name {name!r}", section)
             seen.add(name)
-            table[name] = parse_entry(doc, name, spec)
+            try:
+                table[name] = parse_entry(doc, name, spec)
+            except ValueError as exc:  # a constructor rejected the entry's values
+                raise DocumentSyntaxError(str(exc), f"{section}.{name}")
     return doc
 
 

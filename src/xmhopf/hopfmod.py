@@ -22,6 +22,7 @@ from .errors import (
 from .hopf import is_grouplike
 from .linalg import Matrix
 from .report import Report, holds
+from .repcat import AModule, _contragredient, validate_module
 from .xihopf import HopfXiCoalgebra, is_xi_grouplike
 
 
@@ -45,11 +46,8 @@ class HopfXiModule:
     def check_shapes(self) -> None:
         a = self.algebra
         H, E = a.H, a.E
-        if len(self.dims) != H.order or len(self.r) != H.order:
-            raise ShapeMismatchError("one dimension and action per group element required")
+        AModule(a, self.dims, self.r).check_shapes()
         for x in H.elements():
-            if self.r[x].rows != self.dim(x) or self.r[x].cols != a.dim(x) * self.dim(x):
-                raise ShapeMismatchError(f"action at x={x} has wrong shape")
             for y in H.elements():
                 m = self.rho[(x, y)]
                 if m.rows != a.dim(x) * self.dim(y) or m.cols != self.dim(H.mul(x, y)):
@@ -62,7 +60,7 @@ class HopfXiModule:
 
 
 def validate_hopf_xi_module(a: HopfXiCoalgebra, m: HopfXiModule) -> Report:
-    """The four axiom groups, exact, with witnesses."""
+    """The module laws of validate_module and three axiom groups (b)-(d), exact, with witnesses."""
     m.check_shapes()
     rep = Report("Hopf crossed-module module")
     f, H, E, cm = a.field, a.H, a.E, a.cm
@@ -72,13 +70,6 @@ def validate_hopf_xi_module(a: HopfXiCoalgebra, m: HopfXiModule) -> Report:
 
     def tgt(x, e):
         return H.mul(cm.xi_of(e), x)
-
-    def module_cases():
-        for x in xs:
-            comp = a.component(x)
-            yield (f"associativity at x={x}",
-                   m.r[x] @ comp.mul.kron(ident_m[x]), m.r[x] @ ident_a[x].kron(m.r[x]))
-            yield f"unitality at x={x}", m.r[x] @ comp.unit_col().kron(ident_m[x]), ident_m[x]
 
     def comodule_cases():
         for x in xs:
@@ -107,7 +98,7 @@ def validate_hopf_xi_module(a: HopfXiCoalgebra, m: HopfXiModule) -> Report:
                                a.phi(x, e).kron(m.psi[(y, g)]) @ m.rho[(x, y)],
                                m.rho[(tgt(x, e), tgt(y, g))] @ m.psi[(H.mul(x, y), label)])
 
-    rep.identity("(a) each M_x is an A_x-module", module_cases())
+    rep.merge(validate_module(a, AModule(a, m.dims, m.r)))
     rep.identity("(b) (M, rho) is a comodule", comodule_cases())
     rep.identity("(c) action and coaction intertwine", (
         (f"(x,y)=({x},{y})",
@@ -124,33 +115,32 @@ def trivial_hopf_module(a: HopfXiCoalgebra, v_dim: int) -> HopfXiModule:
     """A (x) V with the structure maps tensored by the identity of V."""
     if v_dim < 0:
         raise ValueError("v_dim must be nonnegative")
-    f, H, E = a.field, a.H, a.E
-    iv = Matrix.identity(f, v_dim)
-    dims = tuple(a.dim(x) * v_dim for x in H.elements())
-    r = []
-    for x in H.elements():
-        r.append(a.component(x).mul.kron(iv))
-    rho = {}
-    for x in H.elements():
-        for y in H.elements():
-            rho[(x, y)] = a.delta(x, y).kron(iv)
-    psi = {}
-    for x in H.elements():
-        for e in E.elements():
-            psi[(x, e)] = a.phi(x, e).kron(iv)
-    return HopfXiModule(a, dims, tuple(r), rho, psi)
+    iv = Matrix.identity(a.field, v_dim)
+    xs, es = a.H.elements(), a.E.elements()
+    return HopfXiModule(
+        a,
+        tuple(a.dim(x) * v_dim for x in xs),
+        tuple(a.component(x).mul.kron(iv) for x in xs),
+        {(x, y): a.delta(x, y).kron(iv) for x in xs for y in xs},
+        {(x, e): a.phi(x, e).kron(iv) for x in xs for e in es},
+    )
 
 
 # -- coinvariants -------------------------------------------------------------------------
 
 
-def _family_offsets(dims):
-    offsets = []
-    pos = 0
+def _flatten(family) -> tuple:
+    """The coordinates of a graded family (one vector per component), concatenated."""
+    return tuple(v for component in family for v in component)
+
+
+def _unflatten(vec, dims) -> tuple:
+    """The graded family with components of the given dims, read off a flat vector."""
+    out, pos = [], 0
     for d in dims:
-        offsets.append(pos)
+        out.append(tuple(vec[pos:pos + d]))
         pos += d
-    return offsets, pos
+    return tuple(out)
 
 
 def coinvariants(a: HopfXiCoalgebra, m: HopfXiModule) -> list[tuple]:
@@ -161,35 +151,26 @@ def coinvariants(a: HopfXiCoalgebra, m: HopfXiModule) -> list[tuple]:
     computation over the concatenated coordinates.
     """
     f, H, E = a.field, a.H, a.E
-    offsets, total = _family_offsets(m.dims)
-    rows = []
+    rows = []  # each a family of coefficients on (m_x)
     for x in H.elements():
         unit_x = a.component(x).unit
         for y in H.elements():
             xy = H.mul(x, y)
-            rho = m.rho[(x, y)]
             for i in range(a.dim(x)):
                 for j in range(m.dim(y)):
-                    row = [f.zero] * total
-                    for k in range(m.dim(xy)):
-                        row[offsets[xy] + k] = rho[i * m.dim(y) + j, k]
-                    row[offsets[y] + j] = f.sub(row[offsets[y] + j], f.mul(unit_x[i], f.one))
+                    row = [[f.zero] * d for d in m.dims]
+                    row[xy] = list(m.rho[(x, y)].data[i * m.dim(y) + j])
+                    row[y][j] = f.sub(row[y][j], unit_x[i])
                     rows.append(row)
         for e in E.elements():
             tgt = H.mul(a.cm.xi_of(e), x)
-            psi = m.psi[(x, e)]
             for i in range(m.dim(tgt)):
-                row = [f.zero] * total
-                for j in range(m.dim(x)):
-                    row[offsets[x] + j] = psi[i, j]
-                row[offsets[tgt] + i] = f.sub(row[offsets[tgt] + i], f.one)
+                row = [[f.zero] * d for d in m.dims]
+                row[x] = list(m.psi[(x, e)].data[i])
+                row[tgt][i] = f.sub(row[tgt][i], f.one)
                 rows.append(row)
-    system = Matrix(f, rows, len(rows), total)
-    basis = system.kernel_basis()
-    out = []
-    for v in basis:
-        out.append(tuple(tuple(v[offsets[x] + i] for i in range(m.dim(x))) for x in H.elements()))
-    return out
+    system = Matrix(f, [_flatten(row) for row in rows], len(rows), sum(m.dims))
+    return [_unflatten(v, m.dims) for v in system.kernel_basis()]
 
 
 def _coordinates_in_span(field, basis_vectors, target):
@@ -215,46 +196,31 @@ def structure_iso(a: HopfXiCoalgebra, m: HopfXiModule):
     k = len(coinv)
     one = H.identity
 
-    eps_maps = []
-    for x in H.elements():
-        dx, mx = a.dim(x), m.dim(x)
-        cols = []
-        for i in range(dx):
-            basis = tuple(f.one if j == i else f.zero for j in range(dx))
-            for c in coinv:
-                # column (i, c): r_x(e_i (x) c_x)
-                vec = tuple(f.mul(basis[p // mx], c[x][p % mx]) for p in range(dx * mx))
-                cols.append(m.r[x].apply(vec))
-        rows = [[cols[j][i] for j in range(dx * k)] for i in range(mx)]
-        eps_maps.append(Matrix(f, rows, mx, dx * k))
+    # eps_x = r_x (id (x) C_x), where column c of C_x is the component c_x of coinvariant c
+    eps_maps = [
+        m.r[x] @ Matrix.identity(f, a.dim(x)).kron(
+            Matrix(f, [[c[x][i] for c in coinv] for i in range(m.dim(x))], m.dim(x), k))
+        for x in H.elements()
+    ]
 
     # pi: M_1 -> M^{co A},  pi(m) = (r_x (S_x (x) id) rho_{x^-1,x}(m))_x,
     # expressed in coordinates of the computed coinvariant basis.
-    offsets, total = _family_offsets(m.dims)
+    flat_coinv = [_flatten(c) for c in coinv]
     pi_cols = []
     for j in range(m.dim(one)):
-        basis = tuple(f.one if i == j else f.zero for i in range(m.dim(one)))
-        stacked = [f.zero] * total
-        for x in H.elements():
-            xinv = H.inv(x)
-            v = m.rho[(xinv, x)].apply(basis)
-            v = a.S(x).kron(Matrix.identity(f, m.dim(x))).apply(v)
-            v = m.r[x].apply(v)
-            for i, val in enumerate(v):
-                stacked[offsets[x] + i] = val
-        coords = _coordinates_in_span(f, [
-            tuple(c[x][i] for x in H.elements() for i in range(m.dim(x)))
-            for c in coinv
-        ], tuple(stacked))
+        image = _flatten(
+            m.r[x].apply(a.S(x).kron(Matrix.identity(f, m.dim(x)))
+                         .apply(m.rho[(H.inv(x), x)].column(j)))
+            for x in H.elements()
+        )
+        coords = _coordinates_in_span(f, flat_coinv, image)
         if coords is None:
             raise NotInvertibleError("pi does not land in the coinvariants")
         pi_cols.append(coords)
     pi = Matrix(f, [[pi_cols[j][i] for j in range(m.dim(one))] for i in range(k)],
                 k, m.dim(one))
 
-    nu_maps = []
-    for x in H.elements():
-        nu_maps.append(Matrix.identity(f, a.dim(x)).kron(pi) @ m.rho[(x, one)])
+    nu_maps = [Matrix.identity(f, a.dim(x)).kron(pi) @ m.rho[(x, one)] for x in H.elements()]
 
     for x in H.elements():
         dx, mx = a.dim(x), m.dim(x)
@@ -279,45 +245,32 @@ def integral_space(a: HopfXiCoalgebra, side: str) -> list[tuple]:
         raise ValueError("side must be 'left' or 'right'")
     f, H, E = a.field, a.H, a.E
     dims = [a.dim(x) for x in H.elements()]
-    offsets, total = _family_offsets(dims)
-    rows = []
+    rows = []  # each a family of coefficients on (lambda_x)
     for x in H.elements():
         for y in H.elements():
             xy = H.mul(x, y)
             delta = a.delta(x, y)
-            dx, dy, dxy = a.dim(x), a.dim(y), a.dim(xy)
-            if side == "left":
-                unit_x = a.component(x).unit
-                for i in range(dx):
-                    for j in range(dxy):
-                        row = [f.zero] * total
-                        for t in range(dy):
-                            row[offsets[y] + t] = f.add(row[offsets[y] + t], delta[i * dy + t, j])
-                        row[offsets[xy] + j] = f.sub(row[offsets[xy] + j], unit_x[i])
-                        rows.append(row)
-            else:
-                unit_y = a.component(y).unit
-                for i in range(dy):
-                    for j in range(dxy):
-                        row = [f.zero] * total
-                        for s in range(dx):
-                            row[offsets[x] + s] = f.add(row[offsets[x] + s], delta[s * dy + i, j])
-                        row[offsets[xy] + j] = f.sub(row[offsets[xy] + j], unit_y[i])
-                        rows.append(row)
+            dx, dy = a.dim(x), a.dim(y)
+            left = side == "left"
+            unit = a.component(x if left else y).unit
+            for i in range(dx if left else dy):
+                for j in range(dims[xy]):
+                    row = [[f.zero] * d for d in dims]
+                    if left:  # (id (x) lambda_y) Delta_{x,y} = 1_x lambda_xy, at e_i of A_x
+                        row[y] = [delta[i * dy + t, j] for t in range(dy)]
+                    else:  # (lambda_x (x) id) Delta_{x,y} = 1_y lambda_xy, at e_i of A_y
+                        row[x] = [delta[t * dy + i, j] for t in range(dx)]
+                    row[xy][j] = f.sub(row[xy][j], unit[i])
+                    rows.append(row)
         for e in E.elements():
             tgt = H.mul(a.cm.xi_of(e), x)
-            phi = a.phi(x, e)
-            for j in range(a.dim(x)):
-                row = [f.zero] * total
-                for i in range(a.dim(tgt)):
-                    row[offsets[tgt] + i] = f.add(row[offsets[tgt] + i], phi[i, j])
-                row[offsets[x] + j] = f.sub(row[offsets[x] + j], f.one)
+            for j in range(dims[x]):
+                row = [[f.zero] * d for d in dims]
+                row[tgt] = list(a.phi(x, e).column(j))
+                row[x][j] = f.sub(row[x][j], f.one)
                 rows.append(row)
-    system = Matrix(f, rows, len(rows), total)
-    return [
-        tuple(tuple(v[offsets[x] + i] for i in range(a.dim(x))) for x in H.elements())
-        for v in system.kernel_basis()
-    ]
+    system = Matrix(f, [_flatten(row) for row in rows], len(rows), sum(dims))
+    return [_unflatten(v, dims) for v in system.kernel_basis()]
 
 
 def _integral_violations(a: HopfXiCoalgebra, lam: tuple, side: str):
@@ -427,19 +380,7 @@ def dual_hopf_module(a: HopfXiCoalgebra) -> HopfXiModule:
     f, H, E, cm = a.field, a.H, a.E, a.cm
     dims = tuple(a.dim(H.inv(x)) for x in H.elements())
 
-    r = []
-    for x in H.elements():
-        xinv = H.inv(x)
-        dx, mx = a.dim(x), dims[x]
-        comp = a.component(xinv)
-        rows = [[f.zero] * (dx * mx) for _ in range(mx)]
-        for i in range(dx):
-            basis = tuple(f.one if t == i else f.zero for t in range(dx))
-            lmat = comp.left_mult_matrix(a.S(xinv).apply(basis)).T
-            for ri in range(mx):
-                for cj in range(mx):
-                    rows[ri][i * mx + cj] = lmat[ri, cj]
-        r.append(Matrix(f, rows, mx, dx * mx))
+    r = tuple(_contragredient(a, H.inv(x), a.component(H.inv(x)).mul) for x in H.elements())
 
     rho = {}
     for x in H.elements():
@@ -462,7 +403,7 @@ def dual_hopf_module(a: HopfXiCoalgebra) -> HopfXiModule:
             label = cm.act(H.inv(x), e)
             psi[(x, e)] = a.phi(H.inv(tgt), label).T
 
-    m = HopfXiModule(a, dims, tuple(r), rho, psi)
+    m = HopfXiModule(a, dims, r, rho, psi)
 
     rep = validate_hopf_xi_module(a, m)
     if not rep.ok:
@@ -475,13 +416,9 @@ def dual_hopf_module(a: HopfXiCoalgebra) -> HopfXiModule:
         raise AxiomCheckFailedError(
             f"coinvariants dim {len(coinv)} != right integrals dim {len(integrals)}"
         )
-    flat_coinv = [
-        tuple(c[x][i] for x in H.elements() for i in range(m.dim(x))) for c in coinv
-    ]
+    flat_coinv = [_flatten(c) for c in coinv]
     for lam in integrals:
-        image = tuple(
-            lam[H.inv(x)][i] for x in H.elements() for i in range(m.dim(x))
-        )
+        image = _flatten(lam[H.inv(x)] for x in H.elements())
         if _coordinates_in_span(f, flat_coinv, image) is None:
             raise AxiomCheckFailedError("reindexed integral is not coinvariant")
     return m

@@ -16,7 +16,7 @@ from .errors import (
     NotPivotalError,
     ShapeMismatchError,
 )
-from .hopf import is_pivotal_element
+from .hopf import grouplike_inverse, is_pivotal_element
 from .linalg import Matrix, linear_map_matrix
 from .report import Report
 from .xihopf import HopfXiCoalgebra
@@ -90,43 +90,74 @@ def validate_module(a: HopfXiCoalgebra, m: AModule) -> Report:
 # -- basic objects -------------------------------------------------------------------
 
 
-def unit_module(a: HopfXiCoalgebra) -> AModule:
-    """k in degree 1 with action through the counit."""
+def _concentrated(a: HopfXiCoalgebra, x: int, dim: int, action: Matrix) -> AModule:
+    """The module whose only component is `dim`-dimensional, in degree x, acted on by `action`."""
     f, H = a.field, a.H
-    dims = tuple(1 if x == H.identity else 0 for x in H.elements())
-    actions = tuple(
-        a.counit if x == H.identity else Matrix.zeros(f, 0, 0) for x in H.elements()
-    )
+    dims = tuple(dim if y == x else 0 for y in H.elements())
+    actions = tuple(action if y == x else Matrix.zeros(f, 0, 0) for y in H.elements())
     return AModule(a, dims, actions)
 
 
+def unit_module(a: HopfXiCoalgebra) -> AModule:
+    """k in degree 1 with action through the counit."""
+    return _concentrated(a, a.H.identity, 1, a.counit)
+
+
 def zero_module(a: HopfXiCoalgebra) -> AModule:
-    f = a.field
-    return AModule(
-        a,
-        tuple(0 for _ in a.H.elements()),
-        tuple(Matrix.zeros(f, 0, 0) for _ in a.H.elements()),
-    )
+    return _concentrated(a, a.H.identity, 0, Matrix.zeros(a.field, 0, 0))
 
 
 def line_module(a: HopfXiCoalgebra, x: int, character: Matrix) -> AModule:
     """1-dimensional module in degree x; character is a 1 x dim(A_x) algebra map."""
-    f = a.field
-    dims = tuple(1 if y == x else 0 for y in a.H.elements())
-    actions = tuple(
-        character if y == x else Matrix.zeros(f, 0, 0) for y in a.H.elements()
-    )
-    return AModule(a, dims, actions)
+    return _concentrated(a, x, 1, character)
 
 
 def regular_module(a: HopfXiCoalgebra, x: int) -> AModule:
     """A_x acting on itself by left multiplication, concentrated in degree x."""
-    f = a.field
-    dims = tuple(a.dim(x) if y == x else 0 for y in a.H.elements())
-    actions = tuple(
-        a.component(x).mul if y == x else Matrix.zeros(f, 0, 0) for y in a.H.elements()
-    )
-    return AModule(a, dims, actions)
+    return _concentrated(a, x, a.dim(x), a.component(x).mul)
+
+
+# -- block placement ---------------------------------------------------------------------
+
+
+def _placed(f, rows: int, cols: int, blocks) -> Matrix:
+    """The rows x cols matrix that is zero outside `blocks`.
+
+    Each block is (row offset, column offset, row-major entries); blocks of
+    a direct sum sit at the offsets of its summands (see tensor_layout)."""
+    data = [[f.zero] * cols for _ in range(rows)]
+    for r0, c0, entries in blocks:
+        for i, row in enumerate(entries):
+            data[r0 + i][c0:c0 + len(row)] = row
+    return Matrix(f, data, rows, cols)
+
+
+def _direct_sum_action(f, du: int, parts) -> Matrix:
+    """Action of a du-dimensional A_u on the direct sum of modules with actions `parts`.
+
+    The summands are stacked in order; column alpha*total + offset + j is
+    a_alpha (x) m_j of the summand at that offset."""
+    total = sum(r.rows for r in parts)
+    blocks, offset = [], 0
+    for r in parts:
+        s = r.rows
+        blocks += [
+            (offset, alpha * total + offset, [row[alpha * s:(alpha + 1) * s] for row in r.data])
+            for alpha in range(du)
+        ]
+        offset += s
+    return _placed(f, total, du * total, blocks)
+
+
+def _contragredient(a: HopfXiCoalgebra, x: int, r: Matrix) -> Matrix:
+    """Action h.phi = phi(S(h) . -) of A_{x^-1} on the dual of an A_x-module with action r.
+
+    Column i*d + j carries h_i (x) phi_j, for d = dim of the module."""
+    f, d = a.field, r.rows
+    n = a.dim(a.H.inv(x))
+    acts = r @ a.S(x).kron(Matrix.identity(f, d))  # column i*d + c: S(h_i) . m_c
+    return Matrix(f, [[acts[c, i * d + j] for i in range(n) for c in range(d)] for j in range(d)],
+                  d, n * d)
 
 
 # -- tensor product -------------------------------------------------------------------
@@ -147,33 +178,24 @@ def tensor_layout(a: HopfXiCoalgebra, m: AModule, n: AModule, u: int):
     return layout
 
 
+def _layout_dim(layout) -> int:
+    """Total dimension of a tensor_layout."""
+    _, _, offset, size = layout[-1]
+    return offset + size
+
+
 def tensor_modules(a: HopfXiCoalgebra, m: AModule, n: AModule) -> AModule:
     """(M (x) N)_u = sum over yz = u of M_y (x) N_z, with action through Delta."""
-    f, H = a.field, a.H
-    dims = []
-    actions = []
-    for u in H.elements():
-        layout = tensor_layout(a, m, n, u)
-        total = sum(size for (_, _, _, size) in layout)
-        dims.append(total)
-        du = a.dim(u)
-        rows = [[f.zero] * (du * total) for _ in range(total)]
-        for (y, z, offset, size) in layout:
-            if size == 0:
-                continue
-            my, nz = m.dim(y), n.dim(z)
-            block = (
-                m.r(y).kron(n.r(z)).flip_cols(a.dim(y), a.dim(z), my, nz)
-                @ a.delta(y, z).kron(Matrix.identity(f, size))
-            )
-            for i in range(size):
-                for alpha in range(du):
-                    for j in range(size):
-                        v = block[i, alpha * size + j]
-                        if v != f.zero:
-                            rows[offset + i][alpha * total + offset + j] = v
-        actions.append(Matrix(f, rows, total, du * total))
-    return AModule(a, tuple(dims), tuple(actions))
+    f = a.field
+    actions = tuple(
+        _direct_sum_action(f, a.dim(u), [
+            m.r(y).kron(n.r(z)).flip_cols(a.dim(y), a.dim(z), m.dim(y), n.dim(z))
+            @ a.delta(y, z).kron(Matrix.identity(f, size))
+            for (y, z, _, size) in tensor_layout(a, m, n, u) if size
+        ])
+        for u in a.H.elements()
+    )
+    return AModule(a, tuple(r.rows for r in actions), actions)
 
 
 # -- pullbacks and hom spaces ----------------------------------------------------------
@@ -289,29 +311,17 @@ def tensor_homs(
     x0 = m.degree()  # raises NotHomogeneousError otherwise
     e, g = alpha.degree, beta.degree
     deg = E.mul(e, cm.act(x0, g))
-    xi_e, xi_g, xi_deg = cm.xi_of(e), cm.xi_of(g), cm.xi_of(deg)
+    ty = H.mul(cm.xi_of(e), x0)
 
+    # only the summand M_x0 (x) P_z of (M (x) P)_u is nonzero; it lands on N_ty (x) Q_xi(g)z
     blocks = []
     for u in H.elements():
-        src_layout = tensor_layout(a, m, p, u)
-        tgt_u = H.mul(xi_deg, u)
-        tgt_layout = tensor_layout(a, n, q, tgt_u)
-        tgt_offsets = {(y, z): (off, size) for (y, z, off, size) in tgt_layout}
-        src_total = sum(s for (_, _, _, s) in src_layout)
-        tgt_total = sum(s for (_, _, _, s) in tgt_layout)
-        rows = [[f.zero] * src_total for _ in range(tgt_total)]
-        for (y, z, off, size) in src_layout:
-            if size == 0 or y != x0:
-                continue
-            ty, tz = H.mul(xi_e, y), H.mul(xi_g, z)
-            toff, tsize = tgt_offsets[(ty, tz)]
-            piece = alpha.block(y).kron(beta.block(z))
-            for i in range(tsize):
-                for j in range(size):
-                    v = piece[i, j]
-                    if v != f.zero:
-                        rows[toff + i][off + j] = v
-        blocks.append(Matrix(f, rows, tgt_total, src_total))
+        src = tensor_layout(a, m, p, u)
+        tgt = tensor_layout(a, n, q, H.mul(cm.xi_of(deg), u))
+        z = src[x0][1]
+        piece = alpha.block(x0).kron(beta.block(z))
+        blocks.append(_placed(f, _layout_dim(tgt), _layout_dim(src),
+                              [(tgt[ty][2], src[x0][2], piece.data)]))
     return GradedHom(deg, tuple(blocks))
 
 
@@ -338,28 +348,9 @@ def dual_module(a: HopfXiCoalgebra, m: AModule, piv: tuple) -> DualData:
     x = m.degree()
     if not is_pivotal_element(a.base, piv).ok:
         raise NotPivotalError("family is not a pivotal element")
-    from .hopf import grouplike_inverse
-
     piv_inv = grouplike_inverse(a.base, piv)
-    xinv = H.inv(x)
     md = m.dim(x)
-    comp_xinv = a.component(xinv)
-
-    rows = [[f.zero] * (comp_xinv.dim * md) for _ in range(md)]
-    for i in range(comp_xinv.dim):
-        basis = tuple(f.one if j == i else f.zero for j in range(comp_xinv.dim))
-        sa = a.S(x).apply(basis)  # S_x(a) in A_x
-        left_mult = m.r(x) @ Matrix.col(f, sa).kron(Matrix.identity(f, md))
-        lt = left_mult.T
-        for r_i in range(md):
-            for c in range(md):
-                rows[r_i][i * md + c] = lt[r_i, c]
-    dual_dims = tuple(md if y == xinv else 0 for y in H.elements())
-    dual_actions = tuple(
-        Matrix(f, rows, md, comp_xinv.dim * md) if y == xinv else Matrix.zeros(f, 0, 0)
-        for y in H.elements()
-    )
-    dual = AModule(a, dual_dims, dual_actions)
+    dual = _concentrated(a, H.inv(x), md, _contragredient(a, x, m.r(x)))
 
     ident = Matrix.identity(f, md)
     g_mult = m.r(x) @ Matrix.col(f, piv[x]).kron(ident)
@@ -406,58 +397,26 @@ def ev_coev_as_homs(a: HopfXiCoalgebra, m: AModule, piv: tuple):
     modules, so A-linearity can be checked with hom_is_linear.
     """
     f, H, E = a.field, a.H, a.E
-    x = m.degree()
-    xinv = H.inv(x)
+    x, one = m.degree(), H.identity
     dd = dual_module(a, m, piv)
-    dual = dd.module
     one_mod = unit_module(a)
+    ds_m = tensor_modules(a, dd.module, m)  # M* (x) M
+    md_s = tensor_modules(a, m, dd.module)  # M (x) M*
+    # in degree 1 the pairings sit on the summands M*_{x^-1} (x) M_x and M_x (x) M*_{x^-1}
+    ds_off = tensor_layout(a, dd.module, m, one)[H.inv(x)][2]
+    md_off = tensor_layout(a, m, dd.module, one)[x][2]
 
-    ds_m = tensor_modules(a, dual, m)  # M* (x) M
-    md_s = tensor_modules(a, m, dual)  # M (x) M*
+    def hom(src: AModule, tgt: AModule, r0: int, c0: int, piece: Matrix):
+        return GradedHom(E.identity, tuple(
+            _placed(f, tgt.dim(u), src.dim(u), [(r0, c0, piece.data)] if u == one else [])
+            for u in H.elements()
+        ))
 
-    def place_row(vec: Matrix, layout, key, total):
-        row = [f.zero] * total
-        for (y, z, off, size) in layout:
-            if (y, z) == key:
-                for j in range(size):
-                    row[off + j] = vec[0, j]
-        return Matrix(f, [row], 1, total)
-
-    def place_col(vec: Matrix, layout, key, total):
-        col = [[f.zero] for _ in range(total)]
-        for (y, z, off, size) in layout:
-            if (y, z) == key:
-                for i in range(size):
-                    col[off + i][0] = vec[i, 0]
-        return Matrix(f, col, total, 1)
-
-    one = H.identity
-    lev_blocks = []
-    rev_blocks = []
-    lcoev_blocks = []
-    rcoev_blocks = []
-    for u in H.elements():
-        ds_layout = tensor_layout(a, dual, m, u)
-        md_layout = tensor_layout(a, m, dual, u)
-        ds_total = sum(s for (_, _, _, s) in ds_layout)
-        md_total = sum(s for (_, _, _, s) in md_layout)
-        tgt = one_mod.dim(u)
-        if u == one:
-            lev_blocks.append(place_row(dd.left_ev, ds_layout, (xinv, x), ds_total))
-            rev_blocks.append(place_row(dd.right_ev, md_layout, (x, xinv), md_total))
-            lcoev_blocks.append(place_col(dd.left_coev, md_layout, (x, xinv), md_total))
-            rcoev_blocks.append(place_col(dd.right_coev, ds_layout, (xinv, x), ds_total))
-        else:
-            lev_blocks.append(Matrix.zeros(f, tgt, ds_total))
-            rev_blocks.append(Matrix.zeros(f, tgt, md_total))
-            lcoev_blocks.append(Matrix.zeros(f, md_total, tgt))
-            rcoev_blocks.append(Matrix.zeros(f, ds_total, tgt))
-    e1 = E.identity
     return {
-        "lev": (GradedHom(e1, tuple(lev_blocks)), ds_m, one_mod),
-        "lcoev": (GradedHom(e1, tuple(lcoev_blocks)), one_mod, md_s),
-        "rev": (GradedHom(e1, tuple(rev_blocks)), md_s, one_mod),
-        "rcoev": (GradedHom(e1, tuple(rcoev_blocks)), one_mod, ds_m),
+        "lev": (hom(ds_m, one_mod, 0, ds_off, dd.left_ev), ds_m, one_mod),
+        "lcoev": (hom(one_mod, md_s, md_off, 0, dd.left_coev), one_mod, md_s),
+        "rev": (hom(md_s, one_mod, 0, md_off, dd.right_ev), md_s, one_mod),
+        "rcoev": (hom(one_mod, ds_m, ds_off, 0, dd.right_coev), one_mod, ds_m),
     }
 
 
@@ -474,54 +433,23 @@ def e_direct_sum(a: HopfXiCoalgebra, modules: list[AModule], e: int):
     e_inv = E.inv(e)
     pulled = [pullback_phi_e(a, m, e_inv) for m in modules]
     xi_e = a.cm.xi_of(e)
+    actions = tuple(
+        _direct_sum_action(f, a.dim(x), [p.r(x) for p in pulled]) for x in H.elements()
+    )
+    d = AModule(a, tuple(r.rows for r in actions), actions)
 
-    dims = []
-    actions = []
-    for x in H.elements():
+    def projection(idx: int, x: int) -> Matrix:
+        """D_x -> phi_{e^-1}^*(M_idx)_x, the identity on its summand."""
         sizes = [p.dim(x) for p in pulled]
-        total = sum(sizes)
-        dims.append(total)
-        du = a.dim(x)
-        rows = [[f.zero] * (du * total) for _ in range(total)]
-        off = 0
-        for p in pulled:
-            size = p.dim(x)
-            r = p.r(x)
-            for i in range(size):
-                for alpha in range(du):
-                    for j in range(size):
-                        v = r[i, alpha * size + j]
-                        if v != f.zero:
-                            rows[off + i][alpha * total + off + j] = v
-            off += size
-        actions.append(Matrix(f, rows, total, du * total))
-    d = AModule(a, tuple(dims), tuple(actions))
+        ident = Matrix.identity(f, sizes[idx])
+        return _placed(f, sizes[idx], d.dim(x), [(0, sum(sizes[:idx]), ident.data)])
 
-    injections = []
-    projections = []
-    for idx, m in enumerate(modules):
-        inj_blocks = []
-        for x in H.elements():
-            tgt = H.mul(xi_e, x)
-            # block index within D_{tgt}: pullbacks evaluated at tgt give M_x
-            sizes = [p.dim(tgt) for p in pulled]
-            total = sum(sizes)
-            off = sum(sizes[:idx])
-            rows = [[f.zero] * m.dim(x) for _ in range(total)]
-            for i in range(m.dim(x)):
-                rows[off + i][i] = f.one
-            inj_blocks.append(Matrix(f, rows, total, m.dim(x)))
-        injections.append(GradedHom(e, tuple(inj_blocks)))
-
-        proj_blocks = []
-        for x in H.elements():
-            tgt = H.mul(a.cm.xi_of(e_inv), x)
-            sizes = [p.dim(x) for p in pulled]
-            total = sum(sizes)
-            off = sum(sizes[:idx])
-            rows = [[f.zero] * total for _ in range(m.dim(tgt))]
-            for i in range(m.dim(tgt)):
-                rows[i][off + i] = f.one
-            proj_blocks.append(Matrix(f, rows, m.dim(tgt), total))
-        projections.append(GradedHom(e_inv, tuple(proj_blocks)))
+    injections = [
+        GradedHom(e, tuple(projection(idx, H.mul(xi_e, x)).T for x in H.elements()))
+        for idx in range(len(modules))
+    ]
+    projections = [
+        GradedHom(e_inv, tuple(projection(idx, x) for x in H.elements()))
+        for idx in range(len(modules))
+    ]
     return d, injections, projections

@@ -82,6 +82,26 @@ def make_rho_z2(field=QQ):
     return mk_from_h_action(cm, group_algebra(field, cyclic(2)), sign_flip_rho(field))
 
 
+def conjugation_rho(field, g):
+    """rho_h on k[G]: the algebra automorphism g -> h g h^-1."""
+    return [
+        Matrix(field, [[field.one if i == g.mul(g.mul(h, j), g.inv(h)) else field.zero
+                        for j in g.elements()] for i in g.elements()])
+        for h in g.elements()
+    ]
+
+
+def make_conj_s3(field=GF5):
+    """k[S3] over id: S3 -> S3, twisted by conjugation.
+
+    The action phi_{x,e} = rho_e has image Inn(S3), which is nonabelian, so
+    this structure tells e(x > f) from (x > f)e in the compatibility axioms;
+    every other example acts trivially or through an abelian image.
+    """
+    s3 = symmetric(3)
+    return mk_from_h_action(identity_cm(s3), group_algebra(field, s3), conjugation_rho(field, s3))
+
+
 def make_sweedler(field=QQ):
     """The 4-dimensional non-unimodular Hopf algebra, over the point.
 
@@ -139,6 +159,12 @@ def determinism_pair():
     from tests.test_cli import full_suite_outputs
 
     return full_suite_outputs(), full_suite_outputs()
+
+
+@pytest.fixture(scope="session")
+def conj_s3():
+    """Built once per session: its construction runs the full validator stack."""
+    return make_conj_s3()
 
 
 @pytest.fixture

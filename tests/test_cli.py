@@ -111,6 +111,24 @@ MALFORMED = {
         "modules": {"m": {"over": "k", "dims": [True, 0], "actions": [[["1"]], []]}}
     },
     "trivial-hopf-module-true": {"hopf_modules": {"m": {"over": "k", "trivial": True}}},
+    # one action matrix per group element, no more and no fewer
+    "module-extra-action": {
+        "modules": {"m": {"over": "k", "dims": [1, 0], "actions": [[["1"]], [], []]}}
+    },
+    "module-missing-action": {"modules": {"m": {"over": "k", "dims": [1, 0], "actions": [[["1"]]]}}},
+    "hopf-module-extra-r": {
+        "hopf_modules": {"m": {"over": "k", "dims": [1, 0], "r": [[["1"]], [], []]}}
+    },
+    # values a constructor rejects
+    "inclusion-not-injective": {
+        "crossed_modules": {"cm": {"inclusion": {"source": "g", "target": "g", "map": [0, 0]}}}
+    },
+    "component-mul-empty": {
+        "hopf": {"k": {"cm": "cm", "components": [{"mul": [], "unit": []}] * 2}}
+    },
+    "bicharacter-omega-rows-not-lists": {
+        "hopf": {"k": {"bicharacter": {"E": "g", "G": "g", "omega": [1, 2]}}}
+    },
 }
 
 

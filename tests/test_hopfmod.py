@@ -36,6 +36,11 @@ def test_trivial_hopf_module_valid():
         assert validate_hopf_xi_module(a, m).ok
 
 
+def test_trivial_hopf_module_over_nonabelian_action(conj_s3):
+    # pins the factor order of the label e(x > f) in the coaction compatibility
+    assert validate_hopf_xi_module(conj_s3, trivial_hopf_module(conj_s3, 1)).ok
+
+
 def test_trivial_hopf_module_zero_dim():
     a = make_k_xi_z2()
     m = trivial_hopf_module(a, 0)

@@ -351,3 +351,15 @@ def test_dual_validator_rejects_every_single_entry_perturbation(build, name):
     perturbed = list(single_entry_perturbations(dualize(build()), name))
     assert perturbed
     assert not any(validate_hopf_xi_algebra(p).ok for p in perturbed)
+
+
+def test_nonabelian_action_pins_factor_order(conj_s3):
+    # the label e(x > f) of the coproduct compatibility is not (x > f)e here,
+    # so a validator that swapped the two would reject this valid structure
+    a = conj_s3
+    E, cm = a.E, a.cm
+    assert any(
+        a.phi(x, E.mul(e, cm.act(x, g))) != a.phi(x, E.mul(cm.act(x, g), e))
+        for x in a.H.elements() for e in E.elements() for g in E.elements()
+    )
+    assert validate_xi_action(a).ok
