@@ -140,7 +140,7 @@ def cmd_verify(doc: StructureDocument, args, res: CommandResult) -> None:
 
 
 def cmd_integrals(doc: StructureDocument, args, res: CommandResult) -> None:
-    a = _hopf_arg(doc, args.name)
+    a = _arg(doc, args.name, "hopf")
     sides = ("left", "right") if args.side == "both" else (args.side,)
     for side in sides:
         basis = integral_space(a, side)
@@ -162,7 +162,7 @@ def cmd_integrals(doc: StructureDocument, args, res: CommandResult) -> None:
 
 
 def cmd_grouplikes(doc: StructureDocument, args, res: CommandResult) -> None:
-    a = _hopf_arg(doc, args.name)
+    a = _arg(doc, args.name, "hopf")
     fams = enumerate_grouplikes(a.base)
     out = []
     for fam in fams:
@@ -179,7 +179,7 @@ def cmd_grouplikes(doc: StructureDocument, args, res: CommandResult) -> None:
 
 
 def cmd_dual(doc: StructureDocument, args, res: CommandResult) -> None:
-    a = _hopf_arg(doc, args.name)
+    a = _arg(doc, args.name, "hopf")
     b = dualize(a)
     res.add_report(validate_hopf_xi_algebra(b))
     back = dualize_algebra(b)
@@ -209,13 +209,8 @@ def cmd_dual(doc: StructureDocument, args, res: CommandResult) -> None:
 
 
 def cmd_structure_theorem(doc: StructureDocument, args, res: CommandResult) -> None:
-    a = _hopf_arg(doc, args.name)
-    section, obj = doc.lookup(args.module)
-    if section != "hopf_modules":
-        raise DocumentError(f"{args.module!r} is not a Hopf module")
-    over, mod = obj
-    if doc.hopf[over] is not a:
-        raise DocumentError(f"{args.module!r} is not a module over {args.name!r}")
+    a = _arg(doc, args.name, "hopf")
+    mod = _arg(doc, args.module, "hopf_modules", over=args.name)
     res.add_report(validate_hopf_xi_module(a, mod))
     chk = Report("structure theorem")
     coinv = coinvariants(a, mod)
@@ -230,19 +225,9 @@ def cmd_structure_theorem(doc: StructureDocument, args, res: CommandResult) -> N
 
 
 def cmd_hom(doc: StructureDocument, args, res: CommandResult) -> None:
-    a = _hopf_arg(doc, args.name)
-
-    def module_arg(name):
-        section, obj = doc.lookup(name)
-        if section != "modules":
-            raise DocumentError(f"{name!r} is not a graded module")
-        over, mod = obj
-        if doc.hopf[over] is not a:
-            raise DocumentError(f"{name!r} is not a module over {args.name!r}")
-        return mod
-
-    m = module_arg(args.source)
-    n = module_arg(args.target)
+    a = _arg(doc, args.name, "hopf")
+    m = _arg(doc, args.source, "modules", over=args.name)
+    n = _arg(doc, args.target, "modules", over=args.name)
     if args.degree is None:
         degrees = list(a.E.elements())
     else:
@@ -271,7 +256,7 @@ def cmd_hom(doc: StructureDocument, args, res: CommandResult) -> None:
 
 
 def cmd_report(doc: StructureDocument, args, res: CommandResult) -> None:
-    a = _hopf_arg(doc, args.name)
+    a = _arg(doc, args.name, "hopf")
     res.add_report(full_validation_report(a))
     for side in ("left", "right"):
         basis = integral_space(a, side)
@@ -299,11 +284,21 @@ def cmd_report(doc: StructureDocument, args, res: CommandResult) -> None:
     res.add_report(chk)
 
 
-def _hopf_arg(doc: StructureDocument, name: str):
-    section, obj = doc.lookup(name)
-    if section != "hopf":
-        raise DocumentError(f"{name!r} is not a Hopf structure")
-    return obj
+_KINDS = {"hopf": "a Hopf structure", "modules": "a graded module", "hopf_modules": "a Hopf module"}
+
+
+def _arg(doc: StructureDocument, name: str, section: str, over=None):
+    """The object of `section` that a command argument names; a module must be `over` that Hopf
+    structure, and comes without its owner's name."""
+    found, obj = doc.lookup(name)
+    if found != section:
+        raise DocumentError(f"{name!r} is not {_KINDS[section]}")
+    if over is None:
+        return obj
+    owner, mod = obj
+    if owner != over:
+        raise DocumentError(f"{name!r} is not a module over {over!r}")
+    return mod
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -180,9 +180,7 @@ def _parse_field(raw) -> Field:
     raise DocumentSyntaxError("field kind must be 'rational' or 'prime'", "field")
 
 
-def _parse_group(doc: StructureDocument, name: str, raw) -> FiniteGroup:
-    where = f"groups.{name}"
-    spec = _expect(raw, dict, where, "an object")
+def _parse_group(doc: StructureDocument, name: str, spec, where) -> FiniteGroup:
     group = _parse_group_body(doc, spec, where)
     if "elements" in spec:
         labels = _expect(spec["elements"], list, f"{where}.elements", "a list of labels")
@@ -203,7 +201,7 @@ def _parse_group_body(doc: StructureDocument, spec, where) -> FiniteGroup:
         pair = _expect(spec["product"], list, where, "a pair of names")
         if len(pair) != 2:
             raise DocumentSyntaxError("product needs exactly two factors", where)
-        return direct_product(_get_group(doc, pair[0], where), _get_group(doc, pair[1], where))
+        return direct_product(*(_named(doc, "groups", g, where) for g in pair))
     if "table" in spec:
         table = _expect(spec["table"], list, where, "a multiplication table")
         n = _int(spec.get("order", len(table)), f"{where}.order")
@@ -216,22 +214,22 @@ def _parse_group_body(doc: StructureDocument, spec, where) -> FiniteGroup:
     raise DocumentSyntaxError("unknown group constructor", where)
 
 
-def _get_group(doc: StructureDocument, name, where) -> FiniteGroup:
-    if not isinstance(name, str) or name not in doc.groups:
-        raise UnknownNameError(f"{where}: unknown group {name!r}")
-    return doc.groups[name]
+_KINDS = {"groups": "group", "crossed_modules": "crossed module", "hopf": "Hopf structure"}
 
 
-def _get_cm(doc: StructureDocument, name, where) -> CrossedModule:
-    if not isinstance(name, str) or name not in doc.crossed_modules:
-        raise UnknownNameError(f"{where}: unknown crossed module {name!r}")
-    return doc.crossed_modules[name]
+def _named(doc: StructureDocument, section: str, name, where):
+    """The object `name` of an already parsed `section`."""
+    table = getattr(doc, section)
+    if not isinstance(name, str) or name not in table:
+        raise UnknownNameError(f"{where}: unknown {_KINDS[section]} {name!r}")
+    return table[name]
 
 
-def _get_hopf(doc: StructureDocument, name, where) -> HopfXiCoalgebra:
-    if not isinstance(name, str) or name not in doc.hopf:
-        raise UnknownNameError(f"{where}: unknown Hopf structure {name!r}")
-    return doc.hopf[name]
+def _directive(spec, key, where) -> bool:
+    """Whether spec gives the directive `key`; it takes no arguments, so its only value is true."""
+    if key in spec and spec[key] is not True:
+        raise DocumentSyntaxError("expected true", f"{where}.{key}")
+    return key in spec
 
 
 def _parse_int_list(raw, where, length, order=None):
@@ -242,24 +240,22 @@ def _parse_int_list(raw, where, length, order=None):
     return [_int(v, f"{where}[{i}]", order) for i, v in enumerate(lst)]
 
 
-def _parse_crossed_module(doc: StructureDocument, name: str, raw) -> CrossedModule:
-    where = f"crossed_modules.{name}"
-    spec = _expect(raw, dict, where, "an object")
+def _parse_crossed_module(doc: StructureDocument, name: str, spec, where) -> CrossedModule:
     if "trivial_over" in spec:
-        return trivial_over(_get_group(doc, spec["trivial_over"], where))
+        return trivial_over(_named(doc, "groups", spec["trivial_over"], where))
     if "to_point" in spec:
-        return abelian_to_point(_get_group(doc, spec["to_point"], where))
+        return abelian_to_point(_named(doc, "groups", spec["to_point"], where))
     if "identity" in spec:
-        return identity_cm(_get_group(doc, spec["identity"], where))
+        return identity_cm(_named(doc, "groups", spec["identity"], where))
     if "inclusion" in spec:
         inc = _expect(spec["inclusion"], dict, where, "an object")
-        src = _get_group(doc, inc.get("source"), where)
-        tgt = _get_group(doc, inc.get("target"), where)
+        src = _named(doc, "groups", inc.get("source"), where)
+        tgt = _named(doc, "groups", inc.get("target"), where)
         emb = _parse_int_list(inc.get("map"), f"{where}.map", src.order, tgt.order)
         return inclusion(GroupHom(src, tgt, tuple(emb)))
     if "E" in spec and "H" in spec:
-        e_grp = _get_group(doc, spec["E"], where)
-        h_grp = _get_group(doc, spec["H"], where)
+        e_grp = _named(doc, "groups", spec["E"], where)
+        h_grp = _named(doc, "groups", spec["H"], where)
         xi_map = _parse_int_list(spec.get("xi"), f"{where}.xi", e_grp.order, h_grp.order)
         xi = GroupHom(e_grp, h_grp, tuple(xi_map))
         act_raw = _expect(spec.get("action"), list, f"{where}.action", "a table")
@@ -275,23 +271,21 @@ def _parse_crossed_module(doc: StructureDocument, name: str, raw) -> CrossedModu
     raise DocumentSyntaxError("unknown crossed module constructor", where)
 
 
-def _parse_hopf(doc: StructureDocument, name: str, raw) -> HopfXiCoalgebra:
-    where = f"hopf.{name}"
-    spec = _expect(raw, dict, where, "an object")
+def _parse_hopf(doc: StructureDocument, name: str, spec, where) -> HopfXiCoalgebra:
     f = doc.field
     if "trivial" in spec:
-        return mk_trivial(_get_cm(doc, spec["trivial"], where), f)
+        return mk_trivial(_named(doc, "crossed_modules", spec["trivial"], where), f)
     if "bicharacter" in spec:
         b = _expect(spec["bicharacter"], dict, where, "an object")
-        e_grp = _get_group(doc, b.get("E"), where)
-        g_grp = _get_group(doc, b.get("G"), where)
+        e_grp = _named(doc, "groups", b.get("E"), where)
+        g_grp = _named(doc, "groups", b.get("G"), where)
         omega_raw = _expect(b.get("omega"), list, f"{where}.omega", "a table")
         omega = [_parse_vector(f, row, f"{where}.omega[{i}]") for i, row in enumerate(omega_raw)]
         return mk_bicharacter_group_algebra(f, e_grp, g_grp, omega)
     if "from_h_action" in spec:
         d = _expect(spec["from_h_action"], dict, where, "an object")
-        cm = _get_cm(doc, d.get("cm"), where)
-        classical = _get_hopf(doc, d.get("algebra"), where)
+        cm = _named(doc, "crossed_modules", d.get("cm"), where)
+        classical = _named(doc, "hopf", d.get("algebra"), where)
         rho_raw = _expect(d.get("rho"), list, f"{where}.rho", "a list of matrices")
         dim = classical.dim(0)
         rho = [
@@ -300,11 +294,11 @@ def _parse_hopf(doc: StructureDocument, name: str, raw) -> HopfXiCoalgebra:
         return mk_from_h_action(cm, classical.base, rho)
     if "from_pi_coalgebra" in spec:
         d = _expect(spec["from_pi_coalgebra"], dict, where, "an object")
-        cm = _get_cm(doc, d.get("cm"), where)
-        base = _get_hopf(doc, d.get("base"), where)
+        cm = _named(doc, "crossed_modules", d.get("cm"), where)
+        base = _named(doc, "hopf", d.get("base"), where)
         return mk_from_pi_coalgebra(cm, base.base)
     # explicit structure constants
-    cm = _get_cm(doc, spec.get("cm"), where)
+    cm = _named(doc, "crossed_modules", spec.get("cm"), where)
     H = cm.H
     comps_raw = _expect(spec.get("components"), list, f"{where}.components", "a list")
     if len(comps_raw) != H.order:
@@ -368,11 +362,9 @@ def _parse_graded_action(doc: StructureDocument, a, spec, where, key):
     )
 
 
-def _parse_module(doc: StructureDocument, name: str, raw):
-    where = f"modules.{name}"
-    spec = _expect(raw, dict, where, "an object")
+def _parse_module(doc: StructureDocument, name: str, spec, where):
     over = spec.get("over")
-    a = _get_hopf(doc, over, where)
+    a = _named(doc, "hopf", over, where)
     f = doc.field
     if "line" in spec:
         d = _expect(spec["line"], dict, where, "an object")
@@ -383,21 +375,19 @@ def _parse_module(doc: StructureDocument, name: str, raw):
         return over, line_module(a, x, character)
     if "regular" in spec:
         return over, regular_module(a, _int(spec["regular"], where, a.H.order))
-    if spec.get("unit"):
+    if _directive(spec, "unit", where):
         return over, unit_module(a)
     dims, actions = _parse_graded_action(doc, a, spec, where, "actions")
     return over, AModule(a, dims, actions)
 
 
-def _parse_hopf_module(doc: StructureDocument, name: str, raw):
-    where = f"hopf_modules.{name}"
-    spec = _expect(raw, dict, where, "an object")
+def _parse_hopf_module(doc: StructureDocument, name: str, spec, where):
     over = spec.get("over")
-    a = _get_hopf(doc, over, where)
+    a = _named(doc, "hopf", over, where)
     f = doc.field
     if "trivial" in spec:
         return over, trivial_hopf_module(a, _int(spec["trivial"], where))
-    if spec.get("dual"):
+    if _directive(spec, "dual", where):
         return over, dual_hopf_module(a)
     H, E = a.H, a.E
     dims, r = _parse_graded_action(doc, a, spec, where, "r")
@@ -412,35 +402,28 @@ def _parse_hopf_module(doc: StructureDocument, name: str, raw):
     return over, HopfXiModule(a, dims, r, rho, psi)
 
 
-def _parse_grouplike(doc: StructureDocument, name: str, raw):
-    where = f"grouplikes.{name}"
-    spec = _expect(raw, dict, where, "an object")
-    a = _get_hopf(doc, spec.get("in"), where)
-    fam_raw = _expect(spec.get("family"), list, f"{where}.family", "a list of vectors")
+def _parse_family(doc: StructureDocument, a, spec, where, what):
+    """The list under `family`: one `what` over A_x for each group element x of a."""
+    fam_raw = _expect(spec.get("family"), list, f"{where}.family", f"a list of {what}s")
     if len(fam_raw) != a.H.order:
-        raise DocumentSyntaxError("one vector per group element required", f"{where}.family")
-    family = tuple(
+        raise DocumentSyntaxError(f"one {what} per group element required", f"{where}.family")
+    return tuple(
         _parse_vector(doc.field, v, f"{where}.family[{x}]", a.dim(x))
         for x, v in enumerate(fam_raw)
     )
-    return spec.get("in"), family
 
 
-def _parse_integral(doc: StructureDocument, name: str, raw):
-    where = f"integrals.{name}"
-    spec = _expect(raw, dict, where, "an object")
-    a = _get_hopf(doc, spec.get("in"), where)
+def _parse_grouplike(doc: StructureDocument, name: str, spec, where):
+    a = _named(doc, "hopf", spec.get("in"), where)
+    return spec.get("in"), _parse_family(doc, a, spec, where, "vector")
+
+
+def _parse_integral(doc: StructureDocument, name: str, spec, where):
+    a = _named(doc, "hopf", spec.get("in"), where)
     side = spec.get("side", "left")
     if side not in ("left", "right"):
         raise DocumentSyntaxError("side must be 'left' or 'right'", where)
-    fam_raw = _expect(spec.get("family"), list, f"{where}.family", "a list of covectors")
-    if len(fam_raw) != a.H.order:
-        raise DocumentSyntaxError("one covector per group element required", f"{where}.family")
-    family = tuple(
-        _parse_vector(doc.field, v, f"{where}.family[{x}]", a.dim(x))
-        for x, v in enumerate(fam_raw)
-    )
-    return spec.get("in"), side, family
+    return spec.get("in"), side, _parse_family(doc, a, spec, where, "covector")
 
 
 def parse(data: bytes) -> StructureDocument:
@@ -465,10 +448,12 @@ def parse(data: bytes) -> StructureDocument:
             if name in seen:
                 raise DocumentSyntaxError(f"duplicate name {name!r}", section)
             seen.add(name)
+            where = f"{section}.{name}"
+            spec = _expect(spec, dict, where, "an object")
             try:
-                table[name] = parse_entry(doc, name, spec)
+                table[name] = parse_entry(doc, name, spec, where)
             except ValueError as exc:  # a constructor rejected the entry's values
-                raise DocumentSyntaxError(str(exc), f"{section}.{name}")
+                raise DocumentSyntaxError(str(exc), where)
     return doc
 
 
@@ -608,7 +593,8 @@ def _show_integral(refs: _Refs, name: str, entry):
 
 
 # The document sections, in parse, lookup and serialization order: (name, parse, show).
-# An object name is unique across all sections.
+# parse(doc, name, spec, where) builds the object of one entry, an object at JSON path
+# where.  An object name is unique across all sections.
 SECTIONS = (
     ("groups", _parse_group, _show_group),
     ("crossed_modules", _parse_crossed_module, _show_crossed_module),

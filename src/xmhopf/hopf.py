@@ -3,8 +3,9 @@
 A graded Hopf coalgebra is a family of structure-constant algebras A_x
 indexed by a finite group H, a coproduct family Delta_{x,y}: A_{xy} ->
 A_x (x) A_y, a counit on A_1, and an antipode family S_x: A_{x^-1} -> A_x.
-All structure maps are stored as exact matrices; every axiom is an exact
-matrix identity checked with witnesses.
+All structure maps are stored as exact matrices, whose shapes a structure
+checks once, when it is built; every axiom is an exact matrix identity
+checked with witnesses.
 """
 
 from __future__ import annotations
@@ -74,10 +75,6 @@ class ComponentAlgebra:
     def multiply(self, u: Sequence, v: Sequence) -> tuple:
         return self.mul.apply(vec_kron(self.field, u, v))
 
-    def left_mult_matrix(self, u: Sequence) -> Matrix:
-        """Matrix of v -> u . v."""
-        return self.mul @ Matrix.col(self.field, u).kron(Matrix.identity(self.field, self.dim))
-
     def validate(self) -> Report:
         rep = Report("component algebra")
         ident = Matrix.identity(self.field, self.dim)
@@ -125,7 +122,7 @@ class GradedHopfCoalgebra:
             self.field, self.H, self.components, self.coproduct, self.counit, tuple(antipode)
         )
 
-    def check_shapes(self) -> None:
+    def __post_init__(self):
         H = self.H
         if len(self.components) != H.order:
             raise ShapeMismatchError("one component algebra per group element required")
@@ -152,7 +149,6 @@ class GradedHopfCoalgebra:
 
 def validate_h_coalgebra(a: GradedHopfCoalgebra) -> Report:
     """Coassociativity and counit laws, exact, for all index triples."""
-    a.check_shapes()
     rep = Report("graded coalgebra")
     H, f = a.H, a.field
     xs, one = H.elements(), H.identity
@@ -176,7 +172,6 @@ def validate_h_coalgebra(a: GradedHopfCoalgebra) -> Report:
 
 def validate_bicoalgebra(a: GradedHopfCoalgebra) -> Report:
     """Each component is an algebra and Delta, eps are algebra maps."""
-    a.check_shapes()
     rep = Report("graded bicoalgebra")
     H, f, comps = a.H, a.field, a.components
     xs = H.elements()
@@ -242,7 +237,6 @@ def compute_antipode(a: GradedHopfCoalgebra) -> Optional[tuple[Matrix, ...]]:
     Solves the left identity per component, then accepts the solution only
     if validate_antipode passes; any failure means the bicoalgebra is not Hopf.
     """
-    a.check_shapes()
     out = []
     for x in a.H.elements():
         s, _unique = antipode_solve_details(a, x)
@@ -254,7 +248,6 @@ def compute_antipode(a: GradedHopfCoalgebra) -> Optional[tuple[Matrix, ...]]:
 
 def validate_antipode(a: GradedHopfCoalgebra) -> Report:
     """Both defining convolution identities plus bijectivity."""
-    a.check_shapes()
     if a.antipode is None:
         raise MissingAntipodeError("validate_antipode needs an antipode")
     rep = Report("antipode axioms")
@@ -276,7 +269,6 @@ def validate_antipode(a: GradedHopfCoalgebra) -> Report:
 
 def antipode_properties(a: GradedHopfCoalgebra) -> Report:
     """Derived properties: anti-multiplicative and anti-comultiplicative."""
-    a.check_shapes()
     if a.antipode is None:
         raise MissingAntipodeError("antipode_properties needs an antipode")
     rep = Report("antipode properties")

@@ -43,16 +43,20 @@ class HopfXiModule:
     def dim(self, x: int) -> int:
         return self.dims[x]
 
-    def check_shapes(self) -> None:
+    def __post_init__(self):
         a = self.algebra
         H, E = a.H, a.E
-        AModule(a, self.dims, self.r).check_shapes()
+        AModule(a, self.dims, self.r)  # checks dims and r
         for x in H.elements():
             for y in H.elements():
+                if (x, y) not in self.rho:
+                    raise ShapeMismatchError(f"missing coaction component ({x},{y})")
                 m = self.rho[(x, y)]
                 if m.rows != a.dim(x) * self.dim(y) or m.cols != self.dim(H.mul(x, y)):
                     raise ShapeMismatchError(f"coaction at ({x},{y}) has wrong shape")
             for e in E.elements():
+                if (x, e) not in self.psi:
+                    raise ShapeMismatchError(f"missing psi component ({x},{e})")
                 m = self.psi[(x, e)]
                 tgt = H.mul(a.cm.xi_of(e), x)
                 if m.rows != self.dim(tgt) or m.cols != self.dim(x):
@@ -61,7 +65,6 @@ class HopfXiModule:
 
 def validate_hopf_xi_module(a: HopfXiCoalgebra, m: HopfXiModule) -> Report:
     """The module laws of validate_module and three axiom groups (b)-(d), exact, with witnesses."""
-    m.check_shapes()
     rep = Report("Hopf crossed-module module")
     f, H, E, cm = a.field, a.H, a.E, a.cm
     xs, es, one = H.elements(), E.elements(), H.identity

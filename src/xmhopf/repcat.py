@@ -49,7 +49,7 @@ class AModule:
             raise NotHomogeneousError(f"support {sup} is not a single degree")
         return sup[0]
 
-    def check_shapes(self) -> None:
+    def __post_init__(self):
         a = self.algebra
         if len(self.dims) != a.H.order or len(self.actions) != a.H.order:
             raise ShapeMismatchError("one dimension and action per group element required")
@@ -71,7 +71,6 @@ class GradedHom:
 
 
 def validate_module(a: HopfXiCoalgebra, m: AModule) -> Report:
-    m.check_shapes()
     rep = Report("graded module")
     f, xs = a.field, a.H.elements()
     ident_m = [Matrix.identity(f, m.dim(x)) for x in xs]
@@ -220,6 +219,14 @@ def hom_block_shapes(a: HopfXiCoalgebra, m: AModule, n: AModule, e: int):
     return [(n.dim(H.mul(xi_e, x)), m.dim(x)) for x in H.elements()]
 
 
+def _linearity_sides(a: HopfXiCoalgebra, m: AModule, pulled: AModule, blocks):
+    """Both sides of alpha_x r_M(x) = r_{phi_e^*N}(x) (id (x) alpha_x), the A-linearity of
+    degree-e blocks alpha: M -> N, for each x; pulled is phi_e^*(N)."""
+    f = a.field
+    for x in a.H.elements():
+        yield blocks[x] @ m.r(x), pulled.r(x) @ Matrix.identity(f, a.dim(x)).kron(blocks[x])
+
+
 def hom_space(a: HopfXiCoalgebra, m: AModule, n: AModule, e: int) -> list[GradedHom]:
     """Deterministic basis of the degree-e morphism space M -> N.
 
@@ -227,7 +234,7 @@ def hom_space(a: HopfXiCoalgebra, m: AModule, n: AModule, e: int) -> list[Graded
     each A_x-linear into the pullback along phi_{x,e}; the linearity
     constraints over all x form one exact linear system.
     """
-    f, H = a.field, a.H
+    f = a.field
     shapes = hom_block_shapes(a, m, n, e)
     sizes = [r * c for (r, c) in shapes]
     total = sum(sizes)
@@ -243,12 +250,8 @@ def hom_space(a: HopfXiCoalgebra, m: AModule, n: AModule, e: int) -> list[Graded
         return blocks
 
     def residual(flat):
-        blocks = unflatten(flat)
         out = []
-        for x in H.elements():
-            alpha = blocks[x]
-            lhs = alpha @ m.r(x)
-            rhs = pulled.r(x) @ Matrix.identity(f, a.dim(x)).kron(alpha)
+        for lhs, rhs in _linearity_sides(a, m, pulled, unflatten(flat)):
             diff = lhs - rhs
             out.extend(diff[i, j] for i in range(diff.rows) for j in range(diff.cols))
         return out
@@ -258,13 +261,8 @@ def hom_space(a: HopfXiCoalgebra, m: AModule, n: AModule, e: int) -> list[Graded
 
 
 def hom_is_linear(a: HopfXiCoalgebra, m: AModule, n: AModule, h: GradedHom) -> bool:
-    f, H = a.field, a.H
     pulled = pullback_phi_e(a, n, h.degree)
-    for x in H.elements():
-        alpha = h.block(x)
-        if alpha @ m.r(x) != pulled.r(x) @ Matrix.identity(f, a.dim(x)).kron(alpha):
-            return False
-    return True
+    return all(lhs == rhs for lhs, rhs in _linearity_sides(a, m, pulled, h.blocks))
 
 
 def identity_hom(a: HopfXiCoalgebra, m: AModule) -> GradedHom:

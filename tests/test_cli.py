@@ -119,6 +119,10 @@ MALFORMED = {
     "hopf-module-extra-r": {
         "hopf_modules": {"m": {"over": "k", "dims": [1, 0], "r": [[["1"]], [], []]}}
     },
+    # the unit and dual directives take no arguments: their only value is true
+    "unit-string": {"modules": {"m": {"over": "k", "unit": "no"}}},
+    "unit-1": {"modules": {"m": {"over": "k", "unit": 1}}},
+    "dual-string": {"hopf_modules": {"m": {"over": "k", "dual": "false"}}},
     # values a constructor rejects
     "inclusion-not-injective": {
         "crossed_modules": {"cm": {"inclusion": {"source": "g", "target": "g", "map": [0, 0]}}}

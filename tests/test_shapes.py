@@ -1,0 +1,85 @@
+"""Structures are well-shaped by construction: each checks the shapes of its maps when built."""
+
+import dataclasses
+
+import pytest
+
+from tests.conftest import QQ, make_k_xi_z2
+from xmhopf.errors import ShapeMismatchError
+from xmhopf.hopfmod import trivial_hopf_module
+from xmhopf.linalg import Matrix
+from xmhopf.repcat import unit_module
+from xmhopf.xihopf import dualize, validate_hopf_xi_algebra
+
+A = make_k_xi_z2()  # every component and every map of every structure below is 1 x 1
+WRONG = Matrix.zeros(QQ, 2, 1)
+
+
+def without(table, key):
+    return {k: v for k, v in table.items() if k != key}
+
+
+def rebuilt(obj, **changes):
+    return lambda: dataclasses.replace(obj, **changes)
+
+
+M = trivial_hopf_module(A, 1)
+B = dualize(A)
+UNIT = unit_module(A)
+
+# name -> (construction, expected message)
+BROKEN = {
+    "coalgebra-coproduct-size": (
+        rebuilt(A.base, coproduct={**A.base.coproduct, (0, 1): WRONG}),
+        r"coproduct \(0,1\) has wrong shape",
+    ),
+    "coalgebra-coproduct-missing": (
+        rebuilt(A.base, coproduct=without(A.base.coproduct, (1, 1))),
+        r"missing coproduct component \(1,1\)",
+    ),
+    "xi-coalgebra-action-size": (
+        rebuilt(A, action={**A.action, (1, 0): WRONG}),
+        r"action component \(1,0\) has wrong shape",
+    ),
+    "xi-coalgebra-action-missing": (
+        rebuilt(A, action=without(A.action, (1, 1))),
+        r"missing action component \(1,1\)",
+    ),
+    "module-action-size": (
+        rebuilt(UNIT, actions=(Matrix.zeros(QQ, 1, 2),) + UNIT.actions[1:]),
+        r"action at x=0 has wrong shape",
+    ),
+    "module-action-missing": (
+        rebuilt(UNIT, actions=UNIT.actions[:1]),
+        r"one dimension and action per group element required",
+    ),
+    "hopf-module-psi-size": (
+        rebuilt(M, psi={**M.psi, (0, 1): WRONG}),
+        r"psi at \(0,1\) has wrong shape",
+    ),
+    # a missing coaction entry used to surface as KeyError from the validator
+    "hopf-module-rho-missing": (
+        rebuilt(M, rho=without(M.rho, (1, 1))),
+        r"missing coaction component \(1,1\)",
+    ),
+    "xi-algebra-counit-rows": (
+        rebuilt(B, eps=(Matrix.zeros(QQ, 2, 1),) + B.eps[1:]),
+        r"component counit 0 has wrong shape",
+    ),
+    "xi-algebra-product-missing": (
+        rebuilt(B, mul=without(B.mul, (1, 1))),
+        r"missing product component \(1,1\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, message", BROKEN.values(), ids=list(BROKEN))
+def test_wrong_shape_or_missing_key_fails_construction(build, message):
+    with pytest.raises(ShapeMismatchError, match=message):
+        build()
+
+
+def test_dual_algebra_sizes_are_checked_on_the_transposed_coalgebra():
+    b = dataclasses.replace(B, mul={**B.mul, (0, 1): WRONG})  # a transpose shows this size
+    with pytest.raises(ShapeMismatchError, match=r"coproduct \(0,1\) has wrong shape"):
+        validate_hopf_xi_algebra(b)
