@@ -9,8 +9,6 @@ arrow set is never materialized).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NonComposableError, NotAbelianError
 from .groups import (
     FiniteGroup,
@@ -22,15 +20,12 @@ from .groups import (
     validate_group,
     validate_hom,
 )
+from .record import Record
 from .report import Report
 
 
-@dataclass(frozen=True)
-class CrossedModule:
-    E: FiniteGroup
-    H: FiniteGroup
-    xi: GroupHom  # E -> H
-    action: GroupAction  # H on E
+class CrossedModule(Record, eq=True):
+    __slots__ = ("E", "H", "xi", "action")  # xi: E -> H; action of H on E
 
     def xi_of(self, e: int) -> int:
         return self.xi(e)
@@ -39,11 +34,8 @@ class CrossedModule:
         return self.action.act(x, e)
 
 
-@dataclass(frozen=True)
-class GroupoidArrow:
-    source: int  # element of H
-    label: int  # element of E
-    target: int  # element of H
+class GroupoidArrow(Record, eq=True):
+    __slots__ = ("source", "label", "target")  # source, target in H; label in E
 
 
 def validate_crossed_module(cm: CrossedModule) -> Report:
@@ -124,14 +116,11 @@ def arrow_is_valid(cm: CrossedModule, a: GroupoidArrow) -> bool:
 # -- kernel, image, cokernel ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelImageCokernel:
-    kernel: tuple[int, ...]  # elements of E, ascending
-    image: tuple[int, ...]  # elements of H, ascending
-    cokernel: FiniteGroup
-    projection: tuple[int, ...]  # H index -> cokernel index
-    section: tuple[int, ...]  # cokernel index -> least H representative
-    report: Report
+class KernelImageCokernel(Record):
+    """Ker(xi) and Im(xi) ascending, Coker(xi), the projection H -> Coker(xi) by index, the
+    section taking each coset to its least H element, and the report of their checks."""
+
+    __slots__ = ("kernel", "image", "cokernel", "projection", "section", "report")
 
 
 def kernel_image_cokernel(cm: CrossedModule) -> KernelImageCokernel:

@@ -11,7 +11,7 @@ parse(serialize(d)) reproduces d exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from collections.abc import Mapping
 
 from .crossed import (
     CrossedModule,
@@ -25,6 +25,7 @@ from .groups import FiniteGroup, GroupHom, cyclic, direct_product, symmetric
 from .hopf import ComponentAlgebra, GradedHopfCoalgebra, compute_antipode
 from .hopfmod import HopfXiModule, dual_hopf_module, trivial_hopf_module
 from .linalg import Field, Matrix
+from .record import Record
 from .repcat import AModule, line_module, regular_module, unit_module
 from .xihopf import (
     HopfXiCoalgebra,
@@ -33,6 +34,10 @@ from .xihopf import (
     mk_from_pi_coalgebra,
     mk_trivial,
 )
+
+# The largest group a document may declare: verify checks associativity on all
+# order^3 triples, which takes about a second at this order.
+MAX_GROUP_ORDER = 100
 
 
 class DocumentError(XmhopfError):
@@ -55,17 +60,64 @@ class FieldMismatchError(DocumentError):
     """A scalar literal that belongs to a different ground field."""
 
 
-@dataclass
-class StructureDocument:
-    field: Field
-    groups: dict = dc_field(default_factory=dict)
-    crossed_modules: dict = dc_field(default_factory=dict)
-    hopf: dict = dc_field(default_factory=dict)
-    modules: dict = dc_field(default_factory=dict)  # name -> (hopf name, AModule)
-    hopf_modules: dict = dc_field(default_factory=dict)  # name -> (hopf name, HopfXiModule)
-    grouplikes: dict = dc_field(default_factory=dict)  # name -> (hopf name, family)
-    integrals: dict = dc_field(default_factory=dict)  # name -> (hopf name, side, family)
-    element_names: dict = dc_field(default_factory=dict)  # group name -> tuple of labels
+def _built(where, make, *args):
+    """make(*args), reporting a constructor's ValueError as a syntax error at `where`."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise DocumentSyntaxError(str(exc), where)
+
+
+class _Deferred:
+    """The construction of one entry at JSON path `where`, run when the entry is first used."""
+
+    __slots__ = ("make", "where")
+
+    def __init__(self, make, where):
+        self.make, self.where = make, where
+
+
+class Section(Mapping):
+    """The objects of one document section by name.
+
+    Parsing checks every entry, but leaves the construction of some (directive
+    Hopf structures, dual Hopf modules) to the first lookup of the entry, which
+    builds it once and keeps it.
+    """
+
+    def __init__(self):
+        self._entries = {}
+
+    def __getitem__(self, name):
+        entry = self._entries[name]
+        if type(entry) is _Deferred:
+            entry = self._entries[name] = _built(entry.where, entry.make)
+        return entry
+
+    def __setitem__(self, name, entry):
+        self._entries[name] = entry
+
+    def __contains__(self, name):
+        return name in self._entries
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
+
+
+class StructureDocument(Record):
+    """A parsed document: its field, one Section per document section, and element labels.
+
+    modules and hopf_modules hold (Hopf structure name, module), grouplikes hold (name,
+    family), integrals hold (name, side, family); element_names maps a group name to
+    the tuple of its element labels.
+    """
+
+    __slots__ = ("field", "groups", "crossed_modules", "hopf", "modules", "hopf_modules",
+                 "grouplikes", "integrals", "element_names")
+    _defaults = dict(dict.fromkeys(__slots__[1:-1], Section), element_names=dict)
 
     def element_index(self, group, label: str):
         """Resolve an element label of a known group to its index.
@@ -192,19 +244,28 @@ def _parse_group(doc: StructureDocument, name: str, spec, where) -> FiniteGroup:
     return group
 
 
+def _order(n: int, where) -> int:
+    """A group order n, checked against MAX_GROUP_ORDER before anything of that size is built."""
+    if n > MAX_GROUP_ORDER:
+        raise DocumentSyntaxError(f"group order {n} is above the bound {MAX_GROUP_ORDER}", where)
+    return n
+
+
 def _parse_group_body(doc: StructureDocument, spec, where) -> FiniteGroup:
     if "cyclic" in spec:
-        return cyclic(_int(spec["cyclic"], where))
+        return cyclic(_order(_int(spec["cyclic"], where), where))
     if "symmetric" in spec:
         return symmetric(_int(spec["symmetric"], where))
     if "product" in spec:
         pair = _expect(spec["product"], list, where, "a pair of names")
         if len(pair) != 2:
             raise DocumentSyntaxError("product needs exactly two factors", where)
-        return direct_product(*(_named(doc, "groups", g, where) for g in pair))
+        left, right = (_named(doc, "groups", g, where) for g in pair)
+        _order(left.order * right.order, where)
+        return direct_product(left, right)
     if "table" in spec:
         table = _expect(spec["table"], list, where, "a multiplication table")
-        n = _int(spec.get("order", len(table)), f"{where}.order")
+        n = _order(_int(spec.get("order", len(table)), f"{where}.order"), f"{where}.order")
         if n != len(table) or any(not isinstance(r, list) or len(r) != n for r in table):
             raise DocumentSyntaxError("table is not order x order", where)
         return FiniteGroup.from_table(
@@ -219,10 +280,14 @@ _KINDS = {"groups": "group", "crossed_modules": "crossed module", "hopf": "Hopf 
 
 def _named(doc: StructureDocument, section: str, name, where):
     """The object `name` of an already parsed `section`."""
-    table = getattr(doc, section)
-    if not isinstance(name, str) or name not in table:
+    return getattr(doc, section)[_ref(doc, section, name, where)]
+
+
+def _ref(doc: StructureDocument, section: str, name, where) -> str:
+    """`name`, checked to name an entry of an already parsed `section`, which it leaves unbuilt."""
+    if not isinstance(name, str) or name not in getattr(doc, section):
         raise UnknownNameError(f"{where}: unknown {_KINDS[section]} {name!r}")
-    return table[name]
+    return name
 
 
 def _directive(spec, key, where) -> bool:
@@ -281,22 +346,22 @@ def _parse_hopf(doc: StructureDocument, name: str, spec, where) -> HopfXiCoalgeb
         g_grp = _named(doc, "groups", b.get("G"), where)
         omega_raw = _expect(b.get("omega"), list, f"{where}.omega", "a table")
         omega = [_parse_vector(f, row, f"{where}.omega[{i}]") for i, row in enumerate(omega_raw)]
-        return mk_bicharacter_group_algebra(f, e_grp, g_grp, omega)
+        return _Deferred(lambda: mk_bicharacter_group_algebra(f, e_grp, g_grp, omega), where)
     if "from_h_action" in spec:
         d = _expect(spec["from_h_action"], dict, where, "an object")
         cm = _named(doc, "crossed_modules", d.get("cm"), where)
-        classical = _named(doc, "hopf", d.get("algebra"), where)
+        classical = _named(doc, "hopf", d.get("algebra"), where)  # its dimension sizes rho
         rho_raw = _expect(d.get("rho"), list, f"{where}.rho", "a list of matrices")
         dim = classical.dim(0)
         rho = [
             _parse_matrix(f, m, f"{where}.rho[{i}]", dim, dim) for i, m in enumerate(rho_raw)
         ]
-        return mk_from_h_action(cm, classical.base, rho)
+        return _Deferred(lambda: mk_from_h_action(cm, classical.base, rho), where)
     if "from_pi_coalgebra" in spec:
         d = _expect(spec["from_pi_coalgebra"], dict, where, "an object")
         cm = _named(doc, "crossed_modules", d.get("cm"), where)
-        base = _named(doc, "hopf", d.get("base"), where)
-        return mk_from_pi_coalgebra(cm, base.base)
+        base = _ref(doc, "hopf", d.get("base"), where)
+        return _Deferred(lambda: mk_from_pi_coalgebra(cm, doc.hopf[base].base), where)
     # explicit structure constants
     cm = _named(doc, "crossed_modules", spec.get("cm"), where)
     H = cm.H
@@ -382,13 +447,13 @@ def _parse_module(doc: StructureDocument, name: str, spec, where):
 
 
 def _parse_hopf_module(doc: StructureDocument, name: str, spec, where):
-    over = spec.get("over")
-    a = _named(doc, "hopf", over, where)
+    over = _ref(doc, "hopf", spec.get("over"), where)
     f = doc.field
     if "trivial" in spec:
-        return over, trivial_hopf_module(a, _int(spec["trivial"], where))
+        return over, trivial_hopf_module(doc.hopf[over], _int(spec["trivial"], where))
     if _directive(spec, "dual", where):
-        return over, dual_hopf_module(a)
+        return _Deferred(lambda: (over, dual_hopf_module(doc.hopf[over])), where)
+    a = doc.hopf[over]
     H, E = a.H, a.E
     dims, r = _parse_graded_action(doc, a, spec, where, "r")
     rho = _parse_table(
@@ -427,16 +492,20 @@ def _parse_integral(doc: StructureDocument, name: str, spec, where):
 
 
 def parse(data: bytes) -> StructureDocument:
-    """Parse and resolve a structure document; raises DocumentError subclasses."""
+    """Parse and check a structure document; raises DocumentError subclasses.
+
+    Every entry is checked here; a directive Hopf structure or dual Hopf module is
+    built, and can fail, when first looked up (see Section).
+    """
     try:
         raw = json.loads(data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise DocumentSyntaxError(f"invalid JSON: {exc}", "document")
     if not isinstance(raw, dict):
         raise DocumentSyntaxError("top level must be an object", "document")
     if "field" not in raw:
         raise DocumentSyntaxError("missing field specification", "document")
-    doc = StructureDocument(field=_parse_field(raw["field"]))
+    doc = StructureDocument(_parse_field(raw["field"]))
 
     seen = set()
     for section, parse_entry, _ in SECTIONS:
@@ -450,10 +519,7 @@ def parse(data: bytes) -> StructureDocument:
             seen.add(name)
             where = f"{section}.{name}"
             spec = _expect(spec, dict, where, "an object")
-            try:
-                table[name] = parse_entry(doc, name, spec, where)
-            except ValueError as exc:  # a constructor rejected the entry's values
-                raise DocumentSyntaxError(str(exc), where)
+            table[name] = _built(where, parse_entry, doc, name, spec, where)
     return doc
 
 
@@ -593,8 +659,8 @@ def _show_integral(refs: _Refs, name: str, entry):
 
 
 # The document sections, in parse, lookup and serialization order: (name, parse, show).
-# parse(doc, name, spec, where) builds the object of one entry, an object at JSON path
-# where.  An object name is unique across all sections.
+# parse(doc, name, spec, where) checks one entry, an object at JSON path where, and returns
+# its object or the _Deferred construction of it.  An object name is unique across all sections.
 SECTIONS = (
     ("groups", _parse_group, _show_group),
     ("crossed_modules", _parse_crossed_module, _show_crossed_module),

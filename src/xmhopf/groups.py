@@ -7,18 +7,17 @@ groups here are desk scale (symmetric() is capped at n = 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import NotNormalError
+from .record import Record
 from .report import Report
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    table: tuple[tuple[int, ...], ...]
-    identity: int
-    inverses: tuple[int, ...]
+class FiniteGroup(Record, eq=True):
+    """Multiplication table over 0..n-1 (table[a][b] = ab), identity index, inverse indices."""
+
+    __slots__ = ("table", "identity", "inverses")
 
     @property
     def order(self) -> int:
@@ -171,11 +170,8 @@ def symmetric(n: int) -> FiniteGroup:
 # -- homomorphisms ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupHom:
-    source: FiniteGroup
-    target: FiniteGroup
-    map: tuple[int, ...]
+class GroupHom(Record, eq=True):
+    __slots__ = ("source", "target", "map")
 
     def __call__(self, a: int) -> int:
         return self.map[a]
@@ -215,13 +211,10 @@ def is_injective(f: GroupHom) -> bool:
 # -- actions -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupAction:
+class GroupAction(Record, eq=True):
     """Left action of `actor` on the group `space` by automorphisms: act[x][e]."""
 
-    actor: FiniteGroup
-    space: FiniteGroup
-    table: tuple[tuple[int, ...], ...]
+    __slots__ = ("actor", "space", "table")
 
     def act(self, x: int, e: int) -> int:
         return self.table[x][e]

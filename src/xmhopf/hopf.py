@@ -10,8 +10,7 @@ checked with witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .errors import (
     MissingAntipodeError,
@@ -20,6 +19,7 @@ from .errors import (
 )
 from .groups import FiniteGroup, cyclic
 from .linalg import Field, Matrix, linear_map_matrix
+from .record import Record
 from .report import Report, holds
 
 
@@ -28,18 +28,14 @@ def vec_kron(field: Field, u: Sequence, v: Sequence) -> tuple:
     return tuple(field.mul(a, b) for a in u for b in v)
 
 
-@dataclass(frozen=True, eq=False)
-class ComponentAlgebra:
+class ComponentAlgebra(Record):
     """Finite-dimensional unital algebra given by structure constants.
 
     mul is the multiplication as a matrix A (x) A -> A (dim x dim^2),
     column index i*dim + j for e_i e_j; unit is the coordinate vector of 1.
     """
 
-    field: Field
-    dim: int
-    mul: Matrix
-    unit: tuple
+    __slots__ = ("field", "dim", "mul", "unit")
 
     def __post_init__(self):
         if self.dim < 1:
@@ -90,21 +86,16 @@ class ComponentAlgebra:
         return rep
 
 
-@dataclass(frozen=True, eq=False)
-class GradedHopfCoalgebra:
+class GradedHopfCoalgebra(Record):
     """Family {A_x} with coproduct, counit, and optional antipode.
 
-    coproduct[(x, y)] is Delta_{x,y}: A_{xy} -> A_x (x) A_y as a
-    (dim_x * dim_y) x dim_xy matrix; counit is 1 x dim_1; antipode[x] is
-    S_x: A_{x^-1} -> A_x, or None until computed.
+    components[x] is A_x; coproduct[(x, y)] is Delta_{x,y}: A_{xy} -> A_x (x) A_y
+    as a (dim_x * dim_y) x dim_xy matrix; counit is 1 x dim_1; antipode[x] is
+    S_x: A_{x^-1} -> A_x, or antipode is None until computed.
     """
 
-    field: Field
-    H: FiniteGroup
-    components: tuple[ComponentAlgebra, ...]
-    coproduct: dict
-    counit: Matrix
-    antipode: Optional[tuple[Matrix, ...]] = None
+    __slots__ = ("field", "H", "components", "coproduct", "counit", "antipode")
+    _defaults = {"antipode": lambda: None}
 
     def dim(self, x: int) -> int:
         return self.components[x].dim
@@ -231,7 +222,7 @@ def antipode_solve_details(a: GradedHopfCoalgebra, x: int):
     return s, unique
 
 
-def compute_antipode(a: GradedHopfCoalgebra) -> Optional[tuple[Matrix, ...]]:
+def compute_antipode(a: GradedHopfCoalgebra) -> tuple[Matrix, ...] | None:
     """Convolution inverse of the identity, or None when it does not exist.
 
     Solves the left identity per component, then accepts the solution only
@@ -431,7 +422,7 @@ def classical_hopf(
     algebra: ComponentAlgebra,
     delta: Matrix,
     counit: Matrix,
-    antipode: Optional[Matrix] = None,
+    antipode: Matrix | None = None,
 ) -> GradedHopfCoalgebra:
     """A classical Hopf algebra as a coalgebra graded by the trivial group."""
     return GradedHopfCoalgebra(

@@ -10,8 +10,6 @@ the integral space for finite-type structures over a field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     AxiomCheckFailedError,
     DefiningIdentityFailedError,
@@ -21,24 +19,20 @@ from .errors import (
 )
 from .hopf import is_grouplike
 from .linalg import Matrix
+from .record import Record
 from .report import Report, holds
 from .repcat import AModule, _contragredient, validate_module
 from .xihopf import HopfXiCoalgebra, is_xi_grouplike
 
 
-@dataclass(frozen=True, eq=False)
-class HopfXiModule:
-    """Graded family with action r, coaction rho, and equivariance maps psi.
+class HopfXiModule(Record):
+    """Graded family over `algebra` with action r, coaction rho, and equivariance maps psi.
 
-    r[x]: A_x (x) M_x -> M_x;  rho[(x,y)]: M_{xy} -> A_x (x) M_y;
+    dims[x] = dim M_x; r[x]: A_x (x) M_x -> M_x;  rho[(x,y)]: M_{xy} -> A_x (x) M_y;
     psi[(x,e)]: M_x -> M_{xi(e)x}.
     """
 
-    algebra: HopfXiCoalgebra
-    dims: tuple[int, ...]
-    r: tuple[Matrix, ...]
-    rho: dict
-    psi: dict
+    __slots__ = ("algebra", "dims", "r", "rho", "psi")
 
     def dim(self, x: int) -> int:
         return self.dims[x]

@@ -18,13 +18,13 @@ Conventions fixed here and used by every other module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence, Union
 
 from .errors import DivisionByZeroError, MixedFieldsError, ShapeMismatchError
+from .record import Record
 
-Scalar = Union[Fraction, int]
+Scalar = Fraction | int
 
 
 # Deterministic Miller-Rabin: the prime bases 2..37 decide primality exactly
@@ -60,12 +60,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Field:
-    """Ground field: the rationals or a prime field GF(p)."""
+class Field(Record, eq=True):
+    """Ground field: kind "rational" with p None, or kind "prime" for GF(p)."""
 
-    kind: str  # "rational" | "prime"
-    p: Optional[int] = None
+    __slots__ = ("kind", "p")
 
     def __post_init__(self):
         if self.kind == "rational":
@@ -79,7 +77,7 @@ class Field:
 
     @staticmethod
     def rational() -> "Field":
-        return Field("rational")
+        return Field("rational", None)
 
     @staticmethod
     def prime(p: int) -> "Field":
@@ -123,7 +121,7 @@ class Field:
 
     # -- scalar literals ---------------------------------------------------
 
-    def parse(self, text: Union[str, int]) -> Scalar:
+    def parse(self, text: str | int) -> Scalar:
         """Parse a scalar literal: "a/b" or integer over Q, residue over GF(p)."""
         if self.kind == "prime":
             if isinstance(text, bool) or not isinstance(text, int):
@@ -143,7 +141,7 @@ class Field:
             return value
         raise ValueError(f"not a rational literal: {text!r}")
 
-    def show(self, a: Scalar) -> Union[str, int]:
+    def show(self, a: Scalar) -> str | int:
         """Canonical literal for serialization (inverse of parse)."""
         if self.kind == "prime":
             return int(a)
@@ -405,7 +403,7 @@ class Matrix:
             basis.append(tuple(v))
         return basis
 
-    def solve(self, rhs: Sequence[Scalar]) -> Optional[tuple]:
+    def solve(self, rhs: Sequence[Scalar]) -> tuple | None:
         """One exact solution of self . x = rhs, or None if inconsistent.
 
         Returns (solution, unique_flag). Free variables are set to zero.
@@ -424,7 +422,7 @@ class Matrix:
         unique = len(pivots) == self.cols
         return tuple(x), unique
 
-    def inverse(self) -> Optional["Matrix"]:
+    def inverse(self) -> Matrix | None:
         if self.rows != self.cols:
             return None
         f = self.field

@@ -8,8 +8,6 @@ deterministic kernel bases; the category itself is never materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     NonComposableError,
     NotHomogeneousError,
@@ -18,17 +16,15 @@ from .errors import (
 )
 from .hopf import grouplike_inverse, is_pivotal_element
 from .linalg import Matrix, linear_map_matrix
+from .record import Record
 from .report import Report
 from .xihopf import HopfXiCoalgebra
 
 
-@dataclass(frozen=True, eq=False)
-class AModule:
-    """Graded left module: dims per degree and action matrices r_x: A_x (x) M_x -> M_x."""
+class AModule(Record):
+    """Graded left module over `algebra`: dims per degree and actions r_x: A_x (x) M_x -> M_x."""
 
-    algebra: HopfXiCoalgebra
-    dims: tuple[int, ...]
-    actions: tuple[Matrix, ...]
+    __slots__ = ("algebra", "dims", "actions")
 
     def dim(self, x: int) -> int:
         return self.dims[x]
@@ -59,12 +55,10 @@ class AModule:
                 raise ShapeMismatchError(f"action at x={x} has wrong shape")
 
 
-@dataclass(frozen=True, eq=False)
-class GradedHom:
-    """Degree-e morphism: one block M_x -> N_{xi(e)x} per component."""
+class GradedHom(Record):
+    """Morphism of `degree` e: one block M_x -> N_{xi(e)x} per component."""
 
-    degree: int
-    blocks: tuple[Matrix, ...]
+    __slots__ = ("degree", "blocks")
 
     def block(self, x: int) -> Matrix:
         return self.blocks[x]
@@ -326,13 +320,11 @@ def tensor_homs(
 # -- duals (pivotal) ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class DualData:
-    module: AModule
-    left_ev: Matrix  # M* (x) M -> k, on the single nonzero block
-    left_coev: Matrix  # k -> M (x) M*
-    right_ev: Matrix  # M (x) M* -> k
-    right_coev: Matrix  # k -> M* (x) M
+class DualData(Record):
+    """The dual `module` M* and, on its single nonzero block, the maps left_ev: M* (x) M -> k,
+    left_coev: k -> M (x) M*, right_ev: M (x) M* -> k and right_coev: k -> M* (x) M."""
+
+    __slots__ = ("module", "left_ev", "left_coev", "right_ev", "right_coev")
 
 
 def dual_module(a: HopfXiCoalgebra, m: AModule, piv: tuple) -> DualData:

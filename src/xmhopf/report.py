@@ -19,22 +19,21 @@ witness.  A pair whose witness is None opens a check and records nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from collections.abc import Iterable
+
+from .record import Record
 
 WITNESS_CAP = 10
 
 
-def holds(violations: Iterable[tuple[str, Optional[str]]]) -> bool:
+def holds(violations: Iterable[tuple[str, str | None]]) -> bool:
     """True when no pair carries a witness; stops at the first that does."""
     return all(witness is None for _, witness in violations)
 
 
-@dataclass
-class Check:
-    name: str
-    witnesses: list[str] = field(default_factory=list)
-    violations: int = 0
+class Check(Record, eq=True, frozen=False):
+    __slots__ = ("name", "witnesses", "violations")  # the first WITNESS_CAP witnesses
+    _defaults = {"witnesses": list, "violations": int}
 
     @property
     def ok(self) -> bool:
@@ -46,17 +45,16 @@ class Check:
             self.witnesses.append(witness)
 
 
-@dataclass
-class Report:
-    title: str
-    checks: list[Check] = field(default_factory=list)
+class Report(Record, eq=True, frozen=False):
+    __slots__ = ("title", "checks")
+    _defaults = {"checks": list}
 
     def check(self, name: str) -> Check:
         c = Check(name)
         self.checks.append(c)
         return c
 
-    def identity(self, name: str, cases: Iterable[tuple[str, Any, Any]]) -> None:
+    def identity(self, name: str, cases: Iterable[tuple[str, object, object]]) -> None:
         """Open check `name`; record the label of each (label, lhs, rhs) case with lhs != rhs."""
         c = self.check(name)
         for label, lhs, rhs in cases:
@@ -68,7 +66,7 @@ class Report:
         if not ok:
             c.add(witness or name)
 
-    def collect(self, violations: Iterable[tuple[str, Optional[str]]]) -> "Report":
+    def collect(self, violations: Iterable[tuple[str, str | None]]) -> "Report":
         """Record (check name, witness) pairs; each check is opened by a None witness."""
         checks = {}
         for name, witness in violations:

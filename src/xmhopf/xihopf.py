@@ -9,8 +9,7 @@ the grouplike pairing, and finite-type duality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from collections.abc import Callable, Sequence
 
 from .crossed import (
     CrossedModule,
@@ -39,19 +38,17 @@ from .hopf import (
     validate_h_coalgebra,
 )
 from .linalg import Field, Matrix
+from .record import Record
 from .report import Report
 
 
-@dataclass(frozen=True, eq=False)
-class HopfXiCoalgebra:
-    """A graded Hopf coalgebra over cm.H equipped with a crossed-module action.
+class HopfXiCoalgebra(Record):
+    """A graded Hopf coalgebra `base` over cm.H equipped with a crossed-module action.
 
     action[(x, e)] is phi_{x,e}: A_x -> A_{xi(e)x}.
     """
 
-    cm: CrossedModule
-    base: GradedHopfCoalgebra
-    action: dict
+    __slots__ = ("cm", "base", "action")
 
     @property
     def field(self) -> Field:
@@ -225,7 +222,7 @@ def mk_bicharacter_group_algebra(
     field: Field,
     e_group: FiniteGroup,
     g_group: FiniteGroup,
-    omega: Union[Sequence, Callable],
+    omega: Sequence | Callable,
 ) -> HopfXiCoalgebra:
     """k^omega[G]: the group algebra k[G] acted on through a bicharacter.
 
@@ -363,7 +360,7 @@ def mk_from_pi_coalgebra(cm: CrossedModule, b: GradedHopfCoalgebra) -> HopfXiCoa
 
 
 def extract_pi_coalgebra(
-    a: HopfXiCoalgebra, section: Optional[Sequence[int]] = None
+    a: HopfXiCoalgebra, section: Sequence[int] | None = None
 ) -> GradedHopfCoalgebra:
     """Deflate a trivial-action structure back to a Coker(xi)-graded one.
 
@@ -402,24 +399,15 @@ def _require_valid(a: HopfXiCoalgebra, what: str) -> None:
 # -- the dual notion -----------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class HopfXiAlgebra:
+class HopfXiAlgebra(Record):
     """Graded algebra with per-component coalgebras; the finite-type dual notion.
 
-    mul[(x, y)]: A_x (x) A_y -> A_{xy}; delta[x]: A_x -> A_x (x) A_x;
+    dims[x] = dim A_x; mul[(x, y)]: A_x (x) A_y -> A_{xy}; delta[x]: A_x -> A_x (x) A_x;
     eps[x]: A_x -> k; unit lives in A_1; antipode[x]: A_x -> A_{x^-1};
     action[(x, e)]: A_x -> A_{xi(e)x} by coalgebra isomorphisms.
     """
 
-    cm: CrossedModule
-    field: Field
-    dims: tuple[int, ...]
-    mul: dict
-    unit: tuple
-    delta: tuple[Matrix, ...]
-    eps: tuple[Matrix, ...]
-    antipode: tuple[Matrix, ...]
-    action: dict
+    __slots__ = ("cm", "field", "dims", "mul", "unit", "delta", "eps", "antipode", "action")
 
     @property
     def H(self) -> FiniteGroup:

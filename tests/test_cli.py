@@ -1,10 +1,14 @@
 import json
+import math
+import os
 import pathlib
 import subprocess
 import sys
 import time
 
 import pytest
+
+from xmhopf.docio import MAX_GROUP_ORDER
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -350,3 +354,126 @@ def full_suite_outputs():
 def test_reports_are_byte_identical_across_runs(determinism_pair):
     first, second = determinism_pair
     assert first == second
+
+
+def test_start_up_loads_no_dataclasses_or_typing():
+    # these modules (dataclasses pulls in inspect, ast and dis) once cost about a third
+    # of every CLI call; the stdlib modules the CLI needs load none of them
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(FIXTURES.parent / "src")
+    heavy = ("dataclasses", "inspect", "ast", "dis", "typing")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys, xmhopf.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_deeply_nested_json_is_input_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "xmhopf.cli", "verify", "-", "g"],
+        input="[" * 100000, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "input error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+_N = MAX_GROUP_ORDER + 1
+_FACTOR = math.isqrt(MAX_GROUP_ORDER) + 1  # its square is above the bound
+OVER_BOUND = {
+    "cyclic": {"g": {"cyclic": _N}},
+    "cyclic-huge": {"g": {"cyclic": 10**8}},
+    "product": {"h": {"cyclic": _FACTOR}, "g": {"product": ["h", "h"]}},
+    "table": {"g": {"order": _N, "table": [[(a + b) % _N for b in range(_N)] for a in range(_N)]}},
+}
+
+
+@pytest.mark.parametrize("groups", OVER_BOUND.values(), ids=list(OVER_BOUND))
+def test_group_order_above_bound_is_input_error(groups):
+    # verifying a group checks all order^3 triples: cyclic 10^8 once ran past any timeout
+    doc = {"field": {"kind": "rational"}, "groups": groups}
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "xmhopf.cli", "verify", "-", "g"],
+        input=json.dumps(doc), capture_output=True, text=True, timeout=60,
+    )
+    assert time.monotonic() - start < 10
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert f"above the bound {MAX_GROUP_ORDER}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_unreached_failing_structure_is_not_built(tmp_path):
+    # rho(1) = diag(1, 2) is not an algebra automorphism of k[Z/2], so rho_z2 cannot be
+    # built; only the commands that reach it, directly or through dual_mod, fail
+    doc = json.loads((FIXTURES / "rho_z2.json").read_text())
+    doc["hopf"]["rho_z2"]["from_h_action"]["rho"][1] = [["1", "0"], ["0", "2"]]
+    path = tmp_path / "bad_rho.json"
+    path.write_text(json.dumps(doc))
+    for name in ("one", "z2", "cm_z2", "kz2_classical"):
+        proc = run_cli("verify", str(path), name)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+    for name in ("rho_z2", "dual_mod"):
+        proc = run_cli("verify", str(path), name)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "input error" in proc.stderr and "rho[1]" in proc.stderr
+
+
+def test_dual_hopf_module_is_built_only_when_reached(monkeypatch, capsys):
+    import xmhopf.cli as cli
+    import xmhopf.docio as docio
+
+    calls = []
+    original = docio.dual_hopf_module
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(docio, "dual_hopf_module", counting)
+    doc = str(FIXTURES / "k_xi_z2.json")
+    for name in ("k_xi_z2", "trivial_mod_2", "k1"):
+        assert cli.main(["verify", doc, name]) == 0
+    assert cli.main(["report", doc, "k_xi_z2"]) == 0  # builds its own dual module
+    assert calls == []
+    assert cli.main(["structure-theorem", doc, "k_xi_z2", "dual_mod"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+# entries whose construction waits for first use: their references, scalars and
+# shapes are still checked under every command
+DEFERRED_MALFORMED = {
+    "bicharacter-unknown-group": {
+        "hopf": {"k": {"trivial": "cm"}, "b": {"bicharacter": {"E": "x", "G": "g", "omega": []}}}
+    },
+    "bicharacter-bad-scalar": {
+        "hopf": {"k": {"trivial": "cm"},
+                 "b": {"bicharacter": {"E": "g", "G": "g", "omega": [["1", "1"], ["1", "z"]]}}}
+    },
+    "from-h-action-rho-shape": {
+        "hopf": {"k": {"trivial": "cm"},
+                 "t": {"from_h_action": {"cm": "cm", "algebra": "k", "rho": [[["1", "0"]]]}}}
+    },
+    "from-pi-unknown-base": {
+        "hopf": {"k": {"trivial": "cm"},
+                 "p": {"from_pi_coalgebra": {"cm": "cm", "base": "nope"}}}
+    },
+    "dual-over-unknown": {"hopf_modules": {"m": {"over": "nope", "dual": True}}},
+}
+
+
+@pytest.mark.parametrize("sections", DEFERRED_MALFORMED.values(), ids=list(DEFERRED_MALFORMED))
+def test_deferred_entry_is_still_checked_when_parsed(sections):
+    proc = subprocess.run(
+        [sys.executable, "-m", "xmhopf.cli", "verify", "-", "g"],
+        input=json.dumps(dict(WELL_FORMED, **sections)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "input error" in proc.stderr

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from xmhopf.docio import (
+    MAX_GROUP_ORDER,
     DocumentSyntaxError,
     FieldMismatchError,
     UnknownNameError,
@@ -96,6 +97,28 @@ def test_duplicate_names_rejected():
 def test_nonprime_characteristic_rejected():
     with pytest.raises(DocumentSyntaxError):
         parse(doc_bytes({"field": {"kind": "prime", "characteristic": 6}}))
+
+
+def test_group_orders_up_to_the_bound_parse():
+    n = MAX_GROUP_ORDER
+    doc = parse(doc_bytes({
+        "field": {"kind": "rational"},
+        "groups": {"c": {"cyclic": n}, "t": {"table": [[(a + b) % n for b in range(n)]
+                                                      for a in range(n)]}},
+    }))
+    assert doc.groups["c"] == doc.groups["t"]
+    with pytest.raises(DocumentSyntaxError, match="above the bound"):
+        parse(doc_bytes({"field": {"kind": "rational"}, "groups": {"c": {"cyclic": n + 1}}}))
+
+
+def test_deferred_entries_are_built_once_on_lookup():
+    with open("fixtures/rho_z2.json", "rb") as fh:
+        doc = parse(fh.read())
+    a = doc.hopf["rho_z2"]
+    assert doc.hopf["rho_z2"] is a
+    assert dict(doc.hopf.items())["rho_z2"] is a
+    over, m = doc.hopf_modules["dual_mod"]
+    assert over == "rho_z2" and m.algebra is a
 
 
 def test_remaining_constructor_directives():

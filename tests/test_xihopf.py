@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from tests.conftest import (
@@ -23,6 +21,7 @@ from xmhopf.groups import cyclic
 from xmhopf.hopf import enumerate_grouplikes, group_algebra, grouplike_product
 from xmhopf.linalg import Matrix
 from xmhopf.xihopf import (
+    HopfXiAlgebra,
     HopfXiCoalgebra,
     check_antipode_action_compat,
     dualize,
@@ -325,11 +324,16 @@ def test_dual_algebra_mutation_witness():
 def single_entry_perturbations(b, name):
     """b with 1 added to one entry of the structure map or unit `name`, once per entry."""
     f, maps = b.field, getattr(b, name)
+
+    def with_field(value):  # the constructor on b's fields, with `name` set to value
+        fields = (value if n == name else getattr(b, n) for n in HopfXiAlgebra.__slots__)
+        return HopfXiAlgebra(*fields)
+
     if name == "unit":
         for i in range(len(maps)):
             unit = list(maps)
             unit[i] = f.add(unit[i], f.one)
-            yield dataclasses.replace(b, unit=tuple(unit))
+            yield with_field(tuple(unit))
         return
     keyed = maps if isinstance(maps, dict) else dict(enumerate(maps))
     for key, m in keyed.items():
@@ -341,7 +345,7 @@ def single_entry_perturbations(b, name):
                 changed[key] = Matrix(f, rows, m.rows, m.cols)
                 if not isinstance(maps, dict):
                     changed = tuple(changed.values())
-                yield dataclasses.replace(b, **{name: changed})
+                yield with_field(changed)
 
 
 # Sweedler's algebra (168 perturbations) is left out to keep the suite fast.
