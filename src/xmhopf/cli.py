@@ -182,28 +182,8 @@ def cmd_dual(doc: StructureDocument, args, res: CommandResult) -> None:
     a = _arg(doc, args.name, "hopf")
     b = dualize(a)
     res.add_report(validate_hopf_xi_algebra(b))
-    back = dualize_algebra(b)
     chk = Report("duality")
-    same = (
-        all(
-            back.delta(x, y) == a.delta(x, y)
-            for x in a.H.elements()
-            for y in a.H.elements()
-        )
-        and all(
-            back.component(x).mul == a.component(x).mul
-            and back.component(x).unit == a.component(x).unit
-            for x in a.H.elements()
-        )
-        and back.counit == a.counit
-        and all(back.S(x) == a.S(x) for x in a.H.elements())
-        and all(
-            back.phi(x, e) == a.phi(x, e)
-            for x in a.H.elements()
-            for e in a.E.elements()
-        )
-    )
-    chk.settle("double dual equals the original structure constants", same)
+    chk.settle("double dual equals the original structure constants", dualize_algebra(b) == a)
     res.add_report(chk)
     res.output("dims", [b.dim(x) for x in b.H.elements()])
 
@@ -359,9 +339,6 @@ def main(argv=None) -> int:
         doc = parse(data)
         res = CommandResult(args.command, digest, getattr(args, "name", ""))
         args.fn(doc, args, res)
-    except DocumentError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except XmhopfError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

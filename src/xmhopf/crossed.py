@@ -9,7 +9,7 @@ arrow set is never materialized).
 
 from __future__ import annotations
 
-from .errors import NonComposableError, NotAbelianError
+from .errors import NonComposableError, NotAbelianError, ShapeMismatchError
 from .groups import (
     FiniteGroup,
     GroupAction,
@@ -26,6 +26,11 @@ from .report import Report
 
 class CrossedModule(Record, eq=True):
     __slots__ = ("E", "H", "xi", "action")  # xi: E -> H; action of H on E
+
+    def __post_init__(self):
+        xi, action = self.xi, self.action
+        if (xi.source, xi.target, action.actor, action.space) != (self.E, self.H, self.H, self.E):
+            raise ShapeMismatchError("xi must map E to H, and the action must be one of H on E")
 
     def xi_of(self, e: int) -> int:
         return self.xi(e)
@@ -60,8 +65,10 @@ def validate_crossed_module(cm: CrossedModule) -> Report:
 
 def validate_components(cm: CrossedModule) -> Report:
     rep = Report("crossed module components")
-    rep.merge(validate_group(cm.E))
-    rep.merge(validate_group(cm.H))
+    for name, g in (("E", cm.E), ("H", cm.H)):
+        group_rep = validate_group(g)
+        group_rep.title = f"group {name}"
+        rep.merge(group_rep)
     rep.merge(validate_hom(cm.xi))
     rep.merge(validate_action(cm.action))
     return rep
@@ -215,11 +222,10 @@ def trivial_over(h: FiniteGroup) -> CrossedModule:
 
 def abelian_to_point(e: FiniteGroup) -> CrossedModule:
     """E -> 1 for abelian E."""
-    if not e.is_abelian():
-        for a in e.elements():
-            for b in e.elements():
-                if e.mul(a, b) != e.mul(b, a):
-                    raise NotAbelianError(f"elements {a}, {b} do not commute")
+    for a in e.elements():
+        for b in e.elements():
+            if e.mul(a, b) != e.mul(b, a):
+                raise NotAbelianError(f"elements {a}, {b} do not commute")
     point = cyclic(1)
     xi = GroupHom(e, point, tuple(0 for _ in e.elements()))
     action = GroupAction.trivial(point, e)

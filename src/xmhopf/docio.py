@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
+from itertools import chain
 
 from .crossed import (
     CrossedModule,
@@ -268,6 +269,8 @@ def _parse_group_body(doc: StructureDocument, spec, where) -> FiniteGroup:
         n = _order(_int(spec.get("order", len(table)), f"{where}.order"), f"{where}.order")
         if n != len(table) or any(not isinstance(r, list) or len(r) != n for r in table):
             raise DocumentSyntaxError("table is not order x order", where)
+        if n < 1:
+            raise DocumentSyntaxError("a group needs at least one element", where)
         return FiniteGroup.from_table(
             [[_int(v, f"{where}.table[{i}][{j}]", n) for j, v in enumerate(row)]
              for i, row in enumerate(table)]
@@ -543,10 +546,6 @@ def _group_json(g: FiniteGroup):
     return {"order": g.order, "table": [list(r) for r in g.table]}
 
 
-def _cms_equal(a: CrossedModule, b: CrossedModule) -> bool:
-    return a.E == b.E and a.H == b.H and a.xi == b.xi and a.action == b.action
-
-
 class _Refs:
     """Names of the groups and crossed modules that serialized objects refer to.
 
@@ -573,11 +572,8 @@ class _Refs:
         return n
 
     def cm(self, cm: CrossedModule, hint: str) -> str:
-        for name, known in self.doc.crossed_modules.items():
-            if known is cm or _cms_equal(known, cm):
-                return name
-        for name, known in self.cms.items():
-            if _cms_equal(known, cm):
+        for name, known in chain(self.doc.crossed_modules.items(), self.cms.items()):
+            if known == cm:
                 return name
         n, i = hint, 0
         while n in self.doc.crossed_modules or n in self.cms:

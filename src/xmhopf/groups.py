@@ -9,15 +9,27 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .errors import NotNormalError
+from .errors import NotNormalError, ShapeMismatchError
 from .record import Record
 from .report import Report
+
+
+def _indices(rows, length, bound) -> bool:
+    """Whether each row holds `length` element indices 0..bound-1."""
+    return all(len(row) == length and all(0 <= v < bound for v in row) for row in rows)
 
 
 class FiniteGroup(Record, eq=True):
     """Multiplication table over 0..n-1 (table[a][b] = ab), identity index, inverse indices."""
 
     __slots__ = ("table", "identity", "inverses")
+
+    def __post_init__(self):
+        n = len(self.table)
+        if not _indices(self.table, n, n):
+            raise ShapeMismatchError("multiplication table is not order x order element indices")
+        if not 0 <= self.identity < n or not _indices((self.inverses,), n, n):
+            raise ShapeMismatchError("identity or inverse index out of range")
 
     @property
     def order(self) -> int:
@@ -75,39 +87,18 @@ class FiniteGroup(Record, eq=True):
 
 
 def validate_group(g: FiniteGroup) -> Report:
-    """Exhaustively check closure, associativity, identity, and inverses."""
+    """Exhaustively check identity, inverses, and associativity."""
     rep = Report("group")
-    n = g.order
-
-    closure = rep.check("closure")
-    for a in range(n):
-        for b in range(n):
-            v = g.table[a][b]
-            if not 0 <= v < n:
-                closure.add(f"table[{a}][{b}] = {v} out of range")
-    if not closure.ok:
-        return rep
-
-    ident = rep.check("identity")
-    e = g.identity
-    if not 0 <= e < n:
-        ident.add(f"identity index {e} out of range")
-        return rep
-    for a in range(n):
-        if g.table[e][a] != a:
-            ident.add(f"{e}*{a} = {g.table[e][a]} != {a}")
-        if g.table[a][e] != a:
-            ident.add(f"{a}*{e} = {g.table[a][e]} != {a}")
-
-    invs = rep.check("inverses")
-    for a in range(n):
-        b = g.inverses[a]
-        if not 0 <= b < n:
-            invs.add(f"inverse[{a}] = {b} out of range")
-            continue
-        if g.table[a][b] != e or g.table[b][a] != e:
-            invs.add(f"{a}*{b} = {g.table[a][b]}, {b}*{a} = {g.table[b][a]}, expected {e}")
-
+    n, e = g.order, g.identity
+    rep.identity("identity", (
+        (f"{x}*{y} = {g.mul(x, y)} != {a}", g.mul(x, y), a)
+        for a in range(n) for x, y in ((e, a), (a, e))
+    ))
+    rep.identity("inverses", (
+        (f"{a}*{b} = {g.mul(a, b)}, {b}*{a} = {g.mul(b, a)}, expected {e}",
+         (g.mul(a, b), g.mul(b, a)), (e, e))
+        for a, b in enumerate(g.inverses)
+    ))
     rep.identity("associativity", (
         (f"({a}*{b})*{c} != {a}*({b}*{c})", g.mul(g.mul(a, b), c), g.mul(a, g.mul(b, c)))
         for a in range(n) for b in range(n) for c in range(n)
@@ -173,6 +164,10 @@ def symmetric(n: int) -> FiniteGroup:
 class GroupHom(Record, eq=True):
     __slots__ = ("source", "target", "map")
 
+    def __post_init__(self):
+        if not _indices((self.map,), self.source.order, self.target.order):
+            raise ShapeMismatchError("map does not give one target index per source element")
+
     def __call__(self, a: int) -> int:
         return self.map[a]
 
@@ -184,16 +179,6 @@ class GroupHom(Record, eq=True):
 def validate_hom(f: GroupHom) -> Report:
     rep = Report("group hom")
     g, h = f.source, f.target
-    rng = rep.check("range")
-    if len(f.map) != g.order:
-        rng.add(f"map length {len(f.map)} != |source| {g.order}")
-        return rep
-    for a in g.elements():
-        if not 0 <= f.map[a] < h.order:
-            rng.add(f"map[{a}] = {f.map[a]} out of range")
-    if not rng.ok:
-        return rep
-
     rep.identity("preserves identity", [
         (f"map(1) = {f.map[g.identity]} != {h.identity}", f.map[g.identity], h.identity),
     ])
@@ -216,6 +201,11 @@ class GroupAction(Record, eq=True):
 
     __slots__ = ("actor", "space", "table")
 
+    def __post_init__(self):
+        n = self.space.order
+        if len(self.table) != self.actor.order or not _indices(self.table, n, n):
+            raise ShapeMismatchError("action table is not one row of space indices per actor element")
+
     def act(self, x: int, e: int) -> int:
         return self.table[x][e]
 
@@ -228,18 +218,6 @@ class GroupAction(Record, eq=True):
 def validate_action(a: GroupAction) -> Report:
     rep = Report("group action")
     h, e_grp = a.actor, a.space
-
-    shape = rep.check("shape")
-    if len(a.table) != h.order or any(len(r) != e_grp.order for r in a.table):
-        shape.add("action table shape mismatch")
-        return rep
-    for x in h.elements():
-        for e in e_grp.elements():
-            if not 0 <= a.table[x][e] < e_grp.order:
-                shape.add(f"act[{x}][{e}] out of range")
-    if not shape.ok:
-        return rep
-
     rep.identity("identity acts trivially", (
         (f"act(1, {e}) = {a.act(h.identity, e)}", a.act(h.identity, e), e)
         for e in e_grp.elements()
@@ -250,15 +228,20 @@ def validate_action(a: GroupAction) -> Report:
         for x in h.elements() for y in h.elements() for e in e_grp.elements()
     ))
 
-    auto = rep.check("each actor element acts by an automorphism")
-    for x in h.elements():
-        if len(set(a.table[x])) != e_grp.order:
-            auto.add(f"act[{x}] is not a bijection")
-            continue
-        for e in e_grp.elements():
-            for f in e_grp.elements():
-                if a.act(x, e_grp.mul(e, f)) != e_grp.mul(a.act(x, e), a.act(x, f)):
-                    auto.add(f"act({x}, {e}*{f}) is not multiplicative")
+    def automorphism(x):
+        """The bijection case of row x, then, if it is one, its multiplicativity cases."""
+        bijective = len(set(a.table[x])) == e_grp.order
+        yield f"act[{x}] is not a bijection", bijective, True
+        if bijective:
+            yield from (
+                (f"act({x}, {e}*{f}) is not multiplicative",
+                 a.act(x, e_grp.mul(e, f)), e_grp.mul(a.act(x, e), a.act(x, f)))
+                for e in e_grp.elements() for f in e_grp.elements()
+            )
+
+    rep.identity("each actor element acts by an automorphism", (
+        case for x in h.elements() for case in automorphism(x)
+    ))
     return rep
 
 

@@ -28,7 +28,7 @@ def vec_kron(field: Field, u: Sequence, v: Sequence) -> tuple:
     return tuple(field.mul(a, b) for a in u for b in v)
 
 
-class ComponentAlgebra(Record):
+class ComponentAlgebra(Record, eq=True):
     """Finite-dimensional unital algebra given by structure constants.
 
     mul is the multiplication as a matrix A (x) A -> A (dim x dim^2),
@@ -86,7 +86,7 @@ class ComponentAlgebra(Record):
         return rep
 
 
-class GradedHopfCoalgebra(Record):
+class GradedHopfCoalgebra(Record, eq=True):
     """Family {A_x} with coproduct, counit, and optional antipode.
 
     components[x] is A_x; coproduct[(x, y)] is Delta_{x,y}: A_{xy} -> A_x (x) A_y

@@ -8,8 +8,8 @@ Every exact identity is checked through `Report.identity(name, cases)`:
 it opens the check `name` and walks a lazily generated stream of
 (label, lhs, rhs) cases, recording the label of each case whose sides
 differ.  A validator is then the list of its identities, each written once
-as a generator over its index space.  Only checks that test ranges or stop
-early open a check with `Report.check` and call `Check.add` themselves.
+as a generator over its index space; shapes and ranges are checked when
+objects are built, so no validator opens a check by hand.
 
 Where a boolean predicate is also needed (is_grouplike, is_integral), it
 and its report share one violation generator of (check name, witness)

@@ -42,7 +42,7 @@ from .record import Record
 from .report import Report
 
 
-class HopfXiCoalgebra(Record):
+class HopfXiCoalgebra(Record, eq=True):
     """A graded Hopf coalgebra `base` over cm.H equipped with a crossed-module action.
 
     action[(x, e)] is phi_{x,e}: A_x -> A_{xi(e)x}.

@@ -83,6 +83,8 @@ MALFORMED = {
     "cyclic-negative": {"groups": {"g": {"cyclic": -2}}},
     "symmetric-9": {"groups": {"g": {"symmetric": 9}}},
     "table-entry-5": {"groups": {"g": {"table": [[0, 5], [1, 0]]}}},
+    # a group has an identity; an empty table used to give a failing report, exit 1
+    "table-empty": {"groups": {"g": {"table": []}}},
     "xi-entry-7": {
         "crossed_modules": {"cm": {"E": "g", "H": "g", "xi": [0, 7], "action": [[0, 1], [0, 1]]}}
     },
@@ -294,9 +296,8 @@ def test_hom_command_accepts_element_labels():
     assert proc.returncode == 2
 
 
-def test_every_named_object_in_every_fixture_verifies():
-    # in-process sweep: every shipped valid document passes `verify` for
-    # every name it defines
+def fixture_verifications():
+    """(file:name, CommandResult) of `verify` on every name of every shipped valid document."""
     from xmhopf.cli import CommandResult, _verify_object
     from xmhopf.docio import parse
 
@@ -305,7 +306,21 @@ def test_every_named_object_in_every_fixture_verifies():
         for name in doc.all_names():
             res = CommandResult("verify", "-", name)
             _verify_object(doc, name, res)
-            assert res.ok, f"{doc_path.name}:{name}"
+            yield f"{doc_path.name}:{name}", res
+
+
+def test_every_named_object_in_every_fixture_verifies():
+    # in-process sweep: every shipped valid document passes `verify` for
+    # every name it defines
+    for where, res in fixture_verifications():
+        assert res.ok, where
+
+
+def test_no_report_names_a_check_twice():
+    # a failure must say which of two like components (E or H, A_x or A_y) it is about
+    for where, res in fixture_verifications():
+        names = [c.name for c in res.report.checks]
+        assert len(names) == len(set(names)), where
 
 
 def test_report_command():

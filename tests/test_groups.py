@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import chain, combinations, permutations, product
 
 import pytest
 
@@ -102,6 +102,101 @@ def test_action_multiplicativity_exhaustive():
 def test_trivial_action():
     act = GroupAction.trivial(cyclic(2), cyclic(3))
     assert validate_action(act).ok
+
+
+def single_entry_changes(rows, bound):
+    """(position, rows) for every change of one entry of rows to another index 0..bound-1."""
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            for w in range(bound):
+                if w != v:
+                    changed = row[:j] + (w,) + row[j + 1:]
+                    yield (i, j, w), rows[:i] + (changed,) + rows[i + 1:]
+
+
+def row_swaps(rows):
+    """(position, rows) for every exchange of two entries within one row."""
+    for i, row in enumerate(rows):
+        for j, k in combinations(range(len(row)), 2):
+            changed = list(row)
+            changed[j], changed[k] = row[k], row[j]
+            yield (i, j, k), rows[:i] + (tuple(changed),) + rows[i + 1:]
+
+
+def violations(rep):
+    return {c.name: c.violations for c in rep.checks}
+
+
+# Oracles: the violations of each axiom, counted straight from the tables.  A validator
+# must reject a broken table, and must also count every case it breaks, so that a
+# validator that skips a case is caught even where another case rejects the table.
+
+
+def group_violations(t, e, inverses):
+    r = range(len(t))
+    return {
+        "identity": sum((t[e][a] != a) + (t[a][e] != a) for a in r),
+        "inverses": sum(t[a][b] != e or t[b][a] != e for a, b in enumerate(inverses)),
+        "associativity": sum(t[t[a][b]][c] != t[a][t[b][c]] for a, b, c in product(r, r, r)),
+    }
+
+
+def hom_violations(g, h, m):
+    r = range(g.order)
+    return {
+        "preserves identity": int(m[g.identity] != h.identity),
+        "multiplicative": sum(m[g.table[a][b]] != h.table[m[a]][m[b]] for a, b in product(r, r)),
+    }
+
+
+def action_violations(h, s, t):
+    xs, es = range(h.order), range(s.order)
+    bijective = [x for x in xs if sorted(t[x]) == list(es)]
+    return {
+        "identity acts trivially": sum(t[h.identity][e] != e for e in es),
+        "action is multiplicative in the actor": sum(
+            t[x][t[y][e]] != t[h.table[x][y]][e] for x, y, e in product(xs, xs, es)),
+        "each actor element acts by an automorphism": h.order - len(bijective) + sum(
+            t[x][s.table[e][f]] != s.table[t[x][e]][t[x][f]]
+            for x in bijective for e, f in product(es, es)),
+    }
+
+
+# a changed row of a group or action table repeats an element, and a hom that
+# agrees with the identity on all but one element of S3 is the identity: each
+# single-entry change below breaks an axiom, so each must be rejected.  A swap in a
+# row of the action keeps the row a bijection; no two automorphisms of S3 differ by
+# one transposition of its elements, so each swap must be rejected as well
+
+
+@pytest.mark.parametrize("g", [symmetric(3), cyclic(4)], ids=["S3", "Z4"])
+def test_group_validator_rejects_every_single_entry_change(g):
+    assert violations(validate_group(g)) == group_violations(g.table, g.identity, g.inverses)
+    for pos, table in single_entry_changes(g.table, g.order):
+        rep = validate_group(FiniteGroup(table, g.identity, g.inverses))
+        assert not rep.ok, pos
+        assert violations(rep) == group_violations(table, g.identity, g.inverses), pos
+
+
+def test_action_validator_rejects_every_single_entry_change():
+    s3 = symmetric(3)
+    act = conjugation_action(s3, GroupHom.identity(s3))
+    assert violations(validate_action(act)) == action_violations(s3, s3, act.table)
+    changes = chain(single_entry_changes(act.table, s3.order), row_swaps(act.table))
+    for pos, table in changes:
+        rep = validate_action(GroupAction(s3, s3, table))
+        assert not rep.ok, pos
+        assert violations(rep) == action_violations(s3, s3, table), pos
+
+
+def test_hom_validator_rejects_every_single_entry_change():
+    s3 = symmetric(3)
+    identity = GroupHom.identity(s3)
+    assert violations(validate_hom(identity)) == hom_violations(s3, s3, identity.map)
+    for pos, (row,) in single_entry_changes((identity.map,), s3.order):
+        rep = validate_hom(GroupHom(s3, s3, row))
+        assert not rep.ok, pos
+        assert violations(rep) == hom_violations(s3, s3, row), pos
 
 
 def test_conjugation_on_normal_z3():

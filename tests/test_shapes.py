@@ -3,7 +3,9 @@
 import pytest
 
 from tests.conftest import QQ, make_k_xi_z2
+from xmhopf.crossed import CrossedModule
 from xmhopf.errors import ShapeMismatchError
+from xmhopf.groups import GroupAction, GroupHom, cyclic
 from xmhopf.hopfmod import trivial_hopf_module
 from xmhopf.linalg import Matrix
 from xmhopf.repcat import unit_module
@@ -23,12 +25,30 @@ def rebuilt(obj, **changes):
     return lambda: cls(*(changes.get(name, getattr(obj, name)) for name in cls.__slots__))
 
 
+Z2, Z3 = cyclic(2), cyclic(3)
+TRIVIAL = GroupAction.trivial(Z2, Z3)
 M = trivial_hopf_module(A, 1)
 B = dualize(A)
 UNIT = unit_module(A)
 
 # name -> (construction, expected message)
 BROKEN = {
+    "group-table-entry": (rebuilt(Z2, table=((0, 1), (1, 2))), r"table is not order x order"),
+    "group-table-row": (rebuilt(Z2, table=((0, 1), (1,))), r"table is not order x order"),
+    "group-identity": (rebuilt(Z2, identity=2), r"identity or inverse index out of range"),
+    "group-inverse": (rebuilt(Z2, inverses=(0, -1)), r"identity or inverse index out of range"),
+    "hom-map-length": (rebuilt(GroupHom.identity(Z3), map=(0, 1)), r"map does not give one target"),
+    "hom-map-entry": (rebuilt(GroupHom.identity(Z3), map=(0, 1, 3)), r"map does not give one target"),
+    "action-rows": (rebuilt(TRIVIAL, table=TRIVIAL.table[:1]), r"action table is not one row"),
+    "action-entry": (rebuilt(TRIVIAL, table=((0, 1, 2), (0, 1, 3))), r"action table is not one row"),
+    # xi and the action must fit E and H; a misfit used to raise IndexError from the validator
+    "crossed-module-xi": (
+        lambda: CrossedModule(Z3, Z2, GroupHom(Z2, Z2, (0, 1)), GroupAction.trivial(Z2, Z2)),
+        r"xi must map E to H",
+    ),
+    "crossed-module-action": (
+        rebuilt(A.cm, action=GroupAction.trivial(Z2, Z3)), r"the action must be one of H on E",
+    ),
     "coalgebra-coproduct-size": (
         rebuilt(A.base, coproduct={**A.base.coproduct, (0, 1): WRONG}),
         r"coproduct \(0,1\) has wrong shape",
