@@ -40,6 +40,32 @@ from .xihopf import (
 # order^3 triples, which takes about a second at this order.
 MAX_GROUP_ORDER = 100
 
+# The largest validation_cost a Hopf structure may have.  With Python 3.11 on one
+# 2-vCPU VM, `xmhopf verify` of a structure near the bound takes 2-6 s: 2.5 s for the
+# trivial structure over id: Z/16 -> Z/16 (cost 9.6e6), 5.9 s for k[Z/12] with a
+# bicharacter (6.3e6), which is validated twice, once when it is built.
+MAX_VALIDATION_COST = 10**7
+
+# What one case of an identity costs beyond the entries of its matrices, counted in
+# entries: the Matrix objects a case builds, multiplies and compares.
+_CASE_COST = 128
+
+
+def validation_cost(h_order: int, e_order: int, dim: int) -> int:
+    """Estimated work of validating a Hopf structure over E -> H with components of dim <= dim.
+
+    Each case of an identity costs _CASE_COST plus the entries of the largest matrix it
+    builds.  The first four terms are the |H|^3 coassociativity cases (Delta (x) id, dim^5
+    entries), the |H|^2 |E|^2 coproduct-compatibility cases (phi (x) phi, dim^4), the
+    |H|^2 multiplicativity cases (mu (x) mu, dim^6) and the |H| |E|^2 composition cases
+    of the action (dim^2); the other identities have fewer cases and smaller matrices.
+    The last term is the integral system that `integrals` and `report` solve: about
+    |H|^2 dim^2 equations in |H| dim unknowns, so (|H| dim)^4 elimination steps.
+    """
+    n, k, m, c = h_order, e_order, dim, _CASE_COST
+    return (n**3 * (c + m**5) + n * n * k * k * (c + m**4)
+            + n * n * (c + m**6) + n * k * k * (c + m * m) + (n * m) ** 4)
+
 
 class DocumentError(XmhopfError):
     """Base class for document-level failures."""
@@ -59,6 +85,15 @@ class UnknownNameError(DocumentError):
 
 class FieldMismatchError(DocumentError):
     """A scalar literal that belongs to a different ground field."""
+
+
+def _check_cost(where, h_order: int, e_order: int, dim: int) -> None:
+    """Refuse a Hopf structure whose validation_cost is above MAX_VALIDATION_COST."""
+    cost = validation_cost(h_order, e_order, dim)
+    if cost > MAX_VALIDATION_COST:
+        raise DocumentSyntaxError(
+            f"validation cost {cost} is above the bound {MAX_VALIDATION_COST}", where
+        )
 
 
 def _built(where, make, *args):
@@ -342,14 +377,22 @@ def _parse_crossed_module(doc: StructureDocument, name: str, spec, where) -> Cro
 def _parse_hopf(doc: StructureDocument, name: str, spec, where) -> HopfXiCoalgebra:
     f = doc.field
     if "trivial" in spec:
-        return mk_trivial(_named(doc, "crossed_modules", spec["trivial"], where), f)
+        cm = _named(doc, "crossed_modules", spec["trivial"], where)
+        _check_cost(where, cm.H.order, cm.E.order, 1)
+        return mk_trivial(cm, f)
+    # a directive structure is built on first lookup, and its cost is checked then
     if "bicharacter" in spec:
         b = _expect(spec["bicharacter"], dict, where, "an object")
         e_grp = _named(doc, "groups", b.get("E"), where)
         g_grp = _named(doc, "groups", b.get("G"), where)
         omega_raw = _expect(b.get("omega"), list, f"{where}.omega", "a table")
         omega = [_parse_vector(f, row, f"{where}.omega[{i}]") for i, row in enumerate(omega_raw)]
-        return _Deferred(lambda: mk_bicharacter_group_algebra(f, e_grp, g_grp, omega), where)
+
+        def build_bicharacter():
+            _check_cost(where, 1, e_grp.order, g_grp.order)
+            return mk_bicharacter_group_algebra(f, e_grp, g_grp, omega)
+
+        return _Deferred(build_bicharacter, where)
     if "from_h_action" in spec:
         d = _expect(spec["from_h_action"], dict, where, "an object")
         cm = _named(doc, "crossed_modules", d.get("cm"), where)
@@ -359,12 +402,23 @@ def _parse_hopf(doc: StructureDocument, name: str, spec, where) -> HopfXiCoalgeb
         rho = [
             _parse_matrix(f, m, f"{where}.rho[{i}]", dim, dim) for i, m in enumerate(rho_raw)
         ]
-        return _Deferred(lambda: mk_from_h_action(cm, classical.base, rho), where)
+
+        def build_twisted():
+            _check_cost(where, cm.H.order, cm.E.order, dim)
+            return mk_from_h_action(cm, classical.base, rho)
+
+        return _Deferred(build_twisted, where)
     if "from_pi_coalgebra" in spec:
         d = _expect(spec["from_pi_coalgebra"], dict, where, "an object")
         cm = _named(doc, "crossed_modules", d.get("cm"), where)
         base = _ref(doc, "hopf", d.get("base"), where)
-        return _Deferred(lambda: mk_from_pi_coalgebra(cm, doc.hopf[base].base), where)
+
+        def build_inflated():
+            b = doc.hopf[base].base
+            _check_cost(where, cm.H.order, cm.E.order, max(c.dim for c in b.components))
+            return mk_from_pi_coalgebra(cm, b)
+
+        return _Deferred(build_inflated, where)
     # explicit structure constants
     cm = _named(doc, "crossed_modules", spec.get("cm"), where)
     H = cm.H
@@ -390,6 +444,7 @@ def _parse_hopf(doc: StructureDocument, name: str, spec, where) -> HopfXiCoalgeb
             )
         unit = _parse_vector(f, c.get("unit"), f"{cw}.unit", dim)
         comps.append(ComponentAlgebra.from_structure_constants(f, tensor, unit))
+    _check_cost(where, H.order, cm.E.order, max(c.dim for c in comps))
     coproduct = _parse_table(
         f, spec.get("coproduct"), f"{where}.coproduct", "coproduct", "x,y",
         H.elements(), H.elements(),

@@ -75,3 +75,7 @@ class AxiomCheckFailedError(XmhopfError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+class SearchBudgetError(XmhopfError):
+    """A search visited more candidates than its budget allows."""

@@ -15,6 +15,7 @@ from collections.abc import Sequence
 from .errors import (
     MissingAntipodeError,
     NotGrouplikeError,
+    SearchBudgetError,
     ShapeMismatchError,
 )
 from .groups import FiniteGroup, cyclic
@@ -313,6 +314,16 @@ def scalar_mul(field: Field) -> Matrix:
 GrouplikeFamily = tuple  # tuple of per-component coordinate tuples
 
 
+def _counit_of(a: GradedHopfCoalgebra, G):
+    """eps(G_1), which the counit normalization asks to be 1."""
+    return a.counit.apply(G[a.H.identity])[0]
+
+
+def _coproduct_holds(a: GradedHopfCoalgebra, G, x: int, y: int) -> bool:
+    """Delta_{x,y}(G_xy) = G_x (x) G_y; reads only the components of degree x, y and xy."""
+    return a.delta(x, y).apply(G[a.H.mul(x, y)]) == vec_kron(a.field, G[x], G[y])
+
+
 def _grouplike_violations(a: GradedHopfCoalgebra, G: GrouplikeFamily):
     """(check name, witness) pairs of the grouplike conditions, in report order."""
     H, f = a.H, a.field
@@ -322,14 +333,14 @@ def _grouplike_violations(a: GradedHopfCoalgebra, G: GrouplikeFamily):
         return
     counit = "counit normalization eps(G_1) = 1"
     yield counit, None
-    eps = a.counit.apply(G[H.identity])[0]
+    eps = _counit_of(a, G)
     if eps != f.one:
         yield counit, f"eps(G_1) = {f.show(eps)}"
     coprod = "Delta_{x,y}(G_xy) = G_x (x) G_y"
     yield coprod, None
     for x in H.elements():
         for y in H.elements():
-            if a.delta(x, y).apply(G[H.mul(x, y)]) != vec_kron(f, G[x], G[y]):
+            if not _coproduct_holds(a, G, x, y):
                 yield coprod, f"(x,y)=({x},{y})"
 
 
@@ -359,12 +370,27 @@ def grouplike_inverse(a: GradedHopfCoalgebra, G: GrouplikeFamily) -> GrouplikeFa
     return inv
 
 
+# The most partial families enumerate_grouplikes may visit, since the search is
+# exponential in the worst case: the trivial structure over Z/100 takes 396 visits,
+# and k[S3] twisted by conjugation over id: S3 -> S3 (dimension 6 over GF(5)) 948.
+GROUPLIKE_VISIT_BUDGET = 10_000
+
+
 def enumerate_grouplikes(a: GradedHopfCoalgebra) -> list[GrouplikeFamily]:
     """All grouplike families supported on +-basis vectors.
 
     Grouplike enumeration in general is a polynomial-variety problem; this
     deliberately searches only sign-scaled basis vectors, which covers every
     example in this package's scope.
+
+    The search is depth first: it assigns G_0, G_1, ... in index order, trying
+    e_0, -e_0, e_1, -e_1, ... in each component, so families come out in that
+    lexicographic order.  A partial family is dropped at the first condition
+    whose degrees are all assigned and which fails: the counit normalization
+    once G_1 is set, and Delta_{x,y}(G_xy) = G_x (x) G_y once G_max(x,y,xy) is.
+    Every complete family is still accepted only through is_grouplike.  Trying
+    one candidate in one component is one visit; a search that would make more
+    than GROUPLIKE_VISIT_BUDGET visits raises SearchBudgetError.
     """
     H, f = a.H, a.field
     per_component = []
@@ -377,19 +403,32 @@ def enumerate_grouplikes(a: GradedHopfCoalgebra) -> list[GrouplikeFamily]:
             if neg != v:
                 cands.append(neg)
         per_component.append(cands)
+    due = [[] for _ in H.elements()]  # due[d]: the (x, y) decided once G_d is assigned
+    for x in H.elements():
+        for y in H.elements():
+            due[max(x, y, H.mul(x, y))].append((x, y))
 
-    found = []
+    found, partial, visits = [], [], 0
 
-    def search(x, partial):
-        if x == H.order:
-            g = tuple(partial)
-            if is_grouplike(a, g):
-                found.append(g)
-            return
-        for cand in per_component[x]:
-            search(x + 1, partial + [cand])
+    def search(d):
+        nonlocal visits
+        for cand in per_component[d]:
+            visits += 1
+            if visits > GROUPLIKE_VISIT_BUDGET:
+                raise SearchBudgetError(
+                    f"grouplike search visited more than {GROUPLIKE_VISIT_BUDGET} partial families"
+                )
+            partial.append(cand)
+            if (d != H.identity or _counit_of(a, partial) == f.one) and all(
+                _coproduct_holds(a, partial, x, y) for x, y in due[d]
+            ):
+                if d + 1 < H.order:
+                    search(d + 1)
+                elif is_grouplike(a, tuple(partial)):
+                    found.append(tuple(partial))
+            partial.pop()
 
-    search(0, [])
+    search(0)
     return found
 
 

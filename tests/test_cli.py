@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from xmhopf.docio import MAX_GROUP_ORDER
+from xmhopf.docio import MAX_GROUP_ORDER, MAX_VALIDATION_COST
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -386,6 +386,24 @@ def test_start_up_loads_no_dataclasses_or_typing():
     assert proc.stdout == "[]\n"
 
 
+def test_start_up_loads_only_what_the_stdlib_it_needs_loads():
+    # `import xmhopf.cli` may load no module that these stdlib imports do not load
+    # themselves; comparing with the stdlib, not a fixed list, holds on every Python
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(FIXTURES.parent / "src")
+    stdlib = "__future__, argparse, collections.abc, fractions, hashlib, itertools, json, operator"
+
+    def loaded(imports):
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", f"import sys, {imports}; print(*sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return {m for m in proc.stdout.split() if m != "xmhopf" and not m.startswith("xmhopf.")}
+
+    assert loaded("xmhopf.cli") <= loaded(stdlib)
+
+
 def test_deeply_nested_json_is_input_error():
     proc = subprocess.run(
         [sys.executable, "-m", "xmhopf.cli", "verify", "-", "g"],
@@ -492,3 +510,87 @@ def test_deferred_entry_is_still_checked_when_parsed(sections):
     )
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "input error" in proc.stderr
+
+
+def _cyclic_document(n, hopf):
+    return {
+        "field": {"kind": "rational"},
+        "groups": {"g": {"cyclic": n}},
+        "crossed_modules": {"cm": {"identity": "g"}},
+        "hopf": {"k": hopf},
+    }
+
+
+def trivial_cyclic(n):
+    """The trivial structure over id: Z/n -> Z/n: |H|^3 + |H|^4 identity cases."""
+    return _cyclic_document(n, {"trivial": "cm"})
+
+
+def bicharacter_cyclic(n):
+    """k[Z/n] with the trivial bicharacter of Z/n: one component of dimension n."""
+    return _cyclic_document(n, {"bicharacter": {"E": "g", "G": "g", "omega": [["1"] * n] * n}})
+
+
+# documents that ran for minutes or without end before the cost guard
+OVER_COST = [
+    ("trivial-cyclic-100", trivial_cyclic(100), "verify"),
+    ("trivial-cyclic-100", trivial_cyclic(100), "integrals"),
+    ("trivial-cyclic-100", trivial_cyclic(100), "grouplikes"),
+    ("bicharacter-z24", bicharacter_cyclic(24), "verify"),
+    ("bicharacter-z24", bicharacter_cyclic(24), "integrals"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc,command", [(d, c) for _, d, c in OVER_COST], ids=[f"{n}-{c}" for n, _, c in OVER_COST]
+)
+def test_structure_above_cost_bound_is_input_error(doc, command):
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "xmhopf.cli", command, "-", "k"],
+        input=json.dumps(doc), capture_output=True, text=True, timeout=60,
+    )
+    assert time.monotonic() - start < 10
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert "hopf.k: validation cost" in proc.stderr
+    assert f"above the bound {MAX_VALIDATION_COST}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cost_guard_runs_before_a_directive_is_built(monkeypatch, tmp_path, capsys):
+    import xmhopf.cli as cli
+    import xmhopf.docio as docio
+
+    def never(*args):
+        raise AssertionError("the construction ran")
+
+    monkeypatch.setattr(docio, "mk_bicharacter_group_algebra", never)
+    path = tmp_path / "z24.json"
+    path.write_text(json.dumps(bicharacter_cyclic(24)))
+    assert cli.main(["verify", str(path), "g"]) == 0  # the structure is not reached
+    assert cli.main(["verify", str(path), "k"]) == 2
+    assert "above the bound" in capsys.readouterr().err
+
+
+def test_grouplikes_of_the_trivial_structure_are_prompt():
+    # the exhaustive search tried 2^14 candidate families here and took 2.3 s
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "xmhopf.cli", "grouplikes", "-", "k", "--json"],
+        input=json.dumps(trivial_cyclic(14)), capture_output=True, text=True, timeout=60,
+    )
+    assert time.monotonic() - start < 1
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["outputs"]["count"] == 2
+
+
+def test_grouplike_search_over_budget_is_input_error(monkeypatch, capsys):
+    import xmhopf.cli as cli
+    import xmhopf.hopf as hopf
+
+    monkeypatch.setattr(hopf, "GROUPLIKE_VISIT_BUDGET", 3)
+    assert cli.main(["grouplikes", str(FIXTURES / "rho_z2.json"), "rho_z2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: grouplike search visited more than 3 partial families\n"

@@ -3,8 +3,21 @@ from fractions import Fraction
 
 import pytest
 
-from tests.conftest import QQ, fixture_structures, make_bichar_z2, make_k_h_z2
-from xmhopf.errors import MissingAntipodeError, NotGrouplikeError
+from tests.conftest import (
+    FIXTURES,
+    GF5,
+    QQ,
+    fixture_structures,
+    make_bichar_z2,
+    make_k_h_z2,
+    make_k_xi_s3,
+    make_k_xi_z2,
+    make_rho_z2,
+    make_sweedler,
+)
+from xmhopf import hopf
+from xmhopf.crossed import identity_cm
+from xmhopf.errors import MissingAntipodeError, NotGrouplikeError, SearchBudgetError
 from xmhopf.groups import cyclic
 from xmhopf.hopf import (
     ComponentAlgebra,
@@ -28,6 +41,7 @@ from xmhopf.hopf import (
     validate_h_coalgebra,
 )
 from xmhopf.linalg import Matrix
+from xmhopf.xihopf import mk_trivial
 
 
 def with_delta(a: GradedHopfCoalgebra, key, matrix) -> GradedHopfCoalgebra:
@@ -218,15 +232,25 @@ def test_grouplike_report_witnesses():
 
 
 def sign_basis_families(a):
-    """Every family with one +-basis vector per component: the grouplike search space."""
+    """Every family with one +-basis vector per component: the grouplike search space.
+
+    Components are taken in index order, each trying e_0, -e_0, e_1, -e_1, ...
+    """
     f = a.field
     per_component = []
     for x in a.H.elements():
         d = a.dim(x)
-        basis = [tuple(f.one if j == i else f.zero for j in range(d)) for i in range(d)]
-        negated = [tuple(f.neg(c) for c in v) for v in basis]
-        per_component.append(basis + [v for v in negated if v not in basis])
+        cands = []
+        for i in range(d):
+            v = tuple(f.one if j == i else f.zero for j in range(d))
+            cands.extend(dict.fromkeys((v, tuple(f.neg(c) for c in v))))
+        per_component.append(cands)
     return itertools.product(*per_component)
+
+
+def naive_grouplikes(a):
+    """The exhaustive search that enumerate_grouplikes replaced: test every candidate."""
+    return [fam for fam in sign_basis_families(a) if is_grouplike(a, fam)]
 
 
 def test_grouplike_predicate_agrees_with_report():
@@ -275,3 +299,61 @@ def test_identity_component_is_classical_hopf_algebra():
         assert validate_bicoalgebra(h1).ok
         assert validate_antipode(h1).ok
         assert antipode_properties(h1).ok
+
+
+# every conftest example but conj_s3, whose 12^6 candidate families the oracle cannot try
+EXAMPLES = [make_k_xi_z2, make_k_h_z2, make_k_xi_s3, make_bichar_z2, make_rho_z2, make_sweedler]
+
+
+@pytest.mark.parametrize("field", [QQ, GF5], ids=["Q", "GF5"])
+@pytest.mark.parametrize("make", EXAMPLES, ids=[m.__name__ for m in EXAMPLES])
+def test_grouplike_search_matches_exhaustive_oracle(make, field):
+    a = make(field).base
+    assert enumerate_grouplikes(a) == naive_grouplikes(a)
+
+
+def mutated_structures():
+    """(file:name, structure) for every Hopf structure in the shipped mutation documents."""
+    from xmhopf.docio import parse
+
+    for path in sorted((FIXTURES / "mutations").glob("mut*.json")):
+        doc = parse(path.read_bytes())
+        yield from ((f"{path.name}:{name}", a) for name, a in sorted(doc.hopf.items()))
+
+
+def test_grouplike_search_matches_oracle_on_fixtures_and_mutations():
+    for label, a in [*fixture_structures(), *mutated_structures()]:
+        assert enumerate_grouplikes(a.base) == naive_grouplikes(a.base), label
+
+
+def test_grouplike_search_prunes_every_failing_family(monkeypatch):
+    # pruning decides every condition, so the final is_grouplike only confirms: a
+    # counit that fails while every coproduct condition holds (mut02) must be pruned too
+    calls = []
+    original = hopf.is_grouplike
+
+    def counting(a, fam):
+        calls.append(original(a, fam))
+        return calls[-1]
+
+    monkeypatch.setattr(hopf, "is_grouplike", counting)
+    for label, a in [*fixture_structures(), *mutated_structures()]:
+        calls.clear()
+        found = enumerate_grouplikes(a.base)
+        assert calls == [True] * len(found), label
+
+
+def test_grouplike_search_is_linear_on_the_trivial_structure(monkeypatch):
+    # the exhaustive search tried 2^16 families here; pruning makes 60 visits
+    a = mk_trivial(identity_cm(cyclic(16)), QQ).base
+    monkeypatch.setattr(hopf, "GROUPLIKE_VISIT_BUDGET", 4 * 16)
+    assert enumerate_grouplikes(a) == [
+        tuple((QQ.one,) for x in range(16)),
+        tuple((QQ.one if x % 2 == 0 else QQ.of(-1),) for x in range(16)),
+    ]
+
+
+def test_grouplike_search_over_budget_raises(monkeypatch):
+    monkeypatch.setattr(hopf, "GROUPLIKE_VISIT_BUDGET", 3)
+    with pytest.raises(SearchBudgetError, match="more than 3 partial families"):
+        enumerate_grouplikes(mk_trivial(identity_cm(cyclic(16)), QQ).base)
