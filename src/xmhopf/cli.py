@@ -19,6 +19,7 @@ from .errors import XmhopfError
 from .groups import validate_group
 from .hopf import enumerate_grouplikes, grouplike_report
 from .hopfmod import (
+    coinvariant_gate,
     coinvariants,
     distinguished_grouplike,
     dual_hopf_module,
@@ -238,8 +239,8 @@ def cmd_hom(doc: StructureDocument, args, res: CommandResult) -> None:
 def cmd_report(doc: StructureDocument, args, res: CommandResult) -> None:
     a = _arg(doc, args.name, "hopf")
     res.add_report(full_validation_report(a))
-    for side in ("left", "right"):
-        basis = integral_space(a, side)
+    left, right = integral_space(a, "left"), integral_space(a, "right")
+    for side, basis in (("left", left), ("right", right)):
         res.output(f"{side}_integral_dimension", len(basis))
         res.output(f"{side}_integral_basis", [_show_family(a.field, fam) for fam in basis])
     fams = enumerate_grouplikes(a.base)
@@ -250,17 +251,22 @@ def cmd_report(doc: StructureDocument, args, res: CommandResult) -> None:
     )
     chk = Report("derived structure")
     try:
-        g = distinguished_grouplike(a)
+        g = distinguished_grouplike(a, right)
         res.output("distinguished_grouplike", _show_family(a.field, g))
         chk.settle("distinguished grouplike verified", True)
     except XmhopfError as exc:
         chk.settle("distinguished grouplike verified", False, str(exc))
     try:
         m = dual_hopf_module(a)
-        chk.settle("dual Hopf module passes its gates", True)
-        res.output("dual_hopf_module_dims", list(m.dims))
+        if validate_hopf_xi_module(a, m).ok:
+            failed = coinvariant_gate(a, m, right)
+        else:
+            failed = "dual Hopf module fails the module axioms"
     except XmhopfError as exc:
-        chk.settle("dual Hopf module passes its gates", False, str(exc))
+        failed = str(exc)
+    chk.settle("dual Hopf module passes its gates", failed is None, failed)
+    if failed is None:
+        res.output("dual_hopf_module_dims", list(m.dims))
     res.add_report(chk)
 
 

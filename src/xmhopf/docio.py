@@ -41,9 +41,9 @@ from .xihopf import (
 MAX_GROUP_ORDER = 100
 
 # The largest validation_cost a Hopf structure may have.  With Python 3.11 on one
-# 2-vCPU VM, `xmhopf verify` of a structure near the bound takes 2-6 s: 2.5 s for the
-# trivial structure over id: Z/16 -> Z/16 (cost 9.6e6), 5.9 s for k[Z/12] with a
-# bicharacter (6.3e6), which is validated twice, once when it is built.
+# 2-vCPU VM, `xmhopf verify` of a structure near the bound takes 3-5 s: 3.3 s for the
+# trivial structure over id: Z/16 -> Z/16 (cost 9.6e6), 4.1 s for k[Z/12] with a
+# bicharacter (6.3e6).
 MAX_VALIDATION_COST = 10**7
 
 # What one case of an identity costs beyond the entries of its matrices, counted in

@@ -69,13 +69,5 @@ class DefiningIdentityFailedError(XmhopfError):
     """A computed element fails its defining identity (invalid input)."""
 
 
-class AxiomCheckFailedError(XmhopfError):
-    """A construction that must be self-verifying failed its own axioms."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
-
 class SearchBudgetError(XmhopfError):
     """A search visited more candidates than its budget allows."""

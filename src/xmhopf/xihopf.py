@@ -18,7 +18,6 @@ from .crossed import (
     validate_crossed_module,
 )
 from .errors import (
-    AxiomCheckFailedError,
     DefiningIdentityFailedError,
     NotAlgebraAutomorphismError,
     NotBicharacterError,
@@ -199,6 +198,8 @@ def is_xi_grouplike(a: HopfXiCoalgebra, G: GrouplikeFamily) -> bool:
 
 
 # -- constructors ---------------------------------------------------------------------
+# Each checks only the preconditions without which its construction means nothing;
+# whether the result satisfies the axioms is for full_validation_report to say.
 
 
 def mk_trivial(cm: CrossedModule, field: Field) -> HopfXiCoalgebra:
@@ -268,9 +269,7 @@ def mk_bicharacter_group_algebra(
         for g in range(n):
             rows[g][g] = table[e][g]
         action[(0, e)] = Matrix(field, rows)
-    result = HopfXiCoalgebra(cm, base, action)
-    _require_valid(result, "bicharacter group algebra")
-    return result
+    return HopfXiCoalgebra(cm, base, action)
 
 
 def mk_from_h_action(
@@ -281,9 +280,10 @@ def mk_from_h_action(
     """Constant family A_x = A twisted by a homomorphism rho: H -> Aut_alg(A).
 
     Coproduct (rho_x (x) rho_y) delta rho_{(xy)^-1}, antipode rho_x s rho_x,
-    action phi_{x,e} = rho_{xi(e)}.  rho need not preserve the coproduct of
-    A, so the construction is fully re-validated and raises if the axioms
-    fail.
+    action phi_{x,e} = rho_{xi(e)}.  Only the preconditions are checked here:
+    shapes, and rho a homomorphism into the algebra automorphisms of A.  rho
+    need not preserve the coproduct of A, so the result need not satisfy the
+    axioms; full_validation_report says whether it does.
     """
     if classical.H.order != 1:
         raise ShapeMismatchError("classical Hopf algebra data must be graded by the trivial group")
@@ -326,9 +326,7 @@ def mk_from_h_action(
     base = GradedHopfCoalgebra(
         f, H, tuple(alg for _ in H.elements()), coproduct, counit, antipode
     )
-    result = HopfXiCoalgebra(cm, base, action)
-    _require_valid(result, "twisted constant family")
-    return result
+    return HopfXiCoalgebra(cm, base, action)
 
 
 def mk_from_pi_coalgebra(cm: CrossedModule, b: GradedHopfCoalgebra) -> HopfXiCoalgebra:
@@ -354,9 +352,7 @@ def mk_from_pi_coalgebra(cm: CrossedModule, b: GradedHopfCoalgebra) -> HopfXiCoa
         for e in E.elements()
     }
     base = GradedHopfCoalgebra(f, H, components, coproduct, b.counit, antipode)
-    result = HopfXiCoalgebra(cm, base, action)
-    _require_valid(result, "inflated cokernel-graded structure")
-    return result
+    return HopfXiCoalgebra(cm, base, action)
 
 
 def extract_pi_coalgebra(
@@ -388,12 +384,6 @@ def extract_pi_coalgebra(
     }
     antipode = tuple(a.S(section[c]) for c in range(coker.order))
     return GradedHopfCoalgebra(f, coker, components, coproduct, a.counit, antipode)
-
-
-def _require_valid(a: HopfXiCoalgebra, what: str) -> None:
-    rep = full_validation_report(a)
-    if not rep.ok:
-        raise AxiomCheckFailedError(f"{what} failed validation", rep)
 
 
 # -- the dual notion -----------------------------------------------------------------

@@ -153,6 +153,22 @@ def make_sweedler(field=QQ):
     return HopfXiCoalgebra(cm, base, {(0, 0): Matrix.identity(f, 4)})
 
 
+def make_sweedler_z4():
+    """Sweedler's algebra over GF(5), twisted over id: Z/4 -> Z/4 by rho_k(x) = 2^k x.
+
+    2 has order 4 mod 5, so the integrals scale by 2^-k on A_k: lambda_x and
+    lambda_{x^-1} differ, which no other example shows.
+    """
+    f = GF5
+    a = make_sweedler(f)
+
+    def rho(k):
+        diag = (f.one, f.one, f.of(2**k), f.of(2**k))  # fixes 1 and g, scales x and gx
+        return Matrix(f, [[diag[i] if i == j else f.zero for j in range(4)] for i in range(4)])
+
+    return mk_from_h_action(identity_cm(cyclic(4)), a.base, [rho(k) for k in range(4)])
+
+
 @pytest.fixture(scope="session")
 def determinism_pair():
     """Two full runs of the CLI suite, computed once and shared by the tests that compare them."""
@@ -163,7 +179,7 @@ def determinism_pair():
 
 @pytest.fixture(scope="session")
 def conj_s3():
-    """Built once per session: its construction runs the full validator stack."""
+    """Built once per session and shared by every test that uses it."""
     return make_conj_s3()
 
 

@@ -28,6 +28,7 @@ from xmhopf.hopfmod import (
     dual_hopf_module,
     integral_space,
     structure_iso,
+    validate_hopf_xi_module,
 )
 from xmhopf.linalg import Matrix
 from xmhopf.repcat import (
@@ -133,7 +134,8 @@ def test_criterion_2_integral_dimensions():
 def test_criterion_3_structure_theorem():
     ok = True
     for label, a in standard_examples(QQ):
-        m = dual_hopf_module(a)  # already gated on the module axioms
+        m = dual_hopf_module(a)
+        ok = ok and validate_hopf_xi_module(a, m).ok
         eps, nu, coinv = structure_iso(a, m)
         ok = ok and len(coinv) == 1
         f = a.field
@@ -272,11 +274,11 @@ def test_criterion_7_distinguished_grouplike():
     ok = True
     for field in (QQ, GF5):
         for label, a in standard_examples(field):
-            g = distinguished_grouplike(a)
+            (lam,) = integral_space(a, "right")
+            g = distinguished_grouplike(a, [lam])
             ok = ok and g == tuple(a.component(x).unit for x in a.H.elements())
             ok = ok and is_xi_grouplike(a, g)
             # classical identity in the identity component
-            (lam,) = integral_space(a, "right")
             f = a.field
             one_el = a.H.identity
             lhs = (

@@ -594,3 +594,112 @@ def test_grouplike_search_over_budget_is_input_error(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "input error: grouplike search visited more than 3 partial families\n"
+
+
+def broken_twisted_document(tmp_path):
+    """rho_z2.json with k[Z/2] given explicitly and one entry of its coproduct changed.
+
+    rho still meets every precondition of the twisted construction, so rho_z2 is
+    built; it breaks the coalgebra and antipode axioms.  Two modules over it serve hom.
+    """
+    doc = json.loads((FIXTURES / "rho_z2.json").read_text())
+    doc["crossed_modules"]["point"] = {"trivial_over": "one"}
+    doc["hopf"]["kz2_classical"] = {
+        "cm": "point",
+        "components": [{"mul": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]],
+                        "unit": ["1", "0"]}],
+        "coproduct": {"0,0": [["1", "1"], ["0", "0"], ["0", "0"], ["0", "1"]]},
+        "counit": ["1", "1"],
+        "antipode": [[["1", "0"], ["0", "1"]]],
+        "action": {"0,0": [["1", "0"], ["0", "1"]]},
+    }
+    doc["modules"] = {"unit_mod": {"over": "rho_z2", "unit": True},
+                      "regular_mod": {"over": "rho_z2", "regular": 0}}
+    path = tmp_path / "broken_twisted.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_directive_that_breaks_an_axiom_gets_a_report(tmp_path):
+    # a directive is validated by the commands that print a verdict, as an explicit
+    # structure is; it used to exit 2 with "twisted constant family failed validation"
+    path = broken_twisted_document(tmp_path)
+    for command in ("verify", "report", "dual"):
+        proc = run_cli(command, path, "rho_z2")
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "witness: (x,y,z)=(0,0,0)" in proc.stdout
+        assert "result: FAIL" in proc.stdout and proc.stderr == ""
+    report = run_cli("report", path, "rho_z2").stdout
+    assert ("check derived structure: distinguished grouplike verified: FAIL (1 violations)\n"
+            "  witness: right integral space has dimension 0, expected 1\n") in report
+    assert ("check derived structure: dual Hopf module passes its gates: FAIL (1 violations)\n"
+            "  witness: dual Hopf module fails the module axioms\n") in report
+    for args in (["integrals", "rho_z2"], ["grouplikes", "rho_z2"],
+                 ["hom", "rho_z2", "unit_mod", "regular_mod"]):
+        proc = run_cli(args[0], path, *args[1:])
+        assert proc.returncode in (0, 1), proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def _count_calls(monkeypatch, name, *modules):
+    """The list of argument tuples of every call of function `name`, patched in each module."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_structure_is_validated_only_by_the_commands_that_report_it(
+        monkeypatch, tmp_path, capsys):
+    import xmhopf.cli as cli
+    import xmhopf.xihopf as xihopf
+
+    doc = json.loads((FIXTURES / "rho_z2.json").read_text())
+    doc["modules"] = {"unit_mod": {"over": "rho_z2", "unit": True},
+                      "regular_mod": {"over": "rho_z2", "regular": 0}}
+    path = tmp_path / "rho_z2.json"
+    path.write_text(json.dumps(doc))
+    calls = _count_calls(monkeypatch, "full_validation_report", cli, xihopf)
+    for args, validations in [
+        (["integrals", "rho_z2"], 0),
+        (["grouplikes", "rho_z2"], 0),
+        (["hom", "rho_z2", "unit_mod", "regular_mod"], 0),
+        (["verify", "dual_mod"], 0),
+        (["structure-theorem", "rho_z2", "dual_mod"], 0),
+        (["verify", "rho_z2"], 1),
+        (["report", "rho_z2"], 1),
+    ]:
+        calls.clear()
+        assert cli.main([args[0], str(path), *args[1:]]) == 0, args
+        assert len(calls) == validations, args
+    capsys.readouterr()
+
+
+def test_dual_hopf_module_is_validated_once(monkeypatch, capsys):
+    import xmhopf.cli as cli
+    import xmhopf.hopfmod as hopfmod
+
+    calls = _count_calls(monkeypatch, "validate_hopf_xi_module", cli, hopfmod)
+    doc = str(FIXTURES / "rho_z2.json")
+    for args in (["verify", doc, "dual_mod"], ["structure-theorem", doc, "rho_z2", "dual_mod"]):
+        calls.clear()
+        assert cli.main(args) == 0, args
+        assert len(calls) == 1, args
+    capsys.readouterr()
+
+
+def test_report_solves_each_integral_system_once(monkeypatch, capsys):
+    # the distinguished grouplike and the dual module gate reuse the right integrals
+    import xmhopf.cli as cli
+    import xmhopf.hopfmod as hopfmod
+
+    calls = _count_calls(monkeypatch, "integral_space", cli, hopfmod)
+    assert cli.main(["report", str(FIXTURES / "rho_z2.json"), "rho_z2"]) == 0
+    assert sorted(side for _, side in calls) == ["left", "right"]
+    capsys.readouterr()

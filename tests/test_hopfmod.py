@@ -5,14 +5,18 @@ from tests.conftest import (
     QQ,
     fixture_structures,
     make_bichar_z2,
+    make_k_h_z2,
     make_k_xi_s3,
     make_k_xi_z2,
     make_rho_z2,
+    make_sweedler,
+    make_sweedler_z4,
 )
 from xmhopf.errors import NotIntegralError
 from xmhopf.hopfmod import (
     HopfXiModule,
     antipode_transport,
+    coinvariant_gate,
     coinvariants,
     distinguished_grouplike,
     dual_hopf_module,
@@ -49,12 +53,42 @@ def test_trivial_hopf_module_zero_dim():
     assert coinvariants(a, m) == []
 
 
-def test_dual_hopf_module_passes_validator():
-    for build in ALL:
-        a = build()
-        m = dual_hopf_module(a)  # raises if its self-checks fail
-        assert validate_hopf_xi_module(a, m).ok
-        assert m.dims == tuple(a.dim(a.H.inv(x)) for x in a.H.elements())
+def _spans(f, vectors, target) -> bool:
+    """Whether target is a linear combination of vectors."""
+    cols = Matrix(f, [[v[i] for v in vectors] for i in range(len(target))],
+                  len(target), len(vectors))
+    return cols.solve(tuple(target)) is not None
+
+
+def test_dual_hopf_module_passes_validator(conj_s3):
+    # the gates that cmd_report applies: the module axioms, and coinvariants that are
+    # exactly the right integrals reindexed by lambda -> (lambda_{x^-1})
+    examples = [(build.__name__, build())
+                for build in ALL + [make_k_h_z2, make_sweedler, make_sweedler_z4]]
+    examples += [("conj_s3", conj_s3)] + fixture_structures()
+    for where, a in examples:
+        f, H = a.field, a.H
+        m = dual_hopf_module(a)
+        assert validate_hopf_xi_module(a, m).ok, where
+        assert m.dims == tuple(a.dim(H.inv(x)) for x in H.elements()), where
+        coinv = [[v for comp in c for v in comp] for c in coinvariants(a, m)]
+        right = integral_space(a, "right")
+        assert len(coinv) == len(right) == 1, where
+        image = [v for x in H.elements() for v in right[0][H.inv(x)]]
+        assert any(v != f.zero for v in image) and _spans(f, coinv, image), where
+        assert coinvariant_gate(a, m, right) is None, where
+
+
+def test_coinvariant_gate_names_what_differs():
+    # the witnesses of report's "dual Hopf module passes its gates" check
+    a = make_bichar_z2()
+    m = dual_hopf_module(a)
+    (lam,) = integral_space(a, "right")
+    assert lam == ((QQ.one, QQ.zero),)
+    assert coinvariant_gate(a, m, [lam]) is None
+    assert coinvariant_gate(a, m, []) == "coinvariants dim 1 != right integrals dim 0"
+    not_integral = ((QQ.zero, QQ.one),)
+    assert coinvariant_gate(a, m, [not_integral]) == "reindexed integral is not coinvariant"
 
 
 def test_mutated_psi_reports_axiom_d():
@@ -223,7 +257,7 @@ def test_distinguished_grouplike_unimodular_examples():
     for build in ALL:
         for field in (QQ, GF5):
             a = build(field)
-            g = distinguished_grouplike(a)
+            g = distinguished_grouplike(a, integral_space(a, "right"))
             assert g == tuple(a.component(x).unit for x in a.H.elements())
             assert is_xi_grouplike(a, g)
 
@@ -234,7 +268,7 @@ def test_distinguished_grouplike_classical_identity():
     for build in (make_bichar_z2, make_rho_z2):
         a = build()
         (lam,) = integral_space(a, "right")
-        g = distinguished_grouplike(a)
+        g = distinguished_grouplike(a, [lam])
         f = a.field
         one = a.H.identity
         lhs = Matrix.identity(f, a.dim(one)).kron(Matrix.row(f, lam[one])) @ a.delta(one, one)
@@ -248,7 +282,7 @@ def test_distinguished_grouplike_unique_as_linear_solution():
         a = build()
         (lam,) = integral_space(a, "right")
         f, H = a.field, a.H
-        g = distinguished_grouplike(a)
+        g = distinguished_grouplike(a, [lam])
         for x in H.elements():
             rows = []
             rhs_entries = []

@@ -154,13 +154,21 @@ def test_full_stack_nonabelian_label_group():
     # id: S3 -> S3 with conjugation: the label calculus e . (x > f) is
     # genuinely noncommutative here, so this exercises every index identity
     from xmhopf.groups import symmetric
-    from xmhopf.hopfmod import dual_hopf_module, integral_space
+    from xmhopf.hopfmod import (
+        coinvariant_gate,
+        dual_hopf_module,
+        integral_space,
+        validate_hopf_xi_module,
+    )
 
     a = mk_trivial(identity_cm(symmetric(3)), QQ)
     assert full_validation_report(a).ok
     assert len(integral_space(a, "left")) == 1
-    assert len(integral_space(a, "right")) == 1
-    dual_hopf_module(a)  # self-verifying gates
+    right = integral_space(a, "right")
+    assert len(right) == 1
+    m = dual_hopf_module(a)
+    assert validate_hopf_xi_module(a, m).ok
+    assert coinvariant_gate(a, m, right) is None
 
 
 def test_bicharacter_validation_errors():
