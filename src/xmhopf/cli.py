@@ -15,7 +15,7 @@ import sys
 
 from .crossed import kernel_image_cokernel, validate_components, validate_crossed_module
 from .docio import DocumentError, StructureDocument, parse
-from .errors import XmhopfError
+from .errors import DefiningIdentityFailedError, XmhopfError
 from .groups import validate_group
 from .hopf import enumerate_grouplikes, grouplike_report
 from .hopfmod import (
@@ -36,7 +36,6 @@ from .xihopf import (
     dualize_algebra,
     full_validation_report,
     grouplike_pairing,
-    is_xi_grouplike,
     validate_hopf_xi_algebra,
 )
 
@@ -52,11 +51,29 @@ def _show_family(f: Field, fam) -> list:
     return [[f.show(v) for v in comp] for comp in fam]
 
 
-def _pairing(a, fam) -> tuple[dict, bool]:
-    """The shown pairing <G, e> of a grouplike family, and whether every value is 1."""
-    pairing = grouplike_pairing(a, fam)
-    shown = {str(e): a.field.show(v) for e, v in sorted(pairing.items())}
-    return shown, all(v == a.field.one for v in pairing.values())
+_PAIRING_CHECK = "grouplike pairing: phi_(x,e)(G_x) = <G,e> G_(xi(e)x)"
+
+
+def _pairings(a, fams, chk: Report) -> list:
+    """Per grouplike family, its shown pairing <G, e> and whether every value is 1.
+
+    A family on which the pairing's defining identity fails gets None, and its
+    failure, labelled by the family's index in `fams`, is a witness of one
+    check in `chk`, which is opened only then.
+    """
+    out, failures = [], []
+    for k, fam in enumerate(fams):
+        try:
+            pairing = grouplike_pairing(a, fam)
+        except DefiningIdentityFailedError as exc:
+            out.append(None)
+            failures.append((_PAIRING_CHECK, f"family {k}: {exc}"))
+            continue
+        shown = {str(e): a.field.show(v) for e, v in sorted(pairing.items())}
+        out.append((shown, all(v == a.field.one for v in pairing.values())))
+    if failures:
+        chk.collect([(_PAIRING_CHECK, None)] + failures)
+    return out
 
 
 class CommandResult:
@@ -125,11 +142,12 @@ def _verify_object(doc: StructureDocument, name: str, res: CommandResult) -> Non
         over, fam = obj
         a = doc.hopf[over]
         rep = grouplike_report(a.base, fam)
-        res.add_report(rep)
         if rep.ok:
-            pairing, xi_grouplike = _pairing(a, fam)
-            res.output("pairing", pairing)
-            res.output("xi_grouplike", xi_grouplike)
+            (paired,) = _pairings(a, [fam], rep)
+            if paired is not None:
+                res.output("pairing", paired[0])
+                res.output("xi_grouplike", paired[1])
+        res.add_report(rep)
     else:  # integrals
         over, side, fam = obj
         a = doc.hopf[over]
@@ -165,14 +183,15 @@ def cmd_integrals(doc: StructureDocument, args, res: CommandResult) -> None:
 def cmd_grouplikes(doc: StructureDocument, args, res: CommandResult) -> None:
     a = _arg(doc, args.name, "hopf")
     fams = enumerate_grouplikes(a.base)
+    chk = Report("grouplike enumeration")
     out = []
-    for fam in fams:
-        pairing, xi_grouplike = _pairing(a, fam)
-        family = _show_family(a.field, fam)
-        out.append({"family": family, "pairing": pairing, "xi_grouplike": xi_grouplike})
+    for fam, paired in zip(fams, _pairings(a, fams, chk)):
+        entry = {"family": _show_family(a.field, fam)}
+        if paired is not None:
+            entry["pairing"], entry["xi_grouplike"] = paired
+        out.append(entry)
     res.output("count", len(fams))
     res.output("families", out)
-    chk = Report("grouplike enumeration")
     chk.settle("unit family is grouplike", any(
         fam == tuple(a.component(x).unit for x in a.H.elements()) for fam in fams
     ))
@@ -244,12 +263,12 @@ def cmd_report(doc: StructureDocument, args, res: CommandResult) -> None:
         res.output(f"{side}_integral_dimension", len(basis))
         res.output(f"{side}_integral_basis", [_show_family(a.field, fam) for fam in basis])
     fams = enumerate_grouplikes(a.base)
-    res.output("grouplike_count", len(fams))
-    res.output(
-        "xi_grouplikes",
-        [_show_family(a.field, fam) for fam in fams if is_xi_grouplike(a, fam)],
-    )
     chk = Report("derived structure")
+    res.output("grouplike_count", len(fams))
+    res.output("xi_grouplikes", [
+        _show_family(a.field, fam)
+        for fam, paired in zip(fams, _pairings(a, fams, chk)) if paired and paired[1]
+    ])
     try:
         g = distinguished_grouplike(a, right)
         res.output("distinguished_grouplike", _show_family(a.field, g))

@@ -41,14 +41,16 @@ from .xihopf import (
 MAX_GROUP_ORDER = 100
 
 # The largest validation_cost a Hopf structure may have.  With Python 3.11 on one
-# 2-vCPU VM, `xmhopf verify` of a structure near the bound takes 3-5 s: 3.3 s for the
-# trivial structure over id: Z/16 -> Z/16 (cost 9.6e6), 4.1 s for k[Z/12] with a
-# bicharacter (6.3e6).
-MAX_VALIDATION_COST = 10**7
+# 2-vCPU VM, `xmhopf verify` of a structure near the bound takes 3-5 s: 3.5 s for
+# k[Z/16] with E trivial (cost 1.8e7), 3.5 s for the trivial structure over
+# id: Z/21 -> Z/21 (2.2e7), 2.9 s for k[Z/15] with E = Z/15 (2.4e7).  `report`
+# takes about twice as long as `verify`.
+MAX_VALIDATION_COST = 25 * 10**6
 
 # What one case of an identity costs beyond the entries of its matrices, counted in
-# entries: the Matrix objects a case builds, multiplies and compares.
-_CASE_COST = 128
+# entries: the Matrix objects a case builds, multiplies and compares.  Fitted on the
+# same VM: a case of the trivial structure over Z/22 takes 14 us, an entry 0.13-0.19 us.
+_CASE_COST = 100
 
 
 def validation_cost(h_order: int, e_order: int, dim: int) -> int:

@@ -1,8 +1,10 @@
-"""Exact scalar arithmetic over Q and GF(p), and dense exact linear algebra.
+"""Exact scalar arithmetic over Q and GF(p), and exact linear algebra on int rows.
 
 Scalars are plain Python values: `fractions.Fraction` over the rationals,
-ints in [0, p) over a prime field.  A `Field` object owns the arithmetic;
-matrices pair a `Field` with a tuple-of-tuples of scalars.
+ints in [0, p) over a prime field.  A `Field` object owns the arithmetic.
+A matrix pairs a `Field` with integer rows over one common denominator
+(residues over GF(p), with denominator 1), so both fields run the same
+int loops; entries enter and leave a `Matrix` as scalars.
 
 Conventions fixed here and used by every other module:
   * matrices act on column vectors: M maps k^cols -> k^rows;
@@ -10,8 +12,10 @@ Conventions fixed here and used by every other module:
     U (x) V has flat index i * dim(V) + j;
   * kernel bases and solves use reduced row echelon form with
     smallest-index pivoting, so results are reproducible bit for bit;
-  * storage is dense, but `@`, `kron` and `apply` do work only on nonzero
-    entries: the structure maps they compose are mostly zero;
+  * rows store every entry, but `@`, `kron` and `apply` do work only on
+    nonzero entries: the structure maps they compose are mostly zero;
+  * elimination over Q is fraction-free: integer rows, cross-multiplied,
+    with each row's content divided out;
   * a tensor flip inside a composite is a column reindexing
     (`Matrix.flip_cols`), never a permutation-matrix product.
 """
@@ -20,11 +24,16 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import compress
+from math import gcd, lcm
 
 from .errors import DivisionByZeroError, MixedFieldsError, ShapeMismatchError
 from .record import Record
 
 Scalar = Fraction | int
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)  # Fractions are immutable, so one of each serves
 
 
 # Deterministic Miller-Rabin: the prime bases 2..37 decide primality exactly
@@ -87,11 +96,11 @@ class Field(Record, eq=True):
 
     @property
     def zero(self) -> Scalar:
-        return Fraction(0) if self.kind == "rational" else 0
+        return _ZERO if self.kind == "rational" else 0
 
     @property
     def one(self) -> Scalar:
-        return Fraction(1) if self.kind == "rational" else 1
+        return _ONE if self.kind == "rational" else 1
 
     def of(self, n: int) -> Scalar:
         """Canonical image of the integer n."""
@@ -153,27 +162,41 @@ class Field(Record, eq=True):
 
 
 def require_same_field(a: Field, b: Field) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise MixedFieldsError(f"mixed fields {a} and {b}")
 
 
 class Matrix:
-    """Immutable dense matrix over an exact field."""
+    """Immutable matrix over an exact field: integer rows over one common denominator.
 
-    __slots__ = ("field", "rows", "cols", "data")
+    Entry (i, j) is num[i][j] / den.  Over Q, den > 0 and no prime divides den
+    and every numerator, so each matrix has exactly one (num, den); over
+    GF(p), num holds residues in [0, p) and den is 1.  Both fields run the
+    same int loops and differ only in how a result is normalised: reduced
+    mod p as it is computed, or by the gcd in `_new`.  Public scalars
+    (`Fraction` over Q) appear only where entries enter or leave.
+    """
+
+    __slots__ = ("field", "rows", "cols", "num", "den", "_data")
 
     def __init__(self, field: Field, data: Sequence[Sequence[Scalar]], rows=None, cols=None):
-        data = tuple(tuple(row) for row in data)
+        data = [tuple(row) for row in data]
         if rows is None:
             rows = len(data)
         if cols is None:
             cols = len(data[0]) if data else 0
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ShapeMismatchError("ragged matrix data")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
+        p = field.p
+        if p:
+            num, den = tuple(tuple([x % p for x in row]) for row in data), 1
+        else:
+            # entries in lowest terms, over the lcm of their denominators: already coprime
+            den = lcm(*{x.denominator for row in data for x in row})
+            num = tuple(
+                tuple([x.numerator * (den // x.denominator) for x in row]) for row in data
+            )
+        _set(self, field, rows, cols, num, den)
 
     def __setattr__(self, *args):
         raise AttributeError("Matrix is immutable")
@@ -182,13 +205,11 @@ class Matrix:
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return Matrix(field, [[z] * cols for _ in range(rows)], rows, cols)
+        return _new(field, rows, cols, ((0,) * cols,) * rows)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return Matrix(field, [[o if i == j else z for j in range(n)] for i in range(n)], n, n)
+        return _new(field, n, n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
     @staticmethod
     def col(field: Field, entries: Sequence[Scalar]) -> "Matrix":
@@ -203,11 +224,29 @@ class Matrix:
         """Permutation matrix of the tensor flip U (x) V -> V (x) U, dim U = a, dim V = b."""
         return Matrix.identity(field, a * b).flip_cols(1, a, b, 1)
 
-    # -- basic queries -----------------------------------------------------
+    # -- entries as public scalars -------------------------------------------
+
+    @property
+    def data(self) -> tuple:
+        """The entries as rows of public scalars, built on first use."""
+        if self.field.p:
+            return self.num
+        data = self._data
+        if data is None:
+            # one Fraction per distinct numerator: structure maps hold few values
+            shown = {x: Fraction(x, self.den) for x in set().union(*self.num)}.__getitem__
+            data = tuple(tuple(map(shown, row)) for row in self.num)
+            _set_data(self, data)
+        return data
 
     def __getitem__(self, ij) -> Scalar:
         i, j = ij
         return self.data[i][j]
+
+    def column(self, j: int) -> tuple:
+        return tuple(row[j] for row in self.data)
+
+    # -- basic queries -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return (
@@ -215,26 +254,24 @@ class Matrix:
             and self.field == other.field
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.data))
+        return hash((self.field, self.rows, self.cols, self.den, self.num))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(self.field.show(x)) for x in row) for row in self.data)
         return f"Matrix({self.rows}x{self.cols} over {self.field}: [{body}])"
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.data))
+        return not any(map(any, self.num))
 
     def is_identity(self) -> bool:
         if self.rows != self.cols:
             return False
         return self == Matrix.identity(self.field, self.rows)
-
-    def column(self, j: int) -> tuple:
-        return tuple(self.data[i][j] for i in range(self.rows))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -242,28 +279,30 @@ class Matrix:
         require_same_field(self.field, other.field)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatchError(f"add {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        add = self.field.add
-        return Matrix(
-            self.field,
-            [
-                [add(self.data[i][j], other.data[i][j]) for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-            self.rows,
-            self.cols,
+        p = self.field.p
+        if p:
+            num = tuple(
+                tuple([(x + y) % p for x, y in zip(r, s)]) for r, s in zip(self.num, other.num)
+            )
+            return _new(self.field, self.rows, self.cols, num)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        num = tuple(
+            tuple([x * a + y * b for x, y in zip(r, s)]) for r, s in zip(self.num, other.num)
         )
+        return _new(self.field, self.rows, self.cols, num, den)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + other.scale(self.field.of(-1))
 
     def scale(self, c: Scalar) -> "Matrix":
-        mul = self.field.mul
-        return Matrix(
-            self.field,
-            [[mul(c, x) for x in row] for row in self.data],
-            self.rows,
-            self.cols,
-        )
+        p = self.field.p
+        if p:
+            num = tuple(tuple([c * x % p for x in row]) for row in self.num)
+            return _new(self.field, self.rows, self.cols, num)
+        n = c.numerator
+        num = tuple(tuple([n * x for x in row]) for row in self.num)
+        return _new(self.field, self.rows, self.cols, num, self.den * c.denominator)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         require_same_field(self.field, other.field)
@@ -273,37 +312,40 @@ class Matrix:
             )
         # Only nonzero products contribute: walk the nonzero a_ik of each
         # left row against the nonzero (j, b_kj) of right row k, listed once.
-        # Sums start from field.zero (a Fraction over Q); over GF(p) they run
-        # in plain ints and are reduced once per output entry.
-        f = self.field
-        zero, p, cols = f.zero, f.p, other.cols
-        nonzero = [[(j, b) for j, b in enumerate(brow) if b] for brow in other.data]
+        p, cols = self.field.p, other.cols
+        nonzero = [[(j, b) for j, b in enumerate(brow) if b] for brow in other.num]
         out = []
-        for arow in self.data:
-            acc = [zero] * cols
-            for a, bk in zip(arow, nonzero):
-                if a:
-                    for j, b in bk:
-                        acc[j] += a * b
-            out.append([s % p for s in acc] if p else acc)
-        return Matrix(f, out, self.rows, cols)
+        for arow in self.num:
+            acc = [0] * cols
+            for a, bk in compress(zip(arow, nonzero), arow):
+                for j, b in bk:
+                    acc[j] += a * b
+            out.append(tuple([s % p for s in acc] if p else acc))
+        return _new(self.field, self.rows, cols, tuple(out), self.den * other.den)
 
     def apply(self, vec: Sequence[Scalar]) -> tuple:
         """Matrix-vector product (vec as coordinates of the source)."""
         if len(vec) != self.cols:
             raise ShapeMismatchError(f"apply {self.rows}x{self.cols} to vector of length {len(vec)}")
-        f = self.field
-        zero, p = f.zero, f.p
+        p = self.field.p
         nonzero = [(k, v) for k, v in enumerate(vec) if v]
+        if not p:  # the vector as integers over the lcm of its denominators
+            den = lcm(*[v.denominator for _, v in nonzero])
+            nonzero = [(k, v.numerator * (den // v.denominator)) for k, v in nonzero]
         out = []
-        for row in self.data:
-            s = zero
+        for row in self.num:
+            s = 0
             for k, v in nonzero:
                 a = row[k]
                 if a:
                     s += a * v
-            out.append(s % p if p else s)
-        return tuple(out)
+            out.append(s)
+        if p:
+            return tuple([s % p for s in out])
+        den *= self.den
+        if den == 1:
+            return tuple(map(Fraction, out))
+        return tuple([Fraction(s, den) if s else _ZERO for s in out])
 
     def flip_cols(self, p: int, a: int, b: int, q: int) -> "Matrix":
         """self @ (I_p (x) flip(a, b) (x) I_q), by reindexing columns.
@@ -318,12 +360,13 @@ class Matrix:
             ((s * b + j) * a + i) * q + t
             for s in range(p) for i in range(a) for j in range(b) for t in range(q)
         ]
-        return Matrix(self.field, [[row[k] for k in src] for row in self.data], self.rows, n)
+        num = tuple(tuple([row[k] for k in src]) for row in self.num)
+        return _new(self.field, self.rows, n, num, self.den)
 
     def transpose(self) -> "Matrix":
         if self.rows == 0:
-            return Matrix(self.field, [[] for _ in range(self.cols)], self.cols, 0)
-        return Matrix(self.field, list(zip(*self.data)), self.cols, self.rows)
+            return _new(self.field, self.cols, 0, ((),) * self.cols)
+        return _new(self.field, self.cols, self.rows, tuple(zip(*self.num)), self.den)
 
     @property
     def T(self) -> "Matrix":
@@ -332,53 +375,96 @@ class Matrix:
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, left factor major (row index i*other.rows + j)."""
         require_same_field(self.field, other.field)
-        f = self.field
-        zero, p = f.zero, f.p
-        gap = [zero] * other.cols  # the block row of a zero a_ik
+        p, bnum = self.field.p, other.num
+        # the block a * other for each distinct entry a of self, built once
+        blocks = {0: ((0,) * other.cols,) * other.rows, 1: bnum}
         out = []
-        for arow in self.data:
-            for brow in other.data:
+        for arow in self.num:
+            parts = []
+            for a in arow:
+                block = blocks.get(a)
+                if block is None:
+                    block = blocks[a] = tuple(
+                        tuple([a * b % p for b in brow] if p else [a * b for b in brow])
+                        for brow in bnum
+                    )
+                parts.append(block)
+            for t in range(other.rows):
                 row = []
-                for a in arow:
-                    if not a:
-                        row += gap
-                    elif p:
-                        row += [a * b % p for b in brow]
-                    else:
-                        row += [a * b if b else zero for b in brow]
-                out.append(row)
-        return Matrix(f, out, self.rows * other.rows, self.cols * other.cols)
+                for block in parts:
+                    row += block[t]
+                out.append(tuple(row))
+        return _new(self.field, self.rows * other.rows, self.cols * other.cols, tuple(out),
+                    self.den * other.den)
 
     # -- elimination ----------------------------------------------------------
 
     def _rref(self):
         """Reduced row echelon form with smallest-index pivoting.
 
-        Returns (rows as lists, pivot column indices)."""
-        f = self.field
-        m = [list(row) for row in self.data]
+        Returns (rows as lists of public scalars, pivot column indices).
+        Over Q the elimination is fraction-free: each working row is an
+        integer multiple of the row it stands for.  With g = gcd(piv, a),
+        a row R with entry a in the pivot column becomes
+        (piv / g) * R - (a / g) * P for the pivot row P, and then R over its
+        content when piv / g is not 1; only the finished rows are divided by
+        their pivots.  Scaling a row changes neither which entries are zero
+        nor its normalised form, so the pivots and the result are those of
+        elimination by division, bit for bit.
+        """
+        p, nrows, ncols = self.field.p, self.rows, self.cols
+        m = [list(row) for row in self.num]
         pivots = []
         r = 0
-        for c in range(self.cols):
-            if r >= self.rows:
+        for c in range(ncols):
+            if r >= nrows:
                 break
-            pivot_row = None
-            for i in range(r, self.rows):
+            for i in range(r, nrows):
                 if m[i][c]:
-                    pivot_row = i
                     break
-            if pivot_row is None:
+            else:
                 continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            pinv = f.inv(m[r][c])
-            m[r] = [f.mul(pinv, x) for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    factor = m[i][c]
-                    m[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(m[i], m[r])]
+            m[r], m[i] = m[i], m[r]
+            pr = m[r]
+            if p:
+                inv = pow(pr[c], p - 2, p)
+                if inv != 1:
+                    pr = m[r] = [x * inv % p for x in pr]
+            elif pr[c] < 0:
+                pr = m[r] = [-x for x in pr]
+            piv = pr[c]
+            # the pivot row is zero left of c
+            nonzero = [(j, pr[j]) for j in range(c, ncols) if pr[j]]
+            for i, row in enumerate(m):
+                a = row[c]
+                if not a or i == r:
+                    continue
+                if p:
+                    for j, y in nonzero:
+                        row[j] = (row[j] - a * y) % p
+                    continue
+                g = gcd(piv, a)
+                s, a = piv // g, a // g
+                if s != 1:
+                    row = m[i] = [s * x for x in row]
+                for j, y in nonzero:
+                    row[j] -= a * y
+                if s != 1:
+                    g = gcd(*row)
+                    if g > 1:
+                        m[i] = [x // g for x in row]
             pivots.append(c)
             r += 1
-        return m, pivots
+        if p:
+            return m, pivots
+        out = []
+        for r, row in enumerate(m):
+            if r < len(pivots):
+                piv = row[pivots[r]]
+                out.append([Fraction(x, piv) if x else _ZERO for x in row])
+            else:
+                out.append([_ZERO] * ncols)
+        return out, pivots
 
     def rank(self) -> int:
         return len(self._rref()[1])
@@ -403,6 +489,16 @@ class Matrix:
             basis.append(tuple(v))
         return basis
 
+    def _beside(self, other: "Matrix") -> "Matrix":
+        """The block matrix [self | other], over the lcm of the two denominators."""
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        num = tuple(
+            (r if a == 1 else tuple(a * x for x in r)) + (s if b == 1 else tuple(b * y for y in s))
+            for r, s in zip(self.num, other.num)
+        )
+        return _new(self.field, self.rows, self.cols + other.cols, num, den)
+
     def solve(self, rhs: Sequence[Scalar]) -> tuple | None:
         """One exact solution of self . x = rhs, or None if inconsistent.
 
@@ -411,9 +507,7 @@ class Matrix:
         if len(rhs) != self.rows:
             raise ShapeMismatchError(f"solve {self.rows}x{self.cols} with rhs of length {len(rhs)}")
         f = self.field
-        aug = Matrix(self.field, [list(row) + [b] for row, b in zip(self.data, rhs)],
-                     self.rows, self.cols + 1)
-        m, pivots = aug._rref()
+        m, pivots = self._beside(Matrix.col(f, rhs))._rref()
         if self.cols in pivots:
             return None
         x = [f.zero] * self.cols
@@ -425,17 +519,51 @@ class Matrix:
     def inverse(self) -> Matrix | None:
         if self.rows != self.cols:
             return None
-        f = self.field
-        n = self.rows
-        ident = Matrix.identity(f, n)
-        aug = Matrix(f, [list(a) + list(b) for a, b in zip(self.data, ident.data)], n, 2 * n)
-        m, pivots = aug._rref()
+        f, n = self.field, self.rows
+        m, pivots = self._beside(Matrix.identity(f, n))._rref()
         if pivots != list(range(n)):
             return None
         return Matrix(f, [row[n:] for row in m], n, n)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
+
+
+# Slot setters: the one way to fill a Matrix past its immutability guard.
+_set_field, _set_rows, _set_cols, _set_num, _set_den, _set_data = (
+    Matrix.__dict__[name].__set__ for name in Matrix.__slots__
+)
+_alloc = object.__new__
+
+
+def _set(m: Matrix, field: Field, rows: int, cols: int, num: tuple, den: int) -> None:
+    _set_field(m, field)
+    _set_rows(m, rows)
+    _set_cols(m, cols)
+    _set_num(m, num)
+    _set_den(m, den)
+    _set_data(m, None)
+
+
+def _new(field: Field, rows: int, cols: int, num: tuple, den: int = 1) -> Matrix:
+    """The matrix num / den from rows the kernel built, kept as they are (no copy, no checks).
+
+    This is the one normaliser over Q: when den is not 1, it and the
+    numerators are divided by their gcd.  Over GF(p) the kernel has already
+    reduced num mod p, and den is 1.
+    """
+    if den != 1:
+        g = den
+        for row in num:
+            if g == 1:
+                break
+            g = gcd(g, *row)
+        if g != 1:
+            num = tuple(tuple([x // g for x in row]) for row in num)
+            den //= g
+    m = _alloc(Matrix)
+    _set(m, field, rows, cols, num, den)
+    return m
 
 
 def linear_map_matrix(field: Field, n_unknowns: int, apply_fn) -> Matrix:

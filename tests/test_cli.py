@@ -215,6 +215,57 @@ def test_grouplikes_command():
     assert flags == [False, True]
 
 
+# mutations whose action breaks phi_(x,e)(G_x) = <G,e> G_(xi(e)x) on a grouplike family
+PAIRING_BROKEN = [
+    ("mut04_action.json", "k_xi_z2", "G_(1)"),
+    ("mut10_xi_map.json", "k_xi_s3", "G_(2)"),
+    ("mut10_xi_map.json", "k_pi_s3", "G_(2)"),
+]
+PAIRING_CHECK = "grouplike pairing: phi_(x,e)(G_x) = <G,e> G_(xi(e)x): FAIL"
+
+
+@pytest.mark.parametrize("command", ["report", "grouplikes"])
+@pytest.mark.parametrize("doc,name,target", PAIRING_BROKEN,
+                         ids=[f"{d[:5]}-{n}" for d, n, _ in PAIRING_BROKEN])
+def test_broken_grouplike_pairing_is_a_failed_check(command, doc, name, target, capsys):
+    import xmhopf.cli as cli
+
+    path = str(FIXTURES / "mutations" / doc)
+    assert cli.main([command, path, name]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    title = "derived structure" if command == "report" else "grouplike enumeration"
+    assert f"check {title}: {PAIRING_CHECK}" in out
+    assert f"  witness: family 1: phi_(0,1)(G_0) != <G,e> {target}\n" in out
+    assert out.endswith("result: FAIL\n")
+    assert cli.main([command, path, name, "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    if command == "grouplikes":
+        # the family whose identity fails is listed, without a pairing
+        assert [sorted(f) for f in payload["outputs"]["families"]][1] == ["family"]
+    else:
+        assert payload["outputs"]["grouplike_count"] == 2
+
+
+@pytest.mark.parametrize("name", ["unit_family", "sign_family"])
+def test_verify_of_a_grouplike_with_a_broken_pairing_is_a_failed_check(name, capsys):
+    import xmhopf.cli as cli
+
+    assert cli.main(["verify", str(FIXTURES / "mutations" / "mut04_action.json"), name]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert f"check grouplike candidate: {PAIRING_CHECK} (1 violations)\n" in out
+    assert "output pairing" not in out and out.endswith("result: FAIL\n")
+
+
+def test_pairing_check_is_absent_where_the_identity_holds(capsys):
+    import xmhopf.cli as cli
+
+    for command in ("report", "grouplikes"):
+        assert cli.main([command, str(FIXTURES / "k_xi_s3.json"), "k_xi_s3"]) == 0
+        assert "grouplike pairing" not in capsys.readouterr().out
+
+
 def test_grouplike_pairing_computed_once_per_family(monkeypatch, capsys):
     import xmhopf.cli as cli
     import xmhopf.xihopf as xihopf
@@ -556,6 +607,18 @@ def test_structure_above_cost_bound_is_input_error(doc, command):
     assert "hopf.k: validation cost" in proc.stderr
     assert f"above the bound {MAX_VALIDATION_COST}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cost_bound_sits_where_the_ladder_put_it():
+    # the largest sizes the bound admits, where verify takes 2.9 and 3.5 s (docio's
+    # comment), and the next ones, which it refuses
+    from xmhopf.docio import DocumentSyntaxError, parse
+
+    for admitted, refused in ((trivial_cyclic(21), trivial_cyclic(22)),
+                              (bicharacter_cyclic(15), bicharacter_cyclic(16))):
+        assert parse(json.dumps(admitted).encode()).hopf["k"].dim(0) >= 1
+        with pytest.raises(DocumentSyntaxError, match="above the bound"):
+            parse(json.dumps(refused).encode()).hopf["k"]
 
 
 def test_cost_guard_runs_before_a_directive_is_built(monkeypatch, tmp_path, capsys):

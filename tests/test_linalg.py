@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -378,3 +379,155 @@ def test_determinism_bit_identical():
     first = (a.kernel_basis(), a.rank(), a.solve((Fraction(1), Fraction(0), Fraction(2))))
     second = (a.kernel_basis(), a.rank(), a.solve((Fraction(1), Fraction(0), Fraction(2))))
     assert first == second
+
+
+# -- the integer kernel: fraction-free elimination and the (num, den) normal form
+
+
+def naive_rref(m: Matrix):
+    """Gauss-Jordan through the field's own operations, dividing by each pivot.
+
+    The smallest-index pivoting of Matrix._rref, on public scalars: the
+    elimination that _rref did before it went fraction-free."""
+    f = m.field
+    rows = [list(row) for row in m.data]
+    pivots, r = [], 0
+    for c in range(m.cols):
+        pivot_row = next((i for i in range(r, m.rows) if rows[i][c] != f.zero), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pinv = f.inv(rows[r][c])
+        rows[r] = [f.mul(pinv, x) for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c] != f.zero:
+                factor = rows[i][c]
+                rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def combination(field, coeffs, rows):
+    """sum_k coeffs[k] * rows[k], entrywise through the field."""
+    out = [field.zero] * (len(rows[0]) if rows else 0)
+    for c, row in zip(coeffs, rows):
+        out = [field.add(x, field.mul(c, y)) for x, y in zip(out, row)]
+    return out
+
+
+def draw_deficient(data, field, rows, cols, extra):
+    """A drawn rows x cols matrix, then `extra` combinations of its rows and a zero row."""
+    base = draw_matrix(data, field, rows, cols)
+    dependent = [
+        combination(field, data.draw(st.lists(sparse_scalars(field), min_size=rows,
+                                               max_size=rows)), base.data)
+        for _ in range(extra if rows else 0)
+    ]
+    return Matrix(field, list(base.data) + dependent + [[field.zero] * cols], None, cols)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@given(data=st.data(), shape=st.tuples(dims, dims), extra=st.integers(min_value=0, max_value=3))
+def test_rref_matches_naive_gauss_jordan(field, data, shape, extra):
+    m = draw_deficient(data, field, *shape, extra)
+    got = m._rref()
+    assert got == naive_rref(m)
+    assert len(got[1]) <= shape[0]  # the combinations and the zero row add no pivot
+    assert_canonical(field, [x for row in got[0] for x in row])
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_rref_of_empty_shapes(field):
+    for rows, cols in ((0, 0), (0, 3), (3, 0)):
+        m = Matrix.zeros(field, rows, cols)
+        assert m._rref() == naive_rref(m) == ([[field.zero] * cols for _ in range(rows)], [])
+
+
+def test_rref_with_coprime_denominators():
+    # rows over 2, 3, 5, 7 and 11: the integer rows carry their lcm and cross-multiply
+    q = Fraction
+    m = Matrix(QQ, [[q(1, 2), q(1, 3), q(2, 5)], [q(3, 7), q(-1, 11), q(5, 3)],
+                    [q(1, 2) + q(3, 7), q(1, 3) - q(1, 11), q(2, 5) + q(5, 3)]])
+    rows, pivots = m._rref()
+    assert (rows, pivots) == naive_rref(m)
+    assert pivots == [0, 1] and rows[2] == [0, 0, 0]
+    assert m.kernel_basis() == [(-rows[0][2], -rows[1][2], Fraction(1))]
+    assert m.rank() == 2 and m.solve((q(1), q(0), q(1))) is not None
+
+
+def assert_normal(m: Matrix):
+    """The one (num, den) of a matrix: ints, den > 0 and coprime to the numerators over Q;
+    residues in [0, p) over 1 over GF(p)."""
+    entries = [x for row in m.num for x in row]
+    assert all(type(x) is int for x in entries) and type(m.den) is int
+    assert len(m.num) == m.rows and all(len(row) == m.cols for row in m.num)
+    if m.field.p is None:
+        assert m.den > 0 and math.gcd(m.den, *entries) == 1
+    else:
+        assert m.den == 1 and all(0 <= x < m.field.p for x in entries)
+
+
+def assert_same(a: Matrix, b: Matrix):
+    assert_normal(a)
+    assert_normal(b)
+    assert a == b and hash(a) == hash(b)
+    assert (a.num, a.den) == (b.num, b.den)
+
+
+def test_equal_rationals_have_one_normal_form():
+    half = Matrix(QQ, [[Fraction(1, 2)]])
+    assert_same(Matrix(QQ, [[Fraction(2, 4)]]), half)
+    assert half.num == ((1,),) and half.den == 2
+    a = Matrix(QQ, [[Fraction(2, 3), Fraction(0)], [Fraction(-5, 6), Fraction(4)]])
+    assert a.num == ((4, 0), (-5, 24)) and a.den == 6
+    assert_same(a.scale(QQ.of(3)).scale(Fraction(1, 3)), a)
+    assert_same(a @ Matrix.identity(QQ, 2), a)
+    assert_same(a.scale(QQ.zero), Matrix.zeros(QQ, 2, 2))
+    assert Matrix.zeros(QQ, 2, 2).den == 1
+    assert_same(a + a.scale(Fraction(-1)), Matrix.zeros(QQ, 2, 2))
+    # over GF(p) the constructor reduces what it is given
+    assert_same(Matrix(GF5, [[7, -1], [5, 4]]), Matrix(GF5, [[2, 4], [0, 4]]))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@given(data=st.data(), shape=st.tuples(dims, dims))
+def test_routes_to_one_value_meet_in_one_normal_form(field, data, shape):
+    rows, cols = shape
+    a = draw_matrix(data, field, rows, cols)
+    b = draw_matrix(data, field, rows, cols)
+    c = data.draw(sparse_scalars(field).filter(lambda x: x != field.zero))
+    ident_r, ident_c = Matrix.identity(field, rows), Matrix.identity(field, cols)
+    assert_same(Matrix(field, a.data, rows, cols), a)
+    assert_same(a.scale(c).scale(field.inv(c)), a)
+    assert_same(a @ ident_c, a)
+    assert_same(ident_r @ a, a)
+    assert_same(a.kron(Matrix.identity(field, 1)), a)
+    assert_same((a + b) - b, a)
+    assert_same(a.T.T, a)
+    assert_same(a.flip_cols(1, 1, cols, 1), a)
+    assert_same(naive_mul(a, ident_c), a)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@given(data=st.data(), n=st.integers(min_value=0, max_value=4))
+def test_every_public_operation_gives_canonical_entries(field, data, n):
+    a = draw_matrix(data, field, n, n)
+    b = draw_matrix(data, field, n, 2)
+    vec = tuple(data.draw(st.lists(sparse_scalars(field), min_size=n, max_size=n)))
+    c = data.draw(sparse_scalars(field))
+    results = [a @ b, a.kron(b), a.flip_cols(1, 1, n, 1), a.transpose(), a + a, a.scale(c)]
+    inverse = (a + Matrix.identity(field, n)).inverse()
+    if inverse is not None:
+        results.append(inverse)
+    for m in results:
+        assert_normal(m)
+        assert_canonical(field, [x for row in m.data for x in row])
+        assert_canonical(field, [m[i, j] for i in range(m.rows) for j in range(m.cols)])
+        assert_canonical(field, [x for j in range(m.cols) for x in m.column(j)])
+    assert_canonical(field, a.apply(vec))
+    assert_canonical(field, [x for v in a.kernel_basis() for x in v])
+    solved = a.solve(vec)
+    if solved is not None:
+        assert_canonical(field, solved[0])
+        assert a.apply(solved[0]) == vec

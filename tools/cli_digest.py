@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Digests of the xmhopf CLI's output on every fixture and every mutation document.
+
+    python3 tools/cli_digest.py > tools/cli_digests.txt
+
+Runs, in process and from the repository root, each command that the
+benchmark's `fixtures` workload runs on a fixture, on every document in
+fixtures/ and fixtures/mutations/: `verify` of every named object;
+`integrals`, `grouplikes`, `dual` and `report` of every Hopf structure;
+`structure-theorem` of every Hopf module; `hom` of every pair of modules over
+one structure.  Each runs once as text and once with --json.
+
+Each line is the sha256 of (exit code, stdout, stderr) and the command line;
+the last line is the sha256 of all the lines before it.  A change that leaves
+every output byte alone leaves this file unchanged, so a diff of it names each
+invocation whose output moved.  Stdlib only; the program under test is src/
+of this checkout.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from xmhopf.cli import main as cli_main  # noqa: E402
+
+SECTIONS = ("groups", "crossed_modules", "hopf", "modules", "hopf_modules", "grouplikes",
+            "integrals")
+
+
+def documents():
+    """Paths, relative to the root, of every fixture and mutation document, sorted."""
+    out = []
+    for sub in ("fixtures", os.path.join("fixtures", "mutations")):
+        for fname in sorted(os.listdir(os.path.join(ROOT, sub))):
+            if fname.endswith(".json") and fname != "manifest.json":
+                out.append(f"{sub}/{fname}".replace(os.sep, "/"))
+    return out
+
+
+def invocations(rel):
+    """The argument lists of the commands the `fixtures` workload runs on a fixture."""
+    with open(os.path.join(ROOT, rel)) as fh:
+        doc = json.load(fh)
+    out = [["verify", rel, name] for section in SECTIONS for name in sorted(doc.get(section, {}))]
+    for name in sorted(doc.get("hopf", {})):
+        out += [[cmd, rel, name] for cmd in ("integrals", "grouplikes", "dual", "report")]
+    for mname, spec in sorted(doc.get("hopf_modules", {}).items()):
+        out.append(["structure-theorem", rel, spec["over"], mname])
+    mods = sorted(doc.get("modules", {}).items())
+    out += [["hom", rel, s["over"], src, tgt]
+            for src, s in mods for tgt, t in mods if s["over"] == t["over"]]
+    return out
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one in-process call; an escaped exception is its own code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except Exception as exc:  # a traceback is an output too
+            code = f"uncaught {type(exc).__name__}: {exc}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def main():
+    os.chdir(ROOT)
+    lines = []
+    for rel in documents():
+        for args in invocations(rel):
+            for argv in (args, args + ["--json"]):
+                code, out, err = run(argv)
+                blob = json.dumps([code, out, err]).encode()
+                lines.append(f"{hashlib.sha256(blob).hexdigest()}  {' '.join(argv)}")
+    total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    sys.stdout.write("\n".join(lines) + f"\n{total}  total of {len(lines)} invocations\n")
+
+
+if __name__ == "__main__":
+    main()
