@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of the xmhopf CLI's output on every fixture and every mutation document.
+"""Digests of the xmhopf CLI's output on every fixture, mutation and generated workload.
 
     python3 tools/cli_digest.py > tools/cli_digests.txt
 
@@ -8,7 +8,10 @@ benchmark's `fixtures` workload runs on a fixture, on every document in
 fixtures/ and fixtures/mutations/: `verify` of every named object;
 `integrals`, `grouplikes`, `dual` and `report` of every Hopf structure;
 `structure-theorem` of every Hopf module; `hom` of every pair of modules over
-one structure.  Each runs once as text and once with --json.
+one structure.  Then it builds the benchmark's generated workloads
+(perfbench/gen.py) at seed GEN_SEED in a temporary directory and runs each of
+their invocations, sorted; the directory's path shows as GEN_DIR in their
+lines.  Each invocation runs once as text and once with --json.
 
 Each line is the sha256 of (exit code, stdout, stderr) and the command line;
 the last line is the sha256 of all the lines before it.  A change that leaves
@@ -25,14 +28,19 @@ import io
 import json
 import os
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+import gen  # noqa: E402
 from xmhopf.cli import main as cli_main  # noqa: E402
 
 SECTIONS = ("groups", "crossed_modules", "hopf", "modules", "hopf_modules", "grouplikes",
             "integrals")
+GEN_SEED = 1
+GEN_DIR = "<gen>"
 
 
 def documents():
@@ -60,6 +68,17 @@ def invocations(rel):
     return out
 
 
+def generated(tmp):
+    """The argument lists of every generated workload's round, documents built under tmp."""
+    out = []
+    for workload in gen.WORKLOADS:
+        if workload != "fixtures":
+            round_ = gen.build(workload, GEN_SEED, tmp, root=tmp)
+            out += sorted([inv["command"], os.path.join(tmp, inv["args"][0])] + inv["args"][1:]
+                          for inv in round_)
+    return out
+
+
 def run(argv):
     """(exit code, stdout, stderr) of one in-process call; an escaped exception is its own code."""
     out, err = io.StringIO(), io.StringIO()
@@ -74,12 +93,14 @@ def run(argv):
 def main():
     os.chdir(ROOT)
     lines = []
-    for rel in documents():
-        for args in invocations(rel):
+    with tempfile.TemporaryDirectory() as tmp:
+        calls = [args for rel in documents() for args in invocations(rel)] + generated(tmp)
+        for args in calls:
             for argv in (args, args + ["--json"]):
                 code, out, err = run(argv)
                 blob = json.dumps([code, out, err]).encode()
-                lines.append(f"{hashlib.sha256(blob).hexdigest()}  {' '.join(argv)}")
+                shown = " ".join(argv).replace(tmp, GEN_DIR)
+                lines.append(f"{hashlib.sha256(blob).hexdigest()}  {shown}")
     total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     sys.stdout.write("\n".join(lines) + f"\n{total}  total of {len(lines)} invocations\n")
 
