@@ -67,12 +67,12 @@ def _pairings(a, fams, chk: Report) -> list:
             pairing = grouplike_pairing(a, fam)
         except DefiningIdentityFailedError as exc:
             out.append(None)
-            failures.append((_PAIRING_CHECK, f"family {k}: {exc}"))
+            failures.append((f"family {k}: {exc}", False, True))
             continue
         shown = {str(e): a.field.show(v) for e, v in sorted(pairing.items())}
         out.append((shown, all(v == a.field.one for v in pairing.values())))
     if failures:
-        chk.collect([(_PAIRING_CHECK, None)] + failures)
+        chk.identity(_PAIRING_CHECK, failures)
     return out
 
 
@@ -200,9 +200,13 @@ def cmd_grouplikes(doc: StructureDocument, args, res: CommandResult) -> None:
 
 def cmd_dual(doc: StructureDocument, args, res: CommandResult) -> None:
     a = _arg(doc, args.name, "hopf")
+    chk = Report("duality")
+    if a.base.antipode is None:  # there is no dual to validate
+        chk.settle("antipode", False, "antipode missing and not computable")
+        res.add_report(chk)
+        return
     b = dualize(a)
     res.add_report(validate_hopf_xi_algebra(b))
-    chk = Report("duality")
     chk.settle("double dual equals the original structure constants", dualize_algebra(b) == a)
     res.add_report(chk)
     res.output("dims", [b.dim(x) for x in b.H.elements()])

@@ -48,20 +48,6 @@ class FiniteGroup(Record, eq=True):
         """x a x^-1."""
         return self.mul(self.mul(x, a), self.inv(x))
 
-    def is_abelian(self) -> bool:
-        return all(
-            self.mul(a, b) == self.mul(b, a)
-            for a in self.elements()
-            for b in self.elements()
-        )
-
-    def element_order(self, a: int) -> int:
-        n, x = 1, a
-        while x != self.identity:
-            x = self.mul(x, a)
-            n += 1
-        return n
-
     @staticmethod
     def from_table(table) -> "FiniteGroup":
         """Build from a bare table, locating identity and inverses.

@@ -21,7 +21,7 @@ from .errors import (
 from .groups import FiniteGroup, cyclic
 from .linalg import Field, Matrix, linear_map_matrix
 from .record import Record
-from .report import Report, holds
+from .report import Report
 
 
 def vec_kron(field: Field, u: Sequence, v: Sequence) -> tuple:
@@ -288,26 +288,6 @@ def antipode_properties(a: GradedHopfCoalgebra) -> Report:
     return rep
 
 
-def convolution_product(
-    a: GradedHopfCoalgebra, f: Matrix, x: int, g: Matrix, y: int, target_mul: Matrix
-) -> Matrix:
-    """(f * g) = m_B (f (x) g) Delta_{x,y} for maps f: A_x -> B, g: A_y -> B.
-
-    target_mul is the product of B as a matrix B (x) B -> B; for B = k pass
-    scalar_mul(a.field).
-    """
-    if f.cols != a.dim(x) or g.cols != a.dim(y):
-        raise ShapeMismatchError("convolution factors do not match the components")
-    if f.rows != g.rows or target_mul.cols != f.rows * g.rows or target_mul.rows != f.rows:
-        raise ShapeMismatchError("convolution target algebra mismatch")
-    return target_mul @ f.kron(g) @ a.delta(x, y)
-
-
-def scalar_mul(field: Field) -> Matrix:
-    """Multiplication of the ground field viewed as a 1x1 target algebra."""
-    return Matrix(field, [[field.one]])
-
-
 # -- grouplike machinery ------------------------------------------------------------
 
 
@@ -324,37 +304,30 @@ def _coproduct_holds(a: GradedHopfCoalgebra, G, x: int, y: int) -> bool:
     return a.delta(x, y).apply(G[a.H.mul(x, y)]) == vec_kron(a.field, G[x], G[y])
 
 
-def _grouplike_violations(a: GradedHopfCoalgebra, G: GrouplikeFamily):
-    """(check name, witness) pairs of the grouplike conditions, in report order."""
+def grouplike_report(a: GradedHopfCoalgebra, G: GrouplikeFamily) -> Report:
+    """The grouplike conditions on a candidate family G, one identity each, with witnesses.
+
+    A G not shaped like the components raises ShapeMismatchError; docio checks a document's.
+    """
     H, f = a.H, a.field
-    yield "shape", None
     if len(G) != H.order or any(len(G[x]) != a.dim(x) for x in H.elements()):
-        yield "shape", "family has wrong component dimensions"
-        return
-    counit = "counit normalization eps(G_1) = 1"
-    yield counit, None
+        raise ShapeMismatchError("family has wrong component dimensions")
+    rep = Report("grouplike candidate")
     eps = _counit_of(a, G)
-    if eps != f.one:
-        yield counit, f"eps(G_1) = {f.show(eps)}"
-    coprod = "Delta_{x,y}(G_xy) = G_x (x) G_y"
-    yield coprod, None
-    for x in H.elements():
-        for y in H.elements():
-            if not _coproduct_holds(a, G, x, y):
-                yield coprod, f"(x,y)=({x},{y})"
+    rep.identity("counit normalization eps(G_1) = 1", [(f"eps(G_1) = {f.show(eps)}", eps, f.one)])
+    rep.identity("Delta_{x,y}(G_xy) = G_x (x) G_y", (
+        (f"(x,y)=({x},{y})", _coproduct_holds(a, G, x, y), True)
+        for x in H.elements() for y in H.elements()
+    ))
+    return rep
 
 
 def is_grouplike(a: GradedHopfCoalgebra, G: GrouplikeFamily) -> bool:
-    return holds(_grouplike_violations(a, G))
+    return grouplike_report(a, G).ok
 
 
 def grouplike_product(a: GradedHopfCoalgebra, G1: GrouplikeFamily, G2: GrouplikeFamily):
     return tuple(a.components[x].multiply(G1[x], G2[x]) for x in a.H.elements())
-
-
-def grouplike_report(a: GradedHopfCoalgebra, G: GrouplikeFamily) -> Report:
-    """Witness-reporting version of is_grouplike for candidate families."""
-    return Report("grouplike candidate").collect(_grouplike_violations(a, G))
 
 
 def grouplike_inverse(a: GradedHopfCoalgebra, G: GrouplikeFamily) -> GrouplikeFamily:

@@ -125,9 +125,6 @@ class Field(Record, eq=True):
             return 1 / Fraction(a)
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
-
     # -- scalar literals ---------------------------------------------------
 
     def parse(self, text: str | int) -> Scalar:
@@ -264,14 +261,6 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(self.field.show(x)) for x in row) for row in self.data)
         return f"Matrix({self.rows}x{self.cols} over {self.field}: [{body}])"
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self.num))
-
-    def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return self == Matrix.identity(self.field, self.rows)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -515,15 +504,6 @@ class Matrix:
             x[pc] = m[r][self.cols]
         unique = len(pivots) == self.cols
         return tuple(x), unique
-
-    def inverse(self) -> Matrix | None:
-        if self.rows != self.cols:
-            return None
-        f, n = self.field, self.rows
-        m, pivots = self._beside(Matrix.identity(f, n))._rref()
-        if pivots != list(range(n)):
-            return None
-        return Matrix(f, [row[n:] for row in m], n, n)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows

@@ -32,9 +32,6 @@ class AModule(Record):
     def r(self, x: int) -> Matrix:
         return self.actions[x]
 
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
     def support(self) -> list[int]:
         return [x for x in self.algebra.H.elements() if self.dims[x] > 0]
 

@@ -9,12 +9,11 @@ it opens the check `name` and walks a lazily generated stream of
 (label, lhs, rhs) cases, recording the label of each case whose sides
 differ.  A validator is then the list of its identities, each written once
 as a generator over its index space; shapes and ranges are checked when
-objects are built, so no validator opens a check by hand.
+objects are built, so no validator opens a check by hand.  A verdict that
+is not an identity of two sides is recorded by `Report.settle`.
 
 Where a boolean predicate is also needed (is_grouplike, is_integral), it
-and its report share one violation generator of (check name, witness)
-pairs: `Report.collect` records every pair, `holds` stops at the first
-witness.  A pair whose witness is None opens a check and records nothing.
+is its report's `.ok`.
 """
 
 from __future__ import annotations
@@ -24,11 +23,6 @@ from collections.abc import Iterable
 from .record import Record
 
 WITNESS_CAP = 10
-
-
-def holds(violations: Iterable[tuple[str, str | None]]) -> bool:
-    """True when no pair carries a witness; stops at the first that does."""
-    return all(witness is None for _, witness in violations)
 
 
 class Check(Record, eq=True, frozen=False):
@@ -66,16 +60,6 @@ class Report(Record, eq=True, frozen=False):
         if not ok:
             c.add(witness or name)
 
-    def collect(self, violations: Iterable[tuple[str, str | None]]) -> "Report":
-        """Record (check name, witness) pairs; each check is opened by a None witness."""
-        checks = {}
-        for name, witness in violations:
-            if witness is None:
-                checks[name] = self.check(name)
-            else:
-                checks[name].add(witness)
-        return self
-
     def merge(self, other: "Report") -> None:
         for c in other.checks:
             sub = Check(f"{other.title}: {c.name}", list(c.witnesses), c.violations)
@@ -84,10 +68,6 @@ class Report(Record, eq=True, frozen=False):
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    @property
-    def failures(self) -> list[Check]:
-        return [c for c in self.checks if not c.ok]
 
     def as_dict(self) -> dict:
         return {

@@ -347,12 +347,13 @@ def test_hom_command_accepts_element_labels():
     assert proc.returncode == 2
 
 
-def fixture_verifications():
-    """(file:name, CommandResult) of `verify` on every name of every shipped valid document."""
+def fixture_verifications(pattern="*.json"):
+    """(file:name, CommandResult) of `verify` on every name of every document matching pattern,
+    by default every shipped valid document."""
     from xmhopf.cli import CommandResult, _verify_object
     from xmhopf.docio import parse
 
-    for doc_path in sorted(FIXTURES.glob("*.json")):
+    for doc_path in sorted(FIXTURES.glob(pattern)):
         doc = parse(doc_path.read_bytes())
         for name in doc.all_names():
             res = CommandResult("verify", "-", name)
@@ -368,10 +369,69 @@ def test_every_named_object_in_every_fixture_verifies():
 
 
 def test_no_report_names_a_check_twice():
-    # a failure must say which of two like components (E or H, A_x or A_y) it is about
-    for where, res in fixture_verifications():
-        names = [c.name for c in res.report.checks]
-        assert len(names) == len(set(names)), where
+    # a failure must say which of two like components (E or H, A_x or A_y) it is about;
+    # and a report states axioms only, since shapes are checked when a document is parsed
+    for pattern in ("*.json", "mutations/mut*.json"):
+        for where, res in fixture_verifications(pattern):
+            names = [c.name for c in res.report.checks]
+            assert len(names) == len(set(names)), where
+            assert not [n for n in names if n.endswith(": shape")], where
+
+
+def test_dual_without_an_antipode_is_a_failed_check(tmp_path):
+    # the bialgebra k[{1, z}], z^2 = z, Delta(g) = g (x) g: well formed, but z has no antipode;
+    # dual used to exit 2 with "input error: antipode has not been computed"
+    doc = {
+        "field": {"kind": "rational"},
+        "groups": {"one": {"cyclic": 1}},
+        "crossed_modules": {"triv": {"trivial_over": "one"}},
+        "hopf": {"bi": {
+            "cm": "triv",
+            "components": [{"mul": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "1"]]],
+                            "unit": ["1", "0"]}],
+            "coproduct": {"0,0": [["1", "0"], ["0", "0"], ["0", "0"], ["0", "1"]]},
+            "counit": ["1", "1"],
+            "action": {"0,0": [["1", "0"], ["0", "1"]]},
+        }},
+    }
+    path = tmp_path / "no_antipode.json"
+    path.write_text(json.dumps(doc))
+    for command in ("verify", "report", "dual"):
+        proc = run_cli(command, str(path), "bi")
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert proc.stderr == ""
+        assert "  witness: antipode missing and not computable\n" in proc.stdout
+        assert "result: FAIL" in proc.stdout
+
+
+def test_benchmark_tracer_installs_and_restores_every_original():
+    # perfbench/spans.py wraps names it looks up (Matrix.flip, CommandResult.render, every
+    # public function of the traced modules); a missing one breaks every traced run
+    import importlib
+    import importlib.util
+
+    import xmhopf
+    from xmhopf import hopf
+    from xmhopf.cli import CommandResult
+    from xmhopf.linalg import Matrix
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", FIXTURES.parent / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    namespaces = [xmhopf, Matrix, CommandResult] + [
+        importlib.import_module(f"xmhopf.{m}") for m in spans.MODULES]
+    before = [dict(vars(ns)) for ns in namespaces]
+    is_grouplike = hopf.is_grouplike
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert Matrix.__dict__["flip"] is not before[1]["flip"]
+        assert CommandResult.__dict__["render"] is not before[2]["render"]
+        assert hopf.is_grouplike is not is_grouplike
+    finally:
+        tracer.uninstall()
+    assert [dict(vars(ns)) for ns in namespaces] == before
 
 
 def test_report_command():

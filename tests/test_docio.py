@@ -141,7 +141,7 @@ def test_remaining_constructor_directives():
     assert doc.groups["s3"].order == 6
     assert doc.crossed_modules["cm"].H.order == 1
     _, unit = doc.modules["one"]
-    assert unit.dims == (1,) and unit.total_dim() == 1
+    assert unit.dims == (1,) and sum(unit.dims) == 1
     assert serialize(parse(serialize(doc))) == serialize(doc)
 
 

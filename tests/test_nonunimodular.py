@@ -50,8 +50,8 @@ def test_antipode_matches_hand_computation():
     assert a.S(0) == Matrix(QQ, [[o, z, z, z], [z, o, z, z], [z, z, z, n], [z, z, o, z]])
     # S^2 = conjugation by g: order 2 but not the identity
     ss = a.S(0) @ a.S(0)
-    assert not ss.is_identity()
-    assert (ss @ ss).is_identity()
+    assert ss != Matrix.identity(QQ, 4)
+    assert ss @ ss == Matrix.identity(QQ, 4)
 
 
 def test_one_dimensional_one_sided_integrals():
@@ -169,5 +169,5 @@ def test_twisted_constructor_rejects_invalid_classical_data():
     ident = Matrix.identity(f, 2)
     rep = full_validation_report(mk_from_h_action(cm, broken, [ident, ident]))
     assert not rep.ok
-    failed = {c.name for c in rep.failures}
+    failed = {c.name for c in rep.checks if not c.ok}
     assert "graded coalgebra: coassociativity" in failed, failed

@@ -52,7 +52,7 @@ def test_scaled_action_fails_unitality(k_xi_z2):
     )
     rep = validate_module(k_xi_z2, doubled)
     assert not rep.ok
-    assert any(c.name == "action is unital" for c in rep.failures)
+    assert any(c.name == "action is unital" for c in rep.checks if not c.ok)
 
 
 def test_unit_tensor_is_identity(k_xi_z2):

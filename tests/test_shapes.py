@@ -1,6 +1,10 @@
 """Structures are well-shaped by construction: each checks the shapes of its maps when built."""
 
+import pathlib
+
 import pytest
+
+import xmhopf
 
 from tests.conftest import QQ, make_k_xi_z2
 from xmhopf.crossed import CrossedModule
@@ -103,3 +107,12 @@ def test_dual_algebra_sizes_are_checked_on_the_transposed_coalgebra():
     b = rebuilt(B, mul={**B.mul, (0, 1): WRONG})()  # a transpose shows this size
     with pytest.raises(ShapeMismatchError, match=r"coproduct \(0,1\) has wrong shape"):
         validate_hopf_xi_algebra(b)
+
+
+def test_only_the_report_module_opens_a_check():
+    # a validator states identities (Report.identity) and verdicts (Report.settle); with
+    # shapes checked when a structure is built, no other module opens a check by hand
+    for path in sorted(pathlib.Path(xmhopf.__file__).parent.glob("*.py")):
+        if path.name != "report.py":
+            text = path.read_text()
+            assert "Check(" not in text and ".check(" not in text, path.name
