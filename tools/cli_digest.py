@@ -11,7 +11,9 @@ fixtures/ and fixtures/mutations/: `verify` of every named object;
 one structure.  Then it builds the benchmark's generated workloads
 (perfbench/gen.py) at seed GEN_SEED in a temporary directory and runs each of
 their invocations, sorted; the directory's path shows as GEN_DIR in their
-lines.  Each invocation runs once as text and once with --json.
+lines.  Last it runs `verify - g` on each MALFORMED and DEFERRED_MALFORMED
+document of tests/test_cli.py, read from stdin; their lines show the document as
+`< MALFORMED[id]`.  Each invocation runs once as text and once with --json.
 
 Each line is the sha256 of (exit code, stdout, stderr) and the command line;
 the last line is the sha256 of all the lines before it.  A change that leaves
@@ -22,6 +24,7 @@ of this checkout.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -41,6 +44,7 @@ SECTIONS = ("groups", "crossed_modules", "hopf", "modules", "hopf_modules", "gro
             "integrals")
 GEN_SEED = 1
 GEN_DIR = "<gen>"
+CLI_TESTS = os.path.join(ROOT, "tests", "test_cli.py")
 
 
 def documents():
@@ -79,14 +83,37 @@ def generated(tmp):
     return out
 
 
-def run(argv):
+def malformed():
+    """(label, document bytes) of every document that the malformed-input tests feed to
+    `verify - g`: WELL_FORMED with each entry of MALFORMED and DEFERRED_MALFORMED put in.
+
+    The three dicts are read from tests/test_cli.py without importing it (it needs pytest).
+    """
+    with open(CLI_TESTS) as fh:
+        tree = ast.parse(fh.read(), CLI_TESTS)
+    tables = {
+        node.targets[0].id: eval(compile(ast.Expression(node.value), CLI_TESTS, "eval"), {})
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("WELL_FORMED", "MALFORMED", "DEFERRED_MALFORMED")
+    }
+    return [(f"{table}[{key}]", json.dumps(dict(tables["WELL_FORMED"], **sections)).encode())
+            for table in ("MALFORMED", "DEFERRED_MALFORMED")
+            for key, sections in tables[table].items()]
+
+
+def run(argv, stdin=b""):
     """(exit code, stdout, stderr) of one in-process call; an escaped exception is its own code."""
     out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin))
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli_main(argv)
         except Exception as exc:  # a traceback is an output too
             code = f"uncaught {type(exc).__name__}: {exc}"
+        finally:
+            sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
 
 
@@ -94,12 +121,14 @@ def main():
     os.chdir(ROOT)
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        calls = [args for rel in documents() for args in invocations(rel)] + generated(tmp)
-        for args in calls:
+        calls = [(args, b"", "") for rel in documents() for args in invocations(rel)]
+        calls += [(args, b"", "") for args in generated(tmp)]
+        calls += [(["verify", "-", "g"], data, f" < {label}") for label, data in malformed()]
+        for args, stdin, source in calls:
             for argv in (args, args + ["--json"]):
-                code, out, err = run(argv)
+                code, out, err = run(argv, stdin)
                 blob = json.dumps([code, out, err]).encode()
-                shown = " ".join(argv).replace(tmp, GEN_DIR)
+                shown = " ".join(argv).replace(tmp, GEN_DIR) + source
                 lines.append(f"{hashlib.sha256(blob).hexdigest()}  {shown}")
     total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     sys.stdout.write("\n".join(lines) + f"\n{total}  total of {len(lines)} invocations\n")
