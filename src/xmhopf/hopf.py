@@ -19,7 +19,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .groups import FiniteGroup, cyclic
-from .linalg import Field, Matrix, linear_map_matrix
+from .linalg import Field, Matrix
 from .record import Record
 from .report import Report
 
@@ -50,21 +50,12 @@ class ComponentAlgebra(Record, eq=True):
     def from_structure_constants(field: Field, c, unit) -> "ComponentAlgebra":
         """c[i][j][k] is the coefficient of e_k in e_i e_j."""
         dim = len(c)
-        rows = [[field.zero] * (dim * dim) for _ in range(dim)]
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    rows[k][i * dim + j] = c[i][j][k]
-        return ComponentAlgebra(field, dim, Matrix(field, rows), tuple(unit))
+        products = Matrix(field, [e_ij for c_i in c for e_ij in c_i], dim * dim, dim)
+        return ComponentAlgebra(field, dim, products.T, tuple(unit))
 
     def structure_constants(self):
-        return [
-            [
-                [self.mul[k, i * self.dim + j] for k in range(self.dim)]
-                for j in range(self.dim)
-            ]
-            for i in range(self.dim)
-        ]
+        products, d = self.mul.T.data, self.dim
+        return [[list(products[i * d + j]) for j in range(d)] for i in range(d)]
 
     def unit_col(self) -> Matrix:
         return Matrix.col(self.field, self.unit)
@@ -198,29 +189,22 @@ def antipode_solve_details(a: GradedHopfCoalgebra, x: int):
     """Solve the left antipode identity for S_x; returns (matrix or None, unique flag).
 
     The unknown S_x: A_{x^-1} -> A_x enters mu_x (S_x (x) id) Delta_{x^-1,x}
-    = eta_x eps linearly; the system is assembled by evaluating on
-    elementary matrices, then solved by exact elimination.
+    = eta_x eps linearly.  With S_x and both sides flattened row-major, the
+    system is (mu_x (x) id_{A_1}) (id_{A_x} (x) D^T) for D = Delta_{x^-1,x}
+    reshaped to dim A_{x^-1} x (dim A_x dim A_1); it is solved by exact
+    elimination.
     """
     H, f = a.H, a.field
     xinv = H.inv(x)
-    dx, dxi = a.dim(x), a.dim(xinv)
-    delta = a.delta(xinv, x)
-    mul = a.components[x].mul
+    dx, dxi, d1 = a.dim(x), a.dim(xinv), a.dim(H.identity)
+    d = a.delta(xinv, x).reshape(dxi, dx * d1)
+    system = a.components[x].mul.kron(Matrix.identity(f, d1)) @ Matrix.identity(f, dx).kron(d.T)
     target = a.components[x].unit_col() @ a.counit
-
-    def image_of(flat):
-        s = Matrix(f, [flat[r * dxi:(r + 1) * dxi] for r in range(dx)], dx, dxi)
-        out = mul @ s.kron(Matrix.identity(f, dx)) @ delta
-        return [out[i, j] for i in range(out.rows) for j in range(out.cols)]
-
-    system = linear_map_matrix(f, dx * dxi, image_of)
-    rhs = [target[i, j] for i in range(target.rows) for j in range(target.cols)]
-    solved = system.solve(tuple(rhs))
+    solved = system.solve(target.reshape(1, dx * d1).data[0])
     if solved is None:
         return None, False
     flat, unique = solved
-    s = Matrix(f, [flat[r * dxi:(r + 1) * dxi] for r in range(dx)], dx, dxi)
-    return s, unique
+    return Matrix.row(f, flat).reshape(dx, dxi), unique
 
 
 def compute_antipode(a: GradedHopfCoalgebra) -> tuple[Matrix, ...] | None:
@@ -369,8 +353,7 @@ def enumerate_grouplikes(a: GradedHopfCoalgebra) -> list[GrouplikeFamily]:
     per_component = []
     for x in H.elements():
         cands = []
-        for i in range(a.dim(x)):
-            v = tuple(f.one if j == i else f.zero for j in range(a.dim(x)))
+        for v in Matrix.identity(f, a.dim(x)).data:
             cands.append(v)
             neg = tuple(f.neg(c) for c in v)
             if neg != v:
@@ -416,8 +399,7 @@ def is_pivotal_element(a: GradedHopfCoalgebra, G: GrouplikeFamily) -> Report:
         for x in H.elements():
             comp = a.components[x]
             ss = a.S(x) @ a.S(H.inv(x))
-            for i in range(comp.dim):
-                basis = tuple(f.one if j == i else f.zero for j in range(comp.dim))
+            for i, basis in enumerate(Matrix.identity(f, comp.dim).data):
                 conjugated = comp.multiply(comp.multiply(G[x], basis), ginv[x])
                 yield f"x={x} basis={i}", ss.apply(basis), conjugated
 
@@ -449,24 +431,14 @@ def classical_hopf(
 
 def group_algebra(field: Field, g: FiniteGroup) -> GradedHopfCoalgebra:
     """k[G]: basis indexed by group elements, Delta(g) = g (x) g, S(g) = g^-1."""
-    n = g.order
-    z, o = field.zero, field.one
-    mul_rows = [[z] * (n * n) for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            mul_rows[g.mul(i, j)][i * n + j] = o
-    unit = tuple(o if i == g.identity else z for i in range(n))
-    algebra = ComponentAlgebra(field, n, Matrix(field, mul_rows), unit)
-
-    delta_rows = [[z] * n for _ in range(n * n)]
-    for i in range(n):
-        delta_rows[i * n + i][i] = o
-    delta = Matrix(field, delta_rows)
-    counit = Matrix.row(field, [o] * n)
-    s_rows = [[z] * n for _ in range(n)]
-    for i in range(n):
-        s_rows[g.inv(i)][i] = o
-    return classical_hopf(field, algebra, delta, counit, Matrix(field, s_rows))
+    n, els = g.order, g.elements()
+    e = Matrix.identity(field, n).data  # e[i]: the basis vector of element i
+    # each map is given by its columns, the images of the basis vectors
+    mul = Matrix(field, [e[g.mul(i, j)] for i in els for j in els], n * n, n).T
+    delta = Matrix(field, [vec_kron(field, e[i], e[i]) for i in els], n, n * n).T
+    antipode = Matrix(field, [e[g.inv(i)] for i in els], n, n).T
+    algebra = ComponentAlgebra(field, n, mul, e[g.identity])
+    return classical_hopf(field, algebra, delta, Matrix.row(field, [field.one] * n), antipode)
 
 
 def component_hopf_at_identity(a: GradedHopfCoalgebra) -> GradedHopfCoalgebra:

@@ -10,6 +10,8 @@ the integral space for finite-type structures over a field.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .errors import (
     DefiningIdentityFailedError,
     NotIntegralError,
@@ -139,42 +141,44 @@ def _unflatten(vec, dims) -> tuple:
     return tuple(out)
 
 
+def _graded_kernel(f, dims, block_rows) -> list[tuple]:
+    """Kernel basis of the system whose block rows are lists of (x, B): B multiplies the
+    component of degree x of an unknown graded family with component dimensions dims."""
+    offsets = list(accumulate(dims, initial=0))
+    blocks, r0 = [], 0
+    for row in block_rows:
+        blocks += [(r0, offsets[x], b) for x, b in row]
+        r0 += row[0][1].rows
+    system = Matrix.place(f, r0, offsets[-1], blocks)
+    return [_unflatten(v, dims) for v in system.kernel_basis()]
+
+
 def coinvariants(a: HopfXiCoalgebra, m: HopfXiModule) -> list[tuple]:
     """Deterministic basis of the coinvariants M^{co A}.
 
     A family (m_x) is coinvariant when rho_{x,y}(m_{xy}) = 1_x (x) m_y and
     psi_{x,e}(m_x) = m_{xi(e)x}; both conditions stack into one kernel
-    computation over the concatenated coordinates.
+    computation over the concatenated coordinates, with block rows
+    [rho_{x,y} | -(1_x (x) I)] and [psi_{x,e} | -I].
     """
     f, H, E = a.field, a.H, a.E
-    rows = []  # each a family of coefficients on (m_x)
+    minus = f.of(-1)
+    ident = [Matrix.identity(f, d) for d in m.dims]
+    rows = []
     for x in H.elements():
-        unit_x = a.component(x).unit
-        for y in H.elements():
-            xy = H.mul(x, y)
-            for i in range(a.dim(x)):
-                for j in range(m.dim(y)):
-                    row = [[f.zero] * d for d in m.dims]
-                    row[xy] = list(m.rho[(x, y)].data[i * m.dim(y) + j])
-                    row[y][j] = f.sub(row[y][j], unit_x[i])
-                    rows.append(row)
+        unit_x = a.component(x).unit_col().scale(minus)
+        rows += [[(H.mul(x, y), m.rho[(x, y)]), (y, unit_x.kron(ident[y]))] for y in H.elements()]
         for e in E.elements():
             tgt = H.mul(a.cm.xi_of(e), x)
-            for i in range(m.dim(tgt)):
-                row = [[f.zero] * d for d in m.dims]
-                row[x] = list(m.psi[(x, e)].data[i])
-                row[tgt][i] = f.sub(row[tgt][i], f.one)
-                rows.append(row)
-    system = Matrix(f, [_flatten(row) for row in rows], len(rows), sum(m.dims))
-    return [_unflatten(v, m.dims) for v in system.kernel_basis()]
+            rows.append([(x, m.psi[(x, e)]), (tgt, ident[tgt].scale(minus))])
+    return _graded_kernel(f, m.dims, rows)
 
 
 def _coordinates_in_span(field, basis_vectors, target):
     """Coordinates of target in the span of basis_vectors, or None."""
     if not basis_vectors:
         return None if any(t != field.zero for t in target) else ()
-    cols = Matrix(field, [[v[i] for v in basis_vectors] for i in range(len(target))],
-                  len(target), len(basis_vectors))
+    cols = Matrix(field, basis_vectors, len(basis_vectors), len(target)).T
     solved = cols.solve(target)
     return None if solved is None else solved[0]
 
@@ -194,8 +198,7 @@ def structure_iso(a: HopfXiCoalgebra, m: HopfXiModule):
 
     # eps_x = r_x (id (x) C_x), where column c of C_x is the component c_x of coinvariant c
     eps_maps = [
-        m.r[x] @ Matrix.identity(f, a.dim(x)).kron(
-            Matrix(f, [[c[x][i] for c in coinv] for i in range(m.dim(x))], m.dim(x), k))
+        m.r[x] @ Matrix.identity(f, a.dim(x)).kron(Matrix(f, [c[x] for c in coinv], k, m.dim(x)).T)
         for x in H.elements()
     ]
 
@@ -213,8 +216,7 @@ def structure_iso(a: HopfXiCoalgebra, m: HopfXiModule):
         if coords is None:
             raise NotInvertibleError("pi does not land in the coinvariants")
         pi_cols.append(coords)
-    pi = Matrix(f, [[pi_cols[j][i] for j in range(m.dim(one))] for i in range(k)],
-                k, m.dim(one))
+    pi = Matrix(f, pi_cols, m.dim(one), k).T
 
     nu_maps = [Matrix.identity(f, a.dim(x)).kron(pi) @ m.rho[(x, one)] for x in H.elements()]
 
@@ -235,38 +237,33 @@ def integral_space(a: HopfXiCoalgebra, side: str) -> list[tuple]:
 
     An integral is a family of covectors (lambda_x) satisfying the
     coproduct condition on every (x, y) and invariance under the action;
-    the stacked system is solved by one exact kernel computation.
+    the stacked system is solved by one exact kernel computation.  Each
+    (x, y) gives the block row [Delta_{x,y}^T reshaped | -(I (x) 1)] on
+    (lambda_y, lambda_xy) for the left side and on (lambda_x, lambda_xy) for
+    the right, where a flip first puts the A_y factor ahead; each (x, e)
+    gives [phi_{x,e}^T | -I] on (lambda_{xi(e)x}, lambda_x).
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     f, H, E = a.field, a.H, a.E
     dims = [a.dim(x) for x in H.elements()]
-    rows = []  # each a family of coefficients on (lambda_x)
+    minus = f.of(-1)
+    ident = [Matrix.identity(f, d) for d in dims]
+    rows = []
     for x in H.elements():
         for y in H.elements():
-            xy = H.mul(x, y)
-            delta = a.delta(x, y)
-            dx, dy = a.dim(x), a.dim(y)
-            left = side == "left"
-            unit = a.component(x if left else y).unit
-            for i in range(dx if left else dy):
-                for j in range(dims[xy]):
-                    row = [[f.zero] * d for d in dims]
-                    if left:  # (id (x) lambda_y) Delta_{x,y} = 1_x lambda_xy, at e_i of A_x
-                        row[y] = [delta[i * dy + t, j] for t in range(dy)]
-                    else:  # (lambda_x (x) id) Delta_{x,y} = 1_y lambda_xy, at e_i of A_y
-                        row[x] = [delta[t * dy + i, j] for t in range(dx)]
-                    row[xy][j] = f.sub(row[xy][j], unit[i])
-                    rows.append(row)
+            xy, dx, dy = H.mul(x, y), dims[x], dims[y]
+            delta_t = a.delta(x, y).T
+            if side == "left":  # (id (x) lambda_y) Delta_{x,y} = 1_x lambda_xy
+                z, unit = y, a.component(x).unit_col()
+                coef = delta_t.reshape(dims[xy] * dx, dy)
+            else:  # (lambda_x (x) id) Delta_{x,y} = 1_y lambda_xy
+                z, unit = x, a.component(y).unit_col()
+                coef = delta_t.flip_cols(1, dy, dx, 1).reshape(dims[xy] * dy, dx)
+            rows.append([(z, coef), (xy, ident[xy].kron(unit.scale(minus)))])
         for e in E.elements():
-            tgt = H.mul(a.cm.xi_of(e), x)
-            for j in range(dims[x]):
-                row = [[f.zero] * d for d in dims]
-                row[tgt] = list(a.phi(x, e).column(j))
-                row[x][j] = f.sub(row[x][j], f.one)
-                rows.append(row)
-    system = Matrix(f, [_flatten(row) for row in rows], len(rows), sum(dims))
-    return [_unflatten(v, dims) for v in system.kernel_basis()]
+            rows.append([(H.mul(a.cm.xi_of(e), x), a.phi(x, e).T), (x, ident[x].scale(minus))])
+    return _graded_kernel(f, dims, rows)
 
 
 def integral_report(a: HopfXiCoalgebra, lam: tuple, side: str) -> Report:
@@ -372,24 +369,17 @@ def dual_hopf_module(a: HopfXiCoalgebra) -> HopfXiModule:
     for a valid `a` the coinvariants are the right integrals reindexed by
     lambda -> (lambda_{x^-1}).
     """
-    f, H, E, cm = a.field, a.H, a.E, a.cm
+    H, E, cm = a.H, a.E, a.cm
     dims = tuple(a.dim(H.inv(x)) for x in H.elements())
 
     r = tuple(_contragredient(a, H.inv(x), a.component(H.inv(x)).mul) for x in H.elements())
 
-    rho = {}
-    for x in H.elements():
-        for y in H.elements():
-            xy = H.mul(x, y)
-            dx = a.dim(x)
-            my, mxy = dims[y], dims[xy]
-            delta = a.delta(H.inv(xy), x)  # A_{y^-1} -> A_{(xy)^-1} (x) A_x
-            rows = [[f.zero] * mxy for _ in range(dx * my)]
-            for i in range(dx):
-                for t in range(my):
-                    for j in range(mxy):
-                        rows[i * my + t][j] = delta[j * dx + i, t]
-            rho[(x, y)] = Matrix(f, rows, dx * my, mxy)
+    # entry (i*m_y + t, j) of rho_{x,y} is entry (j*dim A_x + i, t) of
+    # Delta_{(xy)^-1,x}: A_{y^-1} -> A_{(xy)^-1} (x) A_x
+    rho = {
+        (x, y): a.delta(H.inv(H.mul(x, y)), x).reshape(dims[H.mul(x, y)], a.dim(x) * dims[y]).T
+        for x in H.elements() for y in H.elements()
+    }
 
     psi = {}
     for x in H.elements():

@@ -17,7 +17,10 @@ Conventions fixed here and used by every other module:
   * elimination over Q is fraction-free: integer rows, cross-multiplied,
     with each row's content divided out;
   * a tensor flip inside a composite is a column reindexing
-    (`Matrix.flip_cols`), never a permutation-matrix product.
+    (`Matrix.flip_cols`), never a permutation-matrix product;
+  * above this module, every reindexing of a structure map is `reshape`,
+    `flip_cols` or `T`, and every linear system or block matrix is
+    assembled by block placement (`Matrix.place`), never entry by entry.
 """
 
 from __future__ import annotations
@@ -221,6 +224,30 @@ class Matrix:
         """Permutation matrix of the tensor flip U (x) V -> V (x) U, dim U = a, dim V = b."""
         return Matrix.identity(field, a * b).flip_cols(1, a, b, 1)
 
+    @staticmethod
+    def place(field: Field, rows: int, cols: int, blocks) -> "Matrix":
+        """The rows x cols sum of `blocks`, each (r0, c0, B) being B with its entry (0, 0) at
+        (r0, c0) and zero elsewhere: where blocks overlap, their entries add.
+
+        Over Q the sum is taken over the lcm of the blocks' denominators.
+        """
+        blocks = list(blocks)
+        p, den = field.p, lcm(*[b.den for _, _, b in blocks])
+        acc = [[0] * cols for _ in range(rows)]
+        for r0, c0, b in blocks:
+            require_same_field(field, b.field)
+            if min(r0, c0) < 0 or r0 + b.rows > rows or c0 + b.cols > cols:
+                raise ShapeMismatchError(
+                    f"{b.rows}x{b.cols} block at ({r0}, {c0}) outside {rows}x{cols}"
+                )
+            s = den // b.den
+            for row, brow in zip(acc[r0:], b.num):
+                for j, x in enumerate(brow, c0):
+                    if x:
+                        row[j] += s * x
+        num = tuple(tuple([x % p for x in row] if p else row) for row in acc)
+        return _new(field, rows, cols, num, den)
+
     # -- entries as public scalars -------------------------------------------
 
     @property
@@ -351,6 +378,14 @@ class Matrix:
         ]
         num = tuple(tuple([row[k] for k in src]) for row in self.num)
         return _new(self.field, self.rows, n, num, self.den)
+
+    def reshape(self, rows: int, cols: int) -> "Matrix":
+        """The rows x cols matrix with the same entries, read and written row-major."""
+        if rows * cols != self.rows * self.cols:
+            raise ShapeMismatchError(f"reshape {self.rows}x{self.cols} to {rows}x{cols}")
+        flat = [x for row in self.num for x in row]
+        num = tuple(tuple(flat[i * cols:(i + 1) * cols]) for i in range(rows))
+        return _new(self.field, rows, cols, num, self.den)
 
     def transpose(self) -> "Matrix":
         if self.rows == 0:
@@ -544,20 +579,3 @@ def _new(field: Field, rows: int, cols: int, num: tuple, den: int = 1) -> Matrix
     m = _alloc(Matrix)
     _set(m, field, rows, cols, num, den)
     return m
-
-
-def linear_map_matrix(field: Field, n_unknowns: int, apply_fn) -> Matrix:
-    """Matrix of a linear map k^n -> k^m given by evaluation on basis vectors.
-
-    apply_fn receives each standard basis vector (as a tuple) and must
-    return the image coordinates (as a sequence).  Used to assemble the
-    linear systems whose unknowns are entries of structure maps.
-    """
-    cols = []
-    for i in range(n_unknowns):
-        e = tuple(field.one if j == i else field.zero for j in range(n_unknowns))
-        cols.append(tuple(apply_fn(e)))
-    if not cols:
-        return Matrix.zeros(field, 0, 0)
-    rows = len(cols[0])
-    return Matrix(field, [[cols[j][i] for j in range(n_unknowns)] for i in range(rows)], rows, n_unknowns)

@@ -15,7 +15,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .hopf import grouplike_inverse, is_pivotal_element
-from .linalg import Matrix, linear_map_matrix
+from .linalg import Matrix
 from .record import Record
 from .report import Report
 from .xihopf import HopfXiCoalgebra
@@ -107,36 +107,22 @@ def regular_module(a: HopfXiCoalgebra, x: int) -> AModule:
     return _concentrated(a, x, a.dim(x), a.component(x).mul)
 
 
-# -- block placement ---------------------------------------------------------------------
-
-
-def _placed(f, rows: int, cols: int, blocks) -> Matrix:
-    """The rows x cols matrix that is zero outside `blocks`.
-
-    Each block is (row offset, column offset, row-major entries); blocks of
-    a direct sum sit at the offsets of its summands (see tensor_layout)."""
-    data = [[f.zero] * cols for _ in range(rows)]
-    for r0, c0, entries in blocks:
-        for i, row in enumerate(entries):
-            data[r0 + i][c0:c0 + len(row)] = row
-    return Matrix(f, data, rows, cols)
+# -- direct sums and duals of actions ---------------------------------------------------
 
 
 def _direct_sum_action(f, du: int, parts) -> Matrix:
     """Action of a du-dimensional A_u on the direct sum of modules with actions `parts`.
 
     The summands are stacked in order; column alpha*total + offset + j is
-    a_alpha (x) m_j of the summand at that offset."""
+    a_alpha (x) m_j of the summand at that offset.  Reshaped to (total du) x
+    total, the action is block diagonal, each summand's action reshaped alike."""
     total = sum(r.rows for r in parts)
     blocks, offset = [], 0
     for r in parts:
         s = r.rows
-        blocks += [
-            (offset, alpha * total + offset, [row[alpha * s:(alpha + 1) * s] for row in r.data])
-            for alpha in range(du)
-        ]
+        blocks.append((offset * du, offset, r.reshape(s * du, s)))
         offset += s
-    return _placed(f, total, du * total, blocks)
+    return Matrix.place(f, total * du, total, blocks).reshape(total, du * total)
 
 
 def _contragredient(a: HopfXiCoalgebra, x: int, r: Matrix) -> Matrix:
@@ -146,8 +132,8 @@ def _contragredient(a: HopfXiCoalgebra, x: int, r: Matrix) -> Matrix:
     f, d = a.field, r.rows
     n = a.dim(a.H.inv(x))
     acts = r @ a.S(x).kron(Matrix.identity(f, d))  # column i*d + c: S(h_i) . m_c
-    return Matrix(f, [[acts[c, i * d + j] for i in range(n) for c in range(d)] for j in range(d)],
-                  d, n * d)
+    # row j, column c*n + i of the reshaped transpose: phi_j(S(h_i) . m_c)
+    return acts.reshape(d * n, d).T.flip_cols(1, n, d, 1)
 
 
 # -- tensor product -------------------------------------------------------------------
@@ -210,50 +196,40 @@ def hom_block_shapes(a: HopfXiCoalgebra, m: AModule, n: AModule, e: int):
     return [(n.dim(H.mul(xi_e, x)), m.dim(x)) for x in H.elements()]
 
 
-def _linearity_sides(a: HopfXiCoalgebra, m: AModule, pulled: AModule, blocks):
-    """Both sides of alpha_x r_M(x) = r_{phi_e^*N}(x) (id (x) alpha_x), the A-linearity of
-    degree-e blocks alpha: M -> N, for each x; pulled is phi_e^*(N)."""
-    f = a.field
-    for x in a.H.elements():
-        yield blocks[x] @ m.r(x), pulled.r(x) @ Matrix.identity(f, a.dim(x)).kron(blocks[x])
-
-
 def hom_space(a: HopfXiCoalgebra, m: AModule, n: AModule, e: int) -> list[GradedHom]:
     """Deterministic basis of the degree-e morphism space M -> N.
 
     A degree-e morphism is a family of blocks alpha_x: M_x -> N_{xi(e)x},
     each A_x-linear into the pullback along phi_{x,e}; the linearity
-    constraints over all x form one exact linear system.
+    constraints over all x form one exact linear system.  With alpha_x
+    flattened row-major, the block of alpha_x (shape r x c) is
+    I_r (x) r_M(x)^T - P (x) I_c, for P the pullback's action reshaped to
+    (r dim A_x) x r; the blocks sit on the diagonal of the system.
     """
     f = a.field
-    shapes = hom_block_shapes(a, m, n, e)
-    sizes = [r * c for (r, c) in shapes]
-    total = sum(sizes)
     pulled = pullback_phi_e(a, n, e)
-
-    def unflatten(flat):
-        blocks = []
-        pos = 0
-        for (r, c) in shapes:
-            data = [flat[pos + i * c:pos + (i + 1) * c] for i in range(r)]
-            blocks.append(Matrix(f, data, r, c))
-            pos += r * c
-        return blocks
-
-    def residual(flat):
-        out = []
-        for lhs, rhs in _linearity_sides(a, m, pulled, unflatten(flat)):
-            diff = lhs - rhs
-            out.extend(diff[i, j] for i in range(diff.rows) for j in range(diff.cols))
-        return out
-
-    system = linear_map_matrix(f, total, residual)
-    return [GradedHom(e, tuple(unflatten(v))) for v in system.kernel_basis()]
+    shapes = hom_block_shapes(a, m, n, e)
+    blocks, row, col = [], 0, 0
+    for x, (r, c) in enumerate(shapes):
+        block = (Matrix.identity(f, r).kron(m.r(x).T)
+                 - pulled.r(x).reshape(r * a.dim(x), r).kron(Matrix.identity(f, c)))
+        blocks.append((row, col, block))
+        row, col = row + block.rows, col + r * c
+    system = Matrix.place(f, row, col, blocks)
+    return [
+        GradedHom(e, tuple(Matrix.row(f, v[c0:c0 + r * c]).reshape(r, c)
+                           for (_, c0, _), (r, c) in zip(blocks, shapes)))
+        for v in system.kernel_basis()
+    ]
 
 
 def hom_is_linear(a: HopfXiCoalgebra, m: AModule, n: AModule, h: GradedHom) -> bool:
+    """alpha_x r_M(x) = r_{phi_e^*N}(x) (id (x) alpha_x) for each block alpha_x of h."""
     pulled = pullback_phi_e(a, n, h.degree)
-    return all(lhs == rhs for lhs, rhs in _linearity_sides(a, m, pulled, h.blocks))
+    return all(
+        h.block(x) @ m.r(x) == pulled.r(x) @ Matrix.identity(a.field, a.dim(x)).kron(h.block(x))
+        for x in a.H.elements()
+    )
 
 
 def identity_hom(a: HopfXiCoalgebra, m: AModule) -> GradedHom:
@@ -309,8 +285,8 @@ def tensor_homs(
         tgt = tensor_layout(a, n, q, H.mul(cm.xi_of(deg), u))
         z = src[x0][1]
         piece = alpha.block(x0).kron(beta.block(z))
-        blocks.append(_placed(f, _layout_dim(tgt), _layout_dim(src),
-                              [(tgt[ty][2], src[x0][2], piece.data)]))
+        blocks.append(Matrix.place(f, _layout_dim(tgt), _layout_dim(src),
+                                   [(tgt[ty][2], src[x0][2], piece)]))
     return GradedHom(deg, tuple(blocks))
 
 
@@ -342,16 +318,8 @@ def dual_module(a: HopfXiCoalgebra, m: AModule, piv: tuple) -> DualData:
     ident = Matrix.identity(f, md)
     g_mult = m.r(x) @ Matrix.col(f, piv[x]).kron(ident)
     ginv_mult = m.r(x) @ Matrix.col(f, piv_inv[x]).kron(ident)
-
-    left_ev = Matrix(f, [[ident[j, i] for i in range(md) for j in range(md)]], 1, md * md)
-    left_coev = Matrix(f, [[ident[i, j]] for i in range(md) for j in range(md)], md * md, 1)
-    right_ev = Matrix(
-        f, [[g_mult[i, j] for j in range(md) for i in range(md)]], 1, md * md
-    )
-    right_coev = Matrix(
-        f, [[ginv_mult[j, i]] for i in range(md) for j in range(md)], md * md, 1
-    )
-    return DualData(dual, left_ev, left_coev, right_ev, right_coev)
+    return DualData(dual, ident.reshape(1, md * md), ident.reshape(md * md, 1),
+                    g_mult.T.reshape(1, md * md), ginv_mult.T.reshape(md * md, 1))
 
 
 def dual_zigzag_report(a: HopfXiCoalgebra, m: AModule, piv: tuple) -> Report:
@@ -395,7 +363,7 @@ def ev_coev_as_homs(a: HopfXiCoalgebra, m: AModule, piv: tuple):
 
     def hom(src: AModule, tgt: AModule, r0: int, c0: int, piece: Matrix):
         return GradedHom(E.identity, tuple(
-            _placed(f, tgt.dim(u), src.dim(u), [(r0, c0, piece.data)] if u == one else [])
+            Matrix.place(f, tgt.dim(u), src.dim(u), [(r0, c0, piece)] if u == one else [])
             for u in H.elements()
         ))
 
@@ -429,7 +397,7 @@ def e_direct_sum(a: HopfXiCoalgebra, modules: list[AModule], e: int):
         """D_x -> phi_{e^-1}^*(M_idx)_x, the identity on its summand."""
         sizes = [p.dim(x) for p in pulled]
         ident = Matrix.identity(f, sizes[idx])
-        return _placed(f, sizes[idx], d.dim(x), [(0, sum(sizes[:idx]), ident.data)])
+        return Matrix.place(f, sizes[idx], d.dim(x), [(0, sum(sizes[:idx]), ident)])
 
     injections = [
         GradedHom(e, tuple(projection(idx, H.mul(xi_e, x)).T for x in H.elements()))

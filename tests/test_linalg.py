@@ -270,6 +270,92 @@ def naive_flip(field, a, b):
 flip_dims = st.integers(min_value=0, max_value=3)
 
 
+def naive_reshape(m: Matrix, rows: int, cols: int) -> Matrix:
+    flat = [m[i, j] for i in range(m.rows) for j in range(m.cols)]
+    return Matrix(m.field, [flat[i * cols:(i + 1) * cols] for i in range(rows)], rows, cols)
+
+
+def naive_place(field, rows: int, cols: int, blocks) -> Matrix:
+    out = [[field.zero] * cols for _ in range(rows)]
+    for r0, c0, b in blocks:
+        for i in range(b.rows):
+            for j in range(b.cols):
+                out[r0 + i][c0 + j] = field.add(out[r0 + i][c0 + j], b[i, j])
+    return Matrix(field, out, rows, cols)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@given(data=st.data(), shape=st.tuples(dims, dims))
+def test_reshape_matches_naive_oracle(field, data, shape):
+    rows, cols = shape
+    m = draw_matrix(data, field, rows, cols)
+    n = rows * cols
+    shapes = [(r, n // r) for r in range(1, n + 1) if n % r == 0] if n else [(0, 0), (0, 4), (3, 0)]
+    for r, c in shapes:
+        got = m.reshape(r, c)
+        assert got == naive_reshape(m, r, c)
+        assert_normal(got)
+        assert got.reshape(rows, cols) == m
+    with pytest.raises(ShapeMismatchError):
+        m.reshape(n + 1, 1)
+
+
+def draw_blocks(data, field, rows, cols, count):
+    """count blocks (r0, c0, B) that fit in rows x cols, at drawn offsets: they may overlap."""
+    blocks = []
+    for _ in range(count):
+        r0 = data.draw(st.integers(min_value=0, max_value=rows))
+        c0 = data.draw(st.integers(min_value=0, max_value=cols))
+        br = data.draw(st.integers(min_value=0, max_value=rows - r0))
+        bc = data.draw(st.integers(min_value=0, max_value=cols - c0))
+        blocks.append((r0, c0, draw_matrix(data, field, br, bc)))
+    return blocks
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@given(data=st.data(), shape=st.tuples(dims, dims), count=st.integers(min_value=0, max_value=4))
+def test_place_matches_naive_oracle(field, data, shape, count):
+    rows, cols = shape
+    blocks = draw_blocks(data, field, rows, cols, count)
+    got = Matrix.place(field, rows, cols, blocks)
+    assert got == naive_place(field, rows, cols, blocks)
+    assert_normal(got)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_place_edges(field):
+    one, ident = field.one, Matrix.identity(field, 2)
+    assert Matrix.place(field, 0, 0, []) == Matrix.zeros(field, 0, 0)
+    assert Matrix.place(field, 3, 2, []) == Matrix.zeros(field, 3, 2)
+    empty_at_corner = [(3, 2, Matrix.zeros(field, 0, 0))]
+    assert Matrix.place(field, 3, 2, empty_at_corner) == Matrix.zeros(field, 3, 2)
+    # overlapping blocks add: the identity twice on the diagonal, once more shifted
+    twice = Matrix.place(field, 3, 3, [(0, 0, ident), (0, 0, ident), (1, 1, ident)])
+    assert twice == naive_place(field, 3, 3, [(0, 0, ident.scale(field.of(2))), (1, 1, ident)])
+    assert twice[1, 1] == field.of(3)
+    if field.p == 2 or field.p == 5:  # p ones add up to zero
+        ones = [(0, 0, Matrix.row(field, [one]))] * field.p
+        assert Matrix.place(field, 1, 1, ones) == Matrix.zeros(field, 1, 1)
+    for r0, c0 in ((2, 0), (0, 2), (-1, 0), (0, -1)):
+        with pytest.raises(ShapeMismatchError):
+            Matrix.place(field, 3, 3, [(r0, c0, ident)])
+    with pytest.raises(MixedFieldsError):
+        Matrix.place(field, 2, 2, [(0, 0, Matrix.identity(GF7, 2))])
+
+
+def test_place_over_coprime_denominators():
+    # blocks over 2, 3 and 5 sum over their lcm 30; two halves meet in one whole
+    q = Fraction
+    half, third, fifth = (Matrix(QQ, [[q(1, d), q(-1, d)]]) for d in (2, 3, 5))
+    got = Matrix.place(QQ, 2, 3, [(0, 0, half), (0, 1, third), (1, 1, fifth), (1, 0, half)])
+    assert got.data == ((q(1, 2), q(-1, 6), q(-1, 3)), (q(1, 2), q(-3, 10), q(-1, 5)))
+    assert got.den == 30 and got == naive_place(QQ, 2, 3, [(0, 0, half), (0, 1, third),
+                                                           (1, 1, fifth), (1, 0, half)])
+    whole = Matrix.place(QQ, 1, 2, [(0, 0, half), (0, 0, half)])
+    assert_normal(whole)
+    assert whole.den == 1 and whole.data == ((q(1), q(-1)),)
+
+
 @pytest.mark.parametrize("field", (QQ, GF5), ids=repr)
 @given(data=st.data(), shape=st.tuples(dims, flip_dims, flip_dims, flip_dims, flip_dims))
 def test_flip_cols_matches_naive_sandwich(field, data, shape):
@@ -521,7 +607,9 @@ def test_every_public_operation_gives_canonical_entries(field, data, n):
     b = draw_matrix(data, field, n, 2)
     vec = tuple(data.draw(st.lists(sparse_scalars(field), min_size=n, max_size=n)))
     c = data.draw(sparse_scalars(field))
-    results = [a @ b, a.kron(b), a.flip_cols(1, 1, n, 1), a.transpose(), a + a, a.scale(c)]
+    placed = Matrix.place(field, n + 1, n + 2, [(0, 0, a), (1, n, b), (1, 0, a)])
+    results = [a @ b, a.kron(b), a.flip_cols(1, 1, n, 1), a.transpose(), a + a, a.scale(c),
+               b.reshape(2, n), placed]
     for m in results:
         assert_normal(m)
         assert_canonical(field, [x for row in m.data for x in row])
