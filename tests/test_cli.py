@@ -378,30 +378,49 @@ def test_no_report_names_a_check_twice():
             assert not [n for n in names if n.endswith(": shape")], where
 
 
+# the bialgebra k[{1, z}], z^2 = z, Delta(g) = g (x) g: well formed, but z has no antipode
+NO_ANTIPODE = {
+    "field": {"kind": "rational"},
+    "groups": {"one": {"cyclic": 1}},
+    "crossed_modules": {"triv": {"trivial_over": "one"}},
+    "hopf": {"bi": {
+        "cm": "triv",
+        "components": [{"mul": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "1"]]],
+                        "unit": ["1", "0"]}],
+        "coproduct": {"0,0": [["1", "0"], ["0", "0"], ["0", "0"], ["0", "1"]]},
+        "counit": ["1", "1"],
+        "action": {"0,0": [["1", "0"], ["0", "1"]]},
+    }},
+}
+
+
 def test_dual_without_an_antipode_is_a_failed_check(tmp_path):
-    # the bialgebra k[{1, z}], z^2 = z, Delta(g) = g (x) g: well formed, but z has no antipode;
     # dual used to exit 2 with "input error: antipode has not been computed"
-    doc = {
-        "field": {"kind": "rational"},
-        "groups": {"one": {"cyclic": 1}},
-        "crossed_modules": {"triv": {"trivial_over": "one"}},
-        "hopf": {"bi": {
-            "cm": "triv",
-            "components": [{"mul": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "1"]]],
-                            "unit": ["1", "0"]}],
-            "coproduct": {"0,0": [["1", "0"], ["0", "0"], ["0", "0"], ["0", "1"]]},
-            "counit": ["1", "1"],
-            "action": {"0,0": [["1", "0"], ["0", "1"]]},
-        }},
-    }
     path = tmp_path / "no_antipode.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(NO_ANTIPODE))
     for command in ("verify", "report", "dual"):
         proc = run_cli(command, str(path), "bi")
         assert proc.returncode == 1, proc.stdout + proc.stderr
         assert proc.stderr == ""
         assert "  witness: antipode missing and not computable\n" in proc.stdout
         assert "result: FAIL" in proc.stdout
+
+
+def test_dual_hopf_module_without_an_antipode_names_its_entry(tmp_path):
+    # verify and structure-theorem used to exit 2 with "input error: antipode has not been
+    # computed", which names neither the module nor its structure
+    path = tmp_path / "no_antipode.json"
+    doc = dict(NO_ANTIPODE, hopf_modules={"dm": {"over": "bi", "dual": True}})
+    path.write_text(json.dumps(doc))
+    for args in (["verify", "dm"], ["structure-theorem", "bi", "dm"]):
+        proc = run_cli(args[0], str(path), *args[1:])
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == "input error: hopf_modules.dm: Hopf structure 'bi' has no antipode\n"
+    report = run_cli("report", str(path), "bi")
+    assert report.returncode == 1 and report.stderr == ""
+    assert ("check derived structure: dual Hopf module passes its gates: FAIL (1 violations)\n"
+            "  witness: antipode has not been computed\n") in report.stdout
 
 
 def test_benchmark_tracer_installs_and_restores_every_original():
@@ -694,6 +713,44 @@ def test_cost_guard_runs_before_a_directive_is_built(monkeypatch, tmp_path, caps
     assert cli.main(["verify", str(path), "g"]) == 0  # the structure is not reached
     assert cli.main(["verify", str(path), "k"]) == 2
     assert "above the bound" in capsys.readouterr().err
+
+
+def _limit_memory():
+    """Cap the child's address space at 2 GiB, so that a regression fails instead of
+    exhausting the machine."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+
+def test_trivial_hopf_module_above_cost_bound_is_input_error():
+    # a 200-byte document: A (x) V with dim V = 20000 was built while parsing, and
+    # Matrix.identity(20000) ran out of memory after about 5 s
+    doc = dict(WELL_FORMED, hopf_modules={"m": {"over": "k", "trivial": 20000}})
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "xmhopf.cli", "verify", "-", "k"], input=json.dumps(doc),
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+    )
+    assert time.monotonic() - start < 10
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert "input error: hopf_modules.m: validation cost" in proc.stderr
+    assert f"above the bound {MAX_VALIDATION_COST}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_trivial_hopf_module_cost_bound_sits_where_the_ladder_put_it():
+    # 4 |H| dim (dim v)^3 units: the trivial structure over Z/2 admits a fibre of 146, where
+    # structure-theorem takes 3.4 s (docio's comment), and refuses 147
+    from xmhopf.docio import DocumentSyntaxError, parse
+
+    def doc(v):
+        return json.dumps(dict(WELL_FORMED, hopf_modules={"m": {"over": "k", "trivial": v}}))
+
+    assert parse(doc(146).encode()).hopf_modules["m"][1].dims == (146, 146)
+    with pytest.raises(DocumentSyntaxError, match="hopf_modules.m: validation cost"):
+        parse(doc(147).encode())
 
 
 def test_grouplikes_of_the_trivial_structure_are_prompt():
