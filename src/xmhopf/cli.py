@@ -221,7 +221,7 @@ def cmd_structure_theorem(doc: StructureDocument, args, res: CommandResult) -> N
     res.output("coinvariants_dimension", len(coinv))
     res.output("coinvariants_basis", [_show_family(a.field, c) for c in coinv])
     try:
-        structure_iso(a, mod)
+        structure_iso(a, mod, coinv)
         chk.settle("trivialization maps are exact two-sided inverses", True)
     except XmhopfError as exc:
         chk.settle("trivialization maps are exact two-sided inverses", False, str(exc))

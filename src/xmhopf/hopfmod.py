@@ -22,7 +22,7 @@ from .hopf import is_grouplike
 from .linalg import Matrix
 from .record import Record
 from .report import Report
-from .repcat import AModule, _contragredient, validate_module
+from .repcat import AModule, _contragredient, _flatten, _graded_kernel, validate_module
 from .xihopf import HopfXiCoalgebra, is_xi_grouplike
 
 
@@ -127,32 +127,6 @@ def trivial_hopf_module(a: HopfXiCoalgebra, v_dim: int) -> HopfXiModule:
 # -- coinvariants -------------------------------------------------------------------------
 
 
-def _flatten(family) -> tuple:
-    """The coordinates of a graded family (one vector per component), concatenated."""
-    return tuple(v for component in family for v in component)
-
-
-def _unflatten(vec, dims) -> tuple:
-    """The graded family with components of the given dims, read off a flat vector."""
-    out, pos = [], 0
-    for d in dims:
-        out.append(tuple(vec[pos:pos + d]))
-        pos += d
-    return tuple(out)
-
-
-def _graded_kernel(f, dims, block_rows) -> list[tuple]:
-    """Kernel basis of the system whose block rows are lists of (x, B): B multiplies the
-    component of degree x of an unknown graded family with component dimensions dims."""
-    offsets = list(accumulate(dims, initial=0))
-    blocks, r0 = [], 0
-    for row in block_rows:
-        blocks += [(r0, offsets[x], b) for x, b in row]
-        r0 += row[0][1].rows
-    system = Matrix.place(f, r0, offsets[-1], blocks)
-    return [_unflatten(v, dims) for v in system.kernel_basis()]
-
-
 def coinvariants(a: HopfXiCoalgebra, m: HopfXiModule) -> list[tuple]:
     """Deterministic basis of the coinvariants M^{co A}.
 
@@ -174,25 +148,31 @@ def coinvariants(a: HopfXiCoalgebra, m: HopfXiModule) -> list[tuple]:
     return _graded_kernel(f, m.dims, rows)
 
 
-def _coordinates_in_span(field, basis_vectors, target):
-    """Coordinates of target in the span of basis_vectors, or None."""
-    if not basis_vectors:
-        return None if any(t != field.zero for t in target) else ()
-    cols = Matrix(field, basis_vectors, len(basis_vectors), len(target)).T
-    solved = cols.solve(target)
-    return None if solved is None else solved[0]
+def _span_coordinates(f, coinv, vectors: Matrix) -> Matrix | None:
+    """The coordinates in the basis coinv of each column of vectors, one column each, or
+    None when a column is outside its span.
+
+    coinv is a kernel basis, so the coordinates of a vector in its span are the vector's
+    entries at the last nonzero coordinate of each basis vector (Matrix.kernel_basis); one
+    product then decides membership exactly.
+    """
+    basis = [_flatten(c) for c in coinv]
+    pick = [(i, max(j for j, x in enumerate(v) if x), Matrix.identity(f, 1))
+            for i, v in enumerate(basis)]
+    coords = Matrix.place(f, len(basis), vectors.rows, pick) @ vectors
+    span = Matrix(f, basis, len(basis), vectors.rows).T
+    return coords if span @ coords == vectors else None
 
 
-def structure_iso(a: HopfXiCoalgebra, m: HopfXiModule):
+def structure_iso(a: HopfXiCoalgebra, m: HopfXiModule, coinv: list[tuple]):
     """The mutually inverse pair of the structure theorem.
 
-    Returns (eps_maps, nu_maps, coinvariant_basis) with
+    coinv is coinvariants(a, m).  Returns (eps_maps, nu_maps) with
     eps[x]: A_x (x) M^{co} -> M_x and nu[x] its exact inverse; raises
     NotInvertibleError with a witness component when a composite is not
     the identity (which would mean the input is not a valid Hopf module).
     """
     f, H = a.field, a.H
-    coinv = coinvariants(a, m)
     k = len(coinv)
     one = H.identity
 
@@ -202,21 +182,17 @@ def structure_iso(a: HopfXiCoalgebra, m: HopfXiModule):
         for x in H.elements()
     ]
 
-    # pi: M_1 -> M^{co A},  pi(m) = (r_x (S_x (x) id) rho_{x^-1,x}(m))_x,
-    # expressed in coordinates of the computed coinvariant basis.
-    flat_coinv = [_flatten(c) for c in coinv]
-    pi_cols = []
-    for j in range(m.dim(one)):
-        image = _flatten(
-            m.r[x].apply(a.S(x).kron(Matrix.identity(f, m.dim(x)))
-                         .apply(m.rho[(H.inv(x), x)].column(j)))
-            for x in H.elements()
-        )
-        coords = _coordinates_in_span(f, flat_coinv, image)
-        if coords is None:
-            raise NotInvertibleError("pi does not land in the coinvariants")
-        pi_cols.append(coords)
-    pi = Matrix(f, pi_cols, m.dim(one), k).T
+    # pi: M_1 -> M^{co A},  pi(m) = (r_x (S_x (x) id) rho_{x^-1,x}(m))_x, its blocks stacked
+    # at the component offsets, then expressed in coordinates of the coinvariant basis.
+    offsets = list(accumulate(m.dims, initial=0))
+    images = Matrix.place(f, offsets[-1], m.dim(one), [
+        (offsets[x], 0,
+         m.r[x] @ a.S(x).kron(Matrix.identity(f, m.dim(x))) @ m.rho[(H.inv(x), x)])
+        for x in H.elements()
+    ])
+    pi = _span_coordinates(f, coinv, images)
+    if pi is None:
+        raise NotInvertibleError("pi does not land in the coinvariants")
 
     nu_maps = [Matrix.identity(f, a.dim(x)).kron(pi) @ m.rho[(x, one)] for x in H.elements()]
 
@@ -226,7 +202,7 @@ def structure_iso(a: HopfXiCoalgebra, m: HopfXiModule):
             raise NotInvertibleError(f"eps nu != id at component {x}")
         if nu_maps[x] @ eps_maps[x] != Matrix.identity(f, dx * k):
             raise NotInvertibleError(f"nu eps != id at component {x}")
-    return eps_maps, nu_maps, coinv
+    return eps_maps, nu_maps
 
 
 # -- integrals ------------------------------------------------------------------------------
@@ -398,12 +374,11 @@ def coinvariant_gate(a: HopfXiCoalgebra, m: HopfXiModule, right: list[tuple]) ->
     once reindexed by lambda -> (lambda_{x^-1}), and the two spaces must have
     the same dimension.
     """
-    H = a.H
-    coinv = [_flatten(c) for c in coinvariants(a, m)]
+    f, H = a.field, a.H
+    coinv = coinvariants(a, m)
     if len(coinv) != len(right):
         return f"coinvariants dim {len(coinv)} != right integrals dim {len(right)}"
-    for lam in right:
-        image = _flatten(lam[H.inv(x)] for x in H.elements())
-        if _coordinates_in_span(a.field, coinv, image) is None:
-            return "reindexed integral is not coinvariant"
+    reindexed = [_flatten(lam[H.inv(x)] for x in H.elements()) for lam in right]
+    if _span_coordinates(f, coinv, Matrix(f, reindexed, len(right), sum(m.dims)).T) is None:
+        return "reindexed integral is not coinvariant"
     return None

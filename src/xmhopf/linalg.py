@@ -498,6 +498,10 @@ class Matrix:
 
         Each basis vector has a 1 in one free coordinate and 0 in the other
         free coordinates; pivot coordinates are filled by back substitution.
+        A pivot right of that free coordinate has a 0 there, so the free
+        coordinate is the vector's last nonzero one, and every other basis
+        vector is 0 at it: the coordinates of a vector in the span are its
+        entries at those positions.
         """
         f = self.field
         m, pivots = self._rref()

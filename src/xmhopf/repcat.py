@@ -8,6 +8,8 @@ deterministic kernel bases; the category itself is never materialized.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .errors import (
     NonComposableError,
     NotHomogeneousError,
@@ -196,6 +198,32 @@ def hom_block_shapes(a: HopfXiCoalgebra, m: AModule, n: AModule, e: int):
     return [(n.dim(H.mul(xi_e, x)), m.dim(x)) for x in H.elements()]
 
 
+def _flatten(family) -> tuple:
+    """The coordinates of a graded family (one vector per component), concatenated."""
+    return tuple(v for component in family for v in component)
+
+
+def _unflatten(vec, dims) -> tuple:
+    """The graded family with components of the given dims, read off a flat vector."""
+    out, pos = [], 0
+    for d in dims:
+        out.append(tuple(vec[pos:pos + d]))
+        pos += d
+    return tuple(out)
+
+
+def _graded_kernel(f, dims, block_rows) -> list[tuple]:
+    """Kernel basis of the system whose block rows are lists of (x, B): B multiplies the
+    component of degree x of an unknown graded family with component dimensions dims."""
+    offsets = list(accumulate(dims, initial=0))
+    blocks, r0 = [], 0
+    for row in block_rows:
+        blocks += [(r0, offsets[x], b) for x, b in row]
+        r0 += row[0][1].rows
+    system = Matrix.place(f, r0, offsets[-1], blocks)
+    return [_unflatten(v, dims) for v in system.kernel_basis()]
+
+
 def hom_space(a: HopfXiCoalgebra, m: AModule, n: AModule, e: int) -> list[GradedHom]:
     """Deterministic basis of the degree-e morphism space M -> N.
 
@@ -209,17 +237,14 @@ def hom_space(a: HopfXiCoalgebra, m: AModule, n: AModule, e: int) -> list[Graded
     f = a.field
     pulled = pullback_phi_e(a, n, e)
     shapes = hom_block_shapes(a, m, n, e)
-    blocks, row, col = [], 0, 0
-    for x, (r, c) in enumerate(shapes):
-        block = (Matrix.identity(f, r).kron(m.r(x).T)
-                 - pulled.r(x).reshape(r * a.dim(x), r).kron(Matrix.identity(f, c)))
-        blocks.append((row, col, block))
-        row, col = row + block.rows, col + r * c
-    system = Matrix.place(f, row, col, blocks)
+    rows = [
+        [(x, Matrix.identity(f, r).kron(m.r(x).T)
+          - pulled.r(x).reshape(r * a.dim(x), r).kron(Matrix.identity(f, c)))]
+        for x, (r, c) in enumerate(shapes)
+    ]
     return [
-        GradedHom(e, tuple(Matrix.row(f, v[c0:c0 + r * c]).reshape(r, c)
-                           for (_, c0, _), (r, c) in zip(blocks, shapes)))
-        for v in system.kernel_basis()
+        GradedHom(e, tuple(Matrix.row(f, v).reshape(r, c) for v, (r, c) in zip(fam, shapes)))
+        for fam in _graded_kernel(f, [r * c for r, c in shapes], rows)
     ]
 
 

@@ -136,7 +136,8 @@ def test_criterion_3_structure_theorem():
     for label, a in standard_examples(QQ):
         m = dual_hopf_module(a)
         ok = ok and validate_hopf_xi_module(a, m).ok
-        eps, nu, coinv = structure_iso(a, m)
+        coinv = coinvariants(a, m)
+        eps, nu = structure_iso(a, m, coinv)
         ok = ok and len(coinv) == 1
         f = a.field
         for x in a.H.elements():
