@@ -14,7 +14,7 @@ import json
 import sys
 
 from .crossed import kernel_image_cokernel, validate_components, validate_crossed_module
-from .docio import DocumentError, StructureDocument, parse
+from .docio import DocumentError, StructureDocument, UnknownNameError, parse
 from .errors import DefiningIdentityFailedError, XmhopfError
 from .groups import validate_group
 from .hopf import enumerate_grouplikes, grouplike_report
@@ -236,9 +236,12 @@ def cmd_hom(doc: StructureDocument, args, res: CommandResult) -> None:
         degrees = list(a.E.elements())
     else:
         try:
-            degrees = [int(args.degree)]
-        except ValueError:
             degrees = [doc.element_index(a.E, args.degree)]
+        except UnknownNameError as exc:  # no element has that label: read it as an index
+            try:
+                degrees = [int(args.degree)]
+            except ValueError:
+                raise exc from None
     for e in degrees:
         if not 0 <= e < a.E.order:
             raise DocumentError(f"degree {e} out of range")

@@ -327,11 +327,12 @@ def test_structure_theorem_command():
 
 
 def test_hom_command():
+    # E's elements are labelled ["1", "h"]: --degree 1 names the label "1", the identity
     doc = str(FIXTURES / "k_xi_z2.json")
     proc = run_cli("hom", doc, "k_xi_z2", "k1", "kh", "--degree", "1", "--json")
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
-    assert payload["outputs"]["degree_1_dimension"] == 1
+    assert payload["outputs"] == {"degree_0_dimension": 0, "degree_0_basis": []}
     proc = run_cli("hom", doc, "k_xi_z2", "k1", "kh", "--json")
     payload = json.loads(proc.stdout)
     assert payload["outputs"]["degree_0_dimension"] == 0
@@ -345,6 +346,21 @@ def test_hom_command_accepts_element_labels():
     assert payload["outputs"]["degree_1_dimension"] == 1
     proc = run_cli("hom", doc, "k_xi_z2", "k1", "kh", "--degree", "nope")
     assert proc.returncode == 2
+    assert proc.stderr == "input error: no element named 'nope'\n"
+
+
+def test_hom_command_reads_an_index_where_no_label_matches():
+    # bichar_z2.json declares no element labels; trivial_rep -> sign_rep has homs in degree 1
+    args = ("hom", str(FIXTURES / "bichar_z2.json"), "bichar_z2", "trivial_rep", "sign_rep")
+    for degree, dim in (("0", 0), ("1", 1)):
+        proc = run_cli(*args, "--degree", degree, "--json")
+        assert proc.returncode == 0
+        outputs = json.loads(proc.stdout)["outputs"]
+        assert sorted(outputs) == [f"degree_{degree}_basis", f"degree_{degree}_dimension"]
+        assert outputs[f"degree_{degree}_dimension"] == dim
+    proc = run_cli(*args, "--degree", "2")
+    assert proc.returncode == 2
+    assert proc.stderr == "input error: degree 2 out of range\n"
 
 
 def fixture_verifications(pattern="*.json"):
