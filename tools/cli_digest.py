@@ -8,7 +8,8 @@ benchmark's `fixtures` workload runs on a fixture, on every document in
 fixtures/ and fixtures/mutations/: `verify` of every named object;
 `integrals`, `grouplikes`, `dual` and `report` of every Hopf structure;
 `structure-theorem` of every Hopf module; `hom` of every pair of modules over
-one structure.  Then it builds the benchmark's generated workloads
+one structure, then again with `--degree D` for each element of the structure's
+E, by its label where E's group declares labels and by its index.  Then it builds the benchmark's generated workloads
 (perfbench/gen.py) at seed GEN_SEED in a temporary directory and runs each of
 their invocations, sorted; the directory's path shows as GEN_DIR in their
 lines.  Last it runs `verify - g` on each MALFORMED and DEFERRED_MALFORMED
@@ -39,6 +40,8 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import gen  # noqa: E402
 from xmhopf.cli import main as cli_main  # noqa: E402
+from xmhopf.docio import parse  # noqa: E402
+from xmhopf.errors import XmhopfError  # noqa: E402
 
 SECTIONS = ("groups", "crossed_modules", "hopf", "modules", "hopf_modules", "grouplikes",
             "integrals")
@@ -67,9 +70,26 @@ def invocations(rel):
     for mname, spec in sorted(doc.get("hopf_modules", {}).items()):
         out.append(["structure-theorem", rel, spec["over"], mname])
     mods = sorted(doc.get("modules", {}).items())
-    out += [["hom", rel, s["over"], src, tgt]
-            for src, s in mods for tgt, t in mods if s["over"] == t["over"]]
+    for src, s in mods:
+        for tgt, t in mods:
+            if s["over"] == t["over"]:
+                hom = ["hom", rel, s["over"], src, tgt]
+                out += [hom] + [hom + ["--degree", d] for d in degrees(rel, s["over"])]
     return out
+
+
+def degrees(rel, over):
+    """The --degree values naming each element of E of the Hopf structure `over`: its label
+    where E's group declares labels, and its index, once each; none when `over` is not built."""
+    try:
+        with open(os.path.join(ROOT, rel), "rb") as fh:
+            doc = parse(fh.read())
+        group = doc.hopf[over].E
+    except XmhopfError:
+        return []
+    labels = next((doc.element_names[name] for name, known in doc.groups.items()
+                   if known == group and name in doc.element_names), ())
+    return list(dict.fromkeys([*labels, *map(str, group.elements())]))
 
 
 def generated(tmp):
