@@ -5,7 +5,9 @@ their systems from Kronecker products, transposes, reshapes and block
 placement.  The oracle below builds each system the slow way: it writes every
 unknown as a structure map or family, evaluates the defining identity on each
 standard basis vector and reads the residual off entry by entry.  Both must
-give the same kernel basis or solution, bit for bit.  The contragredient and
+give the same kernel basis or solution, bit for bit.  `structure_iso` reads the
+coinvariant coordinates of pi off the kernel basis; its oracle solves one
+system per basis vector of M_1.  The contragredient and
 direct-sum actions and the dual Hopf module's coaction are reshapes, flips and
 placements too; their oracles copy entries one index at a time.
 """
@@ -25,8 +27,15 @@ from tests.conftest import (
     make_sweedler,
     make_sweedler_z4,
 )
+from xmhopf.errors import NotInvertibleError
 from xmhopf.hopf import antipode_solve_details
-from xmhopf.hopfmod import coinvariants, dual_hopf_module, integral_space, trivial_hopf_module
+from xmhopf.hopfmod import (
+    coinvariants,
+    dual_hopf_module,
+    integral_space,
+    structure_iso,
+    trivial_hopf_module,
+)
 from xmhopf.linalg import Matrix
 from xmhopf.repcat import (
     _contragredient,
@@ -155,6 +164,36 @@ def oracle_hom_space(a, m, n, e):
     return [tuple(blocks_of(v)) for v in system.kernel_basis()]
 
 
+def oracle_structure_iso(a, m, coinv):
+    """(eps_maps, nu_maps) with pi built one column at a time: the image of each basis vector
+    of M_1, solved for in the flat coinvariant basis; raises NotInvertibleError alike."""
+    f, H = a.field, a.H
+    k, one = len(coinv), H.identity
+    eps = [m.r[x] @ Matrix.identity(f, a.dim(x)).kron(Matrix(f, [c[x] for c in coinv], k, m.dim(x)).T)
+           for x in H.elements()]
+    flat = [[v for comp in c for v in comp] for c in coinv]
+    pi_cols = []
+    for j in range(m.dim(one)):
+        image = [v for x in H.elements()
+                 for v in m.r[x].apply(a.S(x).kron(Matrix.identity(f, m.dim(x)))
+                                       .apply(m.rho[(H.inv(x), x)].column(j)))]
+        if flat:
+            solved = Matrix(f, flat, k, len(image)).T.solve(image)
+        else:
+            solved = None if any(image) else ((), True)
+        if solved is None:
+            raise NotInvertibleError("pi does not land in the coinvariants")
+        pi_cols.append(solved[0])
+    pi = Matrix(f, pi_cols, m.dim(one), k).T
+    nu = [Matrix.identity(f, a.dim(x)).kron(pi) @ m.rho[(x, one)] for x in H.elements()]
+    for x in H.elements():
+        if eps[x] @ nu[x] != Matrix.identity(f, m.dim(x)):
+            raise NotInvertibleError(f"eps nu != id at component {x}")
+        if nu[x] @ eps[x] != Matrix.identity(f, a.dim(x) * k):
+            raise NotInvertibleError(f"nu eps != id at component {x}")
+    return eps, nu
+
+
 def entry_loop_contragredient(a, x, r):
     """Entry (j, i*d + c) is entry (c, i*d + j) of r (S_x (x) id), for d = r.rows."""
     f, d = a.field, r.rows
@@ -222,6 +261,14 @@ def test_integral_system_matches_oracle(structure, side):
 def test_coinvariant_system_matches_oracle(structure):
     for m in (dual_hopf_module(structure), trivial_hopf_module(structure, 2)):
         assert coinvariants(structure, m) == oracle_coinvariants(structure, m)
+
+
+def test_structure_iso_matches_per_column_oracle(structure):
+    # every one of these Hopf modules is trivial, so neither side raises
+    modules = [trivial_hopf_module(structure, v) for v in (0, 1, 2)]
+    for m in modules + [dual_hopf_module(structure)]:
+        coinv = coinvariants(structure, m)
+        assert structure_iso(structure, m, coinv) == oracle_structure_iso(structure, m, coinv)
 
 
 def test_hom_system_matches_oracle(structure):

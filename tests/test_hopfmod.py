@@ -1,6 +1,7 @@
 import pytest
 
 from tests.conftest import (
+    FIXTURES,
     GF5,
     QQ,
     fixture_structures,
@@ -12,7 +13,8 @@ from tests.conftest import (
     make_sweedler,
     make_sweedler_z4,
 )
-from xmhopf.errors import NotIntegralError, ShapeMismatchError
+from xmhopf.docio import parse
+from xmhopf.errors import NotIntegralError, NotInvertibleError, ShapeMismatchError
 from xmhopf.hopfmod import (
     HopfXiModule,
     antipode_transport,
@@ -164,6 +166,17 @@ def test_structure_iso_dual_modules():
         for x in a.H.elements():
             assert (eps[x] @ nu[x]) == Matrix.identity(f, m.dim(x))
             assert (nu[x] @ eps[x]) == Matrix.identity(f, a.dim(x) * len(coinv))
+
+
+def test_structure_iso_witnesses_pi_outside_the_coinvariants():
+    # mut03_antipode.json breaks one antipode entry of k_xi_z2; its dual Hopf module still
+    # passes the module axioms, but pi does not land in its coinvariants
+    doc = parse((FIXTURES / "mutations" / "mut03_antipode.json").read_bytes())
+    a, (_, m) = doc.hopf["k_xi_z2"], doc.hopf_modules["dual_mod"]
+    assert validate_hopf_xi_module(a, m).ok
+    coinv = coinvariants(a, m)
+    with pytest.raises(NotInvertibleError, match="^pi does not land in the coinvariants$"):
+        structure_iso(a, m, coinv)
 
 
 def test_integral_dimensions_are_one():

@@ -535,6 +535,34 @@ def test_rref_of_empty_shapes(field):
         assert m._rref() == naive_rref(m) == ([[field.zero] * cols for _ in range(rows)], [])
 
 
+def assert_kernel_coordinates(field, m, coeffs):
+    """Each kernel_basis vector of m is 1 at its last nonzero coordinate and every other basis
+    vector is 0 there, so a combination of the basis has its coefficients at those positions."""
+    basis = m.kernel_basis()
+    assert len(basis) == m.cols - m.rank()
+    last = [max(j for j, x in enumerate(v) if x != field.zero) for v in basis]
+    for i, (v, j) in enumerate(zip(basis, last)):
+        assert v[j] == field.one
+        assert all(w[j] == field.zero for k, w in enumerate(basis) if k != i)
+    vector = combination(field, coeffs, basis) if basis else ()
+    assert [vector[j] for j in last] == list(coeffs[:len(basis)])
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@given(data=st.data(), shape=st.tuples(dims, dims), extra=st.integers(min_value=0, max_value=3))
+def test_kernel_basis_vector_is_one_where_the_others_are_zero(field, data, shape, extra):
+    m = draw_deficient(data, field, *shape, extra)
+    coeffs = data.draw(st.lists(sparse_scalars(field), min_size=m.cols, max_size=m.cols))
+    assert_kernel_coordinates(field, m, coeffs)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_kernel_basis_coordinates_of_empty_shapes(field):
+    for rows, cols in ((0, 0), (0, 3), (3, 0)):
+        coeffs = [field.of(k + 2) for k in range(cols)]
+        assert_kernel_coordinates(field, Matrix.zeros(field, rows, cols), coeffs)
+
+
 def test_rref_with_coprime_denominators():
     # rows over 2, 3, 5, 7 and 11: the integer rows carry their lcm and cross-multiply
     q = Fraction
