@@ -758,7 +758,7 @@ def test_trivial_hopf_module_above_cost_bound_is_input_error():
 
 def test_trivial_hopf_module_cost_bound_sits_where_the_ladder_put_it():
     # 4 |H| dim (dim v)^3 units: the trivial structure over Z/2 admits a fibre of 146, where
-    # structure-theorem takes 3.4 s (docio's comment), and refuses 147
+    # structure-theorem takes 0.5 s (docio's comment), and refuses 147
     from xmhopf.docio import DocumentSyntaxError, parse
 
     def doc(v):
