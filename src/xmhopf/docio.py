@@ -93,11 +93,9 @@ def trivial_module_cost(h_order: int, dim: int, v: int) -> int:
     """Estimated work, in the units of validation_cost, of the trivial Hopf module A (x) V
     with dim V = v over |H| components of dim <= dim.
 
-    `structure-theorem` costs the most.  The formula was fitted when it solved one system
-    per basis vector of M_1 (3e-7 to 7e-7 s per unit of |H| dim (dim v)^3).  It now
-    eliminates one system, and at the bound takes 0.5 s over the trivial structure of Z/2
-    (v = 146), 0.2 s over Z/1 (v = 184) and 0.8 s over Sweedler's algebra (v = 29) (Python
-    3.11, one 2-vCPU VM), most of it validating the module and printing the coinvariants.
+    Fitted on `structure-theorem` when it solved one system per vector of M_1; at the bound
+    it now takes 0.5 s over the trivial structure of Z/2 (v = 146), 0.2 s over Z/1 (v = 184)
+    and 0.8 s over Sweedler's algebra (v = 29) (Python 3.11, one 2-vCPU VM).
     """
     return 4 * h_order * dim * (dim * v) ** 3
 

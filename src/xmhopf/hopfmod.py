@@ -10,8 +10,6 @@ the integral space for finite-type structures over a field.
 
 from __future__ import annotations
 
-from itertools import accumulate
-
 from .errors import (
     DefiningIdentityFailedError,
     NotIntegralError,
@@ -184,9 +182,8 @@ def structure_iso(a: HopfXiCoalgebra, m: HopfXiModule, coinv: list[tuple]):
 
     # pi: M_1 -> M^{co A},  pi(m) = (r_x (S_x (x) id) rho_{x^-1,x}(m))_x, its blocks stacked
     # at the component offsets, then expressed in coordinates of the coinvariant basis.
-    offsets = list(accumulate(m.dims, initial=0))
-    images = Matrix.place(f, offsets[-1], m.dim(one), [
-        (offsets[x], 0,
+    images = Matrix.place(f, sum(m.dims), m.dim(one), [
+        (sum(m.dims[:x]), 0,
          m.r[x] @ a.S(x).kron(Matrix.identity(f, m.dim(x))) @ m.rho[(H.inv(x), x)])
         for x in H.elements()
     ])

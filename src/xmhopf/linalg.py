@@ -498,10 +498,9 @@ class Matrix:
 
         Each basis vector has a 1 in one free coordinate and 0 in the other
         free coordinates; pivot coordinates are filled by back substitution.
-        A pivot right of that free coordinate has a 0 there, so the free
-        coordinate is the vector's last nonzero one, and every other basis
-        vector is 0 at it: the coordinates of a vector in the span are its
-        entries at those positions.
+        A pivot right of that free coordinate is 0 there, so it is the last
+        nonzero one, and every other basis vector is 0 at it: a vector in the
+        span has its coordinates at those positions.
         """
         f = self.field
         m, pivots = self._rref()

@@ -203,25 +203,17 @@ def _flatten(family) -> tuple:
     return tuple(v for component in family for v in component)
 
 
-def _unflatten(vec, dims) -> tuple:
-    """The graded family with components of the given dims, read off a flat vector."""
-    out, pos = [], 0
-    for d in dims:
-        out.append(tuple(vec[pos:pos + d]))
-        pos += d
-    return tuple(out)
-
-
 def _graded_kernel(f, dims, block_rows) -> list[tuple]:
     """Kernel basis of the system whose block rows are lists of (x, B): B multiplies the
-    component of degree x of an unknown graded family with component dimensions dims."""
+    component of degree x of an unknown graded family with component dimensions dims; each
+    basis vector is returned as such a family."""
     offsets = list(accumulate(dims, initial=0))
     blocks, r0 = [], 0
     for row in block_rows:
         blocks += [(r0, offsets[x], b) for x, b in row]
         r0 += row[0][1].rows
     system = Matrix.place(f, r0, offsets[-1], blocks)
-    return [_unflatten(v, dims) for v in system.kernel_basis()]
+    return [tuple(v[o:o + d] for o, d in zip(offsets, dims)) for v in system.kernel_basis()]
 
 
 def hom_space(a: HopfXiCoalgebra, m: AModule, n: AModule, e: int) -> list[GradedHom]:
