@@ -94,8 +94,8 @@ def trivial_module_cost(h_order: int, dim: int, v: int) -> int:
     with dim V = v over |H| components of dim <= dim.
 
     Fitted on `structure-theorem` when it solved one system per vector of M_1; at the bound
-    it now takes 0.5 s over the trivial structure of Z/2 (v = 146), 0.2 s over Z/1 (v = 184)
-    and 0.8 s over Sweedler's algebra (v = 29) (Python 3.11, one 2-vCPU VM).
+    it now takes 0.5 s over the trivial structure of Z/2 (v = 146), 0.2-0.3 s over Z/1
+    (v = 184) and 0.8-1.1 s over Sweedler's algebra (v = 29) (Python 3.11, one 2-vCPU VM).
     """
     return 4 * h_order * dim * (dim * v) ** 3
 

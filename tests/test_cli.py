@@ -336,6 +336,13 @@ def test_hom_command():
     proc = run_cli("hom", doc, "k_xi_z2", "k1", "kh", "--json")
     payload = json.loads(proc.stdout)
     assert payload["outputs"]["degree_0_dimension"] == 0
+    # bichar_z2.json declares no labels, so D is an index; trivial_rep -> sign_rep has degree 1
+    args = ("hom", str(FIXTURES / "bichar_z2.json"), "bichar_z2", "trivial_rep", "sign_rep")
+    for degree, dim in (("0", 0), ("1", 1)):
+        outputs = json.loads(run_cli(*args, "--degree", degree, "--json").stdout)["outputs"]
+        assert outputs[f"degree_{degree}_dimension"] == dim and len(outputs) == 2
+    proc = run_cli(*args, "--degree", "2")
+    assert (proc.returncode, proc.stderr) == (2, "input error: degree 2 out of range\n")
 
 
 def test_hom_command_accepts_element_labels():
@@ -347,20 +354,6 @@ def test_hom_command_accepts_element_labels():
     proc = run_cli("hom", doc, "k_xi_z2", "k1", "kh", "--degree", "nope")
     assert proc.returncode == 2
     assert proc.stderr == "input error: no element named 'nope'\n"
-
-
-def test_hom_command_reads_an_index_where_no_label_matches():
-    # bichar_z2.json declares no element labels; trivial_rep -> sign_rep has homs in degree 1
-    args = ("hom", str(FIXTURES / "bichar_z2.json"), "bichar_z2", "trivial_rep", "sign_rep")
-    for degree, dim in (("0", 0), ("1", 1)):
-        proc = run_cli(*args, "--degree", degree, "--json")
-        assert proc.returncode == 0
-        outputs = json.loads(proc.stdout)["outputs"]
-        assert sorted(outputs) == [f"degree_{degree}_basis", f"degree_{degree}_dimension"]
-        assert outputs[f"degree_{degree}_dimension"] == dim
-    proc = run_cli(*args, "--degree", "2")
-    assert proc.returncode == 2
-    assert proc.stderr == "input error: degree 2 out of range\n"
 
 
 def fixture_verifications(pattern="*.json"):
