@@ -498,9 +498,9 @@ class Matrix:
 
         Each basis vector has a 1 in one free coordinate and 0 in the other
         free coordinates; pivot coordinates are filled by back substitution.
-        A pivot right of that free coordinate is 0 there, so it is the last
-        nonzero one, and every other basis vector is 0 at it: a vector in the
-        span has its coordinates at those positions.
+        Pivot coordinates right of the free one are 0, so it is the vector's
+        last nonzero coordinate, and every other basis vector is 0 there: a
+        vector in the span has its coordinates at those positions.
         """
         f = self.field
         m, pivots = self._rref()

@@ -9,12 +9,12 @@ fixtures/ and fixtures/mutations/: `verify` of every named object;
 `integrals`, `grouplikes`, `dual` and `report` of every Hopf structure;
 `structure-theorem` of every Hopf module; `hom` of every pair of modules over
 one structure, then again with `--degree D` for each element of the structure's
-E, by its label where E's group declares labels and by its index.  Then it builds the benchmark's generated workloads
-(perfbench/gen.py) at seed GEN_SEED in a temporary directory and runs each of
-their invocations, sorted; the directory's path shows as GEN_DIR in their
-lines.  Last it runs `verify - g` on each MALFORMED and DEFERRED_MALFORMED
-document of tests/test_cli.py, read from stdin; their lines show the document as
-`< MALFORMED[id]`.  Each invocation runs once as text and once with --json.
+E, by its label where E's group declares labels and by its index.  Then it
+builds the benchmark's generated workloads (perfbench/gen.py) at seed GEN_SEED
+in a temporary directory and runs each of their invocations, sorted; the
+directory's path shows as GEN_DIR in their lines.  Last it runs `verify - g` on
+each MALFORMED and DEFERRED_MALFORMED document of tests/test_cli.py, read from
+stdin; their lines show the document as `< MALFORMED[id]`.  Each invocation runs once as text and once with --json.
 
 Each line is the sha256 of (exit code, stdout, stderr) and the command line;
 the last line is the sha256 of all the lines before it.  A change that leaves
@@ -70,11 +70,12 @@ def invocations(rel):
     for mname, spec in sorted(doc.get("hopf_modules", {}).items()):
         out.append(["structure-theorem", rel, spec["over"], mname])
     mods = sorted(doc.get("modules", {}).items())
+    values = {s["over"]: degrees(rel, s["over"]) for _, s in mods}
     for src, s in mods:
         for tgt, t in mods:
             if s["over"] == t["over"]:
                 hom = ["hom", rel, s["over"], src, tgt]
-                out += [hom] + [hom + ["--degree", d] for d in degrees(rel, s["over"])]
+                out += [hom] + [hom + ["--degree", d] for d in values[s["over"]]]
     return out
 
 
