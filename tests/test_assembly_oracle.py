@@ -7,9 +7,9 @@ unknown as a structure map or family, evaluates the defining identity on each
 standard basis vector and reads the residual off entry by entry.  Both must
 give the same kernel basis or solution, bit for bit.  `structure_iso` reads the
 coinvariant coordinates of pi off the kernel basis; its oracle solves one
-system per basis vector of M_1.  The contragredient and
-direct-sum actions and the dual Hopf module's coaction are reshapes, flips and
-placements too; their oracles copy entries one index at a time.
+system per basis vector of M_1.  The contragredient and direct-sum actions and
+the dual Hopf module's coaction are reshapes, flips and placements too; their
+oracles copy entries one index at a time.
 """
 
 import pytest
@@ -169,8 +169,8 @@ def oracle_structure_iso(a, m, coinv):
     of M_1, solved for in the flat coinvariant basis; raises NotInvertibleError alike."""
     f, H = a.field, a.H
     k, one = len(coinv), H.identity
-    eps = [m.r[x] @ Matrix.identity(f, a.dim(x)).kron(Matrix(f, [c[x] for c in coinv], k, m.dim(x)).T)
-           for x in H.elements()]
+    eps = [m.r[x] @ Matrix.identity(f, a.dim(x)).kron(
+               Matrix(f, [c[x] for c in coinv], k, m.dim(x)).T) for x in H.elements()]
     flat = [[v for comp in c for v in comp] for c in coinv]
     pi_cols = []
     for j in range(m.dim(one)):
