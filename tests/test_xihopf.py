@@ -11,6 +11,7 @@ from tests.conftest import (
     sign_flip_rho,
     z3_in_s3,
 )
+from tests.test_action_oracle import oracle_xi_action
 from xmhopf.crossed import identity_cm, inclusion, kernel_image_cokernel, trivial_over
 from xmhopf.errors import (
     NotAlgebraAutomorphismError,
@@ -19,6 +20,7 @@ from xmhopf.errors import (
 )
 from xmhopf.groups import cyclic
 from xmhopf.hopf import enumerate_grouplikes, group_algebra, grouplike_product
+from xmhopf.hopfmod import trivial_hopf_module, validate_hopf_xi_module
 from xmhopf.linalg import Matrix
 from xmhopf.xihopf import (
     HopfXiAlgebra,
@@ -367,8 +369,10 @@ def test_dual_validator_rejects_every_single_entry_perturbation(build, name):
 
 
 def test_nonabelian_action_pins_factor_order(conj_s3):
-    # the label e(x > f) of the coproduct compatibility is not (x > f)e here,
-    # so a validator that swapped the two would reject this valid structure
+    # the label e(x > f) of the coproduct compatibility is not (x > f)e here; the two agree
+    # where e = 1 or f = 1, the only cases validate_xi_action checks, so the order is pinned
+    # on the full case set: that of the oracle, and check (d) of the trivial Hopf module
+    # with V = k, whose coaction cases are those of the oracle's compatibility check
     a = conj_s3
     E, cm = a.E, a.cm
     assert any(
@@ -376,3 +380,8 @@ def test_nonabelian_action_pins_factor_order(conj_s3):
         for x in a.H.elements() for e in E.elements() for g in E.elements()
     )
     assert validate_xi_action(a).ok
+    assert oracle_xi_action(a).ok
+    assert not oracle_xi_action(a, lambda x, e, g: E.mul(cm.act(x, g), e)).ok
+    m = trivial_hopf_module(a, 1)
+    assert m.rho == a.base.coproduct and m.psi == a.action
+    assert validate_hopf_xi_module(a, m).ok
