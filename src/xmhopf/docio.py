@@ -41,10 +41,10 @@ from .xihopf import (
 MAX_GROUP_ORDER = 100
 
 # The largest validation_cost a Hopf structure may have.  With Python 3.11 on one
-# 2-vCPU VM, `xmhopf verify` of a structure near the bound takes 3-5 s: 3.5 s for
-# k[Z/16] with E trivial (cost 1.8e7), 3.5 s for the trivial structure over
-# id: Z/21 -> Z/21 (2.2e7), 2.9 s for k[Z/15] with E = Z/15 (2.4e7).  `report`
-# takes about twice as long as `verify`.
+# 2-vCPU VM, `xmhopf verify` of a structure near the bound takes 0.6-2.6 s: 2.6 s for
+# k[Z/16] with E trivial (cost 1.8e7), 0.6 s for the trivial structure over
+# id: Z/21 -> Z/21 (2.2e7), 2.2 s for k[Z/15] with E = Z/15 (2.4e7).  `report`, which
+# also validates the dual Hopf module, takes 3.5-5.5 s: 5.5, 3.5 and 4.9 s.
 MAX_VALIDATION_COST = 25 * 10**6
 
 # What one case of an identity costs beyond the entries of its matrices, counted in
@@ -58,11 +58,13 @@ def validation_cost(h_order: int, e_order: int, dim: int) -> int:
 
     Each case of an identity costs _CASE_COST plus the entries of the largest matrix it
     builds.  The first four terms are the |H|^3 coassociativity cases (Delta (x) id, dim^5
-    entries), the |H|^2 |E|^2 coproduct-compatibility cases (phi (x) phi, dim^4), the
-    |H|^2 multiplicativity cases (mu (x) mu, dim^6) and the |H| |E|^2 composition cases
-    of the action (dim^2); the other identities have fewer cases and smaller matrices.
-    The last term is the integral system that `integrals` and `report` solve: about
-    |H|^2 dim^2 equations in |H| dim unknowns, so (|H| dim)^4 elimination steps.
+    entries), the |H|^2 |E|^2 coaction-compatibility cases of check (d) that `report` runs
+    on the dual Hopf module (phi (x) psi, dim^4; the |H|^2 (2|E| - 1) coproduct-compatibility
+    cases, phi (x) phi, are fewer), the |H|^2 multiplicativity cases (mu (x) mu, dim^6)
+    and the |H| |E|^2 composition cases of the action (dim^2); the other identities have
+    fewer cases and smaller matrices.  The last term is the integral system that
+    `integrals` and `report` solve: about |H|^2 dim^2 equations in |H| dim unknowns, so
+    (|H| dim)^4 elimination steps.
     """
     n, k, m, c = h_order, e_order, dim, _CASE_COST
     return (n**3 * (c + m**5) + n * n * k * k * (c + m**4)
