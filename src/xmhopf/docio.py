@@ -580,7 +580,7 @@ def parse(data: bytes) -> StructureDocument:
     """
     try:
         raw = json.loads(data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or too many digits
         raise DocumentSyntaxError(f"invalid JSON: {exc}", "document")
     if not isinstance(raw, dict):
         raise DocumentSyntaxError("top level must be an object", "document")

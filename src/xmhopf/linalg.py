@@ -25,6 +25,7 @@ Conventions fixed here and used by every other module:
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import compress
@@ -32,6 +33,8 @@ from math import gcd, lcm
 
 from .errors import DivisionByZeroError, MixedFieldsError, ShapeMismatchError
 from .record import Record
+
+_RATIONAL_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 
 Scalar = Fraction | int
 
@@ -131,24 +134,25 @@ class Field(Record, eq=True):
     # -- scalar literals ---------------------------------------------------
 
     def parse(self, text: str | int) -> Scalar:
-        """Parse a scalar literal: "a/b" or integer over Q, residue over GF(p)."""
+        """Parse a scalar literal: an integer or "a/b" over Q, a residue over GF(p).
+
+        A string literal over Q is an optional '-', ASCII digits, and optionally '/' and
+        ASCII digits for a nonzero denominator; no other form that Fraction reads (no
+        '+', space, decimal point, exponent or '_') is one.
+        """
         if self.kind == "prime":
             if isinstance(text, bool) or not isinstance(text, int):
                 raise ValueError(f"GF({self.p}) scalar must be an integer, got {text!r}")
             if not 0 <= text < self.p:
                 raise ValueError(f"residue {text} out of range [0, {self.p})")
             return text
-        if isinstance(text, bool):
-            raise ValueError(f"not a rational literal: {text!r}")
-        if isinstance(text, int):
+        if isinstance(text, int) and not isinstance(text, bool):
             return Fraction(text)
-        if isinstance(text, str):
-            try:
-                value = Fraction(text)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"not a rational literal: {text!r}") from exc
-            return value
-        raise ValueError(f"not a rational literal: {text!r}")
+        match = _RATIONAL_LITERAL.fullmatch(text) if isinstance(text, str) else None
+        if match is None:
+            raise ValueError(f"not a rational literal: {text!r}")
+        num, den = match.groups()
+        return Fraction(int(num), int(den or 1))
 
     def show(self, a: Scalar) -> str | int:
         """Canonical literal for serialization (inverse of parse)."""

@@ -139,6 +139,11 @@ MALFORMED = {
     "bicharacter-omega-rows-not-lists": {
         "hopf": {"k": {"bicharacter": {"E": "g", "G": "g", "omega": [1, 2]}}}
     },
+    # a rational literal is -?digits(/digits)?: Fraction's other forms are not scalars
+    "scalar-exponent": {"grouplikes": {"s": {"in": "k", "family": [["1e9"], ["1"]]}}},
+    "scalar-decimal": {"grouplikes": {"s": {"in": "k", "family": [["1.5"], ["1"]]}}},
+    "scalar-plus": {"grouplikes": {"s": {"in": "k", "family": [["+1"], ["1"]]}}},
+    "scalar-space": {"grouplikes": {"s": {"in": "k", "family": [[" 1"], ["1"]]}}},
 }
 
 
@@ -551,6 +556,34 @@ def test_deeply_nested_json_is_input_error():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "input error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_integer_with_too_many_digits_is_invalid_json(tmp_path):
+    # json.loads refuses an integer of more than 4,300 digits with a ValueError that is not
+    # a JSONDecodeError, and json.dumps cannot write one, so the bytes are written directly
+    path = tmp_path / "digits.json"
+    path.write_bytes(b'{"field": {"kind": "rational"}, "groups": {"g": {"cyclic": 1'
+                     + b"0" * 4999 + b"}}}")
+    proc = run_cli("verify", str(path), "g", timeout=60)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert "input error: document: invalid JSON" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_huge_exponent_literal_is_refused_at_once(tmp_path):
+    # Fraction("1e10000000") builds a 10^7-digit integer: verify once took 12 s and passed,
+    # although the family holding the literal is not the object verified
+    doc = json.loads((FIXTURES / "k_xi_z2.json").read_text())
+    doc["grouplikes"]["sign_family"]["family"] = [["1"], ["1e10000000"]]
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(doc))
+    start = time.monotonic()
+    proc = run_cli("verify", str(path), "z2", timeout=60)
+    assert time.monotonic() - start < 10
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "input error: grouplikes.sign_family.family[1][0]: not a rational literal" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 _N = MAX_GROUP_ORDER + 1

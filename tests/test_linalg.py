@@ -26,6 +26,28 @@ def test_fraction_arithmetic():
     assert QQ.mul(QQ.parse("2/3"), QQ.inv(QQ.parse("4/9"))) == Fraction(3, 2)
 
 
+@pytest.mark.parametrize("text, value", [
+    ("3", Fraction(3)), ("-2/4", Fraction(-1, 2)), ("0/7", Fraction(0)), ("-0", Fraction(0)),
+    ("007/010", Fraction(7, 10)), (5, Fraction(5)),
+])
+def test_rational_literal_grammar_accepts(text, value):
+    assert QQ.parse(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "1e9", "1.5", ".5", "+1", " 1", "1 ", "1_000", "1/0", "1/00", "1/-2", "-", "", "/2", "1/",
+    "--1", "\u0661", "0x10", "inf", "nan", True, None, 1.5, ["1"],
+])
+def test_rational_literal_grammar_refuses(text):
+    with pytest.raises(ValueError, match="not a rational literal"):
+        QQ.parse(text)
+
+
+@given(rationals)
+def test_rational_literal_round_trips_through_show(a):
+    assert QQ.parse(QQ.show(a)) == a
+
+
 def test_gf7_inverse_against_brute_force():
     # oracle: scan all residues for 3 * x = 1 mod 7
     expected = next(x for x in range(7) if (3 * x) % 7 == 1)
