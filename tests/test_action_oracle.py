@@ -88,8 +88,8 @@ def bumped(m: Matrix, i: int, j: int) -> Matrix:
 
 
 def perturbations(a: HopfXiCoalgebra, stride: int):
-    """(map, a with 1 added to one entry of it): every stride-th entry of the Delta_{x,y},
-    then of the phi_{x,e}, each map's entries in row-major order."""
+    """(map, a with 1 added to one entry of it): every stride-th entry from entry stride // 2
+    of the Delta_{x,y}, then of the phi_{x,e}, each map's entries in row-major order."""
     b = a.base
     for name, table in (("delta", b.coproduct), ("phi", a.action)):
         entries = [(key, i, j) for key, m in table.items()
