@@ -12,9 +12,15 @@ one structure, then again with `--degree D` for each element of the structure's
 E, by its label where E's group declares labels and by its index.  Then it
 builds the benchmark's generated workloads (perfbench/gen.py) at seed GEN_SEED
 in a temporary directory and runs each of their invocations, sorted; the
-directory's path shows as GEN_DIR in their lines.  Last it runs `verify - g` on
+directory's path shows as GEN_DIR in their lines.  Then it runs `verify - g` on
 each MALFORMED and DEFERRED_MALFORMED document of tests/test_cli.py, read from
-stdin; their lines show the document as `< MALFORMED[id]`.  Each invocation runs once as text and once with --json.
+stdin; their lines show the document as `< MALFORMED[id]`.  Each of these
+invocations runs once as text and once with --json.
+
+Last come the argument lists of ARGV, each run once, with fixtures/k_xi_z2.json
+as the document and on stdin, and shown as `argv` and its JSON list: the forms of
+the command line the CLI accepts (options anywhere, `--opt=V`, `--`, a repeated
+option), the forms it refuses (exit 2 with a usage line), and -h.
 
 Each line is the sha256 of (exit code, stdout, stderr) and the command line;
 the last line is the sha256 of all the lines before it.  A change that leaves
@@ -48,6 +54,40 @@ SECTIONS = ("groups", "crossed_modules", "hopf", "modules", "hopf_modules", "gro
 GEN_SEED = 1
 GEN_DIR = "<gen>"
 CLI_TESTS = os.path.join(ROOT, "tests", "test_cli.py")
+DOC = "fixtures/k_xi_z2.json"
+HOM = ["hom", DOC, "k_xi_z2", "k1", "kh"]
+ARGV = [
+    # accepted
+    ["verify", "--json", DOC, "z2"],
+    ["verify", DOC, "--", "z2"],
+    ["verify", "--json", "-", "z2"],
+    ["integrals", DOC, "k_xi_z2", "--side=left"],
+    ["integrals", "--side", "right", DOC, "k_xi_z2"],
+    ["integrals", DOC, "k_xi_z2", "--side", "right", "--side", "left"],
+    HOM + ["--degree=h"],
+    HOM + ["--degree", "1", "--json"],
+    HOM + ["--degree", "-1"],
+    # help
+    ["-h"],
+    ["--help"],
+    ["verify", "-h"],
+    ["hom", "--help"],
+    # refused
+    [],
+    ["frobnicate", DOC, "z2"],
+    ["verify", DOC],
+    ["verify", DOC, "z2", "extra"],
+    ["verify", DOC, "z2", "--bogus"],
+    ["--json", "verify", DOC, "z2"],
+    ["verify", DOC, "z2", "--degree", "0"],
+    ["integrals", DOC, "k_xi_z2", "--side", "sideways"],
+    ["integrals", DOC, "k_xi_z2", "--side"],
+    HOM + ["--degree", "--json"],
+    HOM + ["--degree"],
+    # prefix abbreviations
+    ["verify", DOC, "z2", "--js"],
+    ["integrals", DOC, "k_xi_z2", "--si", "left"],
+]
 
 
 def documents():
@@ -151,6 +191,11 @@ def main():
                 blob = json.dumps([code, out, err]).encode()
                 shown = " ".join(argv).replace(tmp, GEN_DIR) + source
                 lines.append(f"{hashlib.sha256(blob).hexdigest()}  {shown}")
+    with open(DOC, "rb") as fh:
+        stdin = fh.read()
+    for argv in ARGV:
+        blob = json.dumps(run(argv, stdin)).encode()
+        lines.append(f"{hashlib.sha256(blob).hexdigest()}  argv {json.dumps(argv)}")
     total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     sys.stdout.write("\n".join(lines) + f"\n{total}  total of {len(lines)} invocations\n")
 
