@@ -1,17 +1,21 @@
 """Command-line surface: batch validation and computation with exit codes.
 
-Exit status: 0 when every check passes, 1 when at least one axiom or
-identity is violated (a report is still printed), 2 on input errors.
+`xmhopf COMMAND DOCUMENT NAME...` runs a command of the table COMMANDS; its options
+(--json; --side on integrals, --degree on hom) may come anywhere after COMMAND, as
+`--opt V` or `--opt=V`, and are never abbreviated.  `--` ends them; DOCUMENT `-` is stdin.
+Exit status: 0 when every check passes, 1 when at least one axiom or identity is
+violated (a report is still printed), 2 on input errors and refused command lines.
 Reports are deterministic: identical input bytes give identical output
 bytes, with or without --json.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from .crossed import kernel_image_cokernel, validate_components, validate_crossed_module
 from .docio import DocumentError, StructureDocument, UnknownNameError, parse
@@ -313,65 +317,82 @@ def _arg(doc: StructureDocument, name: str, section: str, over=None):
     return mod
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="xmhopf",
-        description="Validate and compute with crossed-module-graded Hopf structures.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> (handler, its positionals after the document, one-line help)
+COMMANDS = {
+    "verify": (cmd_verify, ("name",), "run the validator stack on a named object"),
+    "integrals": (cmd_integrals, ("name",), "compute the integral space of a Hopf structure"),
+    "grouplikes": (cmd_grouplikes, ("name",), "enumerate basis-supported grouplike families"),
+    "dual": (cmd_dual, ("name",), "dualize and validate the dual structure"),
+    "structure-theorem": (cmd_structure_theorem, ("name", "module"), "trivialize a Hopf module"),
+    "hom": (cmd_hom, ("name", "source", "target"), "graded hom spaces between two named modules"),
+    "report": (cmd_report, ("name",), "full report: validation, integrals, grouplikes, duals"),
+}
+# option -> (the one command that takes it, its value: {its choices} or any D); --json is on all
+_VALUED = {"--side": ("integrals", "{left,right,both}"), "--degree": ("hom", "D")}
+# a value, not an unknown option: empty, "-", no leading "-", a space, or a negative number
+_VALUE = re.compile(r"\Z|-\Z|[^-]|.* |-\d+\Z|-\d*\.\d+\Z", re.S)
 
-    def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("document", help="path to a structure document, or - for stdin")
-        p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.set_defaults(fn=fn)
-        return p
 
-    p = add("verify", cmd_verify, "run the validator stack on a named object")
-    p.add_argument("name")
+class _Exit(Exception):
+    """(0, command or None, help) or (2, command or None, why the command line is refused)."""
 
-    p = add("integrals", cmd_integrals, "compute the integral space of a Hopf structure")
-    p.add_argument("name")
-    p.add_argument("--side", choices=["left", "right", "both"], default="both")
 
-    p = add("grouplikes", cmd_grouplikes, "enumerate basis-supported grouplike families")
-    p.add_argument("name")
+def _usage(command) -> str:
+    if command is None:
+        return f"usage: xmhopf [-h] {{{','.join(COMMANDS)}}} ..."
+    opts = "".join(f" [{o} {v}]" for o, (c, v) in _VALUED.items() if c == command)
+    return f"usage: xmhopf {command} [-h] [--json]{opts} document {' '.join(COMMANDS[command][1])}"
 
-    p = add("dual", cmd_dual, "dualize and validate the dual structure")
-    p.add_argument("name")
 
-    p = add("structure-theorem", cmd_structure_theorem, "check the Hopf module trivialization")
-    p.add_argument("name")
-    p.add_argument("module")
-
-    p = add("hom", cmd_hom, "compute graded hom spaces between named modules")
-    p.add_argument("name")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--degree", default=None, help="element index or declared element label")
-
-    p = add("report", cmd_report, "full report: validation, integrals, grouplikes, duals")
-    p.add_argument("name")
-    return parser
+def _read_argv(argv: list) -> SimpleNamespace:
+    """The values of a command line: command, fn, document, other positionals, json, side, degree."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        raise _Exit(0, None, "\n".join(f"  {c:<18} {h}" for c, (_, _, h) in COMMANDS.items()))
+    if command not in COMMANDS:
+        raise _Exit(2, None, f"unknown command {command!r}" if argv else "no command given")
+    fn, names, help_text = COMMANDS[command]
+    names = ("document", *names)
+    args = SimpleNamespace(command=command, fn=fn, json=False, side="both", degree=None)
+    given, unknown, rest = [], [], iter(argv[1:])
+    for tok in rest:
+        opt, eq, value = tok.partition("=")
+        if tok == "--":
+            given += rest
+        elif tok in ("-h", "--help"):
+            raise _Exit(0, command, f"{help_text}; document is a path, or - for stdin")
+        elif tok == "--json":
+            args.json = True
+        elif _VALUED.get(opt, ("",))[0] == command:
+            if not eq and not _VALUE.match(value := next(rest, "--")):  # "--" if there is none
+                raise _Exit(2, command, f"argument {opt}: expected one argument")
+            shown = _VALUED[opt][1]
+            if shown[0] == "{" and value not in shown[1:-1].split(","):
+                raise _Exit(2, command, f"argument {opt}: invalid choice: {value!r}")
+            setattr(args, opt[2:], value)
+        else:
+            (given if _VALUE.match(tok) else unknown).append(tok)
+    if len(given) < len(names):
+        raise _Exit(2, command, f"missing arguments: {', '.join(names[len(given):])}")
+    if unknown or len(given) > len(names):
+        raise _Exit(2, command, f"unrecognized arguments: {' '.join(unknown + given[len(names):])}")
+    args.__dict__.update(zip(names, given))
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        args = _read_argv(sys.argv[1:] if argv is None else list(argv))
+    except _Exit as exc:
+        code, command, text = exc.args
+        print(_usage(command), text, sep="\nxmhopf: error: " if code else "\n\n",
+              file=sys.stderr if code else sys.stdout)
+        return code
     try:
         data = _read_document(args.document)
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    digest = hashlib.sha256(data).hexdigest()
-    try:
-        doc = parse(data)
-        res = CommandResult(args.command, digest, getattr(args, "name", ""))
-        args.fn(doc, args, res)
-    except XmhopfError as exc:
+        res = CommandResult(args.command, hashlib.sha256(data).hexdigest(), args.name)
+        args.fn(parse(data), args, res)
+    except (OSError, XmhopfError) as exc:  # an unreadable, malformed or refused document
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(res.render(args.json))

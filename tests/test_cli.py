@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import time
 
 import pytest
 
+from xmhopf.cli import main
 from xmhopf.docio import MAX_GROUP_ORDER, MAX_VALIDATION_COST
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
@@ -308,8 +310,6 @@ HOPF_STRUCTURES = [
 def test_dual_and_verify_agree(path, name, capsys):
     # the dual report is the coalgebra stack on the transposed structure, so it
     # must reject exactly what verify rejects, a broken group or crossed module included
-    from xmhopf.cli import main
-
     verdicts = [main([command, str(path), name]) for command in ("verify", "dual")]
     capsys.readouterr()
     assert verdicts[0] == verdicts[1]
@@ -535,7 +535,7 @@ def test_start_up_loads_only_what_the_stdlib_it_needs_loads():
     # themselves; comparing with the stdlib, not a fixed list, holds on every Python
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(FIXTURES.parent / "src")
-    stdlib = "__future__, argparse, collections.abc, fractions, hashlib, itertools, json, operator"
+    stdlib = "__future__, collections.abc, fractions, hashlib, itertools, json, operator"
 
     def loaded(imports):
         proc = subprocess.run(
@@ -546,6 +546,125 @@ def test_start_up_loads_only_what_the_stdlib_it_needs_loads():
         return {m for m in proc.stdout.split() if m != "xmhopf" and not m.startswith("xmhopf.")}
 
     assert loaded("xmhopf.cli") <= loaded(stdlib)
+
+
+def test_a_full_call_loads_no_argument_parser():
+    # argparse, and the shutil, gettext, locale and compression modules that building its
+    # parser loads, once cost every call about 10 ms; a full call, not only the import, is run
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(FIXTURES.parent / "src")
+    unneeded = ("argparse", "shutil", "gettext", "locale", "bz2", "lzma", "zlib")
+    argv = ["hom", str(FIXTURES / "k_xi_z2.json"), "k_xi_z2", "k1", "kh", "--degree", "h", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import io, sys\nfrom xmhopf.cli import main\nsys.stdout = io.StringIO()\n"
+         f"code = main({argv!r})\nsys.stdout = sys.__stdout__\n"
+         f"print(code, [m for m in {unneeded!r} if m in sys.modules])"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
+
+
+DOC = str(FIXTURES / "k_xi_z2.json")
+HOM = ["hom", DOC, "k_xi_z2", "k1", "kh"]
+# each accepted command line, and the spelled-out form it means
+SPELLED_OUT = [
+    (["verify", "--json", DOC, "z2"], ["verify", DOC, "z2", "--json"]),
+    (["verify", "--", DOC, "z2"], ["verify", DOC, "z2"]),
+    (["verify", DOC, "--", "z2"], ["verify", DOC, "z2"]),
+    (["verify", DOC, "z2", "--"], ["verify", DOC, "z2"]),
+    (["verify", "--json", "--json", DOC, "z2"], ["verify", DOC, "z2", "--json"]),
+    (["integrals", DOC, "k_xi_z2", "--side=left"], ["integrals", DOC, "k_xi_z2", "--side", "left"]),
+    (["integrals", "--side", "right", DOC, "k_xi_z2"],
+     ["integrals", DOC, "k_xi_z2", "--side", "right"]),
+    (["integrals", DOC, "--side", "right", "k_xi_z2", "--side", "left"],
+     ["integrals", DOC, "k_xi_z2", "--side", "left"]),
+    (["integrals", DOC, "k_xi_z2", "--side", "both"], ["integrals", DOC, "k_xi_z2"]),
+    (HOM + ["--degree=h"], HOM + ["--degree", "h"]),
+    (["hom", "--json", "--degree", "1", DOC, "k_xi_z2", "k1", "kh"],
+     HOM + ["--degree", "1", "--json"]),
+    (HOM[:3] + ["--degree", "h"] + HOM[3:], HOM + ["--degree", "h"]),
+]
+
+
+def _call(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("form,spelled", SPELLED_OUT, ids=[" ".join(f[0]).replace(DOC, "DOC")
+                                                          for f in SPELLED_OUT])
+def test_accepted_command_line_means_its_spelled_out_form(form, spelled, capsys):
+    got = _call(form, capsys)
+    assert got == _call(spelled, capsys)
+    assert got[0] == 0 and got[2] == ""
+
+
+def test_document_dash_reads_stdin(monkeypatch, capsys):
+    with open(DOC, "rb") as fh:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(fh.read())))
+    assert _call(["verify", "-", "z2"], capsys) == _call(["verify", DOC, "z2"], capsys)
+
+
+def test_negative_degree_is_read_as_a_value_then_out_of_range(capsys):
+    assert _call(HOM + ["--degree", "-1"], capsys) == (
+        2, "", "input error: degree -1 out of range\n")
+
+
+REFUSED = {
+    "no-command": [],
+    "unknown-command": ["frobnicate", DOC, "z2"],
+    "missing-positional": ["verify", DOC],
+    "extra-positional": ["verify", DOC, "z2", "extra"],
+    "unknown-option": ["verify", DOC, "z2", "--bogus"],
+    "unknown-short-option": ["verify", DOC, "z2", "-x"],
+    "json-before-command": ["--json", "verify", DOC, "z2"],
+    "json-with-a-value": ["verify", DOC, "z2", "--json=1"],
+    "degree-on-verify": ["verify", DOC, "z2", "--degree", "0"],
+    "side-on-hom": HOM + ["--side", "left"],
+    "side-sideways": ["integrals", DOC, "k_xi_z2", "--side", "sideways"],
+    "side-without-value": ["integrals", DOC, "k_xi_z2", "--side"],
+    "side-help-as-value": ["integrals", DOC, "k_xi_z2", "--side", "-h"],
+    "degree-option-as-value": HOM + ["--degree", "--json"],
+    "degree-without-value": HOM + ["--degree"],
+    "second-double-dash": ["verify", DOC, "z2", "--", "--"],
+    # argparse read these prefixes as --json and --side; no option is abbreviated now
+    "abbreviated-json": ["verify", DOC, "z2", "--js"],
+    "abbreviated-side": ["integrals", DOC, "k_xi_z2", "--si", "left"],
+}
+
+
+@pytest.mark.parametrize("argv", REFUSED.values(), ids=list(REFUSED))
+def test_refused_command_line_exits_2_with_usage(argv, capsys):
+    code, out, err = _call(argv, capsys)
+    assert (code, out) == (2, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: xmhopf ")
+    assert error.startswith("xmhopf: error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,usage", [
+    (["-h"], "usage: xmhopf [-h] {verify,integrals,grouplikes,dual,structure-theorem,hom,report}"),
+    (["--help"], "usage: xmhopf [-h] {verify,"),
+    (["verify", "-h"], "usage: xmhopf verify [-h] [--json] document name\n"),
+    (HOM + ["--help"], "usage: xmhopf hom [-h] [--json] [--degree D] document name source target"),
+    (["integrals", "-h"], "usage: xmhopf integrals [-h] [--json] [--side {left,right,both}]"),
+    (["verify", DOC, "z2", "--bogus", "-h"], "usage: xmhopf verify "),
+])
+def test_help_exits_0_on_stdout(argv, usage, capsys):
+    code, out, err = _call(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith(usage)
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["xmhopf", "verify", DOC, "z2", "--json"])
+    code, out, err = _call(None, capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["object"] == "z2"
 
 
 def test_deeply_nested_json_is_input_error():
