@@ -241,11 +241,10 @@ def cmd_hom(doc: StructureDocument, args, res: CommandResult) -> None:
     else:
         try:
             degrees = [doc.element_index(a.E, args.degree)]
-        except UnknownNameError as exc:  # no element has that label: read it as an index
-            try:
-                degrees = [int(args.degree)]
-            except ValueError:
-                raise exc from None
+        except UnknownNameError:  # no element has that label: an index is ASCII digits
+            if not (args.degree.isascii() and args.degree.removeprefix("-").isdigit()):
+                raise
+            degrees = [int(args.degree)]
     for e in degrees:
         if not 0 <= e < a.E.order:
             raise DocumentError(f"degree {e} out of range")

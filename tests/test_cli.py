@@ -361,6 +361,16 @@ def test_hom_command_accepts_element_labels():
     assert proc.stderr == "input error: no element named 'nope'\n"
 
 
+@pytest.mark.parametrize("degree", [" 1", "1 ", "+1", "1_0", "\u0661"])
+def test_degree_that_is_no_label_nor_ascii_digits_is_unknown(degree):
+    # int() reads "1_0" as 10 and the others as 1 (U+0661 is ARABIC-INDIC DIGIT ONE); a degree
+    # is an element label or an index written in ASCII digits
+    doc = str(FIXTURES / "k_xi_z2.json")
+    proc = run_cli("hom", doc, "k_xi_z2", "k1", "kh", "--degree", degree)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"input error: no element named {degree!r}\n"
+
+
 def fixture_verifications(pattern="*.json"):
     """(file:name, CommandResult) of `verify` on every name of every document matching pattern,
     by default every shipped valid document."""
