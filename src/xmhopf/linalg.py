@@ -36,6 +36,20 @@ from .record import Record
 
 _RATIONAL_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 
+# The most digits an integer of a document may have.  It is Python's default limit on int()
+# of a string, checked here so that the refusal reads the same on every Python (before
+# 3.10.7 there is no limit) and names no interpreter setting.
+MAX_LITERAL_DIGITS = 4300
+
+
+def literal_int(text: str) -> int:
+    """int(text) of ASCII digits after an optional '-', refused above MAX_LITERAL_DIGITS digits."""
+    digits = len(text) - text.startswith("-")
+    if digits > MAX_LITERAL_DIGITS:
+        raise ValueError(f"an integer of {digits} digits; a document's integers have at most "
+                         f"{MAX_LITERAL_DIGITS} digits")
+    return int(text)
+
 Scalar = Fraction | int
 
 
@@ -152,6 +166,8 @@ class Field(Record, eq=True):
         if match is None:
             raise ValueError(f"not a rational literal: {text!r}")
         num, den = match.groups()
+        if len(text) > MAX_LITERAL_DIGITS:  # only so long a literal can have too long a part
+            return Fraction(literal_int(num), literal_int(den or "1"))
         return Fraction(int(num), int(den or 1))
 
     def show(self, a: Scalar) -> str | int:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -176,3 +177,19 @@ def test_round_trip_preserves_structure():
     over, m = doc.modules["sign_rep"]
     over2, m2 = doc2.modules["sign_rep"]
     assert m.dims == m2.dims and m.actions == m2.actions
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no interpreter limit")
+def test_integer_digit_limit_does_not_depend_on_the_interpreter():
+    # with the interpreter's own limit lifted, as before Python 3.10.7, the document's holds
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        big = b"1" + b"0" * 4300
+        with pytest.raises(DocumentSyntaxError, match="an integer of 4301 digits"):
+            parse(b'{"field": {"kind": "rational"}, "groups": {"g": {"cyclic": ' + big + b"}}}")
+        unit = dict(MINIMAL, grouplikes={"u": {"in": "k_xi", "family": [["1"], [big.decode()]]}})
+        with pytest.raises(DocumentSyntaxError, match=r"u\.family\[1\]\[0\]: an integer of 4301"):
+            parse(doc_bytes(unit))
+    finally:
+        sys.set_int_max_str_digits(limit)
