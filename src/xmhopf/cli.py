@@ -344,7 +344,7 @@ def _usage(command) -> str:
 
 
 def _read_argv(argv: list) -> SimpleNamespace:
-    """The values of a command line: command, fn, document, other positionals, json, side, degree."""
+    """The values of a command line: command, fn, document, positionals, json, side, degree."""
     command = argv[0] if argv else None
     if command in ("-h", "--help"):
         raise _Exit(0, None, "\n".join(f"  {c:<18} {h}" for c, (_, _, h) in COMMANDS.items()))
@@ -381,7 +381,7 @@ def _read_argv(argv: list) -> SimpleNamespace:
 
 def main(argv=None) -> int:
     try:
-        args = _read_argv(sys.argv[1:] if argv is None else list(argv))
+        args = _read_argv(sys.argv[1:] if argv is None else argv)
     except _Exit as exc:
         code, command, text = exc.args
         print(_usage(command), text, sep="\nxmhopf: error: " if code else "\n\n",

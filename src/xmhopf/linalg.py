@@ -50,6 +50,7 @@ def literal_int(text: str) -> int:
                          f"{MAX_LITERAL_DIGITS} digits")
     return int(text)
 
+
 Scalar = Fraction | int
 
 
