@@ -11,7 +11,6 @@ parse(serialize(d)) reproduces d exactly.
 from __future__ import annotations
 
 import json
-import sys
 from collections.abc import Mapping
 from itertools import chain
 
@@ -26,7 +25,7 @@ from .errors import XmhopfError
 from .groups import FiniteGroup, GroupHom, cyclic, direct_product, symmetric
 from .hopf import ComponentAlgebra, GradedHopfCoalgebra, compute_antipode
 from .hopfmod import HopfXiModule, dual_hopf_module, trivial_hopf_module
-from .linalg import MAX_LITERAL_DIGITS, Field, Matrix, literal_int
+from .linalg import Field, Matrix, literal_int
 from .record import Record
 from .repcat import AModule, line_module, regular_module, unit_module
 from .xihopf import (
@@ -573,22 +572,6 @@ def _parse_integral(doc: StructureDocument, name: str, spec, where):
     return spec.get("in"), side, _parse_family(doc, a, spec, where, "covector")
 
 
-def _load_json(text: str):
-    """json.loads(text), refusing an integer of over MAX_LITERAL_DIGITS digits in the document's
-    words.  Where the interpreter's own limit on int() of a string is that bound, json's int()
-    finds such an integer, and only then is the text read again through literal_int; elsewhere
-    (before Python 3.10.7, or under another limit) every integer is read through it."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit != MAX_LITERAL_DIGITS:
-        return json.loads(text, parse_int=literal_int)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        raise
-    except ValueError:  # an integer over the limit
-        return json.loads(text, parse_int=literal_int)
-
-
 def parse(data: bytes) -> StructureDocument:
     """Parse and check a structure document; raises DocumentError subclasses.
 
@@ -596,7 +579,8 @@ def parse(data: bytes) -> StructureDocument:
     built, and can fail, when first looked up (see Section).
     """
     try:
-        raw = _load_json(data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data)
+        text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
+        raw = json.loads(text, parse_int=literal_int)
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or too many digits
         raise DocumentSyntaxError(f"invalid JSON: {exc}", "document")
     if not isinstance(raw, dict):

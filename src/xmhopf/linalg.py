@@ -167,9 +167,7 @@ class Field(Record, eq=True):
         if match is None:
             raise ValueError(f"not a rational literal: {text!r}")
         num, den = match.groups()
-        if len(text) > MAX_LITERAL_DIGITS:  # only so long a literal can have too long a part
-            return Fraction(literal_int(num), literal_int(den or "1"))
-        return Fraction(int(num), int(den or 1))
+        return Fraction(literal_int(num), literal_int(den or "1"))
 
     def show(self, a: Scalar) -> str | int:
         """Canonical literal for serialization (inverse of parse)."""
