@@ -32,7 +32,7 @@ from .hopfmod import (
     structure_iso,
     validate_hopf_xi_module,
 )
-from .linalg import Field
+from .linalg import MAX_LITERAL_DIGITS, Field
 from .repcat import hom_space, validate_module
 from .report import Report
 from .xihopf import (
@@ -242,7 +242,8 @@ def cmd_hom(doc: StructureDocument, args, res: CommandResult) -> None:
         try:
             degrees = [doc.element_index(a.E, args.degree)]
         except UnknownNameError:  # no element has that label: an index is ASCII digits
-            if not (args.degree.isascii() and args.degree.removeprefix("-").isdigit()):
+            digits = args.degree.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit() and len(digits) <= MAX_LITERAL_DIGITS):
                 raise
             degrees = [int(args.degree)]
     for e in degrees:
@@ -316,18 +317,18 @@ def _arg(doc: StructureDocument, name: str, section: str, over=None):
     return mod
 
 
-# command -> (handler, its positionals after the document, one-line help)
+# command -> (its positionals, one-line help); its handler, cmd_<command>, is looked up per call
 COMMANDS = {
-    "verify": (cmd_verify, ("name",), "run the validator stack on a named object"),
-    "integrals": (cmd_integrals, ("name",), "compute the integral space of a Hopf structure"),
-    "grouplikes": (cmd_grouplikes, ("name",), "enumerate basis-supported grouplike families"),
-    "dual": (cmd_dual, ("name",), "dualize and validate the dual structure"),
-    "structure-theorem": (cmd_structure_theorem, ("name", "module"), "trivialize a Hopf module"),
-    "hom": (cmd_hom, ("name", "source", "target"), "graded hom spaces between two named modules"),
-    "report": (cmd_report, ("name",), "full report: validation, integrals, grouplikes, duals"),
+    "verify": (("document", "name"), "run the validator stack on a named object"),
+    "integrals": (("document", "name"), "compute the integral space of a Hopf structure"),
+    "grouplikes": (("document", "name"), "enumerate basis-supported grouplike families"),
+    "dual": (("document", "name"), "dualize and validate the dual structure"),
+    "structure-theorem": (("document", "name", "module"), "trivialize a Hopf module"),
+    "hom": (("document", "name", "source", "target"), "graded hom spaces between two named modules"),
+    "report": (("document", "name"), "full report: validation, integrals, grouplikes, duals"),
 }
-# option -> (the one command that takes it, its value: {its choices} or any D); --json is on all
-_VALUED = {"--side": ("integrals", "{left,right,both}"), "--degree": ("hom", "D")}
+# option -> (the one command that takes it, its choices or None for any value); --json is on all
+_VALUED = {"--side": ("integrals", ("left", "right", "both")), "--degree": ("hom", None)}
 # a value, not an unknown option: empty, "-", no leading "-", a space, or a negative number
 _VALUE = re.compile(r"\Z|-\Z|[^-]|.* |-\d+\Z|-\d*\.\d+\Z", re.S)
 
@@ -339,20 +340,20 @@ class _Exit(Exception):
 def _usage(command) -> str:
     if command is None:
         return f"usage: xmhopf [-h] {{{','.join(COMMANDS)}}} ..."
-    opts = "".join(f" [{o} {v}]" for o, (c, v) in _VALUED.items() if c == command)
-    return f"usage: xmhopf {command} [-h] [--json]{opts} document {' '.join(COMMANDS[command][1])}"
+    opts = "".join(f" [{o} {{{','.join(v)}}}]" if v else f" [{o} D]"
+                   for o, (c, v) in _VALUED.items() if c == command)
+    return f"usage: xmhopf {command} [-h] [--json]{opts} {' '.join(COMMANDS[command][0])}"
 
 
 def _read_argv(argv: list) -> SimpleNamespace:
-    """The values of a command line: command, fn, document, positionals, json, side, degree."""
+    """The values of a command line: command, document, positionals, json, side, degree."""
     command = argv[0] if argv else None
     if command in ("-h", "--help"):
-        raise _Exit(0, None, "\n".join(f"  {c:<18} {h}" for c, (_, _, h) in COMMANDS.items()))
+        raise _Exit(0, None, "\n".join(f"  {c:<18} {h}" for c, (_, h) in COMMANDS.items()))
     if command not in COMMANDS:
         raise _Exit(2, None, f"unknown command {command!r}" if argv else "no command given")
-    fn, names, help_text = COMMANDS[command]
-    names = ("document", *names)
-    args = SimpleNamespace(command=command, fn=fn, json=False, side="both", degree=None)
+    names, help_text = COMMANDS[command]
+    args = SimpleNamespace(command=command, json=False, side="both", degree=None)
     given, unknown, rest = [], [], iter(argv[1:])
     for tok in rest:
         opt, eq, value = tok.partition("=")
@@ -362,11 +363,10 @@ def _read_argv(argv: list) -> SimpleNamespace:
             raise _Exit(0, command, f"{help_text}; document is a path, or - for stdin")
         elif tok == "--json":
             args.json = True
-        elif _VALUED.get(opt, ("",))[0] == command:
+        elif (spec := _VALUED.get(opt, ("", None)))[0] == command:
             if not eq and not _VALUE.match(value := next(rest, "--")):  # "--" if there is none
                 raise _Exit(2, command, f"argument {opt}: expected one argument")
-            shown = _VALUED[opt][1]
-            if shown[0] == "{" and value not in shown[1:-1].split(","):
+            if spec[1] and value not in spec[1]:
                 raise _Exit(2, command, f"argument {opt}: invalid choice: {value!r}")
             setattr(args, opt[2:], value)
         else:
@@ -390,7 +390,7 @@ def main(argv=None) -> int:
     try:
         data = _read_document(args.document)
         res = CommandResult(args.command, hashlib.sha256(data).hexdigest(), args.name)
-        args.fn(parse(data), args, res)
+        globals()["cmd_" + args.command.replace("-", "_")](parse(data), args, res)
     except (OSError, XmhopfError) as exc:  # an unreadable, malformed or refused document
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -623,6 +623,16 @@ def test_negative_degree_is_read_as_a_value_then_out_of_range(capsys):
         2, "", "input error: degree -1 out of range\n")
 
 
+def test_degree_of_too_many_digits_is_unknown(capsys):
+    # an index has at most MAX_LITERAL_DIGITS digits, so that int() never meets the
+    # interpreter's own limit on the digits of a string ("1" labels the unit, "01" is index 1)
+    assert _call(HOM + ["--degree", "0" * 4299 + "1"], capsys) == _call(
+        HOM + ["--degree", "01"], capsys)
+    for degree in ("1" + "0" * 4999, "-" + "1" * 4301):
+        assert _call(HOM + ["--degree", degree], capsys) == (
+            2, "", f"input error: no element named {degree!r}\n")
+
+
 REFUSED = {
     "no-command": [],
     "unknown-command": ["frobnicate", DOC, "z2"],
