@@ -44,10 +44,11 @@ MAX_LITERAL_DIGITS = 4300
 
 def literal_int(text: str) -> int:
     """int(text) of ASCII digits after an optional '-', refused above MAX_LITERAL_DIGITS digits."""
-    digits = len(text) - text.startswith("-")
-    if digits > MAX_LITERAL_DIGITS:
-        raise ValueError(f"an integer of {digits} digits; a document's integers have at most "
-                         f"{MAX_LITERAL_DIGITS} digits")
+    if len(text) > MAX_LITERAL_DIGITS:  # its digits may still be few enough after a '-'
+        digits = len(text.removeprefix("-"))
+        if digits > MAX_LITERAL_DIGITS:
+            raise ValueError(f"an integer of {digits} digits; a document's integers have at most "
+                             f"{MAX_LITERAL_DIGITS} digits")
     return int(text)
 
 
@@ -167,7 +168,7 @@ class Field(Record, eq=True):
         if match is None:
             raise ValueError(f"not a rational literal: {text!r}")
         num, den = match.groups()
-        return Fraction(literal_int(num), literal_int(den or "1"))
+        return Fraction(literal_int(num), literal_int(den) if den else 1)
 
     def show(self, a: Scalar) -> str | int:
         """Canonical literal for serialization (inverse of parse)."""
