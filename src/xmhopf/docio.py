@@ -41,10 +41,11 @@ from .xihopf import (
 MAX_GROUP_ORDER = 100
 
 # The largest validation_cost a Hopf structure may have.  With Python 3.11 on one
-# 2-vCPU VM, `xmhopf verify` of a structure near the bound takes 0.6-2.6 s: 2.6 s for
-# k[Z/16] with E trivial (cost 1.8e7), 0.6 s for the trivial structure over
-# id: Z/21 -> Z/21 (2.2e7), 2.2 s for k[Z/15] with E = Z/15 (2.4e7).  `report`, which
-# also validates the dual Hopf module, takes 3.5-5.5 s: 5.5, 3.5 and 4.9 s.
+# 2-vCPU VM, `xmhopf verify` of a structure near the bound takes 0.4-2.1 s: 2.1 s for
+# k[Z/16] with E trivial (cost 1.8e7), 0.4 s for the trivial structure over
+# id: Z/21 -> Z/21 (2.2e7), 1.5 s for k[Z/15] with E = Z/15 (2.4e7).  `report`, which
+# also solves the integral systems, takes 0.5-2.7 s.  The n^2 k^2 term bounds check (d)
+# of `verify` or `structure-theorem` on a `dual: true` Hopf module over the structure.
 MAX_VALIDATION_COST = 25 * 10**6
 
 # What one case of an identity costs beyond the entries of its matrices, counted in
@@ -58,9 +59,10 @@ def validation_cost(h_order: int, e_order: int, dim: int) -> int:
 
     Each case of an identity costs _CASE_COST plus the entries of the largest matrix it
     builds.  The first four terms are the |H|^3 coassociativity cases (Delta (x) id, dim^5
-    entries), the |H|^2 |E|^2 coaction-compatibility cases of check (d) that `report` runs
-    on the dual Hopf module (phi (x) psi, dim^4; the |H|^2 (2|E| - 1) coproduct-compatibility
-    cases, phi (x) phi, are fewer), the |H|^2 multiplicativity cases (mu (x) mu, dim^6)
+    entries), the |H|^2 |E|^2 coaction-compatibility cases of check (d) that `verify` and
+    `structure-theorem` run on a `dual: true` Hopf module over the structure (phi (x) psi,
+    dim^4; the |H|^2 (2|E| - 1) coproduct-compatibility cases of the structure's own
+    validation, phi (x) phi, are fewer), the |H|^2 multiplicativity cases (mu (x) mu, dim^6)
     and the |H| |E|^2 composition cases of the action (dim^2); the other identities have
     fewer cases and smaller matrices.  The last term is the integral system that
     `integrals` and `report` solve: about |H|^2 dim^2 equations in |H| dim unknowns, so

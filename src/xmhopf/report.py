@@ -68,18 +68,3 @@ class Report(Record, eq=True, frozen=False):
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    def as_dict(self) -> dict:
-        return {
-            "title": self.title,
-            "ok": self.ok,
-            "checks": [
-                {
-                    "name": c.name,
-                    "status": "pass" if c.ok else "fail",
-                    "violations": c.violations,
-                    "witnesses": list(c.witnesses),
-                }
-                for c in self.checks
-            ],
-        }

@@ -37,6 +37,13 @@ def fixture_structures():
     return out
 
 
+def spans(f, vectors, target) -> bool:
+    """Whether target is a linear combination of vectors."""
+    cols = Matrix(f, [[v[i] for v in vectors] for i in range(len(target))],
+                  len(target), len(vectors))
+    return cols.solve(tuple(target)) is not None
+
+
 def z3_in_s3():
     """The normal subgroup of 3-cycles: generator (1,2,0) has index 3."""
     return GroupHom(cyclic(3), symmetric(3), (0, 3, 4))

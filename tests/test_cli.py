@@ -441,10 +441,11 @@ def test_dual_hopf_module_without_an_antipode_names_its_entry(tmp_path):
         assert proc.returncode == 2, proc.stdout + proc.stderr
         assert proc.stdout == ""
         assert proc.stderr == "input error: hopf_modules.dm: Hopf structure 'bi' has no antipode\n"
+    # report builds no dual Hopf module: it fails on the structure's own antipode check
     report = run_cli("report", str(path), "bi")
     assert report.returncode == 1 and report.stderr == ""
-    assert ("check derived structure: dual Hopf module passes its gates: FAIL (1 violations)\n"
-            "  witness: antipode has not been computed\n") in report.stdout
+    assert "  witness: antipode missing and not computable\n" in report.stdout
+    assert "dual Hopf module" not in report.stdout
 
 
 def test_benchmark_tracer_installs_and_restores_every_original():
@@ -1011,8 +1012,7 @@ def test_directive_that_breaks_an_axiom_gets_a_report(tmp_path):
     report = run_cli("report", path, "rho_z2").stdout
     assert ("check derived structure: distinguished grouplike verified: FAIL (1 violations)\n"
             "  witness: right integral space has dimension 0, expected 1\n") in report
-    assert ("check derived structure: dual Hopf module passes its gates: FAIL (1 violations)\n"
-            "  witness: dual Hopf module fails the module axioms\n") in report
+    assert "dual Hopf module" not in report  # the coassociativity witness above is A's own
     for args in (["integrals", "rho_z2"], ["grouplikes", "rho_z2"],
                  ["hom", "rho_z2", "unit_mod", "regular_mod"]):
         proc = run_cli(args[0], path, *args[1:])
@@ -1061,20 +1061,26 @@ def test_structure_is_validated_only_by_the_commands_that_report_it(
 
 
 def test_dual_hopf_module_is_validated_once(monkeypatch, capsys):
+    # and report, which validates the structure itself, neither builds nor validates one
     import xmhopf.cli as cli
+    import xmhopf.docio as docio
     import xmhopf.hopfmod as hopfmod
 
-    calls = _count_calls(monkeypatch, "validate_hopf_xi_module", cli, hopfmod)
+    validations = _count_calls(monkeypatch, "validate_hopf_xi_module", cli, hopfmod)
+    builds = _count_calls(monkeypatch, "dual_hopf_module", docio, hopfmod)
     doc = str(FIXTURES / "rho_z2.json")
-    for args in (["verify", doc, "dual_mod"], ["structure-theorem", doc, "rho_z2", "dual_mod"]):
-        calls.clear()
+    for args, count in [(["verify", doc, "dual_mod"], 1),
+                        (["structure-theorem", doc, "rho_z2", "dual_mod"], 1),
+                        (["report", doc, "rho_z2"], 0)]:
+        validations.clear()
+        builds.clear()
         assert cli.main(args) == 0, args
-        assert len(calls) == 1, args
+        assert (len(validations), len(builds)) == (count, count), args
     capsys.readouterr()
 
 
 def test_report_solves_each_integral_system_once(monkeypatch, capsys):
-    # the distinguished grouplike and the dual module gate reuse the right integrals
+    # the distinguished grouplike reuses the right integrals
     import xmhopf.cli as cli
     import xmhopf.hopfmod as hopfmod
 

@@ -9,14 +9,13 @@ the unit family is not pivotal while g is.
 
 import pytest
 
-from tests.conftest import GF5, QQ, make_sweedler, sign_flip_rho
+from tests.conftest import GF5, QQ, make_sweedler, sign_flip_rho, spans
 from xmhopf.crossed import identity_cm
 from xmhopf.errors import NotPivotalError
 from xmhopf.groups import cyclic
 from xmhopf.hopf import enumerate_grouplikes, is_pivotal_element
 from xmhopf.hopfmod import (
     antipode_transport,
-    coinvariant_gate,
     coinvariants,
     distinguished_grouplike,
     dual_hopf_module,
@@ -150,7 +149,9 @@ def test_twisting_by_non_coalgebra_automorphism():
     assert g == (basis_covector(f, 1), basis_covector(f, 1))
     m = dual_hopf_module(b)
     assert validate_hopf_xi_module(b, m).ok
-    assert coinvariant_gate(b, m, right) is None
+    coinv = [[v for comp in c for v in comp] for c in coinvariants(b, m)]
+    image = [v for x in b.H.elements() for v in right[0][b.H.inv(x)]]
+    assert len(coinv) == 1 and spans(f, coinv, image)
 
 
 def test_twisted_constructor_rejects_invalid_classical_data():

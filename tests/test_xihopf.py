@@ -9,6 +9,7 @@ from tests.conftest import (
     make_k_xi_z2,
     make_rho_z2,
     sign_flip_rho,
+    spans,
     z3_in_s3,
 )
 from tests.test_action_oracle import oracle_xi_action
@@ -157,7 +158,7 @@ def test_full_stack_nonabelian_label_group():
     # genuinely noncommutative here, so this exercises every index identity
     from xmhopf.groups import symmetric
     from xmhopf.hopfmod import (
-        coinvariant_gate,
+        coinvariants,
         dual_hopf_module,
         integral_space,
         validate_hopf_xi_module,
@@ -170,7 +171,9 @@ def test_full_stack_nonabelian_label_group():
     assert len(right) == 1
     m = dual_hopf_module(a)
     assert validate_hopf_xi_module(a, m).ok
-    assert coinvariant_gate(a, m, right) is None
+    coinv = [[v for comp in c for v in comp] for c in coinvariants(a, m)]
+    image = [v for x in a.H.elements() for v in right[0][a.H.inv(x)]]
+    assert len(coinv) == 1 and spans(QQ, coinv, image)
 
 
 def test_bicharacter_validation_errors():
