@@ -128,7 +128,6 @@ def _verify_object(doc: StructureDocument, name: str, res: CommandResult) -> Non
         res.add_report(validate_components(obj))
         res.add_report(validate_crossed_module(obj))
         kic = kernel_image_cokernel(obj)
-        res.add_report(kic.report)
         res.output("kernel", list(kic.kernel))
         res.output("image", list(kic.image))
         res.output("cokernel_order", kic.cokernel.order)

@@ -124,31 +124,24 @@ def arrow_is_valid(cm: CrossedModule, a: GroupoidArrow) -> bool:
 
 
 class KernelImageCokernel(Record):
-    """Ker(xi) and Im(xi) ascending, Coker(xi), the projection H -> Coker(xi) by index, the
-    section taking each coset to its least H element, and the report of their checks."""
+    """Ker(xi) and Im(xi) ascending, Coker(xi), the projection H -> Coker(xi) by index, and
+    the section taking each coset to its least H element."""
 
-    __slots__ = ("kernel", "image", "cokernel", "projection", "section", "report")
+    __slots__ = ("kernel", "image", "cokernel", "projection", "section")
 
 
 def kernel_image_cokernel(cm: CrossedModule) -> KernelImageCokernel:
     """Ker(xi), Im(xi), and the quotient H / Im(xi) with canonical projection.
 
-    For a valid crossed module the kernel is central in E and the image is
-    normal in H; both facts are re-checked and reported rather than trusted.
+    The quotient is a group and the projection a homomorphism as Im(xi) is normal in H:
+    x xi(e) x^-1 = xi(x > e) by equivariance.  Ker(xi) is central in E: for xi(k) = 1,
+    Peiffer and the unit law of the action give k e k^-1 = 1 > e = e.  These follow from
+    the axioms that validate_components and validate_crossed_module check, so nothing here
+    checks them again.
     """
     E, H = cm.E, cm.H
-    rep = Report("kernel/image/cokernel")
-
     kernel = tuple(sorted(e for e in E.elements() if cm.xi(e) == H.identity))
     image = tuple(sorted({cm.xi(e) for e in E.elements()}))
-
-    rep.identity("kernel is central in E", (
-        (f"k={k} e={e}", E.mul(k, e), E.mul(e, k)) for k in kernel for e in E.elements()
-    ))
-    image_set = set(image)
-    rep.identity("image is normal in H", (
-        (f"x={x} i={i}", H.conj(x, i) in image_set, True) for x in H.elements() for i in image
-    ))
 
     # cosets of the image, each named by its least element
     coset_of = {}
@@ -161,6 +154,7 @@ def kernel_image_cokernel(cm: CrossedModule) -> KernelImageCokernel:
         reps.append(least)
         for y in coset:
             coset_of[y] = least
+        coset_of.setdefault(x, least)  # x is outside Im(xi) x only if xi or H is invalid
     reps.sort()
     rep_index = {r: i for i, r in enumerate(reps)}
     projection = tuple(rep_index[coset_of[x]] for x in H.elements())
@@ -171,13 +165,7 @@ def kernel_image_cokernel(cm: CrossedModule) -> KernelImageCokernel:
     )
     inverses = tuple(projection[H.inv(reps[a])] for a in range(m))
     coker = FiniteGroup(table, projection[H.identity], inverses)
-
-    rep.identity("projection is a homomorphism", (
-        (f"x={x} y={y}", projection[H.mul(x, y)], coker.mul(projection[x], projection[y]))
-        for x in H.elements() for y in H.elements()
-    ))
-
-    return KernelImageCokernel(kernel, image, coker, projection, tuple(reps), rep)
+    return KernelImageCokernel(kernel, image, coker, projection, tuple(reps))
 
 
 def coker_action_on_kernel(cm: CrossedModule) -> tuple[tuple[tuple[int, ...], ...], Report]:

@@ -172,12 +172,13 @@ class StructureDocument(Record):
     _defaults = dict(dict.fromkeys(__slots__[1:-1], Section), element_names=dict)
 
     def element_index(self, group, label: str):
-        """Resolve an element label of a known group to its index.
+        """Resolve an element label of a group of this document, `group` itself, to its index.
 
-        Labels live only at the document boundary; the kernel is index-based.
+        Labels live only at the document boundary; the kernel is index-based.  An equal group
+        under another name may label its elements otherwise, so only `group` itself matches.
         """
         for gname, known in self.groups.items():
-            if known == group and gname in self.element_names:
+            if known is group and gname in self.element_names:
                 names = self.element_names[gname]
                 if label in names:
                     return names.index(label)
@@ -288,10 +289,10 @@ def _parse_group(doc: StructureDocument, name: str, spec, where) -> FiniteGroup:
     group = _parse_group_body(doc, spec, where)
     if "elements" in spec:
         labels = _expect(spec["elements"], list, f"{where}.elements", "a list of labels")
-        if len(labels) != group.order or len(set(labels)) != group.order:
-            raise DocumentSyntaxError("need one distinct label per element", f"{where}.elements")
         if not all(isinstance(l, str) for l in labels):
             raise DocumentSyntaxError("labels must be strings", f"{where}.elements")
+        if len(labels) != group.order or len(set(labels)) != group.order:
+            raise DocumentSyntaxError("need one distinct label per element", f"{where}.elements")
         doc.element_names[name] = tuple(labels)
     return group
 

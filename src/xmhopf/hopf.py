@@ -243,35 +243,6 @@ def validate_antipode(a: GradedHopfCoalgebra) -> Report:
     return rep
 
 
-def antipode_properties(a: GradedHopfCoalgebra) -> Report:
-    """Derived properties: anti-multiplicative and anti-comultiplicative."""
-    if a.antipode is None:
-        raise MissingAntipodeError("antipode_properties needs an antipode")
-    rep = Report("antipode properties")
-    H, comps = a.H, a.components
-    xs = H.elements()
-    rep.identity("anti-multiplicativity", (
-        (f"x={x}",
-         a.S(x) @ comps[H.inv(x)].mul,
-         comps[x].mul.flip_cols(1, a.dim(x), a.dim(x), 1) @ a.S(x).kron(a.S(x)))
-        for x in xs
-    ))
-    rep.identity("unit preservation", (
-        (f"x={x}", a.S(x) @ comps[H.inv(x)].unit_col(), comps[x].unit_col()) for x in xs
-    ))
-    rep.identity("anti-comultiplicativity", (
-        (f"(x,y)=({x},{y})",
-         a.delta(x, y) @ a.S(H.mul(x, y)),
-         a.S(x).kron(a.S(y)).flip_cols(1, a.dim(H.inv(y)), a.dim(H.inv(x)), 1)
-         @ a.delta(H.inv(y), H.inv(x)))
-        for x in xs for y in xs
-    ))
-    rep.identity("counit compatibility", [
-        ("eps S_1 != eps", a.counit @ a.S(H.identity), a.counit),
-    ])
-    return rep
-
-
 # -- grouplike machinery ------------------------------------------------------------
 
 

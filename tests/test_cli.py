@@ -108,6 +108,8 @@ MALFORMED = {
     "symmetric-true": {"groups": {"g": {"symmetric": True}}},
     "order-true": {"groups": {"g": {"order": True, "table": [[0]]}}},
     "table-entry-false": {"groups": {"g": {"table": [[0, 1], [1, False]]}}},
+    # labels are strings; a list label used to reach set() and print a traceback, exit 1
+    "elements-not-strings": {"groups": {"g": {"cyclic": 2, "elements": [["a"], ["b"]]}}},
     "xi-entry-true": {
         "crossed_modules": {"cm": {"E": "g", "H": "g", "xi": [0, True], "action": [[0, 1], [0, 1]]}}
     },
@@ -160,6 +162,20 @@ def test_malformed_section_is_input_error(sections):
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "input error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_crossed_module_whose_image_misses_the_identity_fails_its_checks():
+    # xi(1) = h: no coset Im(xi) x holds x, and naming the cosets used to raise KeyError
+    doc = {"field": {"kind": "rational"}, "groups": {"g": {"cyclic": 2}},
+           "crossed_modules": {"cm": {"E": "g", "H": "g", "xi": [1, 1], "action": [[0, 1], [0, 1]]}}}
+    proc = subprocess.run(
+        [sys.executable, "-m", "xmhopf.cli", "verify", "-", "cm"],
+        input=json.dumps(doc),
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert "check crossed module components: group hom: preserves identity: FAIL" in proc.stdout
 
 
 def trivial_group_document(tmp_path, characteristic):
@@ -359,6 +375,26 @@ def test_hom_command_accepts_element_labels():
     proc = run_cli("hom", doc, "k_xi_z2", "k1", "kh", "--degree", "nope")
     assert proc.returncode == 2
     assert proc.stderr == "input error: no element named 'nope'\n"
+
+
+def test_degree_label_is_read_from_the_group_that_is_e(tmp_path):
+    # g1 equals g2 but labels its elements the other way round; E is g2, where b is element 0
+    doc = tmp_path / "two_labellings.json"
+    doc.write_text(json.dumps({
+        "field": {"kind": "rational"},
+        "groups": {"g1": {"cyclic": 2, "elements": ["a", "b"]},
+                   "g2": {"cyclic": 2, "elements": ["b", "a"]}},
+        "crossed_modules": {"cm": {"identity": "g2"}},
+        "hopf": {"k": {"trivial": "cm"}},
+        "modules": {"m0": {"over": "k", "line": {"degree": 0, "character": ["1"]}},
+                    "m1": {"over": "k", "line": {"degree": 1, "character": ["1"]}}},
+    }))
+    for label, degree, dim in (("b", 0, 0), ("a", 1, 1)):
+        proc = run_cli("hom", str(doc), "k", "m0", "m1", "--degree", label, "--json")
+        assert proc.returncode == 0, proc.stderr
+        outputs = json.loads(proc.stdout)["outputs"]
+        assert sorted(outputs) == [f"degree_{degree}_basis", f"degree_{degree}_dimension"]
+        assert outputs[f"degree_{degree}_dimension"] == dim
 
 
 @pytest.mark.parametrize("degree", [" 1", "1 ", "+1", "1_0", "\u0661"])

@@ -1,6 +1,7 @@
 import pytest
 
 from tests.conftest import z3_in_s3
+from tests.test_lemma_oracle import oracle_kernel_image_cokernel
 from xmhopf.crossed import (
     CrossedModule,
     GroupoidArrow,
@@ -138,10 +139,11 @@ def test_tensor_interchanges_with_composition():
 
 
 def test_kernel_image_cokernel_identity():
-    kic = kernel_image_cokernel(identity_cm(cyclic(2)))
+    cm = identity_cm(cyclic(2))
+    kic = kernel_image_cokernel(cm)
     assert kic.kernel == (0,)
     assert kic.cokernel.order == 1
-    assert kic.report.ok
+    assert oracle_kernel_image_cokernel(cm).ok
 
 
 def test_kernel_image_cokernel_z2_to_point():
@@ -149,13 +151,13 @@ def test_kernel_image_cokernel_z2_to_point():
     kic = kernel_image_cokernel(cm)
     assert kic.kernel == (0, 1)
     assert kic.cokernel.order == 1
-    assert kic.report.ok
+    assert oracle_kernel_image_cokernel(cm).ok
 
 
 def test_cokernel_z3_in_s3_matches_coset_oracle():
     cm = inclusion(z3_in_s3())
     kic = kernel_image_cokernel(cm)
-    assert kic.cokernel.order == 2 and kic.report.ok
+    assert kic.cokernel.order == 2 and oracle_kernel_image_cokernel(cm).ok
     # oracle: brute-force right cosets of the image
     s3, image = cm.H, set(kic.image)
     cosets = set()

@@ -129,7 +129,7 @@ def degrees(rel, over):
     except XmhopfError:
         return []
     labels = next((doc.element_names[name] for name, known in doc.groups.items()
-                   if known == group and name in doc.element_names), ())
+                   if known is group and name in doc.element_names), ())
     return list(dict.fromkeys([*labels, *map(str, group.elements())]))
 
 
