@@ -29,6 +29,7 @@ from .hopfmod import (
     integral_space,
     structure_iso,
     validate_hopf_xi_module,
+    validate_module_premises,
 )
 from .linalg import MAX_LITERAL_DIGITS, Field
 from .repcat import hom_space, validate_module
@@ -140,6 +141,7 @@ def _verify_object(doc: StructureDocument, name: str, res: CommandResult) -> Non
         res.output("dims", list(mod.dims))
     elif section == "hopf_modules":
         over, mod = obj
+        res.add_report(validate_module_premises(doc.hopf[over]))
         res.add_report(validate_hopf_xi_module(doc.hopf[over], mod))
         res.output("dims", list(mod.dims))
     elif section == "grouplikes":
@@ -219,6 +221,7 @@ def cmd_dual(doc: StructureDocument, args, res: CommandResult) -> None:
 def cmd_structure_theorem(doc: StructureDocument, args, res: CommandResult) -> None:
     a = _arg(doc, args.name, "hopf")
     mod = _arg(doc, args.module, "hopf_modules", over=args.name)
+    res.add_report(validate_module_premises(a))
     res.add_report(validate_hopf_xi_module(a, mod))
     chk = Report("structure theorem")
     coinv = coinvariants(a, mod)

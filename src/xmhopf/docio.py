@@ -40,12 +40,14 @@ from .xihopf import (
 # order^3 triples, which takes about a second at this order.
 MAX_GROUP_ORDER = 100
 
-# The largest validation_cost a Hopf structure may have.  With Python 3.11 on one
-# 2-vCPU VM, `xmhopf verify` of a structure near the bound takes 0.4-2.1 s: 2.1 s for
-# k[Z/16] with E trivial (cost 1.8e7), 0.4 s for the trivial structure over
-# id: Z/21 -> Z/21 (2.2e7), 1.5 s for k[Z/15] with E = Z/15 (2.4e7).  `report`, which
-# also solves the integral systems, takes 0.5-2.7 s.  The n^2 k^2 term bounds check (d)
-# of `verify` or `structure-theorem` on a `dual: true` Hopf module over the structure.
+# The largest validation_cost a Hopf structure may have, fitted on a ladder with the guard
+# lifted (Python 3.11, one 2-vCPU VM), each structure carrying a `dual: true` Hopf module.
+# The largest sizes it admits are the trivial structure over id: Z/38 -> Z/38 (cost 2.4e7)
+# and k[Z/16] with E = Z/16 (2.0e7) or E trivial (1.8e7); Z/39 and k[Z/17] cost 2.6e7.  On
+# them `verify`, `report`, `dual` and `structure-theorem` take 1.4-1.6 s, `integrals` and
+# `grouplikes` at most 0.1 s.  In the same hour the slowest call the previous estimate
+# admitted, `verify` or `report` of k[Z/16] with E trivial (2.1-2.7 s when first
+# measured), took 1.5 s.
 MAX_VALIDATION_COST = 25 * 10**6
 
 # What one case of an identity costs beyond the entries of its matrices, counted in
@@ -59,17 +61,16 @@ def validation_cost(h_order: int, e_order: int, dim: int) -> int:
 
     Each case of an identity costs _CASE_COST plus the entries of the largest matrix it
     builds.  The first four terms are the |H|^3 coassociativity cases (Delta (x) id, dim^5
-    entries), the |H|^2 |E|^2 coaction-compatibility cases of check (d) that `verify` and
-    `structure-theorem` run on a `dual: true` Hopf module over the structure (phi (x) psi,
-    dim^4; the |H|^2 (2|E| - 1) coproduct-compatibility cases of the structure's own
-    validation, phi (x) phi, are fewer), the |H|^2 multiplicativity cases (mu (x) mu, dim^6)
-    and the |H| |E|^2 composition cases of the action (dim^2); the other identities have
-    fewer cases and smaller matrices.  The last term is the integral system that
-    `integrals` and `report` solve: about |H|^2 dim^2 equations in |H| dim unknowns, so
-    (|H| dim)^4 elimination steps.
+    entries), the |H|^2 (2|E| - 1) coaction-compatibility cases of check (d), which the
+    structure's own validation runs on its regular Hopf module (phi (x) phi, dim^4) and
+    `verify` and `structure-theorem` on a `dual: true` Hopf module over it (phi (x) psi),
+    the |H|^2 multiplicativity cases (mu (x) mu, dim^6) and the |H| |E|^2 composition cases
+    of the action (dim^2); the other identities have fewer cases and smaller matrices.  The
+    last term is the integral system that `integrals` and `report` solve: about
+    |H|^2 dim^2 equations in |H| dim unknowns, so (|H| dim)^4 elimination steps.
     """
     n, k, m, c = h_order, e_order, dim, _CASE_COST
-    return (n**3 * (c + m**5) + n * n * k * k * (c + m**4)
+    return (n**3 * (c + m**5) + n * n * (2 * k - 1) * (c + m**4)
             + n * n * (c + m**6) + n * k * k * (c + m * m) + (n * m) ** 4)
 
 

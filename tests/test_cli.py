@@ -925,12 +925,12 @@ def test_structure_above_cost_bound_is_input_error(doc, command):
 
 
 def test_cost_bound_sits_where_the_ladder_put_it():
-    # the largest sizes the bound admits, where verify takes 2.9 and 3.5 s (docio's
-    # comment), and the next ones, which it refuses
+    # the largest sizes the bound admits, where verify, report, dual and structure-theorem
+    # take 1.4-1.6 s (docio's comment), and the next ones, which it refuses
     from xmhopf.docio import DocumentSyntaxError, parse
 
-    for admitted, refused in ((trivial_cyclic(21), trivial_cyclic(22)),
-                              (bicharacter_cyclic(15), bicharacter_cyclic(16))):
+    for admitted, refused in ((trivial_cyclic(38), trivial_cyclic(39)),
+                              (bicharacter_cyclic(16), bicharacter_cyclic(17))):
         assert parse(json.dumps(admitted).encode()).hopf["k"].dim(0) >= 1
         with pytest.raises(DocumentSyntaxError, match="above the bound"):
             parse(json.dumps(refused).encode()).hopf["k"]
@@ -1043,7 +1043,7 @@ def test_directive_that_breaks_an_axiom_gets_a_report(tmp_path):
     for command in ("verify", "report", "dual"):
         proc = run_cli(command, path, "rho_z2")
         assert proc.returncode == 1, proc.stdout + proc.stderr
-        assert "witness: (x,y,z)=(0,0,0)" in proc.stdout
+        assert "witness: coassociativity at (x,y,z)=(0,0,0)" in proc.stdout
         assert "result: FAIL" in proc.stdout and proc.stderr == ""
     report = run_cli("report", path, "rho_z2").stdout
     assert ("check derived structure: distinguished grouplike verified: FAIL (1 violations)\n"
@@ -1097,7 +1097,7 @@ def test_structure_is_validated_only_by_the_commands_that_report_it(
 
 
 def test_dual_hopf_module_is_validated_once(monkeypatch, capsys):
-    # and report, which validates the structure itself, neither builds nor validates one
+    # and report, which validates the structure as its own regular Hopf module, builds none
     import xmhopf.cli as cli
     import xmhopf.docio as docio
     import xmhopf.hopfmod as hopfmod
@@ -1111,8 +1111,34 @@ def test_dual_hopf_module_is_validated_once(monkeypatch, capsys):
         validations.clear()
         builds.clear()
         assert cli.main(args) == 0, args
-        assert (len(validations), len(builds)) == (count, count), args
+        assert (len(validations), len(builds)) == (1, count), args
     capsys.readouterr()
+
+
+def test_hopf_module_over_a_crossed_module_that_breaks_peiffer_fails(tmp_path):
+    # S3 -> 1 with the trivial action breaks Peiffer (xi(e).f = f, not e f e^-1), and
+    # nothing else; the explicit module k passes its own checks, whose reduced check (d)
+    # rests on Peiffer, so verify and structure-theorem merge it as a premise
+    doc = {
+        "field": {"kind": "rational"},
+        "groups": {"s3": {"symmetric": 3}, "one": {"cyclic": 1}},
+        "crossed_modules": {"cm": {"E": "s3", "H": "one", "xi": [0] * 6,
+                                   "action": [list(range(6))]}},
+        "hopf": {"k": {"trivial": "cm"}},
+        "hopf_modules": {"m": {"over": "k", "dims": [1], "r": [[["1"]]],
+                               "rho": {"0,0": [["1"]]},
+                               "psi": {f"0,{e}": [["1"]] for e in range(6)}}},
+    }
+    path = tmp_path / "peiffer.json"
+    path.write_text(json.dumps(doc))
+    premise = "check premises over the structure: crossed module: Peiffer identity"
+    for args in (["verify", str(path), "m"], ["structure-theorem", str(path), "k", "m"]):
+        proc = run_cli(*args)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        failing = [line for line in proc.stdout.splitlines() if "FAIL (" in line]
+        assert failing and all(line.startswith(premise) for line in failing), failing
+        assert "check Hopf crossed-module module: (d) psi equivariance laws: pass" in proc.stdout
+        assert proc.stderr == ""
 
 
 def test_report_solves_each_integral_system_once(monkeypatch, capsys):

@@ -48,7 +48,8 @@ def test_trivial_hopf_module_valid():
 
 
 def test_trivial_hopf_module_over_nonabelian_action(conj_s3):
-    # pins the factor order of the label e(x > f) in the coaction compatibility
+    # check (d) runs coaction compatibility where e = 1 or f = 1, where e(x > f) = (x > f)e;
+    # test_xihopf pins the factor order on the full case set
     assert validate_hopf_xi_module(conj_s3, trivial_hopf_module(conj_s3, 1)).ok
 
 

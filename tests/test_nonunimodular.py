@@ -172,4 +172,4 @@ def test_twisted_constructor_rejects_invalid_classical_data():
     rep = full_validation_report(mk_from_h_action(cm, broken, [ident, ident]))
     assert not rep.ok
     failed = {c.name for c in rep.checks if not c.ok}
-    assert "graded coalgebra: coassociativity" in failed, failed
+    assert "regular Hopf module: (b) (M, rho) is a comodule" in failed, failed

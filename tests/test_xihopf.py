@@ -12,8 +12,9 @@ from tests.conftest import (
     spans,
     z3_in_s3,
 )
-from tests.test_action_oracle import oracle_xi_action
+from tests.test_action_oracle import oracle_action_laws, oracle_xi_action
 from tests.test_lemma_oracle import oracle_antipode_action_compat
+from tests.test_regular_module_oracle import oracle_hopf_xi_module
 from xmhopf.crossed import identity_cm, inclusion, kernel_image_cokernel, trivial_over
 from xmhopf.errors import (
     NotAlgebraAutomorphismError,
@@ -38,7 +39,6 @@ from xmhopf.xihopf import (
     mk_from_pi_coalgebra,
     mk_trivial,
     validate_hopf_xi_algebra,
-    validate_xi_action,
 )
 
 ALL_EXAMPLES = [make_k_xi_z2, make_k_h_z2, make_k_xi_s3, make_bichar_z2, make_rho_z2]
@@ -51,14 +51,14 @@ def with_phi(a: HopfXiCoalgebra, key, matrix) -> HopfXiCoalgebra:
 
 
 def test_xi_action_valid_examples():
-    assert validate_xi_action(make_k_xi_z2()).ok
-    assert validate_xi_action(make_bichar_z2()).ok
+    assert oracle_action_laws(make_k_xi_z2()).ok
+    assert oracle_action_laws(make_bichar_z2()).ok
 
 
 def test_xi_action_mutation_witnesses():
     a = make_k_xi_z2()
     doubled = Matrix(QQ, [[QQ.of(2)]])
-    rep = validate_xi_action(with_phi(a, (0, 1), doubled))
+    rep = oracle_action_laws(with_phi(a, (0, 1), doubled))
     assert not rep.ok
     failing = {c.name for c in rep.checks if not c.ok}
     assert any("phi_{xi(e)x,f} phi_{x,e}" in n or "phi_{x,1}" in n for n in failing)
@@ -330,9 +330,10 @@ def test_dual_algebra_mutation_witness():
     )
     rep = validate_hopf_xi_algebra(mutated)
     assert not rep.ok
-    # mu_{x,y} is the transpose of Delta_{x,y}, so the derived report names the coalgebra check
+    # mu_{x,y} is the transpose of Delta_{x,y}, so the derived report names the coalgebra check:
+    # Delta multiplicative is check (c) of the regular Hopf module
     failing = {c.name for c in rep.checks if not c.ok}
-    assert "graded bicoalgebra: coproduct is multiplicative" in failing
+    assert "regular Hopf module: (c) action and coaction intertwine" in failing
 
 
 def single_entry_perturbations(b, name):
@@ -373,18 +374,19 @@ def test_dual_validator_rejects_every_single_entry_perturbation(build, name):
 
 def test_nonabelian_action_pins_factor_order(conj_s3):
     # the label e(x > f) of the coproduct compatibility is not (x > f)e here; the two agree
-    # where e = 1 or f = 1, the only cases validate_xi_action checks, so the order is pinned
-    # on the full case set: that of the oracle, and check (d) of the trivial Hopf module
-    # with V = k, whose coaction cases are those of the oracle's compatibility check
+    # where e = 1 or f = 1, the only cases oracle_action_laws and check (d) of a Hopf module
+    # check, so the order is pinned on the full case set: that of the oracle, and the full
+    # check (d) of the trivial Hopf module with V = k, whose coaction cases are those of the
+    # oracle's compatibility check
     a = conj_s3
     E, cm = a.E, a.cm
     assert any(
         a.phi(x, E.mul(e, cm.act(x, g))) != a.phi(x, E.mul(cm.act(x, g), e))
         for x in a.H.elements() for e in E.elements() for g in E.elements()
     )
-    assert validate_xi_action(a).ok
+    assert oracle_action_laws(a).ok
     assert oracle_xi_action(a).ok
     assert not oracle_xi_action(a, lambda x, e, g: E.mul(cm.act(x, g), e)).ok
     m = trivial_hopf_module(a, 1)
     assert m.rho == a.base.coproduct and m.psi == a.action
-    assert validate_hopf_xi_module(a, m).ok
+    assert validate_hopf_xi_module(a, m).ok and oracle_hopf_xi_module(a, m).ok
