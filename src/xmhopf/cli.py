@@ -4,18 +4,26 @@
 (--json; --side on integrals, --degree on hom) may come anywhere after COMMAND, as
 `--opt V` or `--opt=V`, and are never abbreviated.  `--` ends them; DOCUMENT `-` is stdin.
 Exit status: 0 when every check passes, 1 when at least one axiom or identity is
-violated (a report is still printed), 2 on input errors and refused command lines.
+violated (a report is still printed), 2 on input errors, refused command lines and
+output that cannot be written (a closed stdout, a full disk, a reader that has gone).
 Reports are deterministic: identical input bytes give identical output
 bytes, with or without --json.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 import sys
 from types import SimpleNamespace
+
+try:  # the interpreter's own SHA-256: hashlib would load OpenSSL's libcrypto for it
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:  # a build without the builtin module
+        from hashlib import sha256
 
 from .crossed import kernel_image_cokernel, validate_components, validate_crossed_module
 from .docio import DocumentError, StructureDocument, UnknownNameError, parse
@@ -375,24 +383,39 @@ def _read_argv(argv: list) -> SimpleNamespace:
     return args
 
 
+def _emit(code: int, name: str, text: str) -> int:
+    """Write `text` to sys.stdout or sys.stderr, flush it, and return the exit status `code`;
+    when it cannot be written, say so on stderr and return 2."""
+    stream = getattr(sys, name)
+    try:
+        if stream is None:  # the interpreter found the descriptor closed at start-up
+            raise OSError(f"{name} is closed")
+        stream.write(text)
+        stream.flush()
+    except (OSError, ValueError) as exc:  # ValueError: a closed stream, or an unencodable text
+        return _emit(2, "stderr", f"output error: {exc}\n") if name == "stdout" else 2
+    return code
+
+
 def main(argv=None) -> int:
     try:
         args = _read_argv(sys.argv[1:] if argv is None else argv)
     except _Exit as exc:
         code, command, text = exc.args
-        print(_usage(command), text, sep="\nxmhopf: error: " if code else "\n\n",
-              file=sys.stderr if code else sys.stdout)
-        return code
+        sep = "\nxmhopf: error: " if code else "\n\n"
+        return _emit(code, "stderr" if code else "stdout", f"{_usage(command)}{sep}{text}\n")
     try:
         data = _read_document(args.document)
-        res = CommandResult(args.command, hashlib.sha256(data).hexdigest(), args.name)
+        res = CommandResult(args.command, sha256(data).hexdigest(), args.name)
         globals()["cmd_" + args.command.replace("-", "_")](parse(data), args, res)
     except (OSError, XmhopfError) as exc:  # an unreadable, malformed or refused document
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    sys.stdout.write(res.render(args.json))
-    return 0 if res.ok else 1
+        return _emit(2, "stderr", f"input error: {exc}\n")
+    return _emit(0 if res.ok else 1, "stdout", res.render(args.json))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    import os
+
+    # main has written and flushed its output, and nothing else is left to clean up, so the
+    # interpreter's teardown (about 2 ms of finalising modules) is skipped
+    os._exit(main())

@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -562,32 +564,42 @@ def test_reports_are_byte_identical_across_runs(determinism_pair):
     assert first == second
 
 
+def cli_env():
+    """The environment of a child `python -S`: no PYTHON* variables, and src on the path."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(FIXTURES.parent / "src")
+    return env
+
+
 def test_start_up_loads_no_dataclasses_or_typing():
     # these modules (dataclasses pulls in inspect, ast and dis) once cost about a third
     # of every CLI call; the stdlib modules the CLI needs load none of them
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(FIXTURES.parent / "src")
     heavy = ("dataclasses", "inspect", "ast", "dis", "typing")
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          f"import sys, xmhopf.cli; print([m for m in {heavy!r} if m in sys.modules])"],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=cli_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
 
+# the interpreter's builtin SHA-256 module that the CLI imports: _sha2 on 3.12+, _sha256
+# on 3.10 and 3.11, or hashlib on a build that has neither
+BUILTIN_SHA256 = next(
+    (m for m in ("_sha2", "_sha256") if importlib.util.find_spec(m) is not None), "hashlib")
+
+
 def test_start_up_loads_only_what_the_stdlib_it_needs_loads():
     # `import xmhopf.cli` may load no module that these stdlib imports do not load
     # themselves; comparing with the stdlib, not a fixed list, holds on every Python
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(FIXTURES.parent / "src")
-    stdlib = "__future__, collections.abc, fractions, hashlib, itertools, json, operator"
+    stdlib = ("__future__, collections.abc, fractions, itertools, json, operator, "
+              + BUILTIN_SHA256)
 
     def loaded(imports):
         proc = subprocess.run(
             [sys.executable, "-S", "-c", f"import sys, {imports}; print(*sys.modules)"],
-            env=env, capture_output=True, text=True, timeout=60,
+            env=cli_env(), capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         return {m for m in proc.stdout.split() if m != "xmhopf" and not m.startswith("xmhopf.")}
@@ -595,11 +607,40 @@ def test_start_up_loads_only_what_the_stdlib_it_needs_loads():
     assert loaded("xmhopf.cli") <= loaded(stdlib)
 
 
+@pytest.mark.skipif(BUILTIN_SHA256 == "hashlib", reason="this build has no builtin SHA-256")
+def test_a_full_call_loads_no_openssl():
+    # hashlib loads _hashlib, and with it OpenSSL's libcrypto, which once cost every call
+    # about 1.7 ms; -X importtime names every module a full -m call imports, on stderr
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "xmhopf.cli", "verify", DOC, "k_xi_z2"],
+        env=cli_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert BUILTIN_SHA256 in imported and proc.stdout.endswith("result: PASS\n")
+    assert not imported & {"hashlib", "_hashlib"}
+
+
+def test_without_builtin_sha256_the_digest_comes_from_hashlib():
+    code = (
+        "import io, sys\nsys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from xmhopf import cli\nsys.stdout = io.StringIO()\n"
+        f"code = cli.main(['verify', {DOC!r}, 'k_xi_z2'])\n"
+        "out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__\n"
+        "print(code, cli.sha256 is sys.modules['hashlib'].sha256, out.splitlines()[1])"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=cli_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(pathlib.Path(DOC).read_bytes()).hexdigest()
+    assert proc.stdout == f"0 True document-sha256: {digest}\n"
+    assert f"\ndocument-sha256: {digest}\n" in run_cli("verify", DOC, "k_xi_z2").stdout
+
+
 def test_a_full_call_loads_no_argument_parser():
     # argparse, and the shutil, gettext, locale and compression modules that building its
     # parser loads, once cost every call about 10 ms; a full call, not only the import, is run
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(FIXTURES.parent / "src")
     unneeded = ("argparse", "shutil", "gettext", "locale", "bz2", "lzma", "zlib")
     argv = ["hom", str(FIXTURES / "k_xi_z2.json"), "k_xi_z2", "k1", "kh", "--degree", "h", "--json"]
     proc = subprocess.run(
@@ -607,7 +648,7 @@ def test_a_full_call_loads_no_argument_parser():
          "import io, sys\nfrom xmhopf.cli import main\nsys.stdout = io.StringIO()\n"
          f"code = main({argv!r})\nsys.stdout = sys.__stdout__\n"
          f"print(code, [m for m in {unneeded!r} if m in sys.modules])"],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=cli_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0 []\n"
@@ -722,6 +763,72 @@ def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
     code, out, err = _call(None, capsys)
     assert (code, err) == (0, "")
     assert json.loads(out)["object"] == "z2"
+
+
+MUTATION = json.loads((FIXTURES / "mutations" / "manifest.json").read_text())[0]
+# a child process ends with os._exit(main()), skipping teardown, and main flushes its own
+# output; each of these must give the bytes and exit status of main called in process
+PROCESS_AND_IN_PROCESS = {  # name: (argv, exit status)
+    "passing-verify": (["verify", DOC, "k_xi_z2"], 0),
+    "failing-mutation": (["verify", str(FIXTURES / "mutations" / MUTATION["file"]),
+                          MUTATION["verify"]], 1),
+    "input-error": (["verify", DOC, "no_such_structure"], 2),
+    "refused-command-line": (REFUSED["missing-positional"], 2),
+    "help": (["-h"], 0),
+    "largest-output": (["report", str(FIXTURES / "k_xi_s3.json"), "k_xi_s3", "--json"], 0),
+}
+
+
+@pytest.mark.parametrize("argv, status", PROCESS_AND_IN_PROCESS.values(),
+                         ids=list(PROCESS_AND_IN_PROCESS))
+def test_a_child_process_gives_the_bytes_of_an_in_process_call(argv, status, capsys):
+    proc = subprocess.run([sys.executable, "-S", "-m", "xmhopf.cli", *argv], env=cli_env(),
+                          capture_output=True, timeout=60)
+    code, out, err = _call(argv, capsys)
+    assert code == status
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+
+
+def verify_writing_to(stdout):
+    return subprocess.run([sys.executable, "-S", "-m", "xmhopf.cli", "verify", DOC, "k_xi_z2"],
+                          env=cli_env(), stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=60)
+
+
+def test_closed_stdout_is_an_output_error():
+    # the interpreter sets sys.stdout to None when descriptor 1 is closed at start-up
+    proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-S", "-m",
+                           "xmhopf.cli", "verify", DOC, "k_xi_z2"],
+                          env=cli_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, "output error: stdout is closed\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_full_device_is_an_output_error():
+    with open("/dev/full", "wb") as full:
+        proc = verify_writing_to(full)
+    assert proc.returncode == 2
+    assert proc.stderr == "output error: [Errno 28] No space left on device\n"
+
+
+def test_pipe_without_a_reader_is_an_output_error():
+    # the read end is closed before the child starts, so its first write meets no reader
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = verify_writing_to(write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, "output error: [Errno 32] Broken pipe\n")
+
+
+def test_unwritable_output_in_process_is_an_output_error(monkeypatch, capsys):
+    closed = io.StringIO()
+    closed.close()
+    monkeypatch.setattr(sys, "stdout", closed)
+    assert main(["verify", DOC, "k_xi_z2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: I/O operation on closed file") and err.count("\n") == 1
 
 
 def test_deeply_nested_json_is_input_error():

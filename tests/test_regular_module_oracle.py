@@ -18,8 +18,15 @@ f = 1; its docstring derives the other cases from psi's unit and composition law
 phi_{x,1} = id and the crossed-module identities (`validate_module_premises`).
 `oracle_hopf_xi_module` is the module validator with all |H|^2 |E|^2 cases.  On
 single-entry perturbations of rho and psi of explicit trivial (dim V = 2) and dual Hopf
-modules of the examples, the reduced report fails wherever the full one does.
+modules of the examples, the reduced report fails wherever the full one does.  Those
+perturbations break psi's unit or composition law, or (b) and (c), as well, so both
+reports fail on every one of them; the premises of the derivation hold only on the
+perturbations psi'_{x,e} = T_{xi(e)x} psi_{x,e} T_x^-1, for a graded automorphism T of M,
+with r and rho left alone.  On those too the reduced report fails wherever the full one
+does, and some of them fail check (d) on most examples.
 """
+
+import itertools
 
 import pytest
 
@@ -45,7 +52,7 @@ from xmhopf.hopfmod import (
     validate_hopf_xi_module,
     validate_module_premises,
 )
-from xmhopf.linalg import Matrix
+from xmhopf.linalg import Field, Matrix
 from xmhopf.repcat import AModule, validate_module
 from xmhopf.report import Report
 from xmhopf.xihopf import HopfXiCoalgebra, full_validation_report
@@ -280,3 +287,86 @@ def test_reduced_module_report_fails_wherever_the_full_one_fails(name, make, fie
             c[1] += not full
             c[2] += not reduced
     assert {kind: tuple(c) for kind, c in counts.items()} == MODULE_COUNTS[example]
+
+
+def elementary(f: Field, n: int, j: int, v) -> Matrix:
+    """The n x n identity with entry (0, j) set to v."""
+    rows = [[f.one if k == l else f.zero for l in range(n)] for k in range(n)]
+    rows[0][j] = v
+    return Matrix(f, rows, n, n)
+
+
+def graded_automorphisms(m: HopfXiModule):
+    """(name, {x: (T_x, T_x^-1) where T_x != id}) for the graded automorphisms T of M that
+    scale the first basis vector of one M_x by 2, that add the second coordinate of one M_x
+    to the first, and that are sign(x) id on every M_x, for each sign: H -> {1, -1} with
+    sign(1) = 1 that is not constant.  Where sign is a character of H, psi' keeps every
+    coaction case with e = 1, so a check (d) without the cases f = 1 misses its failures."""
+    f, H = m.algebra.field, m.algebra.H
+    two, half, minus_one = f.of(2), f.inv(f.of(2)), f.of(-1)
+    for x in H.elements():
+        n = m.dim(x)
+        if n:
+            yield f"scale M_{x}", {x: (elementary(f, n, 0, two), elementary(f, n, 0, half))}
+        if n > 1:
+            yield f"shear M_{x}", {x: (elementary(f, n, 1, f.one), elementary(f, n, 1, minus_one))}
+    others = [x for x in H.elements() if x != H.identity]
+    for signs in itertools.product((1, -1), repeat=len(others)):
+        minus = [x for x, sign in zip(others, signs) if sign == -1 and m.dim(x)]
+        if minus:
+            yield f"signs {signs}", {
+                x: (Matrix.identity(f, m.dim(x)).scale(minus_one),) * 2 for x in minus}
+
+
+def conjugated_psi_perturbations(m: HopfXiModule):
+    """(name, m with psi'_{y,e} = T_{xi(e)y} psi_{y,e} T_y^-1) for each T of
+    graded_automorphisms.  psi' keeps psi's unit and composition laws, and r and rho are
+    m's own, so only (d)'s compatibilities can fail."""
+    a = m.algebra
+    for name, t in graded_automorphisms(m):
+        psi = {}
+        for (y, e), p in m.psi.items():
+            p = p @ t[y][1] if y in t else p
+            target = a.H.mul(a.cm.xi_of(e), y)
+            psi[(y, e)] = t[target][0] @ p if target in t else p
+        yield name, HopfXiModule(a, m.dims, m.r, m.rho, psi)
+
+
+# per example, module and kind of T: (perturbations, of which the full report fails, of
+# which the reduced one fails); the same over Q and GF(5).  Each failure is one of (d) alone.
+CONJUGATED_COUNTS = {
+    "k_xi_z2": {"trivial scale": (2, 2, 2), "trivial shear": (2, 2, 2), "trivial signs": (1, 1, 1),
+                "dual scale": (2, 2, 2), "dual signs": (1, 1, 1)},
+    "k_h_z2": {"trivial scale": (2, 0, 0), "trivial shear": (2, 0, 0), "trivial signs": (1, 0, 0),
+               "dual scale": (2, 0, 0), "dual signs": (1, 0, 0)},
+    "k_xi_s3": {"trivial scale": (6, 6, 6), "trivial shear": (6, 6, 6),
+                "trivial signs": (31, 30, 30), "dual scale": (6, 6, 6), "dual signs": (31, 30, 30)},
+    "bichar_z2": {"trivial scale": (1, 0, 0), "trivial shear": (1, 0, 0), "dual scale": (1, 0, 0),
+                  "dual shear": (1, 1, 1)},
+    "rho_z2": {"trivial scale": (2, 2, 2), "trivial shear": (2, 2, 2), "trivial signs": (1, 1, 1),
+               "dual scale": (2, 2, 2), "dual shear": (2, 2, 2), "dual signs": (1, 1, 1)},
+    "sweedler": {"trivial scale": (1, 0, 0), "trivial shear": (1, 0, 0), "dual scale": (1, 0, 0),
+                 "dual shear": (1, 0, 0)},
+    "sweedler_z4": {"trivial scale": (4, 4, 4), "trivial shear": (4, 4, 4),
+                    "trivial signs": (7, 7, 7), "dual scale": (4, 4, 4), "dual shear": (4, 4, 4),
+                    "dual signs": (7, 7, 7)},
+}
+
+
+@pytest.mark.parametrize("name, make, field", MODULE_EXAMPLES,
+                         ids=[e[0] for e in MODULE_EXAMPLES])
+def test_reduced_module_report_fails_wherever_the_full_one_fails_on_conjugated_psi(
+        name, make, field):
+    a = make() if field is None else make(field)
+    counts = {}
+    for module, m in (("trivial", trivial_hopf_module(a, 2)), ("dual", dual_hopf_module(a))):
+        for kind, p in conjugated_psi_perturbations(m):
+            c = counts.setdefault(f"{module} {kind.split()[0]}", [0, 0, 0])
+            full = oracle_hopf_xi_module(a, p)
+            reduced = validate_hopf_xi_module(a, p).ok
+            assert full.ok or not reduced, (module, kind)
+            assert all(check.ok or check.name.startswith("(d)") for check in full.checks)
+            c[0] += 1
+            c[1] += not full.ok
+            c[2] += not reduced
+    assert {module: tuple(c) for module, c in counts.items()} == CONJUGATED_COUNTS[name.split()[0]]
