@@ -9,7 +9,7 @@ arrow set is never materialized).
 
 from __future__ import annotations
 
-from .errors import NonComposableError, NotAbelianError, ShapeMismatchError
+from .errors import NonComposableError, ShapeMismatchError
 from .groups import (
     FiniteGroup,
     GroupAction,
@@ -209,11 +209,12 @@ def trivial_over(h: FiniteGroup) -> CrossedModule:
 
 
 def abelian_to_point(e: FiniteGroup) -> CrossedModule:
-    """E -> 1 for abelian E."""
-    for a in e.elements():
-        for b in e.elements():
-            if e.mul(a, b) != e.mul(b, a):
-                raise NotAbelianError(f"elements {a}, {b} do not commute")
+    """E -> 1 with the trivial action, a crossed module exactly when E is abelian.
+
+    Over the point the Peiffer identity xi(e).f = e f e^-1 reads f = e f e^-1, so
+    validate_crossed_module's `Peiffer identity` check is the abelianness of E, with the
+    pairs that do not commute as its witnesses; nothing is checked here.
+    """
     point = cyclic(1)
     xi = GroupHom(e, point, tuple(0 for _ in e.elements()))
     action = GroupAction.trivial(point, e)

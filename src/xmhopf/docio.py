@@ -114,10 +114,13 @@ def _check_cost(where, cost: int) -> None:
 
 
 def _built(where, make, *args):
-    """make(*args), reporting a constructor's ValueError as a syntax error at `where`."""
+    """make(*args), reporting a constructor's ValueError or XmhopfError as a syntax error at
+    `where`; a DocumentError already names its own path."""
     try:
         return make(*args)
-    except ValueError as exc:
+    except DocumentError:
+        raise
+    except (ValueError, XmhopfError) as exc:
         raise DocumentSyntaxError(str(exc), where)
 
 

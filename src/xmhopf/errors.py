@@ -25,9 +25,6 @@ class NotNormalError(XmhopfError):
     """A conjugate escapes the image of the embedding."""
 
 
-class NotAbelianError(XmhopfError):
-    """Construction requires an abelian group."""
-
 
 class MissingAntipodeError(XmhopfError):
     """Operation needs an antipode that has not been computed."""
@@ -37,16 +34,7 @@ class NotGrouplikeError(XmhopfError):
     """Candidate family fails the grouplike conditions."""
 
 
-class NotBicharacterError(XmhopfError):
-    """Pairing table is not multiplicative in both arguments."""
 
-
-class NotAlgebraAutomorphismError(XmhopfError):
-    """A map fails to be an algebra automorphism."""
-
-
-class NotHomomorphismError(XmhopfError):
-    """A map table fails to be a group homomorphism."""
 
 
 class NotPivotalError(XmhopfError):

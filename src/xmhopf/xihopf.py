@@ -18,14 +18,7 @@ from .crossed import (
     validate_components,
     validate_crossed_module,
 )
-from .errors import (
-    DefiningIdentityFailedError,
-    NotAlgebraAutomorphismError,
-    NotBicharacterError,
-    NotGrouplikeError,
-    NotHomomorphismError,
-    ShapeMismatchError,
-)
+from .errors import DefiningIdentityFailedError, NotGrouplikeError, ShapeMismatchError
 from .groups import FiniteGroup
 from .hopf import (
     ComponentAlgebra,
@@ -172,8 +165,9 @@ def is_xi_grouplike(a: HopfXiCoalgebra, G: GrouplikeFamily) -> bool:
 
 
 # -- constructors ---------------------------------------------------------------------
-# Each checks only the preconditions without which its construction means nothing;
-# whether the result satisfies the axioms is for full_validation_report to say.
+# Each checks only what its construction needs: shapes, an antipode to twist with, a base
+# graded by the cokernel.  No law of its data is checked here: each law restates an axiom
+# of the result, which full_validation_report checks with witnesses (see each docstring).
 
 
 def mk_trivial(cm: CrossedModule, field: Field) -> HopfXiCoalgebra:
@@ -201,9 +195,15 @@ def mk_bicharacter_group_algebra(
 ) -> HopfXiCoalgebra:
     """k^omega[G]: the group algebra k[G] acted on through a bicharacter.
 
-    omega is indexed omega[e][g] (or callable); it must take nonzero values
-    and be multiplicative in both arguments, including omega(1,.) =
-    omega(.,1) = 1.  The underlying crossed module is E -> 1.
+    omega is indexed omega[e][g] (or callable) and phi_{0,e} is diag(omega(e, .)), over
+    the crossed module E -> 1.  Only the table's shape is checked here.  The laws of a
+    bicharacter are axioms of the result, which full_validation_report checks on A as
+    its own regular Hopf module: omega(1,.) = 1 is phi's unit law and multiplicativity in
+    E its composition law, both in `(d) psi equivariance laws`; multiplicativity in G is
+    phi being multiplicative, the action compatibility cases of (d); omega(.,1) = 1 is
+    `each phi_{x,e} preserves the unit`.  Nonzero values follow from the unit and
+    composition laws, omega(e,g) omega(e^-1,g) = omega(1,g) = 1, and E abelian is the
+    Peiffer identity of E -> 1 (abelian_to_point).
     """
     if callable(omega):
         table = [[omega(e, g) for g in g_group.elements()] for e in e_group.elements()]
@@ -213,25 +213,6 @@ def mk_bicharacter_group_algebra(
         raise ShapeMismatchError("bicharacter table has wrong shape")
 
     f = field
-    for e in e_group.elements():
-        for g in g_group.elements():
-            if table[e][g] == f.zero:
-                raise NotBicharacterError(f"omega({e},{g}) = 0")
-    for g in g_group.elements():
-        if table[e_group.identity][g] != f.one:
-            raise NotBicharacterError(f"omega(1,{g}) != 1")
-        for e1 in e_group.elements():
-            for e2 in e_group.elements():
-                if table[e_group.mul(e1, e2)][g] != f.mul(table[e1][g], table[e2][g]):
-                    raise NotBicharacterError(f"omega not multiplicative in E at ({e1},{e2},{g})")
-    for e in e_group.elements():
-        if table[e][g_group.identity] != f.one:
-            raise NotBicharacterError(f"omega({e},1) != 1")
-        for g1 in g_group.elements():
-            for g2 in g_group.elements():
-                if table[e][g_group.mul(g1, g2)] != f.mul(table[e][g1], table[e][g2]):
-                    raise NotBicharacterError(f"omega not multiplicative in G at ({e},{g1},{g2})")
-
     cm = abelian_to_point(e_group)
     base = group_algebra(field, g_group)
     n = g_group.order
@@ -252,10 +233,15 @@ def mk_from_h_action(
     """Constant family A_x = A twisted by a homomorphism rho: H -> Aut_alg(A).
 
     Coproduct (rho_x (x) rho_y) delta rho_{(xy)^-1}, antipode rho_x s rho_x,
-    action phi_{x,e} = rho_{xi(e)}.  Only the preconditions are checked here:
-    shapes, and rho a homomorphism into the algebra automorphisms of A.  rho
-    need not preserve the coproduct of A, so the result need not satisfy the
-    axioms; full_validation_report says whether it does.
+    action phi_{x,e} = rho_{xi(e)}.  Only shapes and A's antipode are checked here.
+    rho a homomorphism into Aut_alg(A) is sufficient for the action laws but not
+    necessary, and not sufficient for the rest (rho need not preserve the coproduct of
+    A).  full_validation_report checks the axioms of the result, on A as its own regular
+    Hopf module: rho(1) = id on Im(xi) is phi's unit law and rho multiplicative on Im(xi)
+    its composition law, both in `(d) psi equivariance laws`, which make each phi
+    invertible; each rho_{xi(e)} multiplicative is the action compatibility cases of (d),
+    and unital `each phi_{x,e} preserves the unit`; the twisted coproduct is checked
+    by (b), (c), coproduct compatibility in (d) and the bicoalgebra and antipode checks.
     """
     if classical.H.order != 1:
         raise ShapeMismatchError("classical Hopf algebra data must be graded by the trivial group")
@@ -268,21 +254,8 @@ def mk_from_h_action(
     if len(rho) != H.order:
         raise ShapeMismatchError("rho must give one automorphism per element of H")
     for x in H.elements():
-        r = rho[x]
-        if r.rows != alg.dim or r.cols != alg.dim:
+        if rho[x].rows != alg.dim or rho[x].cols != alg.dim:
             raise ShapeMismatchError(f"rho[{x}] has wrong shape")
-        if not r.is_invertible():
-            raise NotAlgebraAutomorphismError(f"rho[{x}] is singular")
-        if r @ alg.mul != alg.mul @ r.kron(r):
-            raise NotAlgebraAutomorphismError(f"rho[{x}] does not preserve multiplication")
-        if r @ alg.unit_col() != alg.unit_col():
-            raise NotAlgebraAutomorphismError(f"rho[{x}] does not preserve the unit")
-    if rho[H.identity] != Matrix.identity(f, alg.dim):
-        raise NotHomomorphismError("rho(1) != id")
-    for x in H.elements():
-        for y in H.elements():
-            if rho[x] @ rho[y] != rho[H.mul(x, y)]:
-                raise NotHomomorphismError(f"rho({x})rho({y}) != rho({x}{y})")
 
     coproduct = {}
     for x in H.elements():

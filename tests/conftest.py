@@ -166,14 +166,15 @@ def make_sweedler_z4():
     2 has order 4 mod 5, so the integrals scale by 2^-k on A_k: lambda_x and
     lambda_{x^-1} differ, which no other example shows.
     """
+    a = make_sweedler(GF5)
+    return mk_from_h_action(identity_cm(cyclic(4)), a.base, [sweedler_rho(k) for k in range(4)])
+
+
+def sweedler_rho(k: int) -> Matrix:
+    """rho_k on Sweedler's algebra over GF(5): fixes 1 and g, scales x and gx by 2^k."""
     f = GF5
-    a = make_sweedler(f)
-
-    def rho(k):
-        diag = (f.one, f.one, f.of(2**k), f.of(2**k))  # fixes 1 and g, scales x and gx
-        return Matrix(f, [[diag[i] if i == j else f.zero for j in range(4)] for i in range(4)])
-
-    return mk_from_h_action(identity_cm(cyclic(4)), a.base, [rho(k) for k in range(4)])
+    diag = (f.one, f.one, f.of(2**k), f.of(2**k))
+    return Matrix(f, [[diag[i] if i == j else f.zero for j in range(4)] for i in range(4)])
 
 
 @pytest.fixture(scope="session")

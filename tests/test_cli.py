@@ -913,8 +913,29 @@ def test_group_order_above_bound_is_input_error(groups):
 
 
 def test_unreached_failing_structure_is_not_built(tmp_path):
-    # rho(1) = diag(1, 2) is not an algebra automorphism of k[Z/2], so rho_z2 cannot be
-    # built; only the commands that reach it, directly or through dual_mod, fail
+    # rho_z2 is graded by Z/2, not by the trivial cokernel of id: Z/2 -> Z/2, so `inflated`
+    # cannot be built; only the commands that reach it, directly or through its dual
+    # module, fail, and each names the entry
+    doc = json.loads((FIXTURES / "rho_z2.json").read_text())
+    doc["hopf"]["inflated"] = {"from_pi_coalgebra": {"cm": "cm_z2", "base": "rho_z2"}}
+    doc["hopf_modules"]["inflated_dual"] = {"over": "inflated", "dual": True}
+    path = tmp_path / "bad_inflation.json"
+    path.write_text(json.dumps(doc))
+    for name in ("one", "z2", "cm_z2", "kz2_classical", "rho_z2", "dual_mod"):
+        proc = run_cli("verify", str(path), name)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+    for name in ("inflated", "inflated_dual"):
+        proc = run_cli("verify", str(path), name)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "input error: hopf.inflated: b must be graded by the cokernel of the crossed module\n"
+        )
+
+
+def test_directive_whose_rho_breaks_a_law_gets_a_failing_report(tmp_path):
+    # rho(1) = diag(1, 2) is not an algebra automorphism of k[Z/2]; rho_z2 is still built,
+    # and its report names the axioms that fail
     doc = json.loads((FIXTURES / "rho_z2.json").read_text())
     doc["hopf"]["rho_z2"]["from_h_action"]["rho"][1] = [["1", "0"], ["0", "2"]]
     path = tmp_path / "bad_rho.json"
@@ -924,9 +945,10 @@ def test_unreached_failing_structure_is_not_built(tmp_path):
         assert proc.returncode == 0, proc.stdout + proc.stderr
     for name in ("rho_z2", "dual_mod"):
         proc = run_cli("verify", str(path), name)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "input error" in proc.stderr and "rho[1]" in proc.stderr
+        assert proc.returncode == 1 and proc.stderr == "", proc.stderr
+        assert "result: FAIL" in proc.stdout
+    proc = run_cli("verify", str(path), "rho_z2")
+    assert "regular Hopf module: (d) psi equivariance laws" in proc.stdout
 
 
 def test_dual_hopf_module_is_built_only_when_reached(monkeypatch, capsys):
@@ -1257,3 +1279,126 @@ def test_report_solves_each_integral_system_once(monkeypatch, capsys):
     assert cli.main(["report", str(FIXTURES / "rho_z2.json"), "rho_z2"]) == 0
     assert sorted(side for _, side in calls) == ["left", "right"]
     capsys.readouterr()
+
+
+# S3 in lexicographic order (xmhopf.groups.symmetric): the odd permutations
+S3_ODD = {1, 2, 5}
+
+
+def sign_s3(e) -> int:
+    return -1 if e in S3_ODD else 1
+
+
+def s3_omega(rule):
+    """An omega table over E = G = S3, entry (e, g) given by rule(e, g) as an integer."""
+    return [[str(rule(e, g)) for g in range(6)] for e in range(6)]
+
+
+# omega(e, g) = -1 exactly when e and g are odd is a bicharacter; each entry below breaks
+# it in one way, keeping what it can of the other laws
+BROKEN_OMEGA = {
+    "zero": lambda e, g: 0 if (e, g) == (1, 1) else sign_s3(e) if g in S3_ODD else 1,
+    "omega(1,g) != 1": lambda e, g: 2 if (e, g) == (0, 1) else sign_s3(e) if g in S3_ODD else 1,
+    "not multiplicative in E": lambda e, g: 1 if e == 0 else sign_s3(g),
+    "not multiplicative in G": lambda e, g: 1 if g == 0 else sign_s3(e),
+    "omega(e,1) != 1": lambda e, g: 2 if (e, g) == (1, 0) else sign_s3(e) if g in S3_ODD else 1,
+}
+# rho over id: Z/2 -> Z/2 on k[Z/2] (rho_z2.json), or over id: Z/3 -> Z/3
+BROKEN_RHO = {
+    "singular": ("cm_z2", [[["1", "0"], ["0", "1"]], [["1", "0"], ["0", "0"]]]),
+    "not multiplicative": ("cm_z2", [[["1", "0"], ["0", "1"]], [["1", "1"], ["0", "1"]]]),
+    "not unital": ("cm_z2", [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]]),
+    "rho(1) != id": ("cm_z2", [[["1", "0"], ["0", "-1"]], [["1", "0"], ["0", "1"]]]),
+    # every entry an algebra automorphism, but rho(g) rho(g^2) = rho(g) != rho(1)
+    "not a homomorphism": ("cm_z3", [[["1", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]],
+                                     [["1", "0"], ["0", "1"]]]),
+}
+
+
+def over_each_structure(doc, names):
+    """doc with a unit and a regular module, a dual and a trivial Hopf module over each name."""
+    doc.setdefault("modules", {})
+    doc.setdefault("hopf_modules", {})
+    for name in names:
+        doc["modules"][f"{name}_unit"] = {"over": name, "unit": True}
+        doc["modules"][f"{name}_regular"] = {"over": name, "regular": 0}
+        doc["hopf_modules"][f"{name}_dual"] = {"over": name, "dual": True}
+        doc["hopf_modules"][f"{name}_trivial"] = {"over": name, "trivial": 1}
+    return doc
+
+
+def admitted_documents():
+    """(case, document, its Hopf structures that break an axiom) on the inputs that a
+    constructor no longer refuses."""
+    s3, s4 = {"symmetric": 3}, {"symmetric": 4}
+    points = {
+        "field": {"kind": "rational"},
+        "groups": {"s3": s3, "s4": s4},
+        "crossed_modules": {"s3_point": {"to_point": "s3"}, "s4_point": {"to_point": "s4"}},
+        "hopf": {"k_s3": {"trivial": "s3_point"}, "k_s4": {"trivial": "s4_point"}},
+    }
+    yield "to_point", over_each_structure(points, ["k_s3", "k_s4"]), ["k_s3", "k_s4"]
+    for case, rule in BROKEN_OMEGA.items():
+        doc = {
+            "field": {"kind": "rational"},
+            "groups": {"s3": s3},
+            "hopf": {"bichar": {"bicharacter": {"E": "s3", "G": "s3", "omega": s3_omega(rule)}}},
+        }
+        yield f"omega: {case}", over_each_structure(doc, ["bichar"]), ["bichar"]
+    for case, (cm, rho) in BROKEN_RHO.items():
+        doc = json.loads((FIXTURES / "rho_z2.json").read_text())
+        doc["groups"]["z3"] = {"cyclic": 3}
+        doc["crossed_modules"]["cm_z3"] = {"identity": "z3"}
+        doc["hopf"]["rho_z2"]["from_h_action"].update(cm=cm, rho=rho)
+        yield f"rho: {case}", over_each_structure(doc, ["rho_z2"]), ["rho_z2"]
+
+
+@pytest.mark.parametrize("doc, broken", [
+    pytest.param(doc, broken, id=case) for case, doc, broken in admitted_documents()
+])
+def test_admitted_directive_inputs_give_reports_not_tracebacks(doc, broken, tmp_path, capsys):
+    # formerly refused at construction (exit 2, no witness); each command now runs to a
+    # verdict, and the structure's own checks fail
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    calls = [["verify", name] for key, section in doc.items() if key != "field"
+             for name in section]
+    for a in doc["hopf"]:
+        calls += [[c, a] for c in ("report", "dual", "integrals", "grouplikes")]
+    for a in broken:
+        calls.append(["hom", a, f"{a}_unit", f"{a}_regular"])
+        calls += [["structure-theorem", a, f"{a}_{m}"] for m in ("dual", "trivial")]
+    for command, *args in calls:
+        code = main([command, str(path), *args])
+        out, err = capsys.readouterr()
+        assert code in (0, 1) and err == "", (command, args, code, err)
+        if command in ("verify", "report", "dual") and args[0] in broken:
+            assert code == 1, (command, args, out)
+
+
+# a constructor's input error, raised while an entry is built, under the entry's JSON path
+CONSTRUCTOR_ERRORS = {
+    "inclusion that is not normal": (
+        {"groups": {"z2": {"cyclic": 2}, "s3": {"symmetric": 3}},
+         "crossed_modules": {"cm": {"inclusion": {"source": "z2", "target": "s3", "map": [0, 1]}}}},
+        "z2", "crossed_modules.cm: conjugate 2.1.2^-1 = 5 is outside the image"),
+    "base not graded by the cokernel": (
+        {"groups": {"z2": {"cyclic": 2}},
+         "crossed_modules": {"cm": {"identity": "z2"}, "t": {"trivial_over": "z2"}},
+         "hopf": {"b": {"trivial": "t"}, "a": {"from_pi_coalgebra": {"cm": "cm", "base": "b"}}}},
+        "a", "hopf.a: b must be graded by the cokernel of the crossed module"),
+    "bicharacter table of the wrong shape": (
+        {"groups": {"z2": {"cyclic": 2}},
+         "hopf": {"b": {"bicharacter": {"E": "z2", "G": "z2", "omega": [["1", "1"]]}}}},
+        "b", "hopf.b: bicharacter table has wrong shape"),
+}
+
+
+@pytest.mark.parametrize("case", list(CONSTRUCTOR_ERRORS))
+def test_constructor_input_error_names_the_entry(case, tmp_path, capsys):
+    sections, name, message = CONSTRUCTOR_ERRORS[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"field": {"kind": "rational"}, **sections}))
+    assert main(["verify", str(path), name]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"input error: {message}\n")

@@ -20,7 +20,7 @@ from xmhopf.crossed import (
     validate_components,
     validate_crossed_module,
 )
-from xmhopf.errors import NonComposableError, NotAbelianError
+from xmhopf.errors import NonComposableError
 from xmhopf.groups import GroupAction, GroupHom, cyclic, symmetric
 
 
@@ -188,10 +188,19 @@ def test_coker_action_on_kernel_well_defined():
     assert rep3.ok and table3 == ((0, 1, 2), (0, 2, 1))
 
 
-def test_constructors_and_errors():
+def test_constructors_build_and_reports_decide():
     cm = trivial_over(cyclic(2))
     assert cm.E.order == 1 and validate_crossed_module(cm).ok
-    with pytest.raises(NotAbelianError):
-        abelian_to_point(symmetric(3))
+    # S3 -> 1 is built; only Peiffer fails, each witness a pair that does not commute
+    s3 = symmetric(3)
+    bad = abelian_to_point(s3)
+    assert validate_components(bad).ok
+    rep = validate_crossed_module(bad)
+    assert [(c.name, c.violations) for c in rep.checks if not c.ok] == [
+        ("Peiffer identity xi(e).f = e f e^-1", 18)
+    ]
+    for witness in rep.checks[1].witnesses:
+        e, f = (int(v[2:]) for v in witness.split(" "))
+        assert s3.mul(e, f) != s3.mul(f, e)
     cm3 = inclusion(z3_in_s3())
     assert validate_crossed_module(cm3).ok

@@ -43,11 +43,13 @@ from tests.conftest import (
 )
 from tests.test_action_oracle import bumped, oracle_action_laws
 from tests.test_hopfmod import ORACLE_EXAMPLES, ORACLE_STRIDE, structure_perturbations
-from xmhopf.crossed import validate_components, validate_crossed_module
+from xmhopf.crossed import abelian_to_point, validate_components, validate_crossed_module
+from xmhopf.groups import cyclic
 from xmhopf.hopf import ComponentAlgebra, GradedHopfCoalgebra, validate_antipode
 from xmhopf.hopfmod import (
     HopfXiModule,
     dual_hopf_module,
+    regular_hopf_module,
     trivial_hopf_module,
     validate_hopf_xi_module,
     validate_module_premises,
@@ -370,3 +372,31 @@ def test_reduced_module_report_fails_wherever_the_full_one_fails_on_conjugated_p
             c[1] += not full.ok
             c[2] += not reduced
     assert {module: tuple(c) for module, c in counts.items()} == CONJUGATED_COUNTS[name.split()[0]]
+
+
+# on Sweedler's basis (1, g, x, gx), right translation a -> chi(a_1) a_2 by the character
+# chi(g) = -1, chi(x) = 0
+SWEEDLER_RIGHT_TRANSLATION = (1, -1, 1, -1)
+
+
+@pytest.mark.parametrize("field", [QQ, GF5], ids=["Q", "GF(5)"])
+def test_reduced_check_d_keeps_the_cases_e_1_of_a_structure(field):
+    # Sweedler's algebra over Z/2 -> 1, the generator acting by right translation by chi:
+    # phi is a unital algebra involution and (phi (x) id) Delta = Delta phi, so every case
+    # f = 1 of coproduct compatibility and every premise hold, but
+    # (id (x) phi) Delta(x) = 1 (x) x - x (x) g != Delta(phi(x)): only the cases e = 1,
+    # f != 1 of C fail, which check (d) of A's regular Hopf module must keep
+    f = field
+    sweedler = make_sweedler(f)
+    phi = Matrix(f, [[f.of(v) if i == j else f.zero for j in range(4)]
+                     for i, v in enumerate(SWEEDLER_RIGHT_TRANSLATION)])
+    a = HopfXiCoalgebra(abelian_to_point(cyclic(2)), sweedler.base,
+                        {(0, 0): Matrix.identity(f, 4), (0, 1): phi})
+    failing = [(c.name, c.violations, c.witnesses) for c in full_validation_report(a).checks
+               if not c.ok]
+    assert failing == [("regular Hopf module: (d) psi equivariance laws", 1,
+                        ["coaction compatibility at x=0 y=0 e=0 f=1"])]
+    full = oracle_hopf_xi_module(a, regular_hopf_module(a))
+    assert [(c.name, c.violations) for c in full.checks if not c.ok] == [
+        ("(d) psi equivariance laws", 2)]
+

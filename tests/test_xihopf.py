@@ -16,11 +16,6 @@ from tests.test_action_oracle import oracle_action_laws, oracle_xi_action
 from tests.test_lemma_oracle import oracle_antipode_action_compat
 from tests.test_regular_module_oracle import oracle_hopf_xi_module
 from xmhopf.crossed import identity_cm, inclusion, kernel_image_cokernel, trivial_over
-from xmhopf.errors import (
-    NotAlgebraAutomorphismError,
-    NotBicharacterError,
-    NotHomomorphismError,
-)
 from xmhopf.groups import cyclic
 from xmhopf.hopf import enumerate_grouplikes, group_algebra, grouplike_product
 from xmhopf.hopfmod import trivial_hopf_module, validate_hopf_xi_module
@@ -176,12 +171,25 @@ def test_full_stack_nonabelian_label_group():
     assert len(coinv) == 1 and spans(QQ, coinv, image)
 
 
-def test_bicharacter_validation_errors():
+def failing(rep) -> dict:
+    """{check name: (violations, first witness)} of the checks of `rep` that fail."""
+    return {c.name: (c.violations, c.witnesses[0]) for c in rep.checks if not c.ok}
+
+
+def test_broken_bicharacter_builds_and_fails_its_report():
+    # omega = 2 breaks phi's unit and composition laws and unit preservation; omega = 0
+    # keeps composition (0 * 0 = 0) but not the unit laws
     z2 = cyclic(2)
-    with pytest.raises(NotBicharacterError):
-        mk_bicharacter_group_algebra(QQ, z2, z2, lambda e, g: QQ.of(2))
-    with pytest.raises(NotBicharacterError):
-        mk_bicharacter_group_algebra(QQ, z2, z2, lambda e, g: QQ.zero)
+    twos = mk_bicharacter_group_algebra(QQ, z2, z2, lambda e, g: QQ.of(2))
+    assert failing(full_validation_report(twos)) == {
+        "regular Hopf module: (d) psi equivariance laws": (10, "unit law at x=0"),
+        "each phi_{x,e} preserves the unit": (2, "x=0 e=0"),
+    }
+    zeros = mk_bicharacter_group_algebra(QQ, z2, z2, lambda e, g: QQ.zero)
+    assert failing(full_validation_report(zeros)) == {
+        "regular Hopf module: (d) psi equivariance laws": (1, "unit law at x=0"),
+        "each phi_{x,e} preserves the unit": (2, "x=0 e=0"),
+    }
 
 
 def test_bicharacter_structure_by_basis_expansion():
@@ -226,21 +234,33 @@ def test_from_h_action_trivial_rho():
             assert a.delta(x, y) == kz2.delta(0, 0)
 
 
-def test_from_h_action_rejects_non_automorphism():
+def test_from_h_action_non_automorphism_fails_its_report():
     cm = identity_cm(cyclic(2))
     kz2 = group_algebra(QQ, cyclic(2))
     shear = Matrix(QQ, [[QQ.one, QQ.one], [QQ.zero, QQ.one]])  # g -> g + 1
-    with pytest.raises(NotAlgebraAutomorphismError):
-        mk_from_h_action(cm, kz2, [Matrix.identity(QQ, 2), shear])
+    a = mk_from_h_action(cm, kz2, [Matrix.identity(QQ, 2), shear])
+    fails = failing(full_validation_report(a))
+    # rho_g is unital but not multiplicative: phi_{x,g} breaks composition first, the
+    # twisted coproduct is neither coassociative nor counital at x = 1
+    assert fails["regular Hopf module: (d) psi equivariance laws"] == (
+        10, "composition at x=0 e=1 f=1")
+    assert fails["regular Hopf module: (b) (M, rho) is a comodule"] == (
+        7, "coassociativity at (x,y,z)=(0,0,1)")
+    assert fails["graded bicoalgebra: right counit"] == (1, "x=1")
+    assert "each phi_{x,e} preserves the unit" not in fails
 
 
-def test_from_h_action_rejects_non_homomorphism():
+def test_from_h_action_non_homomorphism_fails_its_report():
     cm = identity_cm(cyclic(2))
     kz2 = group_algebra(QQ, cyclic(2))
-    # each entry is an algebra automorphism, but rho(1) != id
+    # each entry is an algebra automorphism, but rho(1) != id: phi_{x,1} = rho(1) breaks
+    # phi's unit law, and the twisted coproduct its counit laws
     flip = sign_flip_rho(QQ)[1]
-    with pytest.raises(NotHomomorphismError):
-        mk_from_h_action(cm, kz2, [flip, Matrix.identity(QQ, 2)])
+    a = mk_from_h_action(cm, kz2, [flip, Matrix.identity(QQ, 2)])
+    fails = failing(full_validation_report(a))
+    assert fails["regular Hopf module: (d) psi equivariance laws"] == (22, "unit law at x=0")
+    assert fails["regular Hopf module: (b) (M, rho) is a comodule"] == (2, "counitality at x=0")
+    assert "each phi_{x,e} preserves the unit" not in fails
 
 
 def test_from_pi_coalgebra_inflation_and_extraction():
