@@ -5,12 +5,14 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
 
 import pytest
 
+from xmhopf import cli
 from xmhopf.cli import main
 from xmhopf.docio import MAX_GROUP_ORDER, MAX_VALIDATION_COST
 
@@ -699,6 +701,43 @@ def test_document_dash_reads_stdin(monkeypatch, capsys):
 def test_negative_degree_is_read_as_a_value_then_out_of_range(capsys):
     assert _call(HOM + ["--degree", "-1"], capsys) == (
         2, "", "input error: degree -1 out of range\n")
+
+
+@pytest.mark.parametrize("degree", ["-١", "-٣.٤"])
+def test_negative_number_in_any_decimal_digits_is_a_value(degree, capsys):
+    # "-" and Unicode decimal digits (U+0661 is ARABIC-INDIC DIGIT ONE) is read as a value, as
+    # argparse read a negative number; it names no element and is no ASCII index
+    assert _call(HOM + ["--degree", degree], capsys) == (
+        2, "", f"input error: no element named {degree!r}\n")
+
+
+def test_superscript_digit_is_no_number(capsys):
+    # U+00B2 SUPERSCRIPT TWO is a digit (str.isdigit) but not a decimal digit (str.isdecimal),
+    # so "-²" is not a negative number and reads as an option
+    code, out, err = _call(HOM + ["--degree", "-²"], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith("\nxmhopf: error: argument --degree: expected one argument\n")
+
+
+# The grammar of a command-line value, as a regular expression: empty, "-", no leading "-",
+# a space anywhere, or a negative number in Unicode decimal digits (\d)
+VALUE_GRAMMAR = re.compile(r"\Z|-\Z|[^-]|.* |-\d+\Z|-\d*\.\d+\Z", re.S)
+
+
+def test_value_reader_keeps_the_grammar():
+    # every token of up to four characters over an alphabet that meets each branch
+    alphabet = ["-", "1", ".", " ", "١", "²", "a", "\n"]
+    tokens = [""]
+    for _ in range(4):
+        tokens += [t + c for t in tokens if len(t) == len(tokens[-1]) for c in alphabet]
+    assert len(tokens) == sum(8**k for k in range(5))
+    for tok in tokens:
+        try:
+            read = cli._read_argv(["hom", "--degree", tok, "d", "n", "s", "t"]).degree == tok
+        except cli._Exit as exc:
+            assert exc.args[2] == "argument --degree: expected one argument", tok
+            read = False
+        assert read == bool(VALUE_GRAMMAR.match(tok)), tok
 
 
 def test_degree_of_too_many_digits_is_unknown(capsys):

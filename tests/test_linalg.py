@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -37,10 +38,33 @@ def test_rational_literal_grammar_accepts(text, value):
 @pytest.mark.parametrize("text", [
     "1e9", "1.5", ".5", "+1", " 1", "1 ", "1_000", "1/0", "1/00", "1/-2", "-", "", "/2", "1/",
     "--1", "\u0661", "0x10", "inf", "nan", True, None, 1.5, ["1"],
+    # digits outside ASCII: U+00B2 SUPERSCRIPT TWO, Arabic-Indic one and three
+    "\u00b2", "1/\u0663", "-\u0661",
 ])
 def test_rational_literal_grammar_refuses(text):
     with pytest.raises(ValueError, match="not a rational literal"):
         QQ.parse(text)
+
+
+# The grammar of a rational literal, as a regular expression: ASCII digits only ([0-9])
+RATIONAL_GRAMMAR = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
+
+
+def test_rational_literal_reader_keeps_the_grammar():
+    # every text of up to four characters over an alphabet that meets each part of the grammar
+    alphabet = ["-", "0", "1", "/", ".", " ", "+", "\n", "\u0661", "\u00b2"]
+    texts = [""]
+    for _ in range(4):
+        texts += [t + c for t in texts if len(t) == len(texts[-1]) for c in alphabet]
+    assert len(texts) == sum(10**k for k in range(5))
+    for text in texts:
+        match = RATIONAL_GRAMMAR.fullmatch(text)
+        if match is None:
+            with pytest.raises(ValueError, match="not a rational literal"):
+                QQ.parse(text)
+        else:
+            num, den = match.groups()
+            assert QQ.parse(text) == Fraction(int(num), int(den or 1)), text
 
 
 @given(rationals)
