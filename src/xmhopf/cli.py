@@ -12,9 +12,8 @@ bytes, with or without --json.
 
 from __future__ import annotations
 
-import json
-import re
 import sys
+from _json import encode_basestring_ascii, make_encoder
 from types import SimpleNamespace
 
 try:  # the interpreter's own SHA-256: hashlib would load OpenSSL's libcrypto for it
@@ -39,7 +38,7 @@ from .hopfmod import (
     validate_hopf_xi_module,
     validate_module_premises,
 )
-from .linalg import MAX_LITERAL_DIGITS, Field
+from .linalg import MAX_LITERAL_DIGITS, Field, _ascii_digits
 from .repcat import hom_space, validate_module
 from .report import Report
 from .xihopf import (
@@ -56,6 +55,20 @@ def _read_document(path: str) -> bytes:
         return sys.stdin.buffer.read()
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _not_serializable(o):
+    """json.JSONEncoder.default: no value but JSON's own types is written."""
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _dumps(value) -> str:
+    """json.dumps(value, sort_keys=True), by the C encoder json.dumps builds for it."""
+    # markers, default, encoder, indent, key and item separators, sort_keys, skipkeys,
+    # allow_nan: positional, as json.encoder passes them
+    encode = make_encoder({}, _not_serializable, encode_basestring_ascii, None, ": ", ", ",
+                          True, False, True)
+    return "".join(encode(value, 0))
 
 
 def _show_family(f: Field, fam) -> list:
@@ -108,6 +121,8 @@ class CommandResult:
     def render(self, as_json: bool) -> str:
         checks = self.report.checks
         if as_json:
+            import json
+
             payload = dict(self.header, outputs=self.outputs, ok=self.ok, checks=[
                 {"name": c.name, "status": "pass" if c.ok else "fail",
                  "violations": c.violations, "witnesses": c.witnesses}
@@ -124,7 +139,7 @@ class CommandResult:
             lines.append(f"check {c.name}: {status}")
             lines.extend(f"  witness: {w}" for w in c.witnesses)
         for key in sorted(self.outputs):
-            lines.append(f"output {key}: {json.dumps(self.outputs[key], sort_keys=True)}")
+            lines.append(f"output {key}: {_dumps(self.outputs[key])}")
         lines.append(f"result: {'PASS' if self.ok else 'FAIL'}")
         return "\n".join(lines) + "\n"
 
@@ -254,7 +269,7 @@ def cmd_hom(doc: StructureDocument, args, res: CommandResult) -> None:
             degrees = [doc.element_index(a.E, args.degree)]
         except UnknownNameError:  # no element has that label: an index is ASCII digits
             digits = args.degree.removeprefix("-")
-            if not (digits.isascii() and digits.isdigit() and len(digits) <= MAX_LITERAL_DIGITS):
+            if not (_ascii_digits(digits) and len(digits) <= MAX_LITERAL_DIGITS):
                 raise
             degrees = [int(args.degree)]
     for e in degrees:
@@ -333,8 +348,18 @@ COMMANDS = {
 }
 # option -> (the one command that takes it, its choices or None for any value); --json is on all
 _VALUED = {"--side": ("integrals", ("left", "right", "both")), "--degree": ("hom", None)}
-# a value, not an unknown option: empty, "-", no leading "-", a space, or a negative number
-_VALUE = re.compile(r"\Z|-\Z|[^-]|.* |-\d+\Z|-\d*\.\d+\Z", re.S)
+
+
+def _is_value(tok: str) -> bool:
+    """Whether tok is a value, not an unknown option: empty, "-", no leading "-", a space, or a
+    negative number: "-", then decimal digits (str.isdecimal) with at most one "." before
+    the last of them."""
+    if not tok.startswith("-") or tok == "-" or " " in tok:
+        return True
+    whole, point, fraction = tok[1:].partition(".")
+    if point:
+        return fraction.isdecimal() and (not whole or whole.isdecimal())
+    return whole.isdecimal()
 
 
 class _Exit(Exception):
@@ -368,13 +393,13 @@ def _read_argv(argv: list) -> SimpleNamespace:
         elif tok == "--json":
             args.json = True
         elif (spec := _VALUED.get(opt, ("", None)))[0] == command:
-            if not eq and not _VALUE.match(value := next(rest, "--")):  # "--" if there is none
+            if not eq and not _is_value(value := next(rest, "--")):  # "--" if there is none
                 raise _Exit(2, command, f"argument {opt}: expected one argument")
             if spec[1] and value not in spec[1]:
                 raise _Exit(2, command, f"argument {opt}: invalid choice: {value!r}")
             setattr(args, opt[2:], value)
         else:
-            (given if _VALUE.match(tok) else unknown).append(tok)
+            (given if _is_value(tok) else unknown).append(tok)
     if len(given) < len(names):
         raise _Exit(2, command, f"missing arguments: {', '.join(names[len(given):])}")
     if unknown or len(given) > len(names):

@@ -10,7 +10,8 @@ parse(serialize(d)) reproduces d exactly.
 
 from __future__ import annotations
 
-import json
+import sys
+from _json import make_scanner
 from collections.abc import Mapping
 from itertools import chain
 
@@ -579,6 +580,64 @@ def _parse_integral(doc: StructureDocument, name: str, spec, where):
     return spec.get("in"), side, _parse_family(doc, a, spec, where, "covector")
 
 
+def _object(pairs: list) -> dict:
+    """The object of JSON `pairs`; a key that an object repeats is refused, not overwritten."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise DocumentSyntaxError(f"an object repeats the key {key!r}", "document")
+    return obj
+
+
+class _Decoding:
+    """The settings that _json's scanner reads, as json.loads(text, parse_int=literal_int)
+    gives them, but for `_object`."""
+
+    strict = True
+    object_hook = None
+    object_pairs_hook = _object
+    parse_float = float
+    parse_int = literal_int
+    parse_constant = float  # NaN, Infinity and -Infinity
+
+
+_scan = make_scanner(_Decoding)
+_WHITESPACE = " \t\n\r"
+
+
+def _invalid(message: str, text: str, pos: int):
+    """Raise json.loads' error for `text` at `pos`; only this path loads json."""
+    from json.decoder import JSONDecodeError
+
+    raise JSONDecodeError(message, text, pos)
+
+
+def _loads(text: str):
+    """json.loads(text, parse_int=literal_int) by the C scanner it runs, without loading json,
+    where an object that repeats a key is a DocumentSyntaxError.  Each error is the one
+    json.loads raises."""
+    if text.startswith("\ufeff"):
+        _invalid("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    start = len(text) - len(text.lstrip(_WHITESPACE))
+    try:
+        value, end = _scan(text, start)
+    except StopIteration as err:
+        _invalid("Expecting value", text, err.value)
+    except SystemError:
+        # before Python 3.12 the scanner looks JSONDecodeError up only in a loaded json.decoder,
+        # and fails without an exception when it is not: load it, and scan for the error again
+        if "json.decoder" in sys.modules:
+            raise
+        import json.decoder  # noqa: F401
+
+        value, end = _scan(text, start)
+    rest = text[end:].lstrip(_WHITESPACE)
+    if rest:
+        _invalid("Extra data", text, len(text) - len(rest))
+    return value
+
+
 def parse(data: bytes) -> StructureDocument:
     """Parse and check a structure document; raises DocumentError subclasses.
 
@@ -587,7 +646,7 @@ def parse(data: bytes) -> StructureDocument:
     """
     try:
         text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
-        raw = json.loads(text, parse_int=literal_int)
+        raw = _loads(text)
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or too many digits
         raise DocumentSyntaxError(f"invalid JSON: {exc}", "document")
     if not isinstance(raw, dict):
@@ -771,4 +830,6 @@ def serialize(doc: StructureDocument) -> bytes:
     for name in sorted(refs.groups):
         out["groups"][name] = _group_json(refs.groups[name])
     out = {key: value for key, value in out.items() if value}
+    import json
+
     return (json.dumps(out, indent=2, sort_keys=True) + "\n").encode("utf-8")

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic over Q and GF(p), and exact linear algebra on int rows.
 
-Scalars are plain Python values: `fractions.Fraction` over the rationals,
+Scalars are `Rational` over the rationals, an exact fraction type defined here so
+that the package loads no `fractions` (with its `decimal`, `numbers` and `re`), and
 ints in [0, p) over a prime field.  A `Field` object owns the arithmetic.
 A matrix pairs a `Field` with integer rows over one common denominator
 (residues over GF(p), with denominator 1), so both fields run the same
@@ -25,16 +26,13 @@ Conventions fixed here and used by every other module:
 
 from __future__ import annotations
 
-import re
+import sys
 from collections.abc import Sequence
-from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
 
 from .errors import DivisionByZeroError, MixedFieldsError, ShapeMismatchError
 from .record import Record
-
-_RATIONAL_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 
 # The most digits an integer of a document may have.  It is Python's default limit on int()
 # of a string, checked here so that the refusal reads the same on every Python (before
@@ -52,10 +50,178 @@ def literal_int(text: str) -> int:
     return int(text)
 
 
-Scalar = Fraction | int
+def _ascii_digits(text: str) -> bool:
+    """Whether text is one or more of the ASCII digits 0-9."""
+    return text.isascii() and text.isdigit()
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)  # Fractions are immutable, so one of each serves
+class Rational:
+    """An exact rational number `numerator` / `denominator`, in lowest terms with denominator > 0.
+
+    The scalars over Q.  A Rational is immutable.  Its +, -, *, /, unary -, bool, ==, order
+    and hash agree with int's and fractions.Fraction's on equal values, and the other
+    operand may be an int, a Fraction or a Rational: anything with int `numerator` and
+    `denominator`.  A result is a Rational.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __new__(cls, numerator: int = 0, denominator: int = 1):
+        if not (isinstance(numerator, int) and isinstance(denominator, int)):
+            raise TypeError(f"Rational takes two integers, got {numerator!r} and {denominator!r}")
+        if not denominator:
+            raise ZeroDivisionError(f"Rational({numerator}, 0)")
+        return _reduced(int(numerator), int(denominator))
+
+    def __setattr__(self, *args):
+        raise AttributeError("Rational is immutable")
+
+    def __reduce__(self):
+        return Rational, (self.numerator, self.denominator)
+
+    def __repr__(self):
+        return f"Rational({self.numerator}, {self.denominator})"
+
+    def __str__(self):
+        n, d = self.numerator, self.denominator
+        return str(n) if d == 1 else f"{n}/{d}"
+
+    def __bool__(self):
+        return self.numerator != 0
+
+    def __eq__(self, other):
+        try:
+            return self.numerator == other.numerator and self.denominator == other.denominator
+        except AttributeError:
+            return NotImplemented
+
+    # order by cross-multiplying: both denominators are positive
+    def __lt__(self, other):
+        try:
+            return self.numerator * other.denominator < other.numerator * self.denominator
+        except AttributeError:
+            return NotImplemented
+
+    def __le__(self, other):
+        try:
+            return self.numerator * other.denominator <= other.numerator * self.denominator
+        except AttributeError:
+            return NotImplemented
+
+    def __gt__(self, other):
+        try:
+            return self.numerator * other.denominator > other.numerator * self.denominator
+        except AttributeError:
+            return NotImplemented
+
+    def __ge__(self, other):
+        try:
+            return self.numerator * other.denominator >= other.numerator * self.denominator
+        except AttributeError:
+            return NotImplemented
+
+    def __hash__(self):
+        # Python's numeric hash, so equal ints, Fractions and Rationals hash alike:
+        # n * d^-1 modulo the hash prime, signed as n, with -1 read as -2
+        n, d = self.numerator, self.denominator
+        if d == 1:
+            return hash(n)
+        try:
+            h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
+        except ValueError:  # d is a multiple of the hash prime
+            h = _HASH_INF
+        h = h if n >= 0 else -h
+        return -2 if h == -1 else h
+
+    def __neg__(self):
+        return _make(-self.numerator, self.denominator)
+
+    def __add__(self, other):
+        try:
+            return _sum(self.numerator, self.denominator, other.numerator, other.denominator)
+        except AttributeError:
+            return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        try:
+            return _sum(self.numerator, self.denominator, -other.numerator, other.denominator)
+        except AttributeError:
+            return NotImplemented
+
+    def __rsub__(self, other):
+        try:
+            return _sum(other.numerator, other.denominator, -self.numerator, self.denominator)
+        except AttributeError:
+            return NotImplemented
+
+    def __mul__(self, other):
+        try:
+            nb, db = other.numerator, other.denominator
+        except AttributeError:
+            return NotImplemented
+        na, da = self.numerator, self.denominator
+        if da == db == 1:
+            return _make(na * nb, 1)
+        return _reduced(na * nb, da * db)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        try:
+            nb, db = other.numerator, other.denominator
+        except AttributeError:
+            return NotImplemented
+        if not nb:
+            raise ZeroDivisionError(f"Rational({self.numerator}, 0)")
+        return _reduced(self.numerator * db, self.denominator * nb)
+
+    def __rtruediv__(self, other):
+        try:
+            na, da = other.numerator, other.denominator
+        except AttributeError:
+            return NotImplemented
+        if not self.numerator:
+            raise ZeroDivisionError(f"Rational({na}, 0)")
+        return _reduced(na * self.denominator, da * self.numerator)
+
+
+_HASH_MODULUS, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
+# Slot setters: the one way to fill a Rational past its immutability guard.
+_set_numerator, _set_denominator = (Rational.__dict__[name].__set__ for name in Rational.__slots__)
+_alloc = object.__new__
+
+
+def _make(n: int, d: int) -> Rational:
+    """The Rational n / d of coprime ints n and d > 0, kept as they are (no checks)."""
+    r = _alloc(Rational)
+    _set_numerator(r, n)
+    _set_denominator(r, d)
+    return r
+
+
+def _sum(na: int, da: int, nb: int, db: int) -> Rational:
+    """na / da + nb / db, for ints na, nb and da, db > 0."""
+    if da == db:
+        return _make(na + nb, 1) if da == 1 else _reduced(na + nb, da)
+    return _reduced(na * db + nb * da, da * db)
+
+
+def _reduced(n: int, d: int) -> Rational:
+    """The Rational n / d of ints n and d != 0, put in lowest terms."""
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        n, d = n // g, d // g
+    return _make(n, d)
+
+
+Scalar = Rational | int
+
+
+_ZERO, _ONE = _make(0, 1), _make(1, 1)  # Rationals are immutable, so one of each serves
 
 
 # Deterministic Miller-Rabin: the prime bases 2..37 decide primality exactly
@@ -126,7 +292,7 @@ class Field(Record, eq=True):
 
     def of(self, n: int) -> Scalar:
         """Canonical image of the integer n."""
-        return Fraction(n) if self.kind == "rational" else n % self.p
+        return Rational(n) if self.kind == "rational" else n % self.p
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return a + b if self.kind == "rational" else (a + b) % self.p
@@ -144,7 +310,8 @@ class Field(Record, eq=True):
         if not a:
             raise DivisionByZeroError("inverse of zero")
         if self.kind == "rational":
-            return 1 / Fraction(a)
+            n, d = a.numerator, a.denominator
+            return _make(d, n) if n > 0 else _make(-d, -n)
         return pow(a, self.p - 2, self.p)
 
     # -- scalar literals ---------------------------------------------------
@@ -153,8 +320,9 @@ class Field(Record, eq=True):
         """Parse a scalar literal: an integer or "a/b" over Q, a residue over GF(p).
 
         A string literal over Q is an optional '-', ASCII digits, and optionally '/' and
-        ASCII digits for a nonzero denominator; no other form that Fraction reads (no
-        '+', space, decimal point, exponent or '_') is one.
+        ASCII digits for a nonzero denominator; no other form that int() or
+        fractions.Fraction reads (no '+', space, decimal point, exponent, '_' or digit
+        outside ASCII) is one.
         """
         if self.kind == "prime":
             if isinstance(text, bool) or not isinstance(text, int):
@@ -163,19 +331,22 @@ class Field(Record, eq=True):
                 raise ValueError(f"residue {text} out of range [0, {self.p})")
             return text
         if isinstance(text, int) and not isinstance(text, bool):
-            return Fraction(text)
-        match = _RATIONAL_LITERAL.fullmatch(text) if isinstance(text, str) else None
-        if match is None:
-            raise ValueError(f"not a rational literal: {text!r}")
-        num, den = match.groups()
-        return Fraction(literal_int(num), literal_int(den) if den else 1)
+            return _make(int(text), 1)
+        if isinstance(text, str):
+            num, slash, den = text.partition("/")
+            if _ascii_digits(num.removeprefix("-")):
+                if not slash:
+                    return _make(literal_int(num), 1)
+                if _ascii_digits(den) and den.strip("0"):
+                    return _reduced(literal_int(num), literal_int(den))
+        raise ValueError(f"not a rational literal: {text!r}")
 
     def show(self, a: Scalar) -> str | int:
         """Canonical literal for serialization (inverse of parse)."""
         if self.kind == "prime":
             return int(a)
-        a = Fraction(a)
-        return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
+        n, d = a.numerator, a.denominator
+        return str(n) if d == 1 else f"{n}/{d}"
 
     def __repr__(self):
         return "Q" if self.kind == "rational" else f"GF({self.p})"
@@ -194,7 +365,9 @@ class Matrix:
     GF(p), num holds residues in [0, p) and den is 1.  Both fields run the
     same int loops and differ only in how a result is normalised: reduced
     mod p as it is computed, or by the gcd in `_new`.  Public scalars
-    (`Fraction` over Q) appear only where entries enter or leave.
+    (`Rational` over Q) appear only where entries enter or leave; an entry given
+    over Q may be anything with int `numerator` and `denominator` in lowest terms
+    (an int, a Rational or a fractions.Fraction).
     """
 
     __slots__ = ("field", "rows", "cols", "num", "den", "_data")
@@ -277,8 +450,9 @@ class Matrix:
             return self.num
         data = self._data
         if data is None:
-            # one Fraction per distinct numerator: structure maps hold few values
-            shown = {x: Fraction(x, self.den) for x in set().union(*self.num)}.__getitem__
+            # one Rational per distinct numerator: structure maps hold few values
+            den = self.den
+            shown = {x: _reduced(x, den) for x in set().union(*self.num)}.__getitem__
             data = tuple(tuple(map(shown, row)) for row in self.num)
             _set_data(self, data)
         return data
@@ -380,8 +554,8 @@ class Matrix:
             return tuple([s % p for s in out])
         den *= self.den
         if den == 1:
-            return tuple(map(Fraction, out))
-        return tuple([Fraction(s, den) if s else _ZERO for s in out])
+            return tuple([_make(s, 1) for s in out])
+        return tuple([_reduced(s, den) if s else _ZERO for s in out])
 
     def flip_cols(self, p: int, a: int, b: int, q: int) -> "Matrix":
         """self @ (I_p (x) flip(a, b) (x) I_q), by reindexing columns.
@@ -505,7 +679,7 @@ class Matrix:
         for r, row in enumerate(m):
             if r < len(pivots):
                 piv = row[pivots[r]]
-                out.append([Fraction(x, piv) if x else _ZERO for x in row])
+                out.append([_reduced(x, piv) if x else _ZERO for x in row])
             else:
                 out.append([_ZERO] * ncols)
         return out, pivots
@@ -571,7 +745,6 @@ class Matrix:
 _set_field, _set_rows, _set_cols, _set_num, _set_den, _set_data = (
     Matrix.__dict__[name].__set__ for name in Matrix.__slots__
 )
-_alloc = object.__new__
 
 
 def _set(m: Matrix, field: Field, rows: int, cols: int, num: tuple, den: int) -> None:

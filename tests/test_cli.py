@@ -17,6 +17,7 @@ from xmhopf.cli import main
 from xmhopf.docio import MAX_GROUP_ORDER, MAX_VALIDATION_COST
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+DOC = str(FIXTURES / "k_xi_z2.json")
 
 
 def run_cli(*args, timeout=None):
@@ -595,7 +596,7 @@ BUILTIN_SHA256 = next(
 def test_start_up_loads_only_what_the_stdlib_it_needs_loads():
     # `import xmhopf.cli` may load no module that these stdlib imports do not load
     # themselves; comparing with the stdlib, not a fixed list, holds on every Python
-    stdlib = ("__future__, collections.abc, fractions, itertools, json, operator, "
+    stdlib = ("__future__, _json, collections.abc, itertools, math, operator, types, "
               + BUILTIN_SHA256)
 
     def loaded(imports):
@@ -609,19 +610,41 @@ def test_start_up_loads_only_what_the_stdlib_it_needs_loads():
     assert loaded("xmhopf.cli") <= loaded(stdlib)
 
 
+def imported_by(argv):
+    """The modules a full text-mode `-m` call that passes imports, as -X importtime names
+    them on stderr."""
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "xmhopf.cli", *argv],
+                          env=cli_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("result: PASS\n")
+    return {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
 @pytest.mark.skipif(BUILTIN_SHA256 == "hashlib", reason="this build has no builtin SHA-256")
 def test_a_full_call_loads_no_openssl():
     # hashlib loads _hashlib, and with it OpenSSL's libcrypto, which once cost every call
-    # about 1.7 ms; -X importtime names every module a full -m call imports, on stderr
-    proc = subprocess.run(
-        [sys.executable, "-S", "-X", "importtime", "-m", "xmhopf.cli", "verify", DOC, "k_xi_z2"],
-        env=cli_env(), capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
-    assert BUILTIN_SHA256 in imported and proc.stdout.endswith("result: PASS\n")
+    # about 1.7 ms
+    imported = imported_by(["verify", DOC, "k_xi_z2"])
+    assert BUILTIN_SHA256 in imported
     assert not imported & {"hashlib", "_hashlib"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", DOC, "k_xi_z2"],
+    ["report", str(FIXTURES / "k_xi_s3.json"), "k_xi_s3"],
+    ["hom", DOC, "k_xi_z2", "k1", "kh", "--degree", "h"],
+    ["structure-theorem", DOC, "k_xi_z2", "dual_mod"],
+], ids=lambda argv: argv[0])
+def test_a_full_call_loads_no_regex_fraction_or_json_module(argv):
+    # re (with enum), fractions (with decimal and numbers) and json once cost every call about
+    # 4.5 ms of 17 ms: scalars over Q are linalg.Rational, documents are read and outputs
+    # written by _json's C scanner and encoder, and json itself loads only for --json
+    unneeded = {"re", "enum", "fractions", "decimal", "numbers", "json", "json.decoder",
+                "json.encoder"}
+    imported = imported_by(argv)
+    assert "_json" in imported
+    assert not imported & unneeded
 
 
 def test_without_builtin_sha256_the_digest_comes_from_hashlib():
@@ -656,7 +679,6 @@ def test_a_full_call_loads_no_argument_parser():
     assert proc.stdout == "0 []\n"
 
 
-DOC = str(FIXTURES / "k_xi_z2.json")
 HOM = ["hom", DOC, "k_xi_z2", "k1", "kh"]
 # each accepted command line, and the spelled-out form it means
 SPELLED_OUT = [
@@ -740,6 +762,26 @@ def test_value_reader_keeps_the_grammar():
         assert read == bool(VALUE_GRAMMAR.match(tok)), tok
 
 
+# values of the shapes `output` lines hold, with labels outside ASCII
+NESTED_OUTPUTS = [
+    {"family": [["1/2", "-3"], []], "pairing": {"é": "1", "e": 1, "ζ": [True, False, None]}},
+    {"☃": {"b": (2, 3), "a": [1, {"z": 'quote " backslash \\ newline \n tab \t \x01'}]},
+     "😀": -10**40, "": []},
+    [[], {}], {}, "ε", 0, -1, None, True, [1.5, float("inf"), float("-inf"), float("nan")],
+]
+
+
+def test_output_writer_matches_json_dumps():
+    for value in NESTED_OUTPUTS:
+        assert cli._dumps(value) == json.dumps(value, sort_keys=True)
+    for value in ({"x": {1, 2}}, [object()], {1: "int key", "a": "str key"}):
+        with pytest.raises(TypeError) as ours:
+            cli._dumps(value)
+        with pytest.raises(TypeError) as reference:
+            json.dumps(value, sort_keys=True)
+        assert str(ours.value) == str(reference.value)
+
+
 def test_degree_of_too_many_digits_is_unknown(capsys):
     # an index has at most MAX_LITERAL_DIGITS digits, so that int() never meets the
     # interpreter's own limit on the digits of a string ("1" labels the unit, "01" is index 1)
@@ -805,9 +847,13 @@ def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
 
 
 MUTATION = json.loads((FIXTURES / "mutations" / "manifest.json").read_text())[0]
+# one "}" short: the scanner itself raises the JSONDecodeError, which a child process, unlike
+# pytest's, meets before anything has loaded json
+BROKEN_DOCUMENT = '{"field": {"kind": "rational"}, "groups": {"g": {"cyclic": 2}}'
 # a child process ends with os._exit(main()), skipping teardown, and main flushes its own
-# output; each of these must give the bytes and exit status of main called in process
-PROCESS_AND_IN_PROCESS = {  # name: (argv, exit status)
+# output; each of these must give the bytes and exit status of main called in process.  The
+# --json calls and the invalid document take the paths that load json when they run.
+PROCESS_AND_IN_PROCESS = {  # name: (argv, exit status); "BROKEN" is a file of BROKEN_DOCUMENT
     "passing-verify": (["verify", DOC, "k_xi_z2"], 0),
     "failing-mutation": (["verify", str(FIXTURES / "mutations" / MUTATION["file"]),
                           MUTATION["verify"]], 1),
@@ -815,12 +861,22 @@ PROCESS_AND_IN_PROCESS = {  # name: (argv, exit status)
     "refused-command-line": (REFUSED["missing-positional"], 2),
     "help": (["-h"], 0),
     "largest-output": (["report", str(FIXTURES / "k_xi_s3.json"), "k_xi_s3", "--json"], 0),
+    "verify-json": (["verify", DOC, "k_xi_z2", "--json"], 0),
+    "integrals-json": (["integrals", DOC, "k_xi_z2", "--json"], 0),
+    "grouplikes-json": (["grouplikes", DOC, "k_xi_z2", "--json"], 0),
+    "dual-json": (["dual", DOC, "k_xi_z2", "--json"], 0),
+    "structure-theorem-json": (["structure-theorem", DOC, "k_xi_z2", "dual_mod", "--json"], 0),
+    "hom-json": (HOM + ["--json"], 0),
+    "invalid-json": (["verify", "BROKEN", "g"], 2),
 }
 
 
 @pytest.mark.parametrize("argv, status", PROCESS_AND_IN_PROCESS.values(),
                          ids=list(PROCESS_AND_IN_PROCESS))
-def test_a_child_process_gives_the_bytes_of_an_in_process_call(argv, status, capsys):
+def test_a_child_process_gives_the_bytes_of_an_in_process_call(argv, status, capsys, tmp_path):
+    broken = tmp_path / "broken.json"
+    broken.write_text(BROKEN_DOCUMENT)
+    argv = [str(broken) if arg == "BROKEN" else arg for arg in argv]
     proc = subprocess.run([sys.executable, "-S", "-m", "xmhopf.cli", *argv], env=cli_env(),
                           capture_output=True, timeout=60)
     code, out, err = _call(argv, capsys)
@@ -892,6 +948,15 @@ def test_integer_with_too_many_digits_is_invalid_json(tmp_path):
     # the document's own limit, not Python's advice to call sys.set_int_max_str_digits()
     assert proc.stderr == ("input error: document: invalid JSON: an integer of 5000 digits; "
                            "a document's integers have at most 4300 digits\n")
+
+
+def test_document_that_repeats_a_key_is_an_input_error():
+    # json.loads keeps the last value, so this document verified z2 as Z/2 and exited 0
+    text = '{"field": {"kind": "rational"}, "groups": {"z2": {"cyclic": 3}, "z2": {"cyclic": 2}}}'
+    proc = subprocess.run([sys.executable, "-m", "xmhopf.cli", "verify", "-", "z2"],
+                          input=text, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "input error: document: an object repeats the key 'z2'\n"
 
 
 def test_rational_literal_with_too_many_digits_is_refused_at_its_path(tmp_path):

@@ -1,16 +1,23 @@
 import json
+import pathlib
+import subprocess
 import sys
 
 import pytest
 
+from test_cli import DEFERRED_MALFORMED, MALFORMED, WELL_FORMED, cli_env
 from xmhopf.docio import (
     MAX_GROUP_ORDER,
     DocumentSyntaxError,
     FieldMismatchError,
     UnknownNameError,
+    _loads,
     parse,
     serialize,
 )
+from xmhopf.linalg import literal_int
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def doc_bytes(obj) -> bytes:
@@ -193,3 +200,91 @@ def test_integer_digit_limit_does_not_depend_on_the_interpreter():
             parse(doc_bytes(unit))
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# texts that json.loads refuses, or reads into values no document has
+BROKEN_JSON = {
+    "empty": "",
+    "whitespace-only": " \t\r\n",
+    "bom": "\ufeff{}",
+    "trailing-data": '{"field": {"kind": "rational"}} {}',
+    "trailing-comma": '{"field": {"kind": "rational"},}',
+    "trailing-comma-in-list": '{"field": [1, 2,]}',
+    "missing-colon": '{"field" {"kind": "rational"}}',
+    "control-character": '{"field": "\x01"}',
+    "lone-surrogate-escape": '{"field": "\\ud800"}',
+    "nan": '{"field": NaN}',
+    "infinity": '{"field": Infinity}',
+    "negative-infinity": '{"field": -Infinity}',
+    "5000-digit-integer": '{"field": 1' + "0" * 4999 + "}",
+    "deep-nesting": "[" * 100_000 + "]" * 100_000,
+    "unterminated-string": '{"field": "rational',
+    "invalid-escape": '{"field": "\\q"}',
+    "one-brace-short": '{"field": {"kind": "rational"}',
+}
+
+
+def json_texts():
+    """(name, text) of every fixture, every mutation, every malformed test document and
+    every broken text above."""
+    paths = sorted(FIXTURES.glob("*.json")) + sorted((FIXTURES / "mutations").glob("*.json"))
+    yield from ((path.name, path.read_text()) for path in paths)
+    for name, sections in {**MALFORMED, **DEFERRED_MALFORMED}.items():
+        yield name, json.dumps(dict(WELL_FORMED, **sections))
+    yield from BROKEN_JSON.items()
+
+
+def outcome(read, text):
+    """repr of what read(text) gives, or the type and text of what it raises."""
+    try:
+        return repr(read(text))
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text", [text for _, text in json_texts()],
+                         ids=[name for name, _ in json_texts()])
+def test_reader_reads_what_json_loads_reads(text):
+    assert outcome(_loads, text) == outcome(lambda t: json.loads(t, parse_int=literal_int), text)
+
+
+def test_deep_nesting_is_a_recursion_error():
+    with pytest.raises(RecursionError):
+        _loads(BROKEN_JSON["deep-nesting"])
+    with pytest.raises(DocumentSyntaxError, match="^document: invalid JSON: maximum recursion"):
+        parse(BROKEN_JSON["deep-nesting"].encode())
+
+
+@pytest.mark.parametrize("name", ["trailing-comma", "missing-colon", "control-character",
+                                  "unterminated-string", "invalid-escape", "one-brace-short"])
+def test_error_raised_in_the_scanner_reads_the_same_before_json_is_loaded(name):
+    # before Python 3.12, _json's scanner looks JSONDecodeError up only in a loaded json.decoder
+    text = BROKEN_JSON[name].encode()
+    code = ("import sys\nfrom xmhopf.docio import DocumentSyntaxError, parse\n"
+            "assert 'json' not in sys.modules\n"
+            f"try:\n    parse({text!r})\nexcept DocumentSyntaxError as exc:\n    print(exc)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=cli_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    with pytest.raises(DocumentSyntaxError) as exc:
+        parse(text)
+    assert proc.stdout == f"{exc.value}\n"
+    assert str(exc.value).startswith("document: invalid JSON: ")
+
+
+# raw texts, since json.dumps cannot write an object that repeats a key: (text, the key)
+REPEATED_KEY = {
+    "group": ('{"field": {"kind": "rational"}, '
+              '"groups": {"z2": {"cyclic": 3}, "z2": {"cyclic": 2}}}', "z2"),
+    "same-value": ('{"field": {"kind": "rational", "kind": "rational"}}', "kind"),
+    "section": ('{"field": {"kind": "rational"}, "groups": {"a": {"cyclic": 2}}, '
+                '"groups": {"b": {"cyclic": 3}}}', "groups"),
+}
+
+
+@pytest.mark.parametrize("text, key", REPEATED_KEY.values(), ids=list(REPEATED_KEY))
+def test_object_that_repeats_a_key_is_refused(text, key):
+    # json.loads keeps the last value of a repeated key
+    with pytest.raises(DocumentSyntaxError) as exc:
+        parse(text.encode())
+    assert str(exc.value) == f"document: an object repeats the key {key!r}"

@@ -1,5 +1,9 @@
+import copy
 import math
+import operator
+import pickle
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from xmhopf.errors import DivisionByZeroError, MixedFieldsError, ShapeMismatchError
-from xmhopf.linalg import _MR_LIMIT, Field, Matrix, _is_prime
+from xmhopf.linalg import _MR_LIMIT, Field, Matrix, Rational, _is_prime
 
 QQ = Field.rational()
 GF5 = Field.prime(5)
@@ -101,6 +105,116 @@ def test_field_validation():
         Field.prime(6)
     with pytest.raises(ValueError):
         Field("rational", 3)
+
+
+# Rational against fractions.Fraction, the reference: one set of numerators per sign and one
+# denominator per class, among them a multiple of the prime that numeric hashes reduce by
+SIGNS = {"negative": (-1, -6, -35, -2**70), "zero": (0,), "positive": (1, 6, 35, 2**70)}
+DENOMINATORS = {"one": 1, "prime": 7, "composite": 30, "hash-prime": 2 * sys.hash_info.modulus}
+
+
+def reference_values(sign, den):
+    return [Fraction(n, DENOMINATORS[den]) for n in SIGNS[sign]]
+
+
+EVERY_CLASS = [x for sign in SIGNS for den in DENOMINATORS for x in reference_values(sign, den)]
+
+
+def as_rational(x: Fraction) -> Rational:
+    return Rational(x.numerator, x.denominator)
+
+
+def assert_is(got, want: Fraction):
+    """got is the Rational equal to want, in lowest terms."""
+    assert type(got) is Rational
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert type(got.numerator) is int and type(got.denominator) is int
+
+
+@pytest.mark.parametrize("den", DENOMINATORS)
+@pytest.mark.parametrize("sign", SIGNS)
+def test_rational_is_kept_in_lowest_terms(sign, den):
+    for n in SIGNS[sign]:
+        for scale in (1, -1, 12, -35):
+            d = DENOMINATORS[den]
+            assert_is(Rational(n * scale, d * scale), Fraction(n, d))
+    assert_is(Rational(True, True), Fraction(1))
+    assert_is(Rational(), Fraction(0))
+
+
+@pytest.mark.parametrize("den", DENOMINATORS)
+@pytest.mark.parametrize("sign", SIGNS)
+def test_rational_arithmetic_matches_fraction(sign, den):
+    ops = (operator.add, operator.sub, operator.mul)
+    for a in reference_values(sign, den):
+        r = as_rational(a)
+        assert_is(-r, -a)
+        assert bool(r) is bool(a) and str(r) == str(a)
+        for b in EVERY_CLASS:
+            s = as_rational(b)
+            # a Rational with a Rational, with a Fraction on either side, and with an int
+            pairs = [(r, s), (r, b), (a, s)] + ([(r, b.numerator)] if b.denominator == 1 else [])
+            for op in ops:
+                for x, y in pairs:
+                    assert_is(op(x, y), op(a, b))
+                    assert_is(op(y, x), op(b, a))
+            for x, y in pairs:
+                if b:
+                    assert_is(x / y, a / b)
+                else:
+                    with pytest.raises(ZeroDivisionError):
+                        x / y
+                if a:
+                    assert_is(y / x, b / a)
+                else:
+                    with pytest.raises(ZeroDivisionError):
+                        y / x
+
+
+@pytest.mark.parametrize("den", DENOMINATORS)
+@pytest.mark.parametrize("sign", SIGNS)
+def test_rational_equality_order_and_hash_match_fraction(sign, den):
+    relations = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)
+    for a in reference_values(sign, den):
+        r = as_rational(a)
+        assert hash(r) == hash(a)
+        if a.denominator == 1:
+            assert r == a.numerator and hash(r) == hash(a.numerator)
+            assert {a.numerator: "found"}[r] == "found"
+        assert {a: "found"}[r] == "found" and {r: "found"}[a] == "found"
+        for b in EVERY_CLASS:
+            s = as_rational(b)
+            others = [s, b] + ([b.numerator] if b.denominator == 1 else [])
+            for rel in relations:
+                for other in others:
+                    assert rel(r, other) is rel(a, b)
+                    assert rel(other, r) is rel(b, a)
+
+
+def test_rational_refuses_what_is_not_two_integers():
+    for args in [(1.5,), ("1",), (Fraction(1, 2),), (1, 2.0), (None,)]:
+        with pytest.raises(TypeError):
+            Rational(*args)
+    with pytest.raises(ZeroDivisionError):
+        Rational(1, 0)
+    half = Rational(1, 2)
+    for other in (0.5, "1/2", None):
+        assert half != other
+        with pytest.raises(TypeError):
+            half + other
+        with pytest.raises(TypeError):
+            half < other
+
+
+def test_rational_is_immutable_and_copies_as_its_value():
+    half = Rational(-2, 4)
+    with pytest.raises(AttributeError):
+        half.numerator = 3
+    with pytest.raises(AttributeError):
+        half.extra = 3
+    for copied in (copy.copy(half), copy.deepcopy(half), pickle.loads(pickle.dumps(half))):
+        assert_is(copied, Fraction(-1, 2))
+    assert repr(half) == "Rational(-1, 2)"
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -235,7 +349,7 @@ def draw_matrix(data, field, rows, cols):
 def assert_canonical(field, entries):
     for x in entries:
         if field.p is None:
-            assert type(x) is Fraction
+            assert type(x) is Rational
         else:
             assert type(x) is int and 0 <= x < field.p
 
