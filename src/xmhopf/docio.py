@@ -23,7 +23,7 @@ from .crossed import (
     trivial_over,
 )
 from .errors import XmhopfError
-from .groups import FiniteGroup, GroupHom, cyclic, direct_product, symmetric
+from .groups import FiniteGroup, GroupAction, GroupHom, cyclic, direct_product, symmetric
 from .hopf import ComponentAlgebra, GradedHopfCoalgebra, compute_antipode
 from .hopfmod import HopfXiModule, dual_hopf_module, trivial_hopf_module
 from .linalg import Field, Matrix, literal_int
@@ -66,7 +66,9 @@ def validation_cost(h_order: int, e_order: int, dim: int) -> int:
     structure's own validation runs on its regular Hopf module (phi (x) phi, dim^4) and
     `verify` and `structure-theorem` on a `dual: true` Hopf module over it (phi (x) psi),
     the |H|^2 multiplicativity cases (mu (x) mu, dim^6) and the |H| |E|^2 composition cases
-    of the action (dim^2); the other identities have fewer cases and smaller matrices.  The
+    of the action (dim^2); the other identities have fewer cases and smaller matrices.
+    Check (d) has run fewer coaction and composition cases since the bound was fitted, so
+    the estimate errs high.  The
     last term is the integral system that `integrals` and `report` solve: about
     |H|^2 dim^2 equations in |H| dim unknowns, so (|H| dim)^4 elimination steps.
     """
@@ -390,8 +392,6 @@ def _parse_crossed_module(doc: StructureDocument, name: str, spec, where) -> Cro
             tuple(_parse_int_list(row, f"{where}.action[{i}]", e_grp.order, e_grp.order))
             for i, row in enumerate(act_raw)
         )
-        from .groups import GroupAction
-
         return CrossedModule(e_grp, h_grp, xi, GroupAction(h_grp, e_grp, action_table))
     raise DocumentSyntaxError("unknown crossed module constructor", where)
 

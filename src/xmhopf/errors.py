@@ -25,16 +25,12 @@ class NotNormalError(XmhopfError):
     """A conjugate escapes the image of the embedding."""
 
 
-
 class MissingAntipodeError(XmhopfError):
     """Operation needs an antipode that has not been computed."""
 
 
 class NotGrouplikeError(XmhopfError):
     """Candidate family fails the grouplike conditions."""
-
-
-
 
 
 class NotPivotalError(XmhopfError):

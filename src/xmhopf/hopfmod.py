@@ -92,17 +92,22 @@ def _unit_law(m: HopfXiModule):
 def validate_hopf_xi_module(a: HopfXiCoalgebra, m: HopfXiModule) -> Report:
     """The module laws of validate_module and three axiom groups (b)-(d), exact, with witnesses.
 
-    Check (d) checks coaction compatibility C(x, y, e, f),
-    (phi_{x,e} (x) psi_{y,f}) rho_{x,y} = rho_{xi(e)x,xi(f)y} psi_{xy,e(x>f)}, only where
-    e = 1 or f = 1: |H|^2 (2|E| - 1) cases.  The others follow.  Let x' = xi(e)x.  By
-    A's unit law phi_{x',1} = id and psi's unit law, phi_{x,e} (x) psi_{y,f} is
-    (phi_{x',1} (x) psi_{y,f}) (phi_{x,e} (x) psi_{y,1}), so C(x, y, e, 1) and then
+    Check (d) checks psi's unit law psi_{x,1} = id on every x and each other law only where
+    the unit laws leave it open: composition psi_{xi(e)x,f} psi_{x,e} = psi_{x,fe} where
+    e != 1 and f != 1, |H|(|E| - 1)^2 cases; action compatibility where e != 1, |H|(|E| - 1)
+    cases; and coaction compatibility C(x, y, e, f),
+    (phi_{x,e} (x) psi_{y,f}) rho_{x,y} = rho_{xi(e)x,xi(f)y} psi_{xy,e(x>f)}, where exactly
+    one of e and f is 1, 2|H|^2 (|E| - 1) cases.  The others follow.  Where e = 1 or f = 1,
+    both sides agree by psi_{.,1} = id, phi_{.,1} = id, xi(1) = 1 and x > 1 = 1.  Otherwise
+    let x' = xi(e)x.  By A's unit law phi_{x',1} = id and psi's unit law, phi_{x,e} (x)
+    psi_{y,f} is (phi_{x',1} (x) psi_{y,f}) (phi_{x,e} (x) psi_{y,1}), so C(x, y, e, 1) and then
     C(x', y, 1, f) turn the left side into rho_{x',xi(f)y} psi_{x'y,x'>f} psi_{xy,e}, which
     psi's composition law makes rho_{x',xi(f)y} psi_{xy,(x'>f)e}.  H acts on E, so
     x' > f = xi(e) > (x > f), and Peiffer makes that e (x > f) e^-1: the label (x'>f)e
-    is e(x>f).  The premises are phi_{x,1} = id and the crossed-module identities, which
-    validate_module_premises checks; full_validation_report, which checks A as its own
-    regular Hopf module, has them already.
+    is e(x>f).  The premises are phi_{x,1} = id and the crossed-module checks, which give
+    xi(1) = 1 and x > 1 = 1 (groups.validate_hom, groups.validate_action);
+    validate_module_premises checks them, and full_validation_report, which checks A as its
+    own regular Hopf module, has them already.
     """
     rep = Report("Hopf crossed-module module")
     f, H, E, cm = a.field, a.H, a.E, a.cm
@@ -125,9 +130,10 @@ def validate_hopf_xi_module(a: HopfXiCoalgebra, m: HopfXiModule) -> Report:
 
     def equivariance_cases():
         yield from _unit_law(m)
+        moving = [e for e in es if e != E.identity]
         for x in xs:
-            for e in es:
-                for g in es:
+            for e in moving:
+                for g in moving:
                     yield (f"composition at x={x} e={e} f={g}",
                            m.psi[(tgt(x, e), g)] @ m.psi[(x, e)], m.psi[(x, E.mul(g, e))])
                 yield (f"action compatibility at x={x} e={e}",
@@ -135,7 +141,7 @@ def validate_hopf_xi_module(a: HopfXiCoalgebra, m: HopfXiModule) -> Report:
             for y in xs:
                 for e in es:
                     for g in es:
-                        if e != E.identity and g != E.identity:
+                        if (e == E.identity) == (g == E.identity):
                             continue
                         label = E.mul(e, cm.act(x, g))
                         yield (f"coaction compatibility at x={x} y={y} e={e} f={g}",
@@ -224,9 +230,8 @@ def _span_coordinates(f, coinv, vectors: Matrix) -> Matrix | None:
     product then decides membership exactly.
     """
     basis = [_flatten(c) for c in coinv]
-    pick = [(i, max(j for j, x in enumerate(v) if x), Matrix.identity(f, 1))
-            for i, v in enumerate(basis)]
-    coords = Matrix.place(f, len(basis), vectors.rows, pick) @ vectors
+    coords = Matrix(f, [vectors.data[max(j for j, x in enumerate(v) if x)] for v in basis],
+                    len(basis), vectors.cols)
     span = Matrix(f, basis, len(basis), vectors.rows).T
     return coords if span @ coords == vectors else None
 

@@ -1,11 +1,12 @@
 """The reduced action checks against the full case set they replaced.
 
 `oracle_action_laws` is the action validator that `full_validation_report` ran before it
-checked A as its own regular Hopf module, whose check (d) runs the same cases: it checks
-coproduct compatibility C(x, y, e, f) only where e = 1 or f = 1, and states no inverse
-law: given the unit and composition laws, which it checks on every case, and the
-crossed-module identities, which `validate_components` and `validate_crossed_module`
-check in the same `full_validation_report`, those cases imply the rest.
+checked A as its own regular Hopf module, whose check (d) runs these cases less those that
+the unit laws decide: it checks coproduct compatibility C(x, y, e, f) only where e = 1 or
+f = 1, and states no inverse law: given the unit and composition laws, which it checks on
+every case, and the crossed-module identities, which `validate_components` and
+`validate_crossed_module` check in the same `full_validation_report`, those cases imply
+the rest.
 `oracle_xi_action` is the validator that checked all |H|^2 |E|^2 cases of C and the
 inverse law phi_{xi(e)x,e^-1} phi_{x,e} = id.
 

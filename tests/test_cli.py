@@ -180,7 +180,7 @@ def test_crossed_module_whose_image_misses_the_identity_fails_its_checks():
         text=True,
     )
     assert (proc.returncode, proc.stderr) == (1, "")
-    assert "check crossed module components: group hom: preserves identity: FAIL" in proc.stdout
+    assert "check crossed module components: group hom: multiplicative: FAIL" in proc.stdout
 
 
 def trivial_group_document(tmp_path, characteristic):

@@ -35,6 +35,7 @@ from xmhopf.hopfmod import (
 )
 from xmhopf.linalg import Matrix
 from xmhopf.repcat import _flatten
+from xmhopf.report import Report
 from xmhopf.xihopf import HopfXiCoalgebra, full_validation_report, is_xi_grouplike
 
 ALL = [make_k_xi_z2, make_bichar_z2, make_k_xi_s3, make_rho_z2]
@@ -48,8 +49,8 @@ def test_trivial_hopf_module_valid():
 
 
 def test_trivial_hopf_module_over_nonabelian_action(conj_s3):
-    # check (d) runs coaction compatibility where e = 1 or f = 1, where e(x > f) = (x > f)e;
-    # test_xihopf pins the factor order on the full case set
+    # check (d) runs coaction compatibility where exactly one of e and f is 1, where
+    # e(x > f) = (x > f)e; test_xihopf pins the factor order on the full case set
     assert validate_hopf_xi_module(conj_s3, trivial_hopf_module(conj_s3, 1)).ok
 
 
@@ -172,6 +173,34 @@ def test_mutated_psi_reports_axiom_d():
     rep = validate_hopf_xi_module(a, mutated)
     assert not rep.ok
     assert any(c.name.startswith("(d)") for c in rep.checks if not c.ok)
+
+
+# the cases of check (d) by law: |H| unit law cases, |H|(|E| - 1)^2 composition,
+# |H|(|E| - 1) action compatibility and 2|H|^2 (|E| - 1) coaction compatibility cases
+CHECK_D_CASES = {
+    "k_xi_s3": {"unit law": 6, "composition": 24, "action compatibility": 12,
+                "coaction compatibility": 144},
+    "k_h_z2": {"unit law": 2},
+}
+
+
+@pytest.mark.parametrize("make", [make_k_xi_s3, make_k_h_z2], ids=list(CHECK_D_CASES))
+def test_check_d_draws_only_the_cases_the_unit_laws_leave_open(monkeypatch, make):
+    counts = {}
+    identity = Report.identity
+
+    def counting(rep, name, cases):
+        if name == "(d) psi equivariance laws":
+            cases = list(cases)
+            for label, _, _ in cases:
+                law = label.split(" at ")[0]
+                counts[law] = counts.get(law, 0) + 1
+        identity(rep, name, cases)
+
+    monkeypatch.setattr(Report, "identity", counting)
+    a = make()
+    assert validate_hopf_xi_module(a, trivial_hopf_module(a, 2)).ok
+    assert counts == CHECK_D_CASES[make.__name__[5:]]
 
 
 def test_coinvariants_of_trivial_modules():

@@ -1,7 +1,8 @@
 """The lemmas that the validator stack derives instead of checking, kept as oracles.
 
 `full_validation_report` checks the axioms of a Hopf crossed-module coalgebra and no lemma
-of them; its docstring derives each lemma from checks of the same report.  Likewise
+of them; its docstring, and those of `validate_hom`, `validate_action` and
+`validate_bicoalgebra`, derive each lemma from checks of the same report.  Likewise
 `kernel_image_cokernel` checks nothing, and `verify` of a crossed module relies on
 `validate_components` and `validate_crossed_module` for the facts its docstring derives.
 The oracles are the checks that the stack no longer runs:
@@ -9,7 +10,11 @@ The oracles are the checks that the stack no longer runs:
   anti-multiplicative and anti-comultiplicative, S(1) = 1, eps S_1 = eps);
 - `oracle_antipode_action_compat`: phi_{x,e} S_x = S_{xi(e)x} phi_{x^-1, x^-1 > e^-1};
 - `oracle_kernel_image_cokernel`: Ker(xi) is central in E, Im(xi) is normal in H, and the
-  projection onto Coker(xi) is a homomorphism.
+  projection onto Coker(xi) is a homomorphism;
+- `oracle_hom_preserves_identity`: xi(1) = 1;
+- `oracle_action_rows_bijective`: each act[x] is a bijection;
+- `oracle_counit_preserves_unit`: eps(1_1) = 1;
+- `oracle_phi_preserves_unit`: phi_{x,e}(1) = 1.
 
 On single-entry perturbations of every example (test_action_oracle's, with its strides on
 conj_s3 and sweedler_z4) and of every table of their crossed modules, wherever an oracle
@@ -38,6 +43,7 @@ from xmhopf.crossed import (
 )
 from xmhopf.groups import FiniteGroup, GroupAction, GroupHom
 from xmhopf.hopf import GradedHopfCoalgebra
+from xmhopf.linalg import Matrix
 from xmhopf.report import Report
 from xmhopf.xihopf import HopfXiCoalgebra, full_validation_report
 
@@ -102,40 +108,91 @@ def oracle_kernel_image_cokernel(cm: CrossedModule) -> Report:
     return rep
 
 
+def oracle_hom_preserves_identity(f: GroupHom) -> Report:
+    """map(1) = 1."""
+    rep = Report("group hom")
+    g, h = f.source, f.target
+    rep.identity("preserves identity", [
+        (f"map(1) = {f.map[g.identity]} != {h.identity}", f.map[g.identity], h.identity),
+    ])
+    return rep
+
+
+def oracle_action_rows_bijective(a: GroupAction) -> Report:
+    """Each act[x] is a bijection of the space."""
+    rep = Report("group action")
+    n = a.space.order
+    rep.identity("each actor element acts bijectively", (
+        (f"act[{x}] is not a bijection", len(set(a.table[x])), n) for x in a.actor.elements()
+    ))
+    return rep
+
+
+def oracle_counit_preserves_unit(a: GradedHopfCoalgebra) -> Report:
+    """eps(1_1) = 1."""
+    rep = Report("graded bicoalgebra")
+    f = a.field
+    rep.identity("counit preserves the unit", [
+        ("eps(1_1) != 1", a.counit @ a.components[a.H.identity].unit_col(), Matrix(f, [[f.one]])),
+    ])
+    return rep
+
+
+def oracle_phi_preserves_unit(a: HopfXiCoalgebra) -> Report:
+    """phi_{x,e}(1_x) = 1_{xi(e)x} for all (x, e)."""
+    rep = Report("crossed-module action")
+    cm, H = a.cm, a.H
+    rep.identity("each phi_{x,e} preserves the unit", (
+        (f"x={x} e={e}", a.phi(x, e) @ a.component(x).unit_col(),
+         a.component(H.mul(cm.xi_of(e), x)).unit_col())
+        for x in H.elements() for e in a.E.elements()
+    ))
+    return rep
+
+
+def lemma_oracles(a: HopfXiCoalgebra) -> tuple[bool, bool, bool, bool]:
+    """Whether the antipode lemmas, the antipode/action lemma, eps(1_1) = 1 and
+    phi_{x,e}(1) = 1 hold."""
+    return (oracle_antipode_properties(a.base).ok, oracle_antipode_action_compat(a).ok,
+            oracle_counit_preserves_unit(a.base).ok, oracle_phi_preserves_unit(a).ok)
+
+
 # per example and map: (perturbations, of which the antipode lemmas fail, of which the
-# antipode/action lemma fails); the same over Q and GF(5)
+# antipode/action lemma fails, of which eps(1_1) = 1 fails, of which phi_{x,e}(1) = 1
+# fails); the same over Q and GF(5)
 LEMMA_COUNTS = {
-    "k_xi_z2": {"delta": (4, 2, 0), "phi": (4, 0, 0), "S": (2, 2, 2), "mu": (2, 0, 0),
-                "eps": (1, 0, 0)},
-    "k_h_z2": {"delta": (4, 2, 0), "phi": (2, 0, 0), "S": (2, 2, 0), "mu": (2, 0, 0),
-               "eps": (1, 0, 0)},
-    "k_xi_s3": {"delta": (36, 30, 0), "phi": (18, 0, 8), "S": (6, 6, 6), "mu": (6, 2, 0),
-                "eps": (1, 0, 0)},
-    "bichar_z2": {"delta": (8, 4, 0), "phi": (8, 0, 0), "S": (4, 4, 2), "mu": (8, 4, 0),
-                  "eps": (2, 0, 0)},
-    "rho_z2": {"delta": (32, 24, 0), "phi": (16, 0, 0), "S": (8, 8, 8), "mu": (16, 8, 0),
-               "eps": (2, 0, 0)},
-    "sweedler": {"delta": (64, 60, 0), "phi": (16, 0, 12), "S": (16, 16, 0), "mu": (64, 60, 0),
-                 "eps": (4, 2, 0)},
-    "conj_s3": {"delta": (4, 4, 0), "phi": (1, 0, 0)},
-    "sweedler_z4": {"delta": (51, 51, 0), "phi": (13, 0, 13), "S": (3, 3, 3), "mu": (13, 13, 0)},
+    "k_xi_z2": {"delta": (4, 2, 0, 0, 0), "phi": (4, 0, 0, 0, 4), "S": (2, 2, 2, 0, 0),
+                "mu": (2, 0, 0, 0, 0), "eps": (1, 0, 0, 1, 0)},
+    "k_h_z2": {"delta": (4, 2, 0, 0, 0), "phi": (2, 0, 0, 0, 2), "S": (2, 2, 0, 0, 0),
+               "mu": (2, 0, 0, 0, 0), "eps": (1, 0, 0, 1, 0)},
+    "k_xi_s3": {"delta": (36, 30, 0, 0, 0), "phi": (18, 0, 8, 0, 18), "S": (6, 6, 6, 0, 0),
+                "mu": (6, 2, 0, 0, 0), "eps": (1, 0, 0, 1, 0)},
+    "bichar_z2": {"delta": (8, 4, 0, 0, 0), "phi": (8, 0, 0, 0, 4), "S": (4, 4, 2, 0, 0),
+                  "mu": (8, 4, 0, 0, 0), "eps": (2, 0, 0, 1, 0)},
+    "rho_z2": {"delta": (32, 24, 0, 0, 0), "phi": (16, 0, 0, 0, 8), "S": (8, 8, 8, 0, 0),
+               "mu": (16, 8, 0, 0, 0), "eps": (2, 0, 0, 1, 0)},
+    "sweedler": {"delta": (64, 60, 0, 0, 0), "phi": (16, 0, 12, 0, 4), "S": (16, 16, 0, 0, 0),
+                 "mu": (64, 60, 0, 0, 0), "eps": (4, 2, 0, 1, 0)},
+    "conj_s3": {"delta": (4, 4, 0, 0, 0), "phi": (1, 0, 0, 0, 0)},
+    "sweedler_z4": {"delta": (51, 51, 0, 0, 0), "phi": (13, 0, 13, 0, 0), "S": (3, 3, 3, 0, 0),
+                    "mu": (13, 13, 0, 0, 0)},
 }
 
 
 @pytest.mark.parametrize("name, make, field", EXAMPLES, ids=[e[0] for e in EXAMPLES])
 def test_stack_fails_wherever_a_lemma_fails(name, make, field):
     a = make() if field is None else make(field)
-    assert oracle_antipode_properties(a.base).ok and oracle_antipode_action_compat(a).ok
+    assert all(lemma_oracles(a))
     example = name.split()[0]
     counts = {}
     for kind, p in structure_perturbations(a, STRIDE.get(example, 1)):
-        lemmas, compat = oracle_antipode_properties(p.base).ok, oracle_antipode_action_compat(p).ok
-        if not (lemmas and compat):
+        lemmas = lemma_oracles(p)
+        if not all(lemmas):
             assert not full_validation_report(p).ok, kind
-        c = counts.setdefault(kind, [0, 0, 0])
+        c = counts.setdefault(kind, [0] * 5)
         c[0] += 1
-        c[1] += not lemmas
-        c[2] += not compat
+        for i, ok in enumerate(lemmas, 1):
+            c[i] += not ok
     assert {kind: tuple(c) for kind, c in counts.items()} == LEMMA_COUNTS[example]
 
 
@@ -174,27 +231,38 @@ def crossed_module_perturbations(cm: CrossedModule):
 # 1 -> 1 has no entry to move
 CROSSED = {"k_xi_z2": make_k_xi_z2, "k_h_z2": make_k_h_z2, "k_xi_s3": make_k_xi_s3,
            "bichar_z2": make_bichar_z2, "conj_s3": make_conj_s3, "sweedler_z4": make_sweedler_z4}
-# per crossed module and table: (perturbations, of which the cokernel identities fail)
+# per crossed module and table: (perturbations, of which the cokernel identities fail, of
+# which xi(1) = 1 fails, of which some act[x] is not a bijection)
 COKERNEL_COUNTS = {
-    "k_xi_z2": {"xi": (2, 0), "action": (4, 0), "E": (4, 2), "H": (4, 0)},
-    "k_h_z2": {"xi": (1, 0), "H": (4, 3)},
-    "k_xi_s3": {"xi": (3, 3), "action": (18, 0), "E": (9, 4), "H": (36, 24)},
-    "bichar_z2": {"action": (2, 0), "E": (4, 2)},
-    "conj_s3": {"xi": (6, 5), "action": (36, 0), "E": (36, 10), "H": (36, 0)},
-    "sweedler_z4": {"xi": (4, 1), "action": (16, 0), "E": (16, 6), "H": (16, 0)},
+    "k_xi_z2": {"xi": (2, 0, 1, 0), "action": (4, 0, 0, 4), "E": (4, 2, 0, 0), "H": (4, 0, 0, 0)},
+    "k_h_z2": {"xi": (1, 0, 1, 0), "H": (4, 3, 0, 0)},
+    "k_xi_s3": {"xi": (3, 3, 1, 0), "action": (18, 0, 0, 18), "E": (9, 4, 0, 0),
+                "H": (36, 24, 0, 0)},
+    "bichar_z2": {"action": (2, 0, 0, 2), "E": (4, 2, 0, 0)},
+    "conj_s3": {"xi": (6, 5, 1, 0), "action": (36, 0, 0, 36), "E": (36, 10, 0, 0),
+                "H": (36, 0, 0, 0)},
+    "sweedler_z4": {"xi": (4, 1, 1, 0), "action": (16, 0, 0, 16), "E": (16, 6, 0, 0),
+                    "H": (16, 0, 0, 0)},
 }
+
+
+def crossed_module_oracles(cm: CrossedModule) -> tuple[bool, bool, bool]:
+    """Whether the cokernel identities, xi(1) = 1 and the bijectivity of each act[x] hold."""
+    return (oracle_kernel_image_cokernel(cm).ok, oracle_hom_preserves_identity(cm.xi).ok,
+            oracle_action_rows_bijective(cm.action).ok)
 
 
 @pytest.mark.parametrize("example", list(CROSSED))
 def test_crossed_module_checks_fail_wherever_a_cokernel_identity_fails(example):
     cm = CROSSED[example]().cm
-    assert oracle_kernel_image_cokernel(cm).ok
+    assert all(crossed_module_oracles(cm))
     counts = {}
     for kind, p in crossed_module_perturbations(cm):
-        identities = oracle_kernel_image_cokernel(p).ok
-        if not identities:
+        lemmas = crossed_module_oracles(p)
+        if not all(lemmas):
             assert not (validate_components(p).ok and validate_crossed_module(p).ok), kind
-        c = counts.setdefault(kind, [0, 0])
+        c = counts.setdefault(kind, [0] * 4)
         c[0] += 1
-        c[1] += not identities
+        for i, ok in enumerate(lemmas, 1):
+            c[i] += not ok
     assert {kind: tuple(c) for kind, c in counts.items()} == COKERNEL_COUNTS[example]

@@ -13,10 +13,12 @@ On single-entry perturbations of Delta, phi, S, mu and eps of every example (tes
 dual-module oracle examples, with its strides), `full_validation_report` gives the verdict
 of the stack of oracles: it fails wherever one of them fails, and nowhere else.
 
-Check (d) of `validate_hopf_xi_module` checks coaction compatibility only where e = 1 or
-f = 1; its docstring derives the other cases from psi's unit and composition laws, A's
+Check (d) of `validate_hopf_xi_module` checks psi's unit law on every x, and each other law
+only where the unit laws leave it open: composition where e != 1 and f != 1, action
+compatibility where e != 1, and coaction compatibility where exactly one of e and f is 1.
+Its docstring derives the other cases from psi's unit and composition laws, A's
 phi_{x,1} = id and the crossed-module identities (`validate_module_premises`).
-`oracle_hopf_xi_module` is the module validator with all |H|^2 |E|^2 cases.  On
+`oracle_hopf_xi_module` is the module validator with every case of each law.  On
 single-entry perturbations of rho and psi of explicit trivial (dim V = 2) and dual Hopf
 modules of the examples, the reduced report fails wherever the full one does.  Those
 perturbations break psi's unit or composition law, or (b) and (c), as well, so both
@@ -177,7 +179,7 @@ def test_stack_gives_the_verdict_of_the_validators_it_replaced(name, make, field
 
 
 def oracle_hopf_xi_module(a: HopfXiCoalgebra, m: HopfXiModule) -> Report:
-    """validate_hopf_xi_module with every coaction case of check (d)."""
+    """validate_hopf_xi_module with every case of each law of check (d)."""
     rep = Report("Hopf crossed-module module")
     f, H, E, cm = a.field, a.H, a.E, a.cm
     xs, es, one = H.elements(), E.elements(), H.identity

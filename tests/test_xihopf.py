@@ -13,7 +13,7 @@ from tests.conftest import (
     z3_in_s3,
 )
 from tests.test_action_oracle import oracle_action_laws, oracle_xi_action
-from tests.test_lemma_oracle import oracle_antipode_action_compat
+from tests.test_lemma_oracle import oracle_antipode_action_compat, oracle_phi_preserves_unit
 from tests.test_regular_module_oracle import oracle_hopf_xi_module
 from xmhopf.crossed import identity_cm, inclusion, kernel_image_cokernel, trivial_over
 from xmhopf.groups import cyclic
@@ -177,19 +177,21 @@ def failing(rep) -> dict:
 
 
 def test_broken_bicharacter_builds_and_fails_its_report():
-    # omega = 2 breaks phi's unit and composition laws and unit preservation; omega = 0
-    # keeps composition (0 * 0 = 0) but not the unit laws
+    # omega = 2 breaks phi's unit and composition laws, and so unit preservation, which the
+    # stack derives and the oracle checks; omega = 0 keeps composition (0 * 0 = 0) but not
+    # the unit laws
     z2 = cyclic(2)
+    unit_preservation = {"each phi_{x,e} preserves the unit": (2, "x=0 e=0")}
     twos = mk_bicharacter_group_algebra(QQ, z2, z2, lambda e, g: QQ.of(2))
     assert failing(full_validation_report(twos)) == {
-        "regular Hopf module: (d) psi equivariance laws": (10, "unit law at x=0"),
-        "each phi_{x,e} preserves the unit": (2, "x=0 e=0"),
+        "regular Hopf module: (d) psi equivariance laws": (5, "unit law at x=0"),
     }
+    assert failing(oracle_phi_preserves_unit(twos)) == unit_preservation
     zeros = mk_bicharacter_group_algebra(QQ, z2, z2, lambda e, g: QQ.zero)
     assert failing(full_validation_report(zeros)) == {
         "regular Hopf module: (d) psi equivariance laws": (1, "unit law at x=0"),
-        "each phi_{x,e} preserves the unit": (2, "x=0 e=0"),
     }
+    assert failing(oracle_phi_preserves_unit(zeros)) == unit_preservation
 
 
 def test_bicharacter_structure_by_basis_expansion():
@@ -247,7 +249,7 @@ def test_from_h_action_non_automorphism_fails_its_report():
     assert fails["regular Hopf module: (b) (M, rho) is a comodule"] == (
         7, "coassociativity at (x,y,z)=(0,0,1)")
     assert fails["graded bicoalgebra: right counit"] == (1, "x=1")
-    assert "each phi_{x,e} preserves the unit" not in fails
+    assert oracle_phi_preserves_unit(a).ok
 
 
 def test_from_h_action_non_homomorphism_fails_its_report():
@@ -258,9 +260,9 @@ def test_from_h_action_non_homomorphism_fails_its_report():
     flip = sign_flip_rho(QQ)[1]
     a = mk_from_h_action(cm, kz2, [flip, Matrix.identity(QQ, 2)])
     fails = failing(full_validation_report(a))
-    assert fails["regular Hopf module: (d) psi equivariance laws"] == (22, "unit law at x=0")
+    assert fails["regular Hopf module: (d) psi equivariance laws"] == (12, "unit law at x=0")
     assert fails["regular Hopf module: (b) (M, rho) is a comodule"] == (2, "counitality at x=0")
-    assert "each phi_{x,e} preserves the unit" not in fails
+    assert oracle_phi_preserves_unit(a).ok
 
 
 def test_from_pi_coalgebra_inflation_and_extraction():
