@@ -223,31 +223,54 @@ def _parse_scalar(f: Field, raw, where):
         raise DocumentSyntaxError(str(exc), where)
 
 
-def _parse_vector(f: Field, raw, where, length=None):
+class _Literals:
+    """The scalars of the literals one parse reads over `field`: structure maps repeat few
+    literals, so each distinct one is parsed once.  Only a literal whose type is exactly str
+    or int is looked up, as a dict takes true and 1.0 for the key 1."""
+
+    __slots__ = ("field", "memo")
+
+    def __init__(self, field: Field):
+        self.field, self.memo = field, {}
+
+    def read(self, raw: list, where) -> list:
+        """The scalars of the literals in raw, entry k at JSON path where[k]; a literal not
+        read before goes through _parse_scalar."""
+        f, memo = self.field, self.memo
+        out = []
+        for k, v in enumerate(raw):
+            keyed = type(v) in (str, int)
+            x = memo.get(v) if keyed else None
+            if x is None:
+                x = _parse_scalar(f, v, f"{where}[{k}]")
+                if keyed:
+                    memo[v] = x
+            out.append(x)
+        return out
+
+
+def _parse_vector(lits: _Literals, raw, where, length=None):
     if not isinstance(raw, list):
         raise DocumentSyntaxError("expected a list of scalars", where)
     if length is not None and len(raw) != length:
         raise DocumentSyntaxError(f"expected {length} entries, got {len(raw)}", where)
-    return tuple(_parse_scalar(f, v, f"{where}[{i}]") for i, v in enumerate(raw))
+    return tuple(lits.read(raw, where))
 
 
-def _parse_matrix(f: Field, raw, where, rows=None, cols=None) -> Matrix:
+def _parse_matrix(lits: _Literals, raw, where, rows=None, cols=None) -> Matrix:
     if not isinstance(raw, list) or (raw and not all(isinstance(r, list) for r in raw)):
         raise DocumentSyntaxError("expected a row-major list of lists", where)
     if rows is not None and len(raw) != rows:
         raise DocumentSyntaxError(f"expected {rows} rows, got {len(raw)}", where)
-    data = [
-        [_parse_scalar(f, v, f"{where}[{i}][{j}]") for j, v in enumerate(r)]
-        for i, r in enumerate(raw)
-    ]
+    data = [lits.read(r, f"{where}[{i}]") for i, r in enumerate(raw)]
     if data and cols is not None and any(len(r) != cols for r in data):
         raise DocumentSyntaxError(f"expected {cols} columns", where)
     if rows is not None and cols is not None:
-        return Matrix(f, data, rows, cols)
-    return Matrix(f, data)
+        return Matrix(lits.field, data, rows, cols)
+    return Matrix(lits.field, data)
 
 
-def _parse_table(f: Field, raw, where, what, keys, rows, cols, shape) -> dict:
+def _parse_table(lits: _Literals, raw, where, what, keys, rows, cols, shape) -> dict:
     """One matrix per (i, j) in rows x cols, keyed "i,j"; shape(i, j) is its (rows, cols)."""
     table = _expect(raw, dict, where, f"an object keyed '{keys}'")
     out = {}
@@ -256,7 +279,7 @@ def _parse_table(f: Field, raw, where, what, keys, rows, cols, shape) -> dict:
             key = f"{i},{j}"
             if key not in table:
                 raise DocumentSyntaxError(f"missing {what} entry {key}", where)
-            out[(i, j)] = _parse_matrix(f, table[key], f"{where}[{key}]", *shape(i, j))
+            out[(i, j)] = _parse_matrix(lits, table[key], f"{where}[{key}]", *shape(i, j))
     return out
 
 
@@ -292,7 +315,7 @@ def _parse_field(raw) -> Field:
     raise DocumentSyntaxError("field kind must be 'rational' or 'prime'", "field")
 
 
-def _parse_group(doc: StructureDocument, name: str, spec, where) -> FiniteGroup:
+def _parse_group(doc: StructureDocument, name: str, spec, where, lits) -> FiniteGroup:
     group = _parse_group_body(doc, spec, where)
     if "elements" in spec:
         labels = _expect(spec["elements"], list, f"{where}.elements", "a list of labels")
@@ -367,7 +390,7 @@ def _parse_int_list(raw, where, length, order=None):
     return [_int(v, f"{where}[{i}]", order) for i, v in enumerate(lst)]
 
 
-def _parse_crossed_module(doc: StructureDocument, name: str, spec, where) -> CrossedModule:
+def _parse_crossed_module(doc: StructureDocument, name: str, spec, where, lits) -> CrossedModule:
     if "trivial_over" in spec:
         return trivial_over(_named(doc, "groups", spec["trivial_over"], where))
     if "to_point" in spec:
@@ -396,7 +419,7 @@ def _parse_crossed_module(doc: StructureDocument, name: str, spec, where) -> Cro
     raise DocumentSyntaxError("unknown crossed module constructor", where)
 
 
-def _parse_hopf(doc: StructureDocument, name: str, spec, where) -> HopfXiCoalgebra:
+def _parse_hopf(doc: StructureDocument, name: str, spec, where, lits) -> HopfXiCoalgebra:
     f = doc.field
     if "trivial" in spec:
         cm = _named(doc, "crossed_modules", spec["trivial"], where)
@@ -408,7 +431,7 @@ def _parse_hopf(doc: StructureDocument, name: str, spec, where) -> HopfXiCoalgeb
         e_grp = _named(doc, "groups", b.get("E"), where)
         g_grp = _named(doc, "groups", b.get("G"), where)
         omega_raw = _expect(b.get("omega"), list, f"{where}.omega", "a table")
-        omega = [_parse_vector(f, row, f"{where}.omega[{i}]") for i, row in enumerate(omega_raw)]
+        omega = [_parse_vector(lits, row, f"{where}.omega[{i}]") for i, row in enumerate(omega_raw)]
 
         def build_bicharacter():
             _check_cost(where, validation_cost(1, e_grp.order, g_grp.order))
@@ -422,7 +445,7 @@ def _parse_hopf(doc: StructureDocument, name: str, spec, where) -> HopfXiCoalgeb
         rho_raw = _expect(d.get("rho"), list, f"{where}.rho", "a list of matrices")
         dim = classical.dim(0)
         rho = [
-            _parse_matrix(f, m, f"{where}.rho[{i}]", dim, dim) for i, m in enumerate(rho_raw)
+            _parse_matrix(lits, m, f"{where}.rho[{i}]", dim, dim) for i, m in enumerate(rho_raw)
         ]
 
         def build_twisted():
@@ -461,26 +484,27 @@ def _parse_hopf(doc: StructureDocument, name: str, spec, where) -> HopfXiCoalgeb
                 raise DocumentSyntaxError("structure tensor is not cubic", f"{cw}.mul[{i}]")
             tensor.append(
                 [
-                    _parse_vector(f, row, f"{cw}.mul[{i}][{j}]", dim)
+                    _parse_vector(lits, row, f"{cw}.mul[{i}][{j}]", dim)
                     for j, row in enumerate(plane)
                 ]
             )
-        unit = _parse_vector(f, c.get("unit"), f"{cw}.unit", dim)
+        unit = _parse_vector(lits, c.get("unit"), f"{cw}.unit", dim)
         comps.append(ComponentAlgebra.from_structure_constants(f, tensor, unit))
     _check_cost(where, validation_cost(H.order, cm.E.order, max(c.dim for c in comps)))
     coproduct = _parse_table(
-        f, spec.get("coproduct"), f"{where}.coproduct", "coproduct", "x,y",
+        lits, spec.get("coproduct"), f"{where}.coproduct", "coproduct", "x,y",
         H.elements(), H.elements(),
         lambda x, y: (comps[x].dim * comps[y].dim, comps[H.mul(x, y)].dim),
     )
-    counit = Matrix.row(f, _parse_vector(f, spec.get("counit"), f"{where}.counit", comps[H.identity].dim))
+    counit = Matrix.row(
+        f, _parse_vector(lits, spec.get("counit"), f"{where}.counit", comps[H.identity].dim))
     antipode = None
     if spec.get("antipode") is not None:
         anti_raw = _expect(spec["antipode"], list, f"{where}.antipode", "a list of matrices")
         if len(anti_raw) != H.order:
             raise DocumentSyntaxError("one antipode component per group element", f"{where}.antipode")
         antipode = tuple(
-            _parse_matrix(f, m, f"{where}.antipode[{x}]", comps[x].dim, comps[H.inv(x)].dim)
+            _parse_matrix(lits, m, f"{where}.antipode[{x}]", comps[x].dim, comps[H.inv(x)].dim)
             for x, m in enumerate(anti_raw)
         )
     base = GradedHopfCoalgebra(f, H, tuple(comps), coproduct, counit, antipode)
@@ -489,26 +513,26 @@ def _parse_hopf(doc: StructureDocument, name: str, spec, where) -> HopfXiCoalgeb
         if computed is not None:
             base = base.with_antipode(computed)
     action = _parse_table(
-        f, spec.get("action"), f"{where}.action", "action", "x,e",
+        lits, spec.get("action"), f"{where}.action", "action", "x,e",
         H.elements(), cm.E.elements(),
         lambda x, e: (comps[H.mul(cm.xi_of(e), x)].dim, comps[x].dim),
     )
     return HopfXiCoalgebra(cm, base, action)
 
 
-def _parse_graded_action(doc: StructureDocument, a, spec, where, key):
+def _parse_graded_action(lits: _Literals, a, spec, where, key):
     """`dims` and one action matrix A_x (x) M_x -> M_x per group element, under `key`."""
     dims = tuple(_parse_int_list(spec.get("dims"), f"{where}.dims", a.H.order))
     raw = _expect(spec.get(key), list, f"{where}.{key}", "a list of matrices")
     if len(raw) != a.H.order:
         raise DocumentSyntaxError(f"expected {a.H.order} entries", f"{where}.{key}")
     return dims, tuple(
-        _parse_matrix(doc.field, m, f"{where}.{key}[{x}]", dims[x], a.dim(x) * dims[x])
+        _parse_matrix(lits, m, f"{where}.{key}[{x}]", dims[x], a.dim(x) * dims[x])
         for x, m in enumerate(raw)
     )
 
 
-def _parse_module(doc: StructureDocument, name: str, spec, where):
+def _parse_module(doc: StructureDocument, name: str, spec, where, lits):
     over = spec.get("over")
     a = _named(doc, "hopf", over, where)
     f = doc.field
@@ -516,18 +540,18 @@ def _parse_module(doc: StructureDocument, name: str, spec, where):
         d = _expect(spec["line"], dict, where, "an object")
         x = _int(d.get("degree"), f"{where}.degree", a.H.order)
         character = Matrix.row(
-            f, _parse_vector(f, d.get("character"), f"{where}.character", a.dim(x))
+            f, _parse_vector(lits, d.get("character"), f"{where}.character", a.dim(x))
         )
         return over, line_module(a, x, character)
     if "regular" in spec:
         return over, regular_module(a, _int(spec["regular"], where, a.H.order))
     if _directive(spec, "unit", where):
         return over, unit_module(a)
-    dims, actions = _parse_graded_action(doc, a, spec, where, "actions")
+    dims, actions = _parse_graded_action(lits, a, spec, where, "actions")
     return over, AModule(a, dims, actions)
 
 
-def _parse_hopf_module(doc: StructureDocument, name: str, spec, where):
+def _parse_hopf_module(doc: StructureDocument, name: str, spec, where, lits):
     over = _ref(doc, "hopf", spec.get("over"), where)
     f = doc.field
     if "trivial" in spec:
@@ -544,40 +568,40 @@ def _parse_hopf_module(doc: StructureDocument, name: str, spec, where):
         return _Deferred(build_dual, where)
     a = doc.hopf[over]
     H, E = a.H, a.E
-    dims, r = _parse_graded_action(doc, a, spec, where, "r")
+    dims, r = _parse_graded_action(lits, a, spec, where, "r")
     rho = _parse_table(
-        f, spec.get("rho"), f"{where}.rho", "coaction", "x,y", H.elements(), H.elements(),
+        lits, spec.get("rho"), f"{where}.rho", "coaction", "x,y", H.elements(), H.elements(),
         lambda x, y: (a.dim(x) * dims[y], dims[H.mul(x, y)]),
     )
     psi = _parse_table(
-        f, spec.get("psi"), f"{where}.psi", "psi", "x,e", H.elements(), E.elements(),
+        lits, spec.get("psi"), f"{where}.psi", "psi", "x,e", H.elements(), E.elements(),
         lambda x, e: (dims[H.mul(a.cm.xi_of(e), x)], dims[x]),
     )
     return over, HopfXiModule(a, dims, r, rho, psi)
 
 
-def _parse_family(doc: StructureDocument, a, spec, where, what):
+def _parse_family(lits: _Literals, a, spec, where, what):
     """The list under `family`: one `what` over A_x for each group element x of a."""
     fam_raw = _expect(spec.get("family"), list, f"{where}.family", f"a list of {what}s")
     if len(fam_raw) != a.H.order:
         raise DocumentSyntaxError(f"one {what} per group element required", f"{where}.family")
     return tuple(
-        _parse_vector(doc.field, v, f"{where}.family[{x}]", a.dim(x))
+        _parse_vector(lits, v, f"{where}.family[{x}]", a.dim(x))
         for x, v in enumerate(fam_raw)
     )
 
 
-def _parse_grouplike(doc: StructureDocument, name: str, spec, where):
+def _parse_grouplike(doc: StructureDocument, name: str, spec, where, lits):
     a = _named(doc, "hopf", spec.get("in"), where)
-    return spec.get("in"), _parse_family(doc, a, spec, where, "vector")
+    return spec.get("in"), _parse_family(lits, a, spec, where, "vector")
 
 
-def _parse_integral(doc: StructureDocument, name: str, spec, where):
+def _parse_integral(doc: StructureDocument, name: str, spec, where, lits):
     a = _named(doc, "hopf", spec.get("in"), where)
     side = spec.get("side", "left")
     if side not in ("left", "right"):
         raise DocumentSyntaxError("side must be 'left' or 'right'", where)
-    return spec.get("in"), side, _parse_family(doc, a, spec, where, "covector")
+    return spec.get("in"), side, _parse_family(lits, a, spec, where, "covector")
 
 
 def _object(pairs: list) -> dict:
@@ -656,6 +680,7 @@ def parse(data: bytes) -> StructureDocument:
     doc = StructureDocument(_parse_field(raw["field"]))
 
     seen = set()
+    lits = _Literals(doc.field)
     for section, parse_entry, _ in SECTIONS:
         entries = _expect(raw.get(section, {}), dict, section, "an object")
         table = getattr(doc, section)
@@ -667,7 +692,7 @@ def parse(data: bytes) -> StructureDocument:
             seen.add(name)
             where = f"{section}.{name}"
             spec = _expect(spec, dict, where, "an object")
-            table[name] = _built(where, parse_entry, doc, name, spec, where)
+            table[name] = _built(where, parse_entry, doc, name, spec, where, lits)
     return doc
 
 

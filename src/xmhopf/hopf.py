@@ -131,10 +131,10 @@ def validate_bicoalgebra(a: GradedHopfCoalgebra) -> Report:
     xs, one = H.elements(), H.identity
     ident = [Matrix.identity(f, a.dim(x)) for x in xs]
     rep.identity("right unit", (
-        (f"x={x}", comps[x].mul @ ident[x].kron(comps[x].unit_col()), ident[x]) for x in xs
+        (f"x={x}", comps[x].mul.matmul_kron(ident[x], comps[x].unit_col()), ident[x]) for x in xs
     ))
     rep.identity("right counit", (
-        (f"x={x}", ident[x].kron(a.counit) @ a.delta(x, one), ident[x]) for x in xs
+        (f"x={x}", ident[x].kron_matmul(a.counit, a.delta(x, one)), ident[x]) for x in xs
     ))
     rep.identity("coproduct preserves units", (
         (f"(x,y)=({x},{y})",
@@ -161,7 +161,8 @@ def antipode_solve_details(a: GradedHopfCoalgebra, x: int):
     xinv = H.inv(x)
     dx, dxi, d1 = a.dim(x), a.dim(xinv), a.dim(H.identity)
     d = a.delta(xinv, x).reshape(dxi, dx * d1)
-    system = a.components[x].mul.kron(Matrix.identity(f, d1)) @ Matrix.identity(f, dx).kron(d.T)
+    system = a.components[x].mul.kron_matmul(Matrix.identity(f, d1),
+                                             Matrix.identity(f, dx).kron(d.T))
     target = a.components[x].unit_col() @ a.counit
     solved = system.solve(target.reshape(1, dx * d1).data[0])
     if solved is None:
@@ -195,11 +196,11 @@ def validate_antipode(a: GradedHopfCoalgebra) -> Report:
     ident = [Matrix.identity(f, a.dim(x)) for x in xs]
     eta_eps = [comps[x].unit_col() @ a.counit for x in xs]
     rep.identity("left identity mu (S (x) id) Delta = eta eps", (
-        (f"x={x}", comps[x].mul @ a.S(x).kron(ident[x]) @ a.delta(H.inv(x), x), eta_eps[x])
+        (f"x={x}", comps[x].mul @ a.S(x).kron_matmul(ident[x], a.delta(H.inv(x), x)), eta_eps[x])
         for x in xs
     ))
     rep.identity("right identity mu (id (x) S) Delta = eta eps", (
-        (f"x={x}", comps[x].mul @ ident[x].kron(a.S(x)) @ a.delta(x, H.inv(x)), eta_eps[x])
+        (f"x={x}", comps[x].mul @ ident[x].kron_matmul(a.S(x), a.delta(x, H.inv(x))), eta_eps[x])
         for x in xs
     ))
     rep.identity("bijectivity", ((f"x={x}", a.S(x).is_invertible(), True) for x in xs))

@@ -123,10 +123,11 @@ def validate_hopf_xi_module(a: HopfXiCoalgebra, m: HopfXiModule) -> Report:
             for y in xs:
                 for z in xs:
                     yield (f"coassociativity at (x,y,z)=({x},{y},{z})",
-                           a.delta(x, y).kron(ident_m[z]) @ m.rho[(H.mul(x, y), z)],
-                           ident_a[x].kron(m.rho[(y, z)]) @ m.rho[(x, H.mul(y, z))])
+                           a.delta(x, y).kron_matmul(ident_m[z], m.rho[(H.mul(x, y), z)]),
+                           ident_a[x].kron_matmul(m.rho[(y, z)], m.rho[(x, H.mul(y, z))]))
         for x in xs:
-            yield f"counitality at x={x}", a.counit.kron(ident_m[x]) @ m.rho[(one, x)], ident_m[x]
+            yield (f"counitality at x={x}", a.counit.kron_matmul(ident_m[x], m.rho[(one, x)]),
+                   ident_m[x])
 
     def equivariance_cases():
         yield from _unit_law(m)
@@ -137,7 +138,8 @@ def validate_hopf_xi_module(a: HopfXiCoalgebra, m: HopfXiModule) -> Report:
                     yield (f"composition at x={x} e={e} f={g}",
                            m.psi[(tgt(x, e), g)] @ m.psi[(x, e)], m.psi[(x, E.mul(g, e))])
                 yield (f"action compatibility at x={x} e={e}",
-                       m.psi[(x, e)] @ m.r[x], m.r[tgt(x, e)] @ a.phi(x, e).kron(m.psi[(x, e)]))
+                       m.psi[(x, e)] @ m.r[x],
+                       m.r[tgt(x, e)].matmul_kron(a.phi(x, e), m.psi[(x, e)]))
             for y in xs:
                 for e in es:
                     for g in es:
@@ -145,7 +147,7 @@ def validate_hopf_xi_module(a: HopfXiCoalgebra, m: HopfXiModule) -> Report:
                             continue
                         label = E.mul(e, cm.act(x, g))
                         yield (f"coaction compatibility at x={x} y={y} e={e} f={g}",
-                               a.phi(x, e).kron(m.psi[(y, g)]) @ m.rho[(x, y)],
+                               a.phi(x, e).kron_matmul(m.psi[(y, g)], m.rho[(x, y)]),
                                m.rho[(tgt(x, e), tgt(y, g))] @ m.psi[(H.mul(x, y), label)])
 
     rep.merge(validate_module(a, AModule(a, m.dims, m.r)))
@@ -154,7 +156,7 @@ def validate_hopf_xi_module(a: HopfXiCoalgebra, m: HopfXiModule) -> Report:
         (f"(x,y)=({x},{y})",
          m.rho[(x, y)] @ m.r[H.mul(x, y)],
          a.component(x).mul.kron(m.r[y]).flip_cols(a.dim(x), a.dim(y), a.dim(x), m.dim(y))
-         @ a.delta(x, y).kron(m.rho[(x, y)]))
+         .matmul_kron(a.delta(x, y), m.rho[(x, y)]))
         for x in xs for y in xs
     ))
     rep.identity("(d) psi equivariance laws", equivariance_cases())
@@ -250,7 +252,8 @@ def structure_iso(a: HopfXiCoalgebra, m: HopfXiModule, coinv: list[tuple]):
 
     # eps_x = r_x (id (x) C_x), where column c of C_x is the component c_x of coinvariant c
     eps_maps = [
-        m.r[x] @ Matrix.identity(f, a.dim(x)).kron(Matrix(f, [c[x] for c in coinv], k, m.dim(x)).T)
+        m.r[x].matmul_kron(Matrix.identity(f, a.dim(x)),
+                           Matrix(f, [c[x] for c in coinv], k, m.dim(x)).T)
         for x in H.elements()
     ]
 
@@ -258,14 +261,14 @@ def structure_iso(a: HopfXiCoalgebra, m: HopfXiModule, coinv: list[tuple]):
     # at the component offsets, then expressed in coordinates of the coinvariant basis.
     images = Matrix.place(f, sum(m.dims), m.dim(one), [
         (sum(m.dims[:x]), 0,
-         m.r[x] @ a.S(x).kron(Matrix.identity(f, m.dim(x))) @ m.rho[(H.inv(x), x)])
+         m.r[x].matmul_kron(a.S(x), Matrix.identity(f, m.dim(x))) @ m.rho[(H.inv(x), x)])
         for x in H.elements()
     ])
     pi = _span_coordinates(f, coinv, images)
     if pi is None:
         raise NotInvertibleError("pi does not land in the coinvariants")
 
-    nu_maps = [Matrix.identity(f, a.dim(x)).kron(pi) @ m.rho[(x, one)] for x in H.elements()]
+    nu_maps = [Matrix.identity(f, a.dim(x)).kron_matmul(pi, m.rho[(x, one)]) for x in H.elements()]
 
     for x in H.elements():
         dx, mx = a.dim(x), m.dim(x)
@@ -327,10 +330,12 @@ def integral_report(a: HopfXiCoalgebra, lam: tuple, side: str) -> Report:
             for y in H.elements():
                 lam_row = Matrix.row(f, lam[H.mul(x, y)])
                 if side == "left":
-                    lhs = Matrix.identity(f, a.dim(x)).kron(Matrix.row(f, lam[y])) @ a.delta(x, y)
+                    lhs = Matrix.identity(f, a.dim(x)).kron_matmul(Matrix.row(f, lam[y]),
+                                                                   a.delta(x, y))
                     rhs = a.component(x).unit_col() @ lam_row
                 else:
-                    lhs = Matrix.row(f, lam[x]).kron(Matrix.identity(f, a.dim(y))) @ a.delta(x, y)
+                    lhs = Matrix.row(f, lam[x]).kron_matmul(Matrix.identity(f, a.dim(y)),
+                                                            a.delta(x, y))
                     rhs = a.component(y).unit_col() @ lam_row
                 yield f"(x,y)=({x},{y})", lhs, rhs
 
@@ -382,7 +387,7 @@ def distinguished_grouplike(a: HopfXiCoalgebra, basis: list[tuple]) -> tuple:
         j = next((j for j in range(a.dim(x)) if lam[x][j] != f.zero), None)
         if j is None:
             raise DefiningIdentityFailedError(f"lambda_{x} vanishes on a nonzero component")
-        w = Matrix.identity(f, a.dim(x)).kron(Matrix.row(f, lam[one])) @ a.delta(x, one)
+        w = Matrix.identity(f, a.dim(x)).kron_matmul(Matrix.row(f, lam[one]), a.delta(x, one))
         scale = f.inv(lam[x][j])
         g.append(tuple(f.mul(scale, w[i, j]) for i in range(a.dim(x))))
     g = tuple(g)
@@ -390,7 +395,7 @@ def distinguished_grouplike(a: HopfXiCoalgebra, basis: list[tuple]) -> tuple:
     for x in H.elements():
         for y in H.elements():
             xy = H.mul(x, y)
-            lhs = Matrix.identity(f, a.dim(x)).kron(Matrix.row(f, lam[y])) @ a.delta(x, y)
+            lhs = Matrix.identity(f, a.dim(x)).kron_matmul(Matrix.row(f, lam[y]), a.delta(x, y))
             rhs = Matrix.col(f, g[x]) @ Matrix.row(f, lam[xy])
             if lhs != rhs:
                 raise DefiningIdentityFailedError(f"defining identity fails at ({x},{y})")

@@ -1,9 +1,9 @@
-"""Exact scalar arithmetic over Q and GF(p), and exact linear algebra on int rows.
+"""Exact scalar arithmetic over Q and GF(p), and exact linear algebra on sparse int rows.
 
 Scalars are `Rational` over the rationals, an exact fraction type defined here so
 that the package loads no `fractions` (with its `decimal`, `numbers` and `re`), and
 ints in [0, p) over a prime field.  A `Field` object owns the arithmetic.
-A matrix pairs a `Field` with integer rows over one common denominator
+A matrix pairs a `Field` with sparse integer rows over one common denominator
 (residues over GF(p), with denominator 1), so both fields run the same
 int loops; entries enter and leave a `Matrix` as scalars.
 
@@ -13,8 +13,12 @@ Conventions fixed here and used by every other module:
     U (x) V has flat index i * dim(V) + j;
   * kernel bases and solves use reduced row echelon form with
     smallest-index pivoting, so results are reproducible bit for bit;
-  * rows store every entry, but `@`, `kron` and `apply` do work only on
-    nonzero entries: the structure maps they compose are mostly zero;
+  * a row stores only its nonzero entries, as (column, int) pairs in column
+    order, and every operation but elimination takes time in proportion to
+    the rows and nonzero entries it reads and writes: the structure maps
+    are mostly zero;
+  * a Kronecker product inside a composite is never built: (X (x) Y) @ Z is
+    `X.kron_matmul(Y, Z)` and Z @ (X (x) Y) is `Z.matmul_kron(X, Y)`;
   * elimination over Q is fraction-free: integer rows, cross-multiplied,
     with each row's content divided out;
   * a tensor flip inside a composite is a column reindexing
@@ -28,7 +32,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Sequence
-from itertools import compress
 from math import gcd, lcm
 
 from .errors import DivisionByZeroError, MixedFieldsError, ShapeMismatchError
@@ -358,19 +361,23 @@ def require_same_field(a: Field, b: Field) -> None:
 
 
 class Matrix:
-    """Immutable matrix over an exact field: integer rows over one common denominator.
+    """Immutable matrix over an exact field: sparse integer rows over one common denominator.
 
-    Entry (i, j) is num[i][j] / den.  Over Q, den > 0 and no prime divides den
-    and every numerator, so each matrix has exactly one (num, den); over
-    GF(p), num holds residues in [0, p) and den is 1.  Both fields run the
-    same int loops and differ only in how a result is normalised: reduced
-    mod p as it is computed, or by the gcd in `_new`.  Public scalars
-    (`Rational` over Q) appear only where entries enter or leave; an entry given
-    over Q may be anything with int `numerator` and `denominator` in lowest terms
-    (an int, a Rational or a fractions.Fraction).
+    Row i holds the nonzero entries of the numerator, as (column, int) pairs in column
+    order, in nz[i]; entry (i, j) is that int over den, and zero where row i has no pair
+    for j.  Over Q, den > 0 and no prime divides den and every numerator, so each matrix
+    has exactly one (nz, den); over GF(p), the ints are residues in [1, p) and den is 1.
+    Both fields run the same int loops and differ only in how a result is normalised:
+    reduced mod p as it is computed, or by the gcd in `_new`.  Every operation but
+    elimination costs time in proportion to the rows and nonzero entries it reads and
+    writes.
+    Public scalars (`Rational` over Q) appear only where entries enter or leave: the
+    constructor takes dense rows of them, and `data` is the dense view, built on first
+    use.  An entry given over Q may be anything with int `numerator` and `denominator`
+    in lowest terms (an int, a Rational or a fractions.Fraction).
     """
 
-    __slots__ = ("field", "rows", "cols", "num", "den", "_data")
+    __slots__ = ("field", "rows", "cols", "nz", "den", "_data")
 
     def __init__(self, field: Field, data: Sequence[Sequence[Scalar]], rows=None, cols=None):
         data = [tuple(row) for row in data]
@@ -382,14 +389,18 @@ class Matrix:
             raise ShapeMismatchError("ragged matrix data")
         p = field.p
         if p:
-            num, den = tuple(tuple([x % p for x in row]) for row in data), 1
+            nz, den = tuple(
+                tuple([(j, y) for j, x in enumerate(row) if (y := x % p)]) for row in data
+            ), 1
         else:
             # entries in lowest terms, over the lcm of their denominators: already coprime
             den = lcm(*{x.denominator for row in data for x in row})
-            num = tuple(
-                tuple([x.numerator * (den // x.denominator) for x in row]) for row in data
+            nz = tuple(
+                tuple([(j, n * (den // x.denominator)) for j, x in enumerate(row)
+                       if (n := x.numerator)])
+                for row in data
             )
-        _set(self, field, rows, cols, num, den)
+        _set(self, field, rows, cols, nz, den)
 
     def __setattr__(self, *args):
         raise AttributeError("Matrix is immutable")
@@ -398,11 +409,11 @@ class Matrix:
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
-        return _new(field, rows, cols, ((0,) * cols,) * rows)
+        return _new(field, rows, cols, ((),) * rows)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        return _new(field, n, n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
+        return _new(field, n, n, tuple(((i, 1),) for i in range(n)))
 
     @staticmethod
     def col(field: Field, entries: Sequence[Scalar]) -> "Matrix":
@@ -425,8 +436,8 @@ class Matrix:
         Over Q the sum is taken over the lcm of the blocks' denominators.
         """
         blocks = list(blocks)
-        p, den = field.p, lcm(*[b.den for _, _, b in blocks])
-        acc = [[0] * cols for _ in range(rows)]
+        den = lcm(*[b.den for _, _, b in blocks])
+        acc = {}  # row -> {column: sum}, for the rows some block writes to
         for r0, c0, b in blocks:
             require_same_field(field, b.field)
             if min(r0, c0) < 0 or r0 + b.rows > rows or c0 + b.cols > cols:
@@ -434,26 +445,35 @@ class Matrix:
                     f"{b.rows}x{b.cols} block at ({r0}, {c0}) outside {rows}x{cols}"
                 )
             s = den // b.den
-            for row, brow in zip(acc[r0:], b.num):
-                for j, x in enumerate(brow, c0):
-                    if x:
-                        row[j] += s * x
-        num = tuple(tuple([x % p for x in row] if p else row) for row in acc)
-        return _new(field, rows, cols, num, den)
+            for i, brow in enumerate(b.nz, r0):
+                row = acc.setdefault(i, {})
+                for j, x in brow:
+                    j += c0
+                    row[j] = row.get(j, 0) + s * x
+        p = field.p
+        nz = tuple(_row(acc[i], p) if i in acc else () for i in range(rows))
+        return _new(field, rows, cols, nz, den)
 
     # -- entries as public scalars -------------------------------------------
 
     @property
     def data(self) -> tuple:
-        """The entries as rows of public scalars, built on first use."""
-        if self.field.p:
-            return self.num
+        """The entries as dense rows of public scalars, built on first use."""
         data = self._data
         if data is None:
-            # one Rational per distinct numerator: structure maps hold few values
-            den = self.den
-            shown = {x: _reduced(x, den) for x in set().union(*self.num)}.__getitem__
-            data = tuple(tuple(map(shown, row)) for row in self.num)
+            if self.field.p:
+                data = tuple(map(tuple, self._dense()))
+            else:
+                # one Rational per distinct numerator: structure maps hold few values
+                den = self.den
+                shown = {x: _reduced(x, den) for row in self.nz for _, x in row}
+                out = []
+                for row in self.nz:
+                    dense = [_ZERO] * self.cols
+                    for j, x in row:
+                        dense[j] = shown[x]
+                    out.append(tuple(dense))
+                data = tuple(out)
             _set_data(self, data)
         return data
 
@@ -473,11 +493,11 @@ class Matrix:
             and self.rows == other.rows
             and self.cols == other.cols
             and self.den == other.den
-            and self.num == other.num
+            and self.nz == other.nz
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.den, self.num))
+        return hash((self.field, self.rows, self.cols, self.den, self.nz))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(self.field.show(x)) for x in row) for row in self.data)
@@ -490,29 +510,27 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatchError(f"add {self.rows}x{self.cols} with {other.rows}x{other.cols}")
         p = self.field.p
-        if p:
-            num = tuple(
-                tuple([(x + y) % p for x, y in zip(r, s)]) for r, s in zip(self.num, other.num)
-            )
-            return _new(self.field, self.rows, self.cols, num)
         den = lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
-        num = tuple(
-            tuple([x * a + y * b for x, y in zip(r, s)]) for r, s in zip(self.num, other.num)
-        )
-        return _new(self.field, self.rows, self.cols, num, den)
+        out = []
+        for r, s in zip(self.nz, other.nz):
+            acc = {j: a * x for j, x in r}
+            get = acc.get
+            for j, y in s:
+                acc[j] = get(j, 0) + b * y
+            out.append(_row(acc, p))
+        return _new(self.field, self.rows, self.cols, tuple(out), den)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + other.scale(self.field.of(-1))
 
     def scale(self, c: Scalar) -> "Matrix":
         p = self.field.p
-        if p:
-            num = tuple(tuple([c * x % p for x in row]) for row in self.num)
-            return _new(self.field, self.rows, self.cols, num)
-        n = c.numerator
-        num = tuple(tuple([n * x for x in row]) for row in self.num)
-        return _new(self.field, self.rows, self.cols, num, self.den * c.denominator)
+        n, d = (c % p, 1) if p else (c.numerator, c.denominator)
+        if not n:
+            return Matrix.zeros(self.field, self.rows, self.cols)
+        nz = tuple(_scaled(n, row, p) for row in self.nz)
+        return _new(self.field, self.rows, self.cols, nz, self.den * d)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         require_same_field(self.field, other.field)
@@ -520,38 +538,104 @@ class Matrix:
             raise ShapeMismatchError(
                 f"product of {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
-        # Only nonzero products contribute: walk the nonzero a_ik of each
-        # left row against the nonzero (j, b_kj) of right row k, listed once.
-        p, cols = self.field.p, other.cols
-        nonzero = [[(j, b) for j, b in enumerate(brow) if b] for brow in other.num]
+        # each nonzero a_ik of a left row meets the nonzero b_kj of right row k
+        p, brows = self.field.p, other.nz
         out = []
-        for arow in self.num:
-            acc = [0] * cols
-            for a, bk in compress(zip(arow, nonzero), arow):
-                for j, b in bk:
-                    acc[j] += a * b
-            out.append(tuple([s % p for s in acc] if p else acc))
-        return _new(self.field, self.rows, cols, tuple(out), self.den * other.den)
+        for arow in self.nz:
+            if len(arow) == 1:  # one right row, scaled: no sums to merge
+                k, a = arow[0]
+                out.append(_scaled(a, brows[k], p))
+                continue
+            acc = {}
+            get = acc.get
+            for k, a in arow:
+                for j, b in brows[k]:
+                    acc[j] = get(j, 0) + a * b
+            out.append(_row(acc, p))
+        return _new(self.field, self.rows, other.cols, tuple(out), self.den * other.den)
+
+    def kron_matmul(self, y: "Matrix", z: "Matrix") -> "Matrix":
+        """(self (x) y) @ z, without building self (x) y.
+
+        Row i*y.rows + t of the result sums a_ik b_tl times row k*y.cols + l of z over the
+        nonzero a_ik of self's row i and b_tl of y's row t.
+        """
+        require_same_field(self.field, y.field)
+        require_same_field(self.field, z.field)
+        c2 = y.cols
+        if self.cols * c2 != z.rows:
+            raise ShapeMismatchError(f"product of {self.rows * y.rows}x{self.cols * c2} "
+                                     f"with {z.rows}x{z.cols}")
+        p, brows, zrows = self.field.p, y.nz, z.nz
+        out = []
+        for arow in self.nz:
+            for brow in brows:
+                if len(arow) == len(brow) == 1:  # one row of z, scaled
+                    (k, a), (l, b) = arow[0], brow[0]
+                    out.append(_scaled(a * b, zrows[k * c2 + l], p))
+                    continue
+                acc = {}
+                get = acc.get
+                for k, a in arow:
+                    base = k * c2
+                    for l, b in brow:
+                        ab = a * b
+                        for j, c in zrows[base + l]:
+                            acc[j] = get(j, 0) + ab * c
+                out.append(_row(acc, p))
+        return _new(self.field, self.rows * y.rows, z.cols, tuple(out),
+                    self.den * y.den * z.den)
+
+    def matmul_kron(self, x: "Matrix", y: "Matrix") -> "Matrix":
+        """self @ (x (x) y), without building x (x) y.
+
+        An entry c of self in column k*y.rows + t meets row k of x and row t of y: it adds
+        c a_kj b_tl to the result's column j*y.cols + l.
+        """
+        require_same_field(self.field, x.field)
+        require_same_field(self.field, y.field)
+        r2, c2 = y.rows, y.cols
+        if self.cols != x.rows * r2:
+            raise ShapeMismatchError(f"product of {self.rows}x{self.cols} "
+                                     f"with {x.rows * r2}x{x.cols * c2}")
+        p, arows, brows = self.field.p, x.nz, y.nz
+        out = []
+        for row in self.nz:
+            acc = {}
+            get = acc.get
+            for kt, c in row:
+                k, t = divmod(kt, r2)
+                brow = brows[t]
+                for j, a in arows[k]:
+                    ca, base = c * a, j * c2
+                    for l, b in brow:
+                        jl = base + l
+                        acc[jl] = get(jl, 0) + ca * b
+            out.append(_row(acc, p))
+        return _new(self.field, self.rows, x.cols * c2, tuple(out), self.den * x.den * y.den)
 
     def apply(self, vec: Sequence[Scalar]) -> tuple:
         """Matrix-vector product (vec as coordinates of the source)."""
         if len(vec) != self.cols:
             raise ShapeMismatchError(f"apply {self.rows}x{self.cols} to vector of length {len(vec)}")
         p = self.field.p
-        nonzero = [(k, v) for k, v in enumerate(vec) if v]
-        if not p:  # the vector as integers over the lcm of its denominators
-            den = lcm(*[v.denominator for _, v in nonzero])
-            nonzero = [(k, v.numerator * (den // v.denominator)) for k, v in nonzero]
-        out = []
-        for row in self.num:
-            s = 0
-            for k, v in nonzero:
-                a = row[k]
-                if a:
-                    s += a * v
-            out.append(s)
         if p:
-            return tuple([s % p for s in out])
+            out = []
+            for row in self.nz:
+                s = 0
+                for k, a in row:
+                    s += a * vec[k]
+                out.append(s % p)
+            return tuple(out)
+        # the vector as integers over the lcm of its denominators
+        den = lcm(*[v.denominator for v in vec if v.numerator])
+        ints = [v.numerator * (den // v.denominator) for v in vec]
+        out = []
+        for row in self.nz:
+            s = 0
+            for k, a in row:
+                s += a * ints[k]
+            out.append(s)
         den *= self.den
         if den == 1:
             return tuple([_make(s, 1) for s in out])
@@ -566,25 +650,38 @@ class Matrix:
         n = p * a * b * q
         if self.cols != n:
             raise ShapeMismatchError(f"product of {self.rows}x{self.cols} with {n}x{n}")
-        src = [
-            ((s * b + j) * a + i) * q + t
-            for s in range(p) for i in range(a) for j in range(b) for t in range(q)
-        ]
-        num = tuple(tuple([row[k] for k in src]) for row in self.num)
-        return _new(self.field, self.rows, n, num, self.den)
+        aq, bq, abq = a * q, b * q, a * b * q
+        out = []
+        for row in self.nz:
+            moved = []
+            for k, x in row:
+                s, k = divmod(k, abq)
+                j, k = divmod(k, aq)
+                i, t = divmod(k, q)
+                moved.append((s * abq + i * bq + j * q + t, x))
+            moved.sort()
+            out.append(tuple(moved))
+        return _new(self.field, self.rows, n, tuple(out), self.den)
 
     def reshape(self, rows: int, cols: int) -> "Matrix":
         """The rows x cols matrix with the same entries, read and written row-major."""
         if rows * cols != self.rows * self.cols:
             raise ShapeMismatchError(f"reshape {self.rows}x{self.cols} to {rows}x{cols}")
-        flat = [x for row in self.num for x in row]
-        num = tuple(tuple(flat[i * cols:(i + 1) * cols]) for i in range(rows))
-        return _new(self.field, rows, cols, num, self.den)
+        out = [[] for _ in range(rows)]
+        width = self.cols
+        for i, row in enumerate(self.nz):
+            base = i * width
+            for j, x in row:
+                r, c = divmod(base + j, cols)
+                out[r].append((c, x))
+        return _new(self.field, rows, cols, tuple(map(tuple, out)), self.den)
 
     def transpose(self) -> "Matrix":
-        if self.rows == 0:
-            return _new(self.field, self.cols, 0, ((),) * self.cols)
-        return _new(self.field, self.cols, self.rows, tuple(zip(*self.num)), self.den)
+        out = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.nz):
+            for j, x in row:
+                out[j].append((i, x))
+        return _new(self.field, self.cols, self.rows, tuple(map(tuple, out)), self.den)
 
     @property
     def T(self) -> "Matrix":
@@ -593,37 +690,36 @@ class Matrix:
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, left factor major (row index i*other.rows + j)."""
         require_same_field(self.field, other.field)
-        p, bnum = self.field.p, other.num
-        # the block a * other for each distinct entry a of self, built once
-        blocks = {0: ((0,) * other.cols,) * other.rows, 1: bnum}
+        p, c2 = self.field.p, other.cols
         out = []
-        for arow in self.num:
-            parts = []
-            for a in arow:
-                block = blocks.get(a)
-                if block is None:
-                    block = blocks[a] = tuple(
-                        tuple([a * b % p for b in brow] if p else [a * b for b in brow])
-                        for brow in bnum
-                    )
-                parts.append(block)
-            for t in range(other.rows):
-                row = []
-                for block in parts:
-                    row += block[t]
-                out.append(tuple(row))
-        return _new(self.field, self.rows * other.rows, self.cols * other.cols, tuple(out),
+        for arow in self.nz:
+            for brow in other.nz:
+                if p:
+                    out.append(tuple([(k * c2 + l, a * b % p) for k, a in arow for l, b in brow]))
+                else:
+                    out.append(tuple([(k * c2 + l, a * b) for k, a in arow for l, b in brow]))
+        return _new(self.field, self.rows * other.rows, self.cols * c2, tuple(out),
                     self.den * other.den)
 
     # -- elimination ----------------------------------------------------------
+
+    def _dense(self) -> list[list[int]]:
+        """The numerators as dense int rows, one new list each."""
+        out = []
+        for row in self.nz:
+            dense = [0] * self.cols
+            for j, x in row:
+                dense[j] = x
+            out.append(dense)
+        return out
 
     def _rref(self):
         """Reduced row echelon form with smallest-index pivoting.
 
         Returns (rows as lists of public scalars, pivot column indices).
-        Over Q the elimination is fraction-free: each working row is an
-        integer multiple of the row it stands for.  With g = gcd(piv, a),
-        a row R with entry a in the pivot column becomes
+        The elimination runs on dense int rows.  Over Q it is fraction-free:
+        each working row is an integer multiple of the row it stands for.
+        With g = gcd(piv, a), a row R with entry a in the pivot column becomes
         (piv / g) * R - (a / g) * P for the pivot row P, and then R over its
         content when piv / g is not 1; only the finished rows are divided by
         their pivots.  Scaling a row changes neither which entries are zero
@@ -631,7 +727,7 @@ class Matrix:
         elimination by division, bit for bit.
         """
         p, nrows, ncols = self.field.p, self.rows, self.cols
-        m = [list(row) for row in self.num]
+        m = self._dense()
         pivots = []
         r = 0
         for c in range(ncols):
@@ -713,12 +809,12 @@ class Matrix:
     def _beside(self, other: "Matrix") -> "Matrix":
         """The block matrix [self | other], over the lcm of the two denominators."""
         den = lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        num = tuple(
-            (r if a == 1 else tuple(a * x for x in r)) + (s if b == 1 else tuple(b * y for y in s))
-            for r, s in zip(self.num, other.num)
+        a, b, c0 = den // self.den, den // other.den, self.cols
+        nz = tuple(
+            tuple([(j, a * x) for j, x in r] + [(c0 + j, b * y) for j, y in s])
+            for r, s in zip(self.nz, other.nz)
         )
-        return _new(self.field, self.rows, self.cols + other.cols, num, den)
+        return _new(self.field, self.rows, self.cols + other.cols, nz, den)
 
     def solve(self, rhs: Sequence[Scalar]) -> tuple | None:
         """One exact solution of self . x = rhs, or None if inconsistent.
@@ -742,36 +838,57 @@ class Matrix:
 
 
 # Slot setters: the one way to fill a Matrix past its immutability guard.
-_set_field, _set_rows, _set_cols, _set_num, _set_den, _set_data = (
+_set_field, _set_rows, _set_cols, _set_nz, _set_den, _set_data = (
     Matrix.__dict__[name].__set__ for name in Matrix.__slots__
 )
 
 
-def _set(m: Matrix, field: Field, rows: int, cols: int, num: tuple, den: int) -> None:
+def _set(m: Matrix, field: Field, rows: int, cols: int, nz: tuple, den: int) -> None:
     _set_field(m, field)
     _set_rows(m, rows)
     _set_cols(m, cols)
-    _set_num(m, num)
+    _set_nz(m, nz)
     _set_den(m, den)
     _set_data(m, None)
 
 
-def _new(field: Field, rows: int, cols: int, num: tuple, den: int = 1) -> Matrix:
-    """The matrix num / den from rows the kernel built, kept as they are (no copy, no checks).
+def _row(acc: dict, p) -> tuple:
+    """The sparse row of the sums in acc (column -> int), reduced mod p over GF(p), without
+    its zeros."""
+    if p:
+        return tuple([(j, y) for j, x in sorted(acc.items()) if (y := x % p)])
+    return tuple([(j, x) for j, x in sorted(acc.items()) if x])
+
+
+def _scaled(c: int, row: tuple, p) -> tuple:
+    """The sparse row c * row, for an int c that is nonzero mod p over GF(p) and nonzero
+    over Q: no entry becomes zero, as p is prime."""
+    if p:
+        c %= p
+    if c == 1:
+        return row
+    if p:
+        return tuple([(j, c * x % p) for j, x in row])
+    return tuple([(j, c * x) for j, x in row])
+
+
+def _new(field: Field, rows: int, cols: int, nz: tuple, den: int = 1) -> Matrix:
+    """The matrix nz / den from sparse rows the kernel built, kept as they are (no copy,
+    no checks).
 
     This is the one normaliser over Q: when den is not 1, it and the
     numerators are divided by their gcd.  Over GF(p) the kernel has already
-    reduced num mod p, and den is 1.
+    reduced nz mod p and dropped the zeros, and den is 1.
     """
     if den != 1:
         g = den
-        for row in num:
+        for row in nz:
             if g == 1:
                 break
-            g = gcd(g, *row)
+            g = gcd(g, *[x for _, x in row])
         if g != 1:
-            num = tuple(tuple([x // g for x in row]) for row in num)
+            nz = tuple(tuple([(j, x // g) for j, x in row]) for row in nz)
             den //= g
     m = _alloc(Matrix)
-    _set(m, field, rows, cols, num, den)
+    _set(m, field, rows, cols, nz, den)
     return m

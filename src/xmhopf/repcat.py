@@ -69,12 +69,13 @@ def validate_module(a: HopfXiCoalgebra, m: AModule) -> Report:
     ident_m = [Matrix.identity(f, m.dim(x)) for x in xs]
     rep.identity("action is associative", (
         (f"x={x}",
-         m.r(x) @ a.component(x).mul.kron(ident_m[x]),
-         m.r(x) @ Matrix.identity(f, a.dim(x)).kron(m.r(x)))
+         m.r(x).matmul_kron(a.component(x).mul, ident_m[x]),
+         m.r(x).matmul_kron(Matrix.identity(f, a.dim(x)), m.r(x)))
         for x in xs
     ))
     rep.identity("action is unital", (
-        (f"x={x}", m.r(x) @ a.component(x).unit_col().kron(ident_m[x]), ident_m[x]) for x in xs
+        (f"x={x}", m.r(x).matmul_kron(a.component(x).unit_col(), ident_m[x]), ident_m[x])
+        for x in xs
     ))
     return rep
 
@@ -133,7 +134,7 @@ def _contragredient(a: HopfXiCoalgebra, x: int, r: Matrix) -> Matrix:
     Column i*d + j carries h_i (x) phi_j, for d = dim of the module."""
     f, d = a.field, r.rows
     n = a.dim(a.H.inv(x))
-    acts = r @ a.S(x).kron(Matrix.identity(f, d))  # column i*d + c: S(h_i) . m_c
+    acts = r.matmul_kron(a.S(x), Matrix.identity(f, d))  # column i*d + c: S(h_i) . m_c
     # row j, column c*n + i of the reshaped transpose: phi_j(S(h_i) . m_c)
     return acts.reshape(d * n, d).T.flip_cols(1, n, d, 1)
 
@@ -168,7 +169,7 @@ def tensor_modules(a: HopfXiCoalgebra, m: AModule, n: AModule) -> AModule:
     actions = tuple(
         _direct_sum_action(f, a.dim(u), [
             m.r(y).kron(n.r(z)).flip_cols(a.dim(y), a.dim(z), m.dim(y), n.dim(z))
-            @ a.delta(y, z).kron(Matrix.identity(f, size))
+            .matmul_kron(a.delta(y, z), Matrix.identity(f, size))
             for (y, z, _, size) in tensor_layout(a, m, n, u) if size
         ])
         for u in a.H.elements()
@@ -188,7 +189,7 @@ def pullback_phi_e(a: HopfXiCoalgebra, n: AModule, e: int) -> AModule:
     for x in H.elements():
         tgt = H.mul(xi_e, x)
         dims.append(n.dim(tgt))
-        actions.append(n.r(tgt) @ a.phi(x, e).kron(Matrix.identity(f, n.dim(tgt))))
+        actions.append(n.r(tgt).matmul_kron(a.phi(x, e), Matrix.identity(f, n.dim(tgt))))
     return AModule(a, tuple(dims), tuple(actions))
 
 
@@ -244,7 +245,8 @@ def hom_is_linear(a: HopfXiCoalgebra, m: AModule, n: AModule, h: GradedHom) -> b
     """alpha_x r_M(x) = r_{phi_e^*N}(x) (id (x) alpha_x) for each block alpha_x of h."""
     pulled = pullback_phi_e(a, n, h.degree)
     return all(
-        h.block(x) @ m.r(x) == pulled.r(x) @ Matrix.identity(a.field, a.dim(x)).kron(h.block(x))
+        h.block(x) @ m.r(x)
+        == pulled.r(x).matmul_kron(Matrix.identity(a.field, a.dim(x)), h.block(x))
         for x in a.H.elements()
     )
 
@@ -333,8 +335,8 @@ def dual_module(a: HopfXiCoalgebra, m: AModule, piv: tuple) -> DualData:
     dual = _concentrated(a, H.inv(x), md, _contragredient(a, x, m.r(x)))
 
     ident = Matrix.identity(f, md)
-    g_mult = m.r(x) @ Matrix.col(f, piv[x]).kron(ident)
-    ginv_mult = m.r(x) @ Matrix.col(f, piv_inv[x]).kron(ident)
+    g_mult = m.r(x).matmul_kron(Matrix.col(f, piv[x]), ident)
+    ginv_mult = m.r(x).matmul_kron(Matrix.col(f, piv_inv[x]), ident)
     return DualData(dual, ident.reshape(1, md * md), ident.reshape(md * md, 1),
                     g_mult.T.reshape(1, md * md), ginv_mult.T.reshape(md * md, 1))
 
@@ -349,15 +351,15 @@ def dual_zigzag_report(a: HopfXiCoalgebra, m: AModule, piv: tuple) -> Report:
 
     rep.identity("left duality", [
         ("(lev (x) id)(id (x) lcoev) != id on M*",
-         dd.left_ev.kron(ident) @ ident.kron(dd.left_coev), ident),
+         dd.left_ev.kron_matmul(ident, ident.kron(dd.left_coev)), ident),
         ("(id (x) lev)(lcoev (x) id) != id on M",
-         ident.kron(dd.left_ev) @ dd.left_coev.kron(ident), ident),
+         ident.kron_matmul(dd.left_ev, dd.left_coev.kron(ident)), ident),
     ])
     rep.identity("right duality", [
         ("(rev (x) id)(id (x) rcoev) != id on M",
-         dd.right_ev.kron(ident) @ ident.kron(dd.right_coev), ident),
+         dd.right_ev.kron_matmul(ident, ident.kron(dd.right_coev)), ident),
         ("(id (x) rev)(rcoev (x) id) != id on M*",
-         ident.kron(dd.right_ev) @ dd.right_coev.kron(ident), ident),
+         ident.kron_matmul(dd.right_ev, dd.right_coev.kron(ident)), ident),
     ])
     return rep
 

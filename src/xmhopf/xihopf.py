@@ -259,7 +259,7 @@ def mk_from_h_action(
     for x in H.elements():
         for y in H.elements():
             xy_inv = H.inv(H.mul(x, y))
-            coproduct[(x, y)] = rho[x].kron(rho[y]) @ delta @ rho[xy_inv]
+            coproduct[(x, y)] = rho[x].kron_matmul(rho[y], delta) @ rho[xy_inv]
     antipode = tuple(rho[x] @ s @ rho[x] for x in H.elements())
     action = {
         (x, e): rho[cm.xi_of(e)] for x in H.elements() for e in E.elements()

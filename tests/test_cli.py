@@ -490,8 +490,8 @@ def test_dual_hopf_module_without_an_antipode_names_its_entry(tmp_path):
 
 
 def test_benchmark_tracer_installs_and_restores_every_original():
-    # perfbench/spans.py wraps names it looks up (Matrix.flip, CommandResult.render, every
-    # public function of the traced modules); a missing one breaks every traced run
+    # perfbench/spans.py wraps names it looks up (five Matrix methods, CommandResult.render,
+    # every public function of the traced modules); a missing one breaks every traced run
     import importlib
     import importlib.util
 
@@ -511,7 +511,12 @@ def test_benchmark_tracer_installs_and_restores_every_original():
     tracer = spans.Tracer()
     try:
         tracer.install()
-        assert Matrix.__dict__["flip"] is not before[1]["flip"]
+        for attr in ("__matmul__", "kron", "apply", "_rref", "flip"):
+            assert Matrix.__dict__[attr] is not before[1][attr], attr
+        # the fused Kronecker products are Matrix methods that no span wraps, so their time
+        # stays in the self time of the validators that call them
+        for attr in ("kron_matmul", "matmul_kron"):
+            assert Matrix.__dict__[attr] is before[1][attr], attr
         assert CommandResult.__dict__["render"] is not before[2]["render"]
         assert hopf.is_grouplike is not is_grouplike
     finally:

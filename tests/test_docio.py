@@ -88,6 +88,61 @@ def test_out_of_range_residue_is_field_mismatch():
         parse(doc_bytes(bad))
 
 
+def integer_literal_document(fixture: str) -> dict:
+    """The fixture in explicit form (docio.serialize), every integer literal of its Hopf
+    structures and modules written as a JSON integer."""
+
+    def ints(v):
+        if isinstance(v, list):
+            return [ints(x) for x in v]
+        if isinstance(v, dict):
+            return {k: ints(x) for k, x in v.items()}
+        return int(v) if isinstance(v, str) and v.removeprefix("-").isdigit() else v
+
+    doc = json.loads(serialize(parse((FIXTURES / fixture).read_bytes())))
+    for section in ("hopf", "modules", "hopf_modules"):
+        doc[section] = ints(doc.get(section, {}))
+    return doc
+
+
+# Each literal is read after the document's many integer literals 0 and 1 (the components,
+# the antipode and the action come first): a memo of parsed literals must not take true,
+# false or 1.0 for the integer they equal, nor pass a bad literal that follows good ones.
+# Each message is that of a reader that parses every entry on its own.
+COPRODUCT, RHO = ("hopf", "coproduct"), ("hopf_modules", "rho")
+LITERAL_CASES = [
+    (fixture, where, row, value, refused.format(shown))
+    for fixture, refused in (
+        ("bichar_z2.json", "not a rational literal: {}"),
+        ("bichar_z2_gf5.json", "GF(5) scalar must be an integer, got {}"),
+    )
+    for value, shown in ((True, "True"), (False, "False"), (1.0, "1.0"))
+    for where, row in ((COPRODUCT, 3), (COPRODUCT, 1))  # entry [row][1] follows a 1, a 0
+] + [
+    ("bichar_z2.json", RHO, 3, "x", "not a rational literal: 'x'"),
+    ("bichar_z2.json", RHO, 3, "1/0", "not a rational literal: '1/0'"),
+    ("bichar_z2_gf5.json", RHO, 3, 5, "rational literal 5 in a GF(5) document"),
+    ("bichar_z2_gf5.json", RHO, 3, "1", "rational literal '1' in a GF(5) document"),
+]
+
+
+@pytest.mark.parametrize("fixture, where, row, value, message", LITERAL_CASES)
+def test_a_literal_is_refused_wherever_it_follows_equal_values(tmp_path, capsys, fixture, where,
+                                                               row, value, message):
+    from xmhopf.cli import main
+
+    doc = integer_literal_document(fixture)
+    section, table = where
+    name = next(iter(doc[section]))
+    doc[section][name][table]["0,0"][row][1] = value
+    target = tmp_path / "doc.json"
+    target.write_text(json.dumps(doc))
+    assert main(["verify", str(target), name]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error: {section}.{name}.{table}[0,0][{row}][1]: {message}\n"
+
+
 def test_missing_name_is_reference_error():
     bad = json.loads(json.dumps(MINIMAL))
     bad["hopf"]["k_xi"] = {"trivial": "nonexistent"}

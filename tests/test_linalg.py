@@ -382,6 +382,36 @@ def test_kron_matches_naive_oracle(field, data, shape):
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@given(data=st.data(), shape=st.tuples(dims, dims, dims, dims, dims))
+def test_kron_matmul_matches_naive_kron_then_mul(field, data, shape):
+    r1, c1, r2, c2, cols = shape
+    x = draw_matrix(data, field, r1, c1)
+    y = draw_matrix(data, field, r2, c2)
+    z = draw_matrix(data, field, c1 * c2, cols)
+    fused = x.kron_matmul(y, z)
+    assert fused == naive_mul(naive_kron(x, y), z)
+    assert (fused.rows, fused.cols) == (r1 * r2, cols)
+    assert_normal(fused)
+    with pytest.raises(ShapeMismatchError):
+        x.kron_matmul(y, draw_matrix(data, field, c1 * c2 + 1, cols))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@given(data=st.data(), shape=st.tuples(dims, dims, dims, dims, dims))
+def test_matmul_kron_matches_naive_kron_then_mul(field, data, shape):
+    rows, r1, c1, r2, c2 = shape
+    z = draw_matrix(data, field, rows, r1 * r2)
+    x = draw_matrix(data, field, r1, c1)
+    y = draw_matrix(data, field, r2, c2)
+    fused = z.matmul_kron(x, y)
+    assert fused == naive_mul(z, naive_kron(x, y))
+    assert (fused.rows, fused.cols) == (rows, c1 * c2)
+    assert_normal(fused)
+    with pytest.raises(ShapeMismatchError):
+        draw_matrix(data, field, rows, r1 * r2 + 1).matmul_kron(x, y)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
 @given(data=st.data(), shape=st.tuples(dims, dims))
 def test_apply_matches_naive_oracle(field, data, shape):
     rows, cols = shape
@@ -516,7 +546,7 @@ def test_place_over_coprime_denominators():
     assert whole.den == 1 and whole.data == ((q(1), q(-1)),)
 
 
-@pytest.mark.parametrize("field", (QQ, GF5), ids=repr)
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
 @given(data=st.data(), shape=st.tuples(dims, flip_dims, flip_dims, flip_dims, flip_dims))
 def test_flip_cols_matches_naive_sandwich(field, data, shape):
     rows, p, a, b, q = shape
@@ -539,6 +569,13 @@ def test_matmul_shape_and_field_errors():
         mat(QQ, [[1, 2]]) @ mat(QQ, [[1, 2]])
     with pytest.raises(MixedFieldsError):
         Matrix.identity(QQ, 2) @ Matrix.identity(GF5, 2)
+    # the fused Kronecker products, with the odd field in each of the three places
+    a, b = Matrix.identity(QQ, 1), Matrix.identity(GF5, 1)
+    for x, y, z in ((a, a, b), (a, b, a), (b, a, a)):
+        with pytest.raises(MixedFieldsError):
+            x.kron_matmul(y, z)
+        with pytest.raises(MixedFieldsError):
+            z.matmul_kron(x, y)
 
 
 def test_kron_identities():
@@ -736,37 +773,44 @@ def test_rref_with_coprime_denominators():
 
 
 def assert_normal(m: Matrix):
-    """The one (num, den) of a matrix: ints, den > 0 and coprime to the numerators over Q;
-    residues in [0, p) over 1 over GF(p)."""
-    entries = [x for row in m.num for x in row]
-    assert all(type(x) is int for x in entries) and type(m.den) is int
-    assert len(m.num) == m.rows and all(len(row) == m.cols for row in m.num)
+    """The one (nz, den) of a matrix: per row, nonzero int entries at distinct columns in
+    [0, cols), in column order; den > 0 and coprime to the numerators over Q; residues in
+    [1, p) over 1 over GF(p)."""
+    assert type(m.nz) is tuple and len(m.nz) == m.rows and type(m.den) is int
+    for row in m.nz:
+        assert type(row) is tuple and all(type(pair) is tuple and len(pair) == 2 for pair in row)
+        columns = [j for j, _ in row]
+        assert all(type(j) is int for j in columns) and columns == sorted(set(columns))
+        assert all(0 <= j < m.cols for j in columns)
+    entries = [x for row in m.nz for _, x in row]
+    assert all(type(x) is int and x for x in entries)
     if m.field.p is None:
         assert m.den > 0 and math.gcd(m.den, *entries) == 1
     else:
-        assert m.den == 1 and all(0 <= x < m.field.p for x in entries)
+        assert m.den == 1 and all(0 < x < m.field.p for x in entries)
 
 
 def assert_same(a: Matrix, b: Matrix):
     assert_normal(a)
     assert_normal(b)
     assert a == b and hash(a) == hash(b)
-    assert (a.num, a.den) == (b.num, b.den)
+    assert (a.nz, a.den) == (b.nz, b.den)
 
 
 def test_equal_rationals_have_one_normal_form():
     half = Matrix(QQ, [[Fraction(1, 2)]])
     assert_same(Matrix(QQ, [[Fraction(2, 4)]]), half)
-    assert half.num == ((1,),) and half.den == 2
+    assert half.nz == (((0, 1),),) and half.den == 2
     a = Matrix(QQ, [[Fraction(2, 3), Fraction(0)], [Fraction(-5, 6), Fraction(4)]])
-    assert a.num == ((4, 0), (-5, 24)) and a.den == 6
+    assert a.nz == (((0, 4),), ((0, -5), (1, 24))) and a.den == 6
     assert_same(a.scale(QQ.of(3)).scale(Fraction(1, 3)), a)
     assert_same(a @ Matrix.identity(QQ, 2), a)
     assert_same(a.scale(QQ.zero), Matrix.zeros(QQ, 2, 2))
-    assert Matrix.zeros(QQ, 2, 2).den == 1
+    assert Matrix.zeros(QQ, 2, 2).den == 1 and Matrix.zeros(QQ, 2, 2).nz == ((), ())
     assert_same(a + a.scale(Fraction(-1)), Matrix.zeros(QQ, 2, 2))
-    # over GF(p) the constructor reduces what it is given
+    # over GF(p) the constructor reduces what it is given, and drops the entries it zeroes
     assert_same(Matrix(GF5, [[7, -1], [5, 4]]), Matrix(GF5, [[2, 4], [0, 4]]))
+    assert Matrix(GF5, [[7, -1], [5, 4]]).nz == (((0, 2), (1, 4)), ((1, 4),))
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
