@@ -14,8 +14,12 @@ builds the benchmark's generated workloads (perfbench/gen.py) at seed GEN_SEED
 in a temporary directory and runs each of their invocations, sorted; the
 directory's path shows as GEN_DIR in their lines.  Then it runs `verify - g` on
 each MALFORMED and DEFERRED_MALFORMED document of tests/test_cli.py, read from
-stdin; their lines show the document as `< MALFORMED[id]`.  Each of these
-invocations runs once as text and once with --json.
+stdin; their lines show the document as `< MALFORMED[id]`.  Then, on each
+mutation document with a `trivial: v` Hopf module added over each of its Hopf
+structures for v in TRIVIAL_FIBRES, read from stdin, it runs `verify` of each
+added module and `structure-theorem` on it; their lines show the document as
+`< TRIVIAL[file]`.  Each of these invocations runs once as text and once with
+--json.
 
 Last come the argument lists of ARGV, each run once, with fixtures/k_xi_z2.json
 as the document and on stdin, and shown as `argv` and its JSON list: the forms of
@@ -52,6 +56,7 @@ from xmhopf.errors import XmhopfError  # noqa: E402
 SECTIONS = ("groups", "crossed_modules", "hopf", "modules", "hopf_modules", "grouplikes",
             "integrals")
 GEN_SEED = 1
+TRIVIAL_FIBRES = (0, 2)
 GEN_DIR = "<gen>"
 CLI_TESTS = os.path.join(ROOT, "tests", "test_cli.py")
 DOC = "fixtures/k_xi_z2.json"
@@ -163,6 +168,33 @@ def malformed():
             for key, sections in tables[table].items()]
 
 
+def trivial_modules():
+    """(argument list, document bytes, label) of `verify` and `structure-theorem` of a
+    `trivial: v` Hopf module, named `trivial_v_over_H`, added over each Hopf structure H of each
+    mutation document for each v in TRIVIAL_FIBRES.
+
+    A mutation document is explicit (fixtures/gen_mutations.py), so these are the `trivial`
+    directives that run over a broken structure.
+    """
+    out = []
+    for rel in documents():
+        if not rel.startswith("fixtures/mutations/"):
+            continue
+        with open(os.path.join(ROOT, rel)) as fh:
+            doc = json.load(fh)
+        added = {f"trivial_{v}_over_{over}": (over, v)
+                 for over in sorted(doc["hopf"]) for v in TRIVIAL_FIBRES}
+        names = {name for section in SECTIONS for name in doc.get(section, {})}
+        assert not names & set(added), rel
+        doc["hopf_modules"] = dict(doc.get("hopf_modules", {}), **{
+            name: {"over": over, "trivial": v} for name, (over, v) in added.items()})
+        data, label = json.dumps(doc, sort_keys=True).encode(), f" < TRIVIAL[{rel[19:]}]"
+        for name, (over, _) in added.items():
+            out += [(["verify", "-", name], data, label),
+                    (["structure-theorem", "-", over, name], data, label)]
+    return out
+
+
 def run(argv, stdin=b""):
     """(exit code, stdout, stderr) of one in-process call; an escaped exception is its own code."""
     out, err = io.StringIO(), io.StringIO()
@@ -185,6 +217,7 @@ def main():
         calls = [(args, b"", "") for rel in documents() for args in invocations(rel)]
         calls += [(args, b"", "") for args in generated(tmp)]
         calls += [(["verify", "-", "g"], data, f" < {label}") for label, data in malformed()]
+        calls += trivial_modules()
         for args, stdin, source in calls:
             for argv in (args, args + ["--json"]):
                 code, out, err = run(argv, stdin)
