@@ -42,13 +42,13 @@ from .xihopf import (
 MAX_GROUP_ORDER = 100
 
 # The largest validation_cost a Hopf structure may have, fitted on a ladder with the guard
-# lifted (Python 3.11, one 2-vCPU VM), each structure carrying a `dual: true` Hopf module.
-# The largest sizes it admits are the trivial structure over id: Z/38 -> Z/38 (cost 2.4e7)
-# and k[Z/16] with E = Z/16 (2.0e7) or E trivial (1.8e7); Z/39 and k[Z/17] cost 2.6e7.  On
-# them `verify`, `report`, `dual` and `structure-theorem` take 1.4-1.6 s, `integrals` and
-# `grouplikes` at most 0.1 s.  In the same hour the slowest call the previous estimate
-# admitted, `verify` or `report` of k[Z/16] with E trivial (2.1-2.7 s when first
-# measured), took 1.5 s.
+# lifted (Python 3.11, one 2-vCPU VM), each structure carrying a `dual: true` Hopf module,
+# when Matrix stored dense rows.  The largest sizes it admits are the trivial structure over
+# id: Z/38 -> Z/38 (cost 2.4e7) and k[Z/16] with E = Z/16 (2.0e7) or E trivial (1.8e7);
+# Z/39 and k[Z/17] cost 2.6e7.  On them `verify`, `report`, `dual` and `structure-theorem`
+# took 1.4-1.6 s on dense rows.  On sparse rows they take 0.8-0.9 s over Z/38 and 0.08-0.10 s
+# over k[Z/16], and `integrals` and `grouplikes` at most 0.13 s (best of 3 CLI runs, same
+# VM and Python); the bound has not been re-fitted to that kernel.
 MAX_VALIDATION_COST = 25 * 10**6
 
 # What one case of an identity costs beyond the entries of its matrices, counted in
@@ -101,9 +101,15 @@ def trivial_module_cost(h_order: int, dim: int, v: int) -> int:
     """Estimated work, in the units of validation_cost, of the trivial Hopf module A (x) V
     with dim V = v over |H| components of dim <= dim.
 
-    Fitted on `structure-theorem` when it solved one system per vector of M_1; at the bound
-    it now takes 0.5 s over the trivial structure of Z/2 (v = 146), 0.2-0.3 s over Z/1
-    (v = 184) and 0.8-1.1 s over Sweedler's algebra (v = 29) (Python 3.11, one 2-vCPU VM).
+    Fitted on `structure-theorem` when it solved one system per vector of M_1 and Matrix
+    stored dense rows.  At the bound it now takes 0.08 s over the trivial structure of Z/2
+    (v = 146), 0.05 s over Z/1 (v = 184) and 0.04 s over Sweedler's algebra (v = 29), best
+    of 3 CLI runs (Python 3.11, one 2-vCPU VM).  `verify` of a trivial module with v >= 1
+    checks A's regular Hopf module in its place (cli._check_hopf_module), so only the
+    coinvariant system of `structure-theorem` grows with v, and the estimate does not bound
+    how it grows with |H|: over id: Z/38 -> Z/38 it admits v = 54, whose coinvariant system
+    of 155,952 equations in 2,052 unknowns `structure-theorem` eliminates on dense working
+    rows, more than a 2 GiB address space holds.
     """
     return 4 * h_order * dim * (dim * v) ** 3
 
@@ -171,12 +177,13 @@ class StructureDocument(Record):
 
     modules and hopf_modules hold (Hopf structure name, module), grouplikes hold (name,
     family), integrals hold (name, side, family); element_names maps a group name to
-    the tuple of its element labels.
+    the tuple of its element labels, and fibres the name of each `trivial: v` Hopf module
+    to v.
     """
 
     __slots__ = ("field", "groups", "crossed_modules", "hopf", "modules", "hopf_modules",
-                 "grouplikes", "integrals", "element_names")
-    _defaults = dict(dict.fromkeys(__slots__[1:-1], Section), element_names=dict)
+                 "grouplikes", "integrals", "element_names", "fibres")
+    _defaults = dict(dict.fromkeys(__slots__[1:-2], Section), element_names=dict, fibres=dict)
 
     def element_index(self, group, label: str):
         """Resolve an element label of a group of this document, `group` itself, to its index.
@@ -557,6 +564,7 @@ def _parse_hopf_module(doc: StructureDocument, name: str, spec, where, lits):
     if "trivial" in spec:
         a, v = doc.hopf[over], _int(spec["trivial"], where)
         _check_cost(where, trivial_module_cost(a.H.order, max(map(a.dim, a.H.elements())), v))
+        doc.fibres[name] = v
         return over, trivial_hopf_module(a, v)
     if _directive(spec, "dual", where):
 

@@ -26,11 +26,20 @@ restate, transposed, what it has already checked.
   algebra morphisms, coproduct compatibility, compatibility with S), and the
   module laws and (c) from its associativity, bialgebra law and antipode.
 
-`verify` of a `dual: true` Hopf module and `structure-theorem` on one still
-validate it and solve its coinvariants, since they do not validate A beyond
-the premises of check (d) (validate_module_premises).
 tests/test_hopfmod.py checks both statements against a reference gate on
 single-entry perturbations of Delta, phi, mu, S and epsilon.
+
+`verify` of a Hopf module over A and `structure-theorem` on one validate A only
+as far as the premises of check (d) (validate_module_premises), and then run
+validate_hopf_xi_module on (cli._check_hopf_module):
+* an explicit module: the module itself;
+* a `dual: true` module: the module itself, since its axioms follow from all of
+  A's, which they do not validate;
+* a `trivial: v` module, v >= 1: A's regular Hopf module.  A (x) V's maps are A's
+  tensored with id_V, so each case on A (x) V is the same case on A tensored with
+  id_V, with the same verdict and label;
+* a `trivial: 0` module: A (x) 0 itself, on which every case holds.
+`structure-theorem` then solves the coinvariants of the module itself.
 """
 
 from __future__ import annotations
@@ -168,7 +177,9 @@ def validate_module_premises(a: HopfXiCoalgebra) -> Report:
     checks, and phi_{x,1} = id, the unit law of `a` read as its own regular Hopf module.
 
     `verify` of a Hopf module and `structure-theorem` merge these, and not the rest of
-    full_validation_report(a), ahead of validate_hopf_xi_module.
+    full_validation_report(a), ahead of validate_hopf_xi_module on the module: an explicit
+    or `dual: true` one, or A (x) 0, itself, and a `trivial: v` one with v >= 1 as A's regular
+    Hopf module (cli._check_hopf_module).
     """
     rep = Report("premises over the structure")
     rep.merge(validate_components(a.cm))

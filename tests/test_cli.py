@@ -1163,8 +1163,9 @@ def test_structure_above_cost_bound_is_input_error(doc, command):
 
 
 def test_cost_bound_sits_where_the_ladder_put_it():
-    # the largest sizes the bound admits, where verify, report, dual and structure-theorem
-    # take 1.4-1.6 s (docio's comment), and the next ones, which it refuses
+    # the largest sizes the bound admits, fitted where verify, report, dual and
+    # structure-theorem took 1.4-1.6 s on dense rows and now take 0.8-0.9 s over Z/38 and
+    # 0.1 s over k[Z/16] (docio's comment), and the next ones, which it refuses
     from xmhopf.docio import DocumentSyntaxError, parse
 
     for admitted, refused in ((trivial_cyclic(38), trivial_cyclic(39)),
@@ -1214,9 +1215,38 @@ def test_trivial_hopf_module_above_cost_bound_is_input_error():
     assert "Traceback" not in proc.stderr
 
 
+def _with_trivial_module(doc, v):
+    return dict(doc, hopf_modules={"t": {"over": "k", "trivial": v}})
+
+
+# the largest trivial modules the guard admits over the structures at the bound: verify of
+# the module ran out of memory (k[Z/16]) or took 56 s (Z/38) when A (x) V was checked on
+# dense rows
+AT_BOUND = [
+    ("k[Z/16]-trivial-4-verify", _with_trivial_module(bicharacter_cyclic(16), 4), ["verify", "t"]),
+    ("Z/38-trivial-54-verify", _with_trivial_module(trivial_cyclic(38), 54), ["verify", "t"]),
+    ("k[Z/16]-trivial-4-structure-theorem", _with_trivial_module(bicharacter_cyclic(16), 4),
+     ["structure-theorem", "k", "t"]),
+]
+
+
+@pytest.mark.parametrize("doc,args", [(d, a) for _, d, a in AT_BOUND],
+                         ids=[n for n, _, _ in AT_BOUND])
+def test_trivial_hopf_module_at_the_cost_bound_is_prompt(doc, args):
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "xmhopf.cli", args[0], "-", *args[1:]], input=json.dumps(doc),
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+    )
+    assert time.monotonic() - start < 10
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.endswith("result: PASS\n")
+    assert proc.stderr == ""
+
+
 def test_trivial_hopf_module_cost_bound_sits_where_the_ladder_put_it():
     # 4 |H| dim (dim v)^3 units: the trivial structure over Z/2 admits a fibre of 146, where
-    # structure-theorem takes 0.5 s (docio's comment), and refuses 147
+    # structure-theorem takes 0.08 s (docio's trivial_module_cost), and refuses 147
     from xmhopf.docio import DocumentSyntaxError, parse
 
     def doc(v):
@@ -1350,6 +1380,27 @@ def test_dual_hopf_module_is_validated_once(monkeypatch, capsys):
         builds.clear()
         assert cli.main(args) == 0, args
         assert (len(validations), len(builds)) == (1, count), args
+    capsys.readouterr()
+
+
+def test_trivial_hopf_module_is_checked_as_its_structure(monkeypatch, tmp_path, capsys):
+    # A (x) V's identities are A's regular module's tensored with id_V (cli._check_hopf_module),
+    # so for v >= 1 the module checked has A's dims; A (x) 0 is checked as itself
+    import xmhopf.cli as cli
+    import xmhopf.hopfmod as hopfmod
+
+    validations = _count_calls(monkeypatch, "validate_hopf_xi_module", cli, hopfmod)
+    doc = json.loads((FIXTURES / "k_xi_z2.json").read_text())
+    doc["hopf_modules"]["trivial_mod_0"] = {"over": "k_xi_z2", "trivial": 0}
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps(doc))
+    for args, dims in [(["verify", DOC, "trivial_mod_2"], (1, 1)),
+                       (["structure-theorem", DOC, "k_xi_z2", "trivial_mod_2"], (1, 1)),
+                       (["verify", str(path), "trivial_mod_0"], (0, 0)),
+                       (["structure-theorem", str(path), "k_xi_z2", "trivial_mod_0"], (0, 0))]:
+        validations.clear()
+        assert cli.main(args) == 0, args
+        assert [m.dims for _, m in validations] == [dims], args
     capsys.readouterr()
 
 

@@ -26,13 +26,21 @@ reports fail on every one of them; the premises of the derivation hold only on t
 perturbations psi'_{x,e} = T_{xi(e)x} psi_{x,e} T_x^-1, for a graded automorphism T of M,
 with r and rho left alone.  On those too the reduced report fails wherever the full one
 does, and some of them fail check (d) on most examples.
+
+`verify` of a `trivial: v` Hopf module and `structure-theorem` on one check A's regular
+Hopf module in place of A (x) V when v >= 1 (`cli._check_hopf_module` derives it).  The
+oracle is the check of A (x) V itself, `validate_hopf_xi_module(a, trivial_hopf_module(a,
+v))` after `validate_module_premises(a)`: on every Hopf structure of every fixture and
+mutation and v = 0, 1, 2 and 3, the CLI's checks equal it in names, counts and witnesses.
 """
 
 import itertools
+import json
 
 import pytest
 
 from tests.conftest import (
+    FIXTURES,
     GF5,
     QQ,
     make_bichar_z2,
@@ -45,7 +53,9 @@ from tests.conftest import (
 )
 from tests.test_action_oracle import bumped, oracle_action_laws
 from tests.test_hopfmod import ORACLE_EXAMPLES, ORACLE_STRIDE, structure_perturbations
+from xmhopf.cli import main
 from xmhopf.crossed import abelian_to_point, validate_components, validate_crossed_module
+from xmhopf.docio import parse
 from xmhopf.groups import cyclic
 from xmhopf.hopf import ComponentAlgebra, GradedHopfCoalgebra, validate_antipode
 from xmhopf.hopfmod import (
@@ -402,3 +412,29 @@ def test_reduced_check_d_keeps_the_cases_e_1_of_a_structure(field):
     assert [(c.name, c.violations) for c in full.checks if not c.ok] == [
         ("(d) psi equivariance laws", 2)]
 
+
+# (document, Hopf structure) for every Hopf structure of every fixture and mutation
+TRIVIAL_OVER = [
+    (path.relative_to(FIXTURES).as_posix(), over)
+    for path in sorted(FIXTURES.glob("*.json")) + sorted(FIXTURES.glob("mutations/mut*.json"))
+    for over in sorted(json.loads(path.read_text())["hopf"])
+]
+
+
+@pytest.mark.parametrize("v", [0, 1, 2, 3])
+@pytest.mark.parametrize("rel,over", TRIVIAL_OVER, ids=[f"{r}:{o}" for r, o in TRIVIAL_OVER])
+def test_cli_checks_a_trivial_module_as_its_oracle_does(rel, over, v, tmp_path, capsys):
+    doc = json.loads((FIXTURES / rel).read_text())
+    doc["hopf_modules"] = dict(doc.get("hopf_modules", {}), oracle_trivial={"over": over,
+                                                                            "trivial": v})
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps(doc))
+    a = parse(path.read_bytes()).hopf[over]
+    oracle = Report("oracle")
+    oracle.merge(validate_module_premises(a))
+    oracle.merge(validate_hopf_xi_module(a, trivial_hopf_module(a, v)))
+    code = main(["verify", str(path), "oracle_trivial", "--json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert code == (0 if oracle.ok else 1)
+    assert [(c["name"], c["violations"], c["witnesses"]) for c in checks] == [
+        (c.name, c.violations, c.witnesses) for c in oracle.checks]

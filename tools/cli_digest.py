@@ -188,7 +188,8 @@ def trivial_modules():
         assert not names & set(added), rel
         doc["hopf_modules"] = dict(doc.get("hopf_modules", {}), **{
             name: {"over": over, "trivial": v} for name, (over, v) in added.items()})
-        data, label = json.dumps(doc, sort_keys=True).encode(), f" < TRIVIAL[{rel[19:]}]"
+        data = json.dumps(doc, sort_keys=True).encode()
+        label = f" < TRIVIAL[{os.path.basename(rel)}]"
         for name, (over, _) in added.items():
             out += [(["verify", "-", name], data, label),
                     (["structure-theorem", "-", over, name], data, label)]
