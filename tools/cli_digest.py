@@ -16,9 +16,9 @@ directory's path shows as GEN_DIR in their lines.  Then it runs `verify - g` on
 each MALFORMED and DEFERRED_MALFORMED document of tests/test_cli.py, read from
 stdin; their lines show the document as `< MALFORMED[id]`.  Then, on each
 mutation document with a `trivial: v` Hopf module added over each of its Hopf
-structures for v in TRIVIAL_FIBRES, read from stdin, it runs `verify` of each
-added module and `structure-theorem` on it; their lines show the document as
-`< TRIVIAL[file]`.  Each of these invocations runs once as text and once with
+structures for each v of one group of TRIVIAL_FIBRES, once per group, read from
+stdin, it runs `verify` of each added module and `structure-theorem` on it;
+their lines show the document as `< TRIVIAL[file]`.  Each of these invocations runs once as text and once with
 --json.
 
 Last come the argument lists of ARGV, each run once, with fixtures/k_xi_z2.json
@@ -56,7 +56,9 @@ from xmhopf.errors import XmhopfError  # noqa: E402
 SECTIONS = ("groups", "crossed_modules", "hopf", "modules", "hopf_modules", "grouplikes",
             "integrals")
 GEN_SEED = 1
-TRIVIAL_FIBRES = (0, 2)
+# the fibres v added to a mutation document, one document per group: a group added later gets
+# a document of its own, so the lines of the earlier groups keep their document and digests
+TRIVIAL_FIBRES = ((0, 2), (3,))
 GEN_DIR = "<gen>"
 CLI_TESTS = os.path.join(ROOT, "tests", "test_cli.py")
 DOC = "fixtures/k_xi_z2.json"
@@ -171,7 +173,7 @@ def malformed():
 def trivial_modules():
     """(argument list, document bytes, label) of `verify` and `structure-theorem` of a
     `trivial: v` Hopf module, named `trivial_v_over_H`, added over each Hopf structure H of each
-    mutation document for each v in TRIVIAL_FIBRES.
+    mutation document for each v of a group of TRIVIAL_FIBRES, one document per group.
 
     A mutation document is explicit (fixtures/gen_mutations.py), so these are the `trivial`
     directives that run over a broken structure.
@@ -180,19 +182,20 @@ def trivial_modules():
     for rel in documents():
         if not rel.startswith("fixtures/mutations/"):
             continue
-        with open(os.path.join(ROOT, rel)) as fh:
-            doc = json.load(fh)
-        added = {f"trivial_{v}_over_{over}": (over, v)
-                 for over in sorted(doc["hopf"]) for v in TRIVIAL_FIBRES}
-        names = {name for section in SECTIONS for name in doc.get(section, {})}
-        assert not names & set(added), rel
-        doc["hopf_modules"] = dict(doc.get("hopf_modules", {}), **{
-            name: {"over": over, "trivial": v} for name, (over, v) in added.items()})
-        data = json.dumps(doc, sort_keys=True).encode()
         label = f" < TRIVIAL[{os.path.basename(rel)}]"
-        for name, (over, _) in added.items():
-            out += [(["verify", "-", name], data, label),
-                    (["structure-theorem", "-", over, name], data, label)]
+        for fibres in TRIVIAL_FIBRES:
+            with open(os.path.join(ROOT, rel)) as fh:
+                doc = json.load(fh)
+            added = {f"trivial_{v}_over_{over}": (over, v)
+                     for over in sorted(doc["hopf"]) for v in fibres}
+            names = {name for section in SECTIONS for name in doc.get(section, {})}
+            assert not names & set(added), rel
+            doc["hopf_modules"] = dict(doc.get("hopf_modules", {}), **{
+                name: {"over": over, "trivial": v} for name, (over, v) in added.items()})
+            data = json.dumps(doc, sort_keys=True).encode()
+            for name, (over, _) in added.items():
+                out += [(["verify", "-", name], data, label),
+                        (["structure-theorem", "-", over, name], data, label)]
     return out
 
 
