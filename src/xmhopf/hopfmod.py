@@ -39,7 +39,10 @@ validate_hopf_xi_module on (cli._check_hopf_module):
   tensored with id_V, so each case on A (x) V is the same case on A tensored with
   id_V, with the same verdict and label;
 * a `trivial: 0` module: A (x) 0 itself, on which every case holds.
-`structure-theorem` then solves the coinvariants of the module itself.
+`structure-theorem` then solves the coinvariants of, and trivialises, the module it
+checked.  For `trivial: v`, v >= 1, A (x) V's coinvariant system and each composite of
+the trivialisation are A's tensored with the identity of V, so it prints A's coinvariants
+tensored with V's basis and A's verdict (cli._check_hopf_module derives it).
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ import pytest
 
 from xmhopf import cli
 from xmhopf.cli import main
-from xmhopf.docio import MAX_GROUP_ORDER, MAX_VALIDATION_COST
+from xmhopf.docio import MAX_GROUP_ORDER, MAX_VALIDATION_COST, parse
+from xmhopf.xihopf import dualize, dualize_algebra, validate_hopf_xi_algebra
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 DOC = str(FIXTURES / "k_xi_z2.json")
@@ -334,6 +335,16 @@ def test_dual_and_verify_agree(path, name, capsys):
     verdicts = [main([command, str(path), name]) for command in ("verify", "dual")]
     capsys.readouterr()
     assert verdicts[0] == verdicts[1]
+    # dual reads the report of B = dualize(A) off A (cli.cmd_dual); the oracle builds B and
+    # checks it, and the double dual is A again (every shipped structure has an antipode)
+    a = parse(path.read_bytes()).hopf[name]
+    b = dualize(a)
+    assert dualize_algebra(b) == a
+    oracle = validate_hopf_xi_algebra(b)
+    main(["dual", str(path), name, "--json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["name"], c["violations"], c["witnesses"]) for c in checks] == [
+        (f"{oracle.title}: {c.name}", c.violations, c.witnesses) for c in oracle.checks]
 
 
 def test_dual_command():
@@ -416,7 +427,6 @@ def fixture_verifications(pattern="*.json"):
     """(file:name, CommandResult) of `verify` on every name of every document matching pattern,
     by default every shipped valid document."""
     from xmhopf.cli import CommandResult, _verify_object
-    from xmhopf.docio import parse
 
     for doc_path in sorted(FIXTURES.glob(pattern)):
         doc = parse(doc_path.read_bytes())
@@ -1166,7 +1176,7 @@ def test_cost_bound_sits_where_the_ladder_put_it():
     # the largest sizes the bound admits, fitted where verify, report, dual and
     # structure-theorem took 1.4-1.6 s on dense rows and now take 0.8-0.9 s over Z/38 and
     # 0.1 s over k[Z/16] (docio's comment), and the next ones, which it refuses
-    from xmhopf.docio import DocumentSyntaxError, parse
+    from xmhopf.docio import DocumentSyntaxError
 
     for admitted, refused in ((trivial_cyclic(38), trivial_cyclic(39)),
                               (bicharacter_cyclic(16), bicharacter_cyclic(17))):
@@ -1221,11 +1231,14 @@ def _with_trivial_module(doc, v):
 
 # the largest trivial modules the guard admits over the structures at the bound: verify of
 # the module ran out of memory (k[Z/16]) or took 56 s (Z/38) when A (x) V was checked on
-# dense rows
+# dense rows, and structure-theorem over Z/38 ran out of a 2 GiB address space when it
+# solved A (x) V's coinvariant system
 AT_BOUND = [
     ("k[Z/16]-trivial-4-verify", _with_trivial_module(bicharacter_cyclic(16), 4), ["verify", "t"]),
     ("Z/38-trivial-54-verify", _with_trivial_module(trivial_cyclic(38), 54), ["verify", "t"]),
     ("k[Z/16]-trivial-4-structure-theorem", _with_trivial_module(bicharacter_cyclic(16), 4),
+     ["structure-theorem", "k", "t"]),
+    ("Z/38-trivial-54-structure-theorem", _with_trivial_module(trivial_cyclic(38), 54),
      ["structure-theorem", "k", "t"]),
 ]
 
@@ -1247,7 +1260,7 @@ def test_trivial_hopf_module_at_the_cost_bound_is_prompt(doc, args):
 def test_trivial_hopf_module_cost_bound_sits_where_the_ladder_put_it():
     # 4 |H| dim (dim v)^3 units: the trivial structure over Z/2 admits a fibre of 146, where
     # structure-theorem takes 0.08 s (docio's trivial_module_cost), and refuses 147
-    from xmhopf.docio import DocumentSyntaxError, parse
+    from xmhopf.docio import DocumentSyntaxError
 
     def doc(v):
         return json.dumps(dict(WELL_FORMED, hopf_modules={"m": {"over": "k", "trivial": v}}))
@@ -1384,23 +1397,29 @@ def test_dual_hopf_module_is_validated_once(monkeypatch, capsys):
 
 
 def test_trivial_hopf_module_is_checked_as_its_structure(monkeypatch, tmp_path, capsys):
-    # A (x) V's identities are A's regular module's tensored with id_V (cli._check_hopf_module),
-    # so for v >= 1 the module checked has A's dims; A (x) 0 is checked as itself
+    # A (x) V's identities and coinvariant system are A's regular module's tensored with id_V
+    # (cli._check_hopf_module), so for v >= 1 the module checked and trivialised has A's dims;
+    # A (x) 0 is checked and trivialised as itself
     import xmhopf.cli as cli
     import xmhopf.hopfmod as hopfmod
 
     validations = _count_calls(monkeypatch, "validate_hopf_xi_module", cli, hopfmod)
+    solved = _count_calls(monkeypatch, "coinvariants", cli, hopfmod)
     doc = json.loads((FIXTURES / "k_xi_z2.json").read_text())
     doc["hopf_modules"]["trivial_mod_0"] = {"over": "k_xi_z2", "trivial": 0}
     path = tmp_path / "trivial.json"
     path.write_text(json.dumps(doc))
-    for args, dims in [(["verify", DOC, "trivial_mod_2"], (1, 1)),
-                       (["structure-theorem", DOC, "k_xi_z2", "trivial_mod_2"], (1, 1)),
-                       (["verify", str(path), "trivial_mod_0"], (0, 0)),
-                       (["structure-theorem", str(path), "k_xi_z2", "trivial_mod_0"], (0, 0))]:
+    for args, dims, coinvariant_dims in [
+        (["verify", DOC, "trivial_mod_2"], (1, 1), []),
+        (["structure-theorem", DOC, "k_xi_z2", "trivial_mod_2"], (1, 1), [(1, 1)]),
+        (["verify", str(path), "trivial_mod_0"], (0, 0), []),
+        (["structure-theorem", str(path), "k_xi_z2", "trivial_mod_0"], (0, 0), [(0, 0)]),
+    ]:
         validations.clear()
+        solved.clear()
         assert cli.main(args) == 0, args
         assert [m.dims for _, m in validations] == [dims], args
+        assert [m.dims for _, m in solved] == coinvariant_dims, args
     capsys.readouterr()
 
 

@@ -28,10 +28,12 @@ with r and rho left alone.  On those too the reduced report fails wherever the f
 does, and some of them fail check (d) on most examples.
 
 `verify` of a `trivial: v` Hopf module and `structure-theorem` on one check A's regular
-Hopf module in place of A (x) V when v >= 1 (`cli._check_hopf_module` derives it).  The
+Hopf module in place of A (x) V when v >= 1, and `structure-theorem` trivialises it and
+tensors A's coinvariants with V's basis (`cli._check_hopf_module` derives both).  The
 oracle is the check of A (x) V itself, `validate_hopf_xi_module(a, trivial_hopf_module(a,
-v))` after `validate_module_premises(a)`: on every Hopf structure of every fixture and
-mutation and v = 0, 1, 2 and 3, the CLI's checks equal it in names, counts and witnesses.
+v))` after `validate_module_premises(a)`, then `coinvariants` and `structure_iso` on it: on
+every Hopf structure of every fixture and mutation and v = 0, 1, 2 and 3, the CLI's checks
+equal it in names, counts and witnesses, and its coinvariant basis is the oracle's.
 """
 
 import itertools
@@ -56,12 +58,15 @@ from tests.test_hopfmod import ORACLE_EXAMPLES, ORACLE_STRIDE, structure_perturb
 from xmhopf.cli import main
 from xmhopf.crossed import abelian_to_point, validate_components, validate_crossed_module
 from xmhopf.docio import parse
+from xmhopf.errors import XmhopfError
 from xmhopf.groups import cyclic
 from xmhopf.hopf import ComponentAlgebra, GradedHopfCoalgebra, validate_antipode
 from xmhopf.hopfmod import (
     HopfXiModule,
+    coinvariants,
     dual_hopf_module,
     regular_hopf_module,
+    structure_iso,
     trivial_hopf_module,
     validate_hopf_xi_module,
     validate_module_premises,
@@ -430,11 +435,29 @@ def test_cli_checks_a_trivial_module_as_its_oracle_does(rel, over, v, tmp_path, 
     path = tmp_path / "trivial.json"
     path.write_text(json.dumps(doc))
     a = parse(path.read_bytes()).hopf[over]
+    m = trivial_hopf_module(a, v)
     oracle = Report("oracle")
     oracle.merge(validate_module_premises(a))
-    oracle.merge(validate_hopf_xi_module(a, trivial_hopf_module(a, v)))
+    oracle.merge(validate_hopf_xi_module(a, m))
     code = main(["verify", str(path), "oracle_trivial", "--json"])
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert code == (0 if oracle.ok else 1)
     assert [(c["name"], c["violations"], c["witnesses"]) for c in checks] == [
         (c.name, c.violations, c.witnesses) for c in oracle.checks]
+    # structure-theorem trivialises A and tensors its coinvariants with V's basis; the
+    # oracle trivialises A (x) V itself
+    coinv = coinvariants(a, m)
+    trivialised = Report("structure theorem")
+    try:
+        structure_iso(a, m, coinv)
+        trivialised.settle("trivialization maps are exact two-sided inverses", True)
+    except XmhopfError as exc:
+        trivialised.settle("trivialization maps are exact two-sided inverses", False, str(exc))
+    oracle.merge(trivialised)
+    main(["structure-theorem", str(path), over, "oracle_trivial", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["outputs"], [(c["name"], c["violations"], c["witnesses"])
+                                 for c in payload["checks"]]) == (
+        {"coinvariants_dimension": len(coinv),
+         "coinvariants_basis": [[[a.field.show(x) for x in cx] for cx in c] for c in coinv]},
+        [(c.name, c.violations, c.witnesses) for c in oracle.checks])
