@@ -381,10 +381,11 @@ COMMANDS = {
     "verify": (("document", "name"), "run the validator stack on a named object"),
     "integrals": (("document", "name"), "compute the integral space of a Hopf structure"),
     "grouplikes": (("document", "name"), "enumerate basis-supported grouplike families"),
-    "dual": (("document", "name"), "dualize and validate the dual structure"),
+    "dual": (("document", "name"), "report the dual's checks and dims, read off the structure"),
     "structure-theorem": (("document", "name", "module"), "trivialize a Hopf module"),
     "hom": (("document", "name", "source", "target"), "graded hom spaces between two named modules"),
-    "report": (("document", "name"), "full report: validation, integrals, grouplikes, duals"),
+    "report": (("document", "name"),
+               "full report: validation, integrals, grouplikes, distinguished grouplike"),
 }
 # option -> (the one command that takes it, its choices or None for any value); --json is on all
 _VALUED = {"--side": ("integrals", ("left", "right", "both")), "--degree": ("hom", None)}

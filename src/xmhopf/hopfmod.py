@@ -26,8 +26,8 @@ restate, transposed, what it has already checked.
   algebra morphisms, coproduct compatibility, compatibility with S), and the
   module laws and (c) from its associativity, bialgebra law and antipode.
 
-tests/test_hopfmod.py checks both statements against a reference gate on
-single-entry perturbations of Delta, phi, mu, S and epsilon.
+tests/oracles.py keeps the reference gate, and tests/test_hopfmod.py checks both
+statements against it on single-entry perturbations of Delta, phi, mu, S and epsilon.
 
 `verify` of a Hopf module over A and `structure-theorem` on one validate A only
 as far as the premises of check (d) (validate_module_premises), and then run
@@ -54,12 +54,11 @@ from .errors import (
     NotInvertibleError,
     ShapeMismatchError,
 )
-from .hopf import is_grouplike
 from .linalg import Matrix
 from .record import Record
 from .report import Report
 from .repcat import AModule, _contragredient, _flatten, _graded_kernel, validate_module
-from .xihopf import HopfXiCoalgebra, is_xi_grouplike
+from .xihopf import HopfXiCoalgebra
 
 
 class HopfXiModule(Record):
@@ -382,12 +381,34 @@ def antipode_transport(a: HopfXiCoalgebra, lam: tuple) -> tuple:
 
 
 def distinguished_grouplike(a: HopfXiCoalgebra, basis: list[tuple]) -> tuple:
-    """The unique crossed-module grouplike g with (id (x) lambda_y) Delta = g_x lambda_{xy}.
+    """The unique crossed-module grouplike g with (id (x) lambda_y) Delta_{x,y} = g_x lambda_{xy}.
 
-    basis is integral_space(a, "right"), which must be one integral lambda.
-    g is computed from lambda by normalizing at y = 1, then verified against
-    the defining identity for all (x, y), against grouplikeness, and against
-    invariance under the action.
+    basis is integral_space(a, "right"), which must be one integral lambda, nonzero on every
+    component; otherwise DefiningIdentityFailedError.  g_x is read off the identity at
+    y = 1: column j of (id (x) lambda_1) Delta_{x,1} is g_x lambda_x[j], for a j with
+    lambda_x[j] != 0.
+
+    Nothing else is checked: where `a` satisfies the axioms, which `report` checks in the
+    same report, each of the following holds (tests/oracles.py keeps the three checks this
+    function used to run as an oracle).
+    * The identity at every (x, y).  For a covector alpha on A_x, the family
+      nu_z = (alpha (x) lambda_{x^-1 z}) Delta_{x,x^-1 z} is a right integral: its coproduct
+      condition is lambda's, through coassociativity, and its action invariance is lambda's
+      at (x^-1 z, x^-1 > e), through coproduct compatibility at (x, x^-1 z, 1, x^-1 > e),
+      whose label is e and whose target is (x, x^-1 xi(e) z) by xi-equivariance, and
+      phi_{x,1} = id.  The integral space is the line of lambda, so
+      nu = c(alpha) lambda with c linear in alpha, that is c(alpha) = alpha(g_x) for one
+      g_x; at y = 1 that g_x is the one computed here.
+    * g grouplike.  Applying Delta_{x,y} (x) lambda_z to Delta_{xy,z} and coassociativity
+      give Delta_{x,y}(g_xy) lambda_{xyz} = (g_x (x) g_y) lambda_{xyz}, and lambda_{xyz} != 0.
+      The left counit law at (1, y) gives eps(g_1) lambda_y = lambda_y, so eps(g_1) = 1.
+    * g action-invariant, phi_{x,e}(g_x) = g_{xi(e)x}, so each pairing <g, e> is
+      eps(g_1) = 1.  Coproduct compatibility at (x, y, e, 1), whose label is e, and
+      phi_{y,1} = id give (phi_{x,e} (x) lambda_y) Delta_{x,y} = g_{xi(e)x}
+      lambda_{xi(e)xy} phi_{xy,e}, which is g_{xi(e)x} lambda_{xy} by lambda's invariance;
+      the left side is phi_{x,e}(g_x) lambda_{xy}.
+    The coproduct compatibility cases used have e = 1 or f = 1, which check (d) of A's regular
+    Hopf module runs or its unit law decides (validate_hopf_xi_module).
     """
     f, H = a.field, a.H
     if len(basis) != 1:
@@ -404,20 +425,7 @@ def distinguished_grouplike(a: HopfXiCoalgebra, basis: list[tuple]) -> tuple:
         w = Matrix.identity(f, a.dim(x)).kron_matmul(Matrix.row(f, lam[one]), a.delta(x, one))
         scale = f.inv(lam[x][j])
         g.append(tuple(f.mul(scale, w[i, j]) for i in range(a.dim(x))))
-    g = tuple(g)
-
-    for x in H.elements():
-        for y in H.elements():
-            xy = H.mul(x, y)
-            lhs = Matrix.identity(f, a.dim(x)).kron_matmul(Matrix.row(f, lam[y]), a.delta(x, y))
-            rhs = Matrix.col(f, g[x]) @ Matrix.row(f, lam[xy])
-            if lhs != rhs:
-                raise DefiningIdentityFailedError(f"defining identity fails at ({x},{y})")
-    if not is_grouplike(a.base, g):
-        raise DefiningIdentityFailedError("computed family is not grouplike")
-    if not is_xi_grouplike(a, g):
-        raise DefiningIdentityFailedError("computed family is not action-invariant")
-    return g
+    return tuple(g)
 
 
 # -- the dual Hopf module ----------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import settings
@@ -177,11 +180,149 @@ def sweedler_rho(k: int) -> Matrix:
     return Matrix(f, [[diag[i] if i == j else f.zero for j in range(4)] for i in range(4)])
 
 
+def run_cli(*args, timeout=None):
+    return subprocess.run(
+        [sys.executable, "-m", "xmhopf.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+def cli_env():
+    """The environment of a child `python -S`: no PYTHON* variables, and src on the path."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(FIXTURES.parent / "src")
+    return env
+
+
+def full_suite_outputs():
+    commands = [
+        ("verify", "k_xi_z2.json", ["k_xi_z2"]),
+        ("verify", "bichar_z2.json", ["bichar_z2"]),
+        ("verify", "k_xi_s3.json", ["k_xi_s3"]),
+        ("verify", "rho_z2.json", ["rho_z2"]),
+        ("integrals", "k_xi_z2.json", ["k_xi_z2"]),
+        ("integrals", "bichar_z2.json", ["bichar_z2"]),
+        ("grouplikes", "bichar_z2.json", ["bichar_z2"]),
+        ("dual", "bichar_z2.json", ["bichar_z2"]),
+        ("structure-theorem", "k_xi_z2.json", ["k_xi_z2", "dual_mod"]),
+        ("hom", "k_xi_z2.json", ["k_xi_z2", "k1", "kh"]),
+        ("report", "k_xi_z2.json", ["k_xi_z2"]),
+    ]
+    outputs = []
+    for cmd, doc, args in commands:
+        for flags in ([], ["--json"]):
+            proc = run_cli(cmd, str(FIXTURES / doc), *args, *flags)
+            outputs.append((cmd, doc, tuple(args), tuple(flags), proc.returncode, proc.stdout))
+    return outputs
+
+
+WELL_FORMED = {
+    "field": {"kind": "rational"},
+    "groups": {"g": {"cyclic": 2}},
+    "crossed_modules": {"cm": {"identity": "g"}},
+    "hopf": {"k": {"trivial": "cm"}},
+}
+
+# each entry replaces sections of WELL_FORMED; the result must be an input error (exit 2)
+MALFORMED = {
+    "groups-not-object": {"groups": []},
+    "hopf-not-object": {"hopf": "x"},
+    "cyclic-0": {"groups": {"g": {"cyclic": 0}}},
+    "cyclic-negative": {"groups": {"g": {"cyclic": -2}}},
+    "symmetric-9": {"groups": {"g": {"symmetric": 9}}},
+    "table-entry-5": {"groups": {"g": {"table": [[0, 5], [1, 0]]}}},
+    # a group has an identity; an empty table used to give a failing report, exit 1
+    "table-empty": {"groups": {"g": {"table": []}}},
+    "xi-entry-7": {
+        "crossed_modules": {"cm": {"E": "g", "H": "g", "xi": [0, 7], "action": [[0, 1], [0, 1]]}}
+    },
+    "action-entry-9": {
+        "crossed_modules": {"cm": {"E": "g", "H": "g", "xi": [0, 1], "action": [[0, 1], [0, 9]]}}
+    },
+    "inclusion-entry-9": {
+        "crossed_modules": {"cm": {"inclusion": {"source": "g", "target": "g", "map": [0, 9]}}}
+    },
+    "line-degree-7": {"modules": {"m": {"over": "k", "line": {"degree": 7, "character": ["1"]}}}},
+    "line-degree-negative": {
+        "modules": {"m": {"over": "k", "line": {"degree": -1, "character": ["1"]}}}
+    },
+    "regular-5": {"modules": {"m": {"over": "k", "regular": 5}}},
+    "regular-negative": {"modules": {"m": {"over": "k", "regular": -1}}},
+    "trivial-hopf-module-negative": {"hopf_modules": {"m": {"over": "k", "trivial": -1}}},
+    # JSON true and false are not integers
+    "cyclic-true": {"groups": {"g": {"cyclic": True}}},
+    "symmetric-true": {"groups": {"g": {"symmetric": True}}},
+    "order-true": {"groups": {"g": {"order": True, "table": [[0]]}}},
+    "table-entry-false": {"groups": {"g": {"table": [[0, 1], [1, False]]}}},
+    # labels are strings; a list label used to reach set() and print a traceback, exit 1
+    "elements-not-strings": {"groups": {"g": {"cyclic": 2, "elements": [["a"], ["b"]]}}},
+    "xi-entry-true": {
+        "crossed_modules": {"cm": {"E": "g", "H": "g", "xi": [0, True], "action": [[0, 1], [0, 1]]}}
+    },
+    "line-degree-true": {
+        "modules": {"m": {"over": "k", "line": {"degree": True, "character": ["1"]}}}
+    },
+    "regular-true": {"modules": {"m": {"over": "k", "regular": True}}},
+    "dims-true": {
+        "modules": {"m": {"over": "k", "dims": [True, 0], "actions": [[["1"]], []]}}
+    },
+    "trivial-hopf-module-true": {"hopf_modules": {"m": {"over": "k", "trivial": True}}},
+    # one action matrix per group element, no more and no fewer
+    "module-extra-action": {
+        "modules": {"m": {"over": "k", "dims": [1, 0], "actions": [[["1"]], [], []]}}
+    },
+    "module-missing-action": {"modules": {"m": {"over": "k", "dims": [1, 0], "actions": [[["1"]]]}}},
+    "hopf-module-extra-r": {
+        "hopf_modules": {"m": {"over": "k", "dims": [1, 0], "r": [[["1"]], [], []]}}
+    },
+    # the unit and dual directives take no arguments: their only value is true
+    "unit-string": {"modules": {"m": {"over": "k", "unit": "no"}}},
+    "unit-1": {"modules": {"m": {"over": "k", "unit": 1}}},
+    "dual-string": {"hopf_modules": {"m": {"over": "k", "dual": "false"}}},
+    # values a constructor rejects
+    "inclusion-not-injective": {
+        "crossed_modules": {"cm": {"inclusion": {"source": "g", "target": "g", "map": [0, 0]}}}
+    },
+    "component-mul-empty": {
+        "hopf": {"k": {"cm": "cm", "components": [{"mul": [], "unit": []}] * 2}}
+    },
+    "bicharacter-omega-rows-not-lists": {
+        "hopf": {"k": {"bicharacter": {"E": "g", "G": "g", "omega": [1, 2]}}}
+    },
+    # a rational literal is -?digits(/digits)?: Fraction's other forms are not scalars
+    "scalar-exponent": {"grouplikes": {"s": {"in": "k", "family": [["1e9"], ["1"]]}}},
+    "scalar-decimal": {"grouplikes": {"s": {"in": "k", "family": [["1.5"], ["1"]]}}},
+    "scalar-plus": {"grouplikes": {"s": {"in": "k", "family": [["+1"], ["1"]]}}},
+    "scalar-space": {"grouplikes": {"s": {"in": "k", "family": [[" 1"], ["1"]]}}},
+}
+
+# entries whose construction waits for first use: their references, scalars and
+# shapes are still checked under every command
+DEFERRED_MALFORMED = {
+    "bicharacter-unknown-group": {
+        "hopf": {"k": {"trivial": "cm"}, "b": {"bicharacter": {"E": "x", "G": "g", "omega": []}}}
+    },
+    "bicharacter-bad-scalar": {
+        "hopf": {"k": {"trivial": "cm"},
+                 "b": {"bicharacter": {"E": "g", "G": "g", "omega": [["1", "1"], ["1", "z"]]}}}
+    },
+    "from-h-action-rho-shape": {
+        "hopf": {"k": {"trivial": "cm"},
+                 "t": {"from_h_action": {"cm": "cm", "algebra": "k", "rho": [[["1", "0"]]]}}}
+    },
+    "from-pi-unknown-base": {
+        "hopf": {"k": {"trivial": "cm"},
+                 "p": {"from_pi_coalgebra": {"cm": "cm", "base": "nope"}}}
+    },
+    "dual-over-unknown": {"hopf_modules": {"m": {"over": "nope", "dual": True}}},
+}
+
+
 @pytest.fixture(scope="session")
 def determinism_pair():
     """Two full runs of the CLI suite, computed once and shared by the tests that compare them."""
-    from tests.test_cli import full_suite_outputs
-
     return full_suite_outputs(), full_suite_outputs()
 
 

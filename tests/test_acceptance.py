@@ -16,10 +16,11 @@ from tests.conftest import (
     make_k_xi_s3,
     make_k_xi_z2,
     make_rho_z2,
+    run_cli,
     sign_flip_rho,
     z3_in_s3,
 )
-from tests.test_lemma_oracle import oracle_antipode_action_compat
+from tests.oracles import oracle_antipode_action_compat
 from xmhopf.crossed import abelian_to_point, identity_cm, inclusion, kernel_image_cokernel, trivial_over
 from xmhopf.groups import cyclic, symmetric
 from xmhopf.hopf import enumerate_grouplikes, group_algebra, grouplike_product
@@ -292,8 +293,6 @@ def test_criterion_7_distinguished_grouplike():
 
 
 def test_criterion_8_mutation_sensitivity():
-    from tests.test_cli import run_cli
-
     manifest = json.loads((FIXTURES / "mutations" / "manifest.json").read_text())
     ok = len(manifest) == 10
     for entry in manifest:

@@ -14,19 +14,8 @@ oracles copy entries one index at a time.
 
 import pytest
 
-from tests.conftest import (
-    GF5,
-    QQ,
-    fixture_structures,
-    make_bichar_z2,
-    make_conj_s3,
-    make_k_h_z2,
-    make_k_xi_s3,
-    make_k_xi_z2,
-    make_rho_z2,
-    make_sweedler,
-    make_sweedler_z4,
-)
+from tests.conftest import fixture_structures
+from tests.oracles import EXAMPLES, build
 from xmhopf.errors import NotInvertibleError
 from xmhopf.hopf import antipode_solve_details
 from xmhopf.hopfmod import (
@@ -230,21 +219,13 @@ def entry_loop_dual_coaction(a, x, y):
 # -- the structures ----------------------------------------------------------------------
 
 
-MAKERS = (make_k_xi_z2, make_k_h_z2, make_k_xi_s3, make_bichar_z2, make_rho_z2, make_sweedler,
-          make_conj_s3)
-STRUCTURES = (
-    [(f"{make.__name__[5:]} over {field!r}", make, field) for field in (QQ, GF5) for make in MAKERS]
-    + [("sweedler_z4 over GF(5)", make_sweedler_z4, None)]
-    + [(name, None, None) for name, _ in fixture_structures()]
-)
+STRUCTURES = EXAMPLES + [(name, None, None) for name, _ in fixture_structures()]
 
 
 @pytest.fixture(scope="module", params=STRUCTURES, ids=[s[0] for s in STRUCTURES])
 def structure(request):
     name, make, field = request.param
-    if make is None:
-        return dict(fixture_structures())[name]
-    return make() if field is None else make(field)
+    return dict(fixture_structures())[name] if make is None else build(make, field)
 
 
 def test_antipode_system_matches_oracle(structure):

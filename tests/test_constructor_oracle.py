@@ -2,7 +2,8 @@
 
 A constructor checks only what its construction needs; each law of its data restates an
 axiom of the result, which `full_validation_report` (or `validate_crossed_module`) checks
-with witnesses.  The oracles are the checks the constructors ran before:
+with witnesses.  The oracles, in tests/oracles.py, are the checks the constructors ran
+before:
 - `oracle_bicharacter`: omega nonzero, multiplicative in E and in G, omega(1,.) = 1 and
   omega(.,1) = 1 (mk_bicharacter_group_algebra);
 - `oracle_h_action`: each rho_x an algebra automorphism of A (invertible, multiplicative,
@@ -29,50 +30,18 @@ from tests.conftest import (
     sign_flip_rho,
     sweedler_rho,
 )
-from tests.test_action_oracle import bumped
+from tests.oracles import (
+    bumped,
+    oracle_abelian,
+    oracle_bicharacter,
+    oracle_h_action,
+    perturbed_scalar_tables,
+)
 from xmhopf.crossed import abelian_to_point, identity_cm, trivial_over, validate_crossed_module
-from xmhopf.groups import FiniteGroup, cyclic, direct_product, symmetric
-from xmhopf.hopf import GradedHopfCoalgebra, group_algebra
+from xmhopf.groups import cyclic, direct_product, symmetric
+from xmhopf.hopf import group_algebra
 from xmhopf.linalg import Field, Matrix
-from xmhopf.report import Report
 from xmhopf.xihopf import full_validation_report, mk_bicharacter_group_algebra, mk_from_h_action
-
-
-def oracle_bicharacter(f: Field, e_group: FiniteGroup, g_group: FiniteGroup, table) -> Report:
-    """omega nonzero, omega(1,.) = omega(.,1) = 1, and multiplicative in both arguments."""
-    es, gs = e_group.elements(), g_group.elements()
-    rep = Report("bicharacter")
-    rep.identity("nonzero", ((f"omega({e},{g})", table[e][g] == f.zero, False)
-                             for e in es for g in gs))
-    rep.identity("omega(1,g) = 1", ((f"g={g}", table[e_group.identity][g], f.one) for g in gs))
-    rep.identity("omega(e,1) = 1", ((f"e={e}", table[e][g_group.identity], f.one) for e in es))
-    rep.identity("multiplicative in E", (
-        (f"({a},{b},{g})", table[e_group.mul(a, b)][g], f.mul(table[a][g], table[b][g]))
-        for a in es for b in es for g in gs
-    ))
-    rep.identity("multiplicative in G", (
-        (f"({e},{g},{h})", table[e][g_group.mul(g, h)], f.mul(table[e][g], table[e][h]))
-        for e in es for g in gs for h in gs
-    ))
-    return rep
-
-
-def oracle_h_action(classical: GradedHopfCoalgebra, H: FiniteGroup, rho) -> Report:
-    """Each rho_x an algebra automorphism of A, and rho: H -> Aut_alg(A) a homomorphism."""
-    alg, f, xs = classical.components[0], classical.field, H.elements()
-    rep = Report("homomorphism into Aut_alg(A)")
-    rep.identity("invertible", ((f"x={x}", rho[x].is_invertible(), True) for x in xs))
-    rep.identity("multiplicative", ((f"x={x}", rho[x] @ alg.mul, alg.mul @ rho[x].kron(rho[x]))
-                                    for x in xs))
-    rep.identity("unital", ((f"x={x}", rho[x] @ alg.unit_col(), alg.unit_col()) for x in xs))
-    rep.identity("rho(1) = id", [("x=1", rho[H.identity], Matrix.identity(f, alg.dim))])
-    rep.identity("homomorphism", ((f"({x},{y})", rho[x] @ rho[y], rho[H.mul(x, y)])
-                                  for x in xs for y in xs))
-    return rep
-
-
-def oracle_abelian(e: FiniteGroup) -> bool:
-    return all(e.mul(a, b) == e.mul(b, a) for a in e.elements() for b in e.elements())
 
 
 def power_bicharacter(f: Field, n: int, m: int, root: int):
@@ -92,19 +61,10 @@ BICHARACTERS = [
 ]
 
 
-def single_entry_perturbations(f: Field, table):
-    """Every table with one entry raised by 1 or set to 0."""
-    for e, row in enumerate(table):
-        for g, v in enumerate(row):
-            for new in (f.add(v, f.one), f.zero):
-                yield [[new if (i, j) == (e, g) else w for j, w in enumerate(r)]
-                       for i, r in enumerate(table)]
-
-
 @pytest.mark.parametrize("name, f, n, m, table", BICHARACTERS, ids=[b[0] for b in BICHARACTERS])
 def test_report_fails_exactly_where_the_bicharacter_oracle_fails(name, f, n, m, table):
     e_group, g_group = cyclic(n), cyclic(m)
-    tables = [table, *single_entry_perturbations(f, table)]
+    tables = [table, *perturbed_scalar_tables(f, table)]
     verdicts = [
         (oracle_bicharacter(f, e_group, g_group, t).ok,
          full_validation_report(mk_bicharacter_group_algebra(f, e_group, g_group, t)).ok)

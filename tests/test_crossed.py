@@ -1,7 +1,7 @@
 import pytest
 
 from tests.conftest import z3_in_s3
-from tests.test_lemma_oracle import oracle_kernel_image_cokernel
+from tests.oracles import oracle_kernel_image_cokernel
 from xmhopf.crossed import (
     CrossedModule,
     GroupoidArrow,

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from test_cli import DEFERRED_MALFORMED, MALFORMED, WELL_FORMED, cli_env
+from tests.conftest import DEFERRED_MALFORMED, MALFORMED, WELL_FORMED, cli_env
 from xmhopf.docio import (
     MAX_GROUP_ORDER,
     DocumentSyntaxError,

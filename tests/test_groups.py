@@ -2,6 +2,7 @@ from itertools import chain, combinations, permutations, product
 
 import pytest
 
+from tests.oracles import perturbed_rows
 from xmhopf.errors import NotNormalError
 from xmhopf.groups import (
     FiniteGroup,
@@ -98,16 +99,6 @@ def test_trivial_action():
     assert validate_action(act).ok
 
 
-def single_entry_changes(rows, bound):
-    """(position, rows) for every change of one entry of rows to another index 0..bound-1."""
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            for w in range(bound):
-                if w != v:
-                    changed = row[:j] + (w,) + row[j + 1:]
-                    yield (i, j, w), rows[:i] + (changed,) + rows[i + 1:]
-
-
 def row_swaps(rows):
     """(position, rows) for every exchange of two entries within one row."""
     for i, row in enumerate(rows):
@@ -166,7 +157,7 @@ def action_violations(h, s, t):
 @pytest.mark.parametrize("g", [symmetric(3), cyclic(4)], ids=["S3", "Z4"])
 def test_group_validator_rejects_every_single_entry_change(g):
     assert violations(validate_group(g)) == group_violations(g.table, g.identity, g.inverses)
-    for pos, table in single_entry_changes(g.table, g.order):
+    for pos, table in perturbed_rows(g.table, g.order):
         rep = validate_group(FiniteGroup(table, g.identity, g.inverses))
         assert not rep.ok, pos
         assert violations(rep) == group_violations(table, g.identity, g.inverses), pos
@@ -176,7 +167,7 @@ def test_action_validator_rejects_every_single_entry_change():
     s3 = symmetric(3)
     act = conjugation_action(s3, GroupHom.identity(s3))
     assert violations(validate_action(act)) == action_violations(s3, s3, act.table)
-    changes = chain(single_entry_changes(act.table, s3.order), row_swaps(act.table))
+    changes = chain(perturbed_rows(act.table, s3.order), row_swaps(act.table))
     for pos, table in changes:
         rep = validate_action(GroupAction(s3, s3, table))
         assert not rep.ok, pos
@@ -187,7 +178,7 @@ def test_hom_validator_rejects_every_single_entry_change():
     s3 = symmetric(3)
     identity = GroupHom.identity(s3)
     assert violations(validate_hom(identity)) == hom_violations(s3, s3, identity.map)
-    for pos, (row,) in single_entry_changes((identity.map,), s3.order):
+    for pos, (row,) in perturbed_rows((identity.map,), s3.order):
         rep = validate_hom(GroupHom(s3, s3, row))
         assert not rep.ok, pos
         assert violations(rep) == hom_violations(s3, s3, row), pos

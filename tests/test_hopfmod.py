@@ -8,20 +8,23 @@ from tests.conftest import (
     make_bichar_z2,
     make_k_h_z2,
     make_k_xi_s3,
-    make_conj_s3,
     make_k_xi_z2,
     make_rho_z2,
     make_sweedler,
     make_sweedler_z4,
     spans,
 )
-from tests.test_action_oracle import bumped
+from tests.oracles import (
+    EXAMPLES,
+    Tally,
+    oracle_distinguished_grouplike,
+    reference_gate,
+    swept_structures,
+)
 from xmhopf.docio import parse
 from xmhopf.errors import NotIntegralError, NotInvertibleError, ShapeMismatchError
-from xmhopf.hopf import ComponentAlgebra, GradedHopfCoalgebra
 from xmhopf.hopfmod import (
     HopfXiModule,
-    _span_coordinates,
     antipode_transport,
     coinvariants,
     distinguished_grouplike,
@@ -34,9 +37,8 @@ from xmhopf.hopfmod import (
     validate_hopf_xi_module,
 )
 from xmhopf.linalg import Matrix
-from xmhopf.repcat import _flatten
 from xmhopf.report import Report
-from xmhopf.xihopf import HopfXiCoalgebra, full_validation_report, is_xi_grouplike
+from xmhopf.xihopf import is_xi_grouplike
 
 ALL = [make_k_xi_z2, make_bichar_z2, make_k_xi_s3, make_rho_z2]
 
@@ -80,55 +82,6 @@ def test_dual_hopf_module_passes_validator(conj_s3):
         assert any(v != f.zero for v in image) and spans(f, coinv, image), where
 
 
-def reference_gate(a, m, right) -> str | None:
-    """Why the coinvariants of m = dual_hopf_module(a) are not the right integrals
-    `right`, reindexed by lambda -> (lambda_{x^-1}), or None: the coinvariant half of
-    the gate that `report` no longer runs (hopfmod's docstring)."""
-    f, H = a.field, a.H
-    coinv = coinvariants(a, m)
-    if len(coinv) != len(right):
-        return f"coinvariants dim {len(coinv)} != right integrals dim {len(right)}"
-    reindexed = [_flatten(lam[H.inv(x)] for x in H.elements()) for lam in right]
-    if _span_coordinates(f, coinv, Matrix(f, reindexed, len(right), sum(m.dims)).T) is None:
-        return "reindexed integral is not coinvariant"
-    return None
-
-
-def structure_perturbations(a, stride: int):
-    """(map, a with 1 added to one entry of it): every stride-th entry from entry
-    stride // 2 of the Delta_{x,y}, phi_{x,e}, S_x, mu_x and epsilon, in that order,
-    each map's entries in row-major order."""
-    b, f, xs = a.base, a.field, a.H.elements()
-    tables = [("delta", b.coproduct), ("phi", a.action), ("S", dict(enumerate(b.antipode))),
-              ("mu", {x: c.mul for x, c in enumerate(b.components)}), ("eps", {0: b.counit})]
-    entries = [(kind, table, key, i, j) for kind, table in tables for key, m in table.items()
-               for i in range(m.rows) for j in range(m.cols)]
-    for kind, table, key, i, j in entries[stride // 2::stride]:
-        t = dict(table)
-        t[key] = bumped(table[key], i, j)
-        if kind == "phi":
-            yield kind, HopfXiCoalgebra(a.cm, b, t)
-            continue
-        components = b.components if kind != "mu" else tuple(
-            ComponentAlgebra(f, c.dim, t[x], c.unit) for x, c in enumerate(b.components))
-        base = GradedHopfCoalgebra(f, b.H, components,
-                                   t if kind == "delta" else b.coproduct,
-                                   t[0] if kind == "eps" else b.counit,
-                                   tuple(t[x] for x in xs) if kind == "S" else b.antipode)
-        yield kind, HopfXiCoalgebra(a.cm, base, a.action)
-
-
-ORACLE_MAKERS = (make_k_xi_z2, make_k_h_z2, make_k_xi_s3, make_bichar_z2, make_rho_z2,
-                 make_sweedler, make_conj_s3)
-ORACLE_EXAMPLES = (
-    [(f"{make.__name__[5:]} over {field!r}", make, field)
-     for field in (QQ, GF5) for make in ORACLE_MAKERS]
-    + [("sweedler_z4 over GF(5)", make_sweedler_z4, None)]
-)
-# a perturbation costs about 1.2 s on conj_s3 (10,590 entries), 0.1 s on sweedler_z4
-# (1,604) and 5-20 ms on k_xi_s3 (67) and sweedler (164), so those take every
-# ORACLE_STRIDE-th entry; on conj_s3 that is one entry of phi per field
-ORACLE_STRIDE = {"conj_s3": 16000, "sweedler_z4": 320, "k_xi_s3": 4, "sweedler": 3}
 # per example and map: (perturbations, of which the dual module fails its axioms); no
 # perturbation leaves A valid, so each one breaks the dual module too
 ORACLE_COUNTS = {
@@ -143,25 +96,23 @@ ORACLE_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("name, make, field", ORACLE_EXAMPLES, ids=[e[0] for e in ORACLE_EXAMPLES])
+@pytest.mark.parametrize("name, make, field", EXAMPLES, ids=[e[0] for e in EXAMPLES])
 def test_dual_hopf_module_checks_restate_the_structure_checks(name, make, field):
     # report validates A and solves its right integrals but not its dual Hopf module:
     # the coinvariant half of the gate agrees with the right integrals on every
     # perturbation, and where the module axioms fail, A's validator stack fails too
-    a = make() if field is None else make(field)
+    a, swept = swept_structures(name)
     assert reference_gate(a, dual_hopf_module(a), integral_space(a, "right")) is None
     example = name.split()[0]
-    counts = {}
-    for kind, p in structure_perturbations(a, ORACLE_STRIDE.get(example, 1)):
+    counts = Tally()
+    for kind, p, report_ok, right in swept:
         m = dual_hopf_module(p)
-        assert reference_gate(p, m, integral_space(p, "right")) is None, kind
+        assert reference_gate(p, m, right) is None, kind
         module_ok = validate_hopf_xi_module(p, m).ok
         if not module_ok:
-            assert not full_validation_report(p).ok, kind
-        c = counts.setdefault(kind, [0, 0])
-        c[0] += 1
-        c[1] += not module_ok
-    assert {kind: tuple(c) for kind, c in counts.items()} == ORACLE_COUNTS[example]
+            assert not report_ok, kind
+        counts.add(kind, not module_ok)
+    assert counts.counts() == ORACLE_COUNTS[example]
 
 
 def test_mutated_psi_reports_axiom_d():
@@ -429,6 +380,45 @@ def test_distinguished_grouplike_unique_as_linear_solution():
             assert solved is not None
             sol, unique = solved
             assert unique and sol == g[x]
+
+
+# per example and map: (perturbations, of which distinguished_grouplike raises, of which
+# the defining identity fails, g is not grouplike, g is not action-invariant); the same
+# over Q and GF(5)
+GROUPLIKE_COUNTS = {
+    "k_xi_z2": {"delta": (4, 4, 0, 0, 0), "phi": (4, 4, 0, 0, 0), "S": (2, 0, 0, 0, 0),
+                "mu": (2, 0, 0, 0, 0), "eps": (1, 0, 0, 1, 1)},
+    "k_h_z2": {"delta": (4, 4, 0, 0, 0), "phi": (2, 2, 0, 0, 0), "S": (2, 0, 0, 0, 0),
+               "mu": (2, 0, 0, 0, 0), "eps": (1, 0, 0, 1, 1)},
+    "k_xi_s3": {"delta": (9, 9, 0, 0, 0), "phi": (4, 4, 0, 0, 0), "S": (2, 0, 0, 0, 0),
+                "mu": (1, 0, 0, 0, 0), "eps": (1, 0, 0, 1, 1)},
+    "bichar_z2": {"delta": (8, 4, 1, 2, 2), "phi": (8, 4, 0, 0, 2), "S": (4, 0, 0, 0, 0),
+                  "mu": (8, 0, 0, 0, 0), "eps": (2, 0, 0, 1, 1)},
+    "rho_z2": {"delta": (32, 16, 8, 8, 8), "phi": (16, 8, 0, 0, 4), "S": (8, 0, 0, 0, 0),
+               "mu": (16, 0, 0, 0, 0), "eps": (2, 0, 0, 1, 1)},
+    "sweedler": {"delta": (21, 4, 4, 5, 5), "phi": (6, 2, 0, 0, 1), "S": (5, 0, 0, 0, 0),
+                 "mu": (21, 0, 0, 0, 0), "eps": (2, 0, 0, 0, 0)},
+    "conj_s3": {"phi": (1, 0, 0, 0, 0)},
+    "sweedler_z4": {"delta": (3, 0, 0, 0, 0), "phi": (1, 0, 0, 0, 0), "mu": (1, 0, 0, 0, 0)},
+}
+
+
+@pytest.mark.parametrize("name, make, field", EXAMPLES, ids=[e[0] for e in EXAMPLES])
+def test_report_fails_wherever_the_distinguished_grouplike_oracle_fails(name, make, field):
+    # distinguished_grouplike checks only what computing g needs; its docstring derives
+    # the defining identity, grouplikeness and action invariance from A's axioms
+    a, swept = swept_structures(name)
+    assert oracle_distinguished_grouplike(a, integral_space(a, "right")).ok
+    counts = Tally()
+    for kind, p, report_ok, right in swept:
+        oracle = oracle_distinguished_grouplike(p, right)
+        if oracle is None:
+            counts.add(kind, True, False, False, False)
+            continue
+        if not oracle.ok:
+            assert not report_ok, kind
+        counts.add(kind, False, *(not check.ok for check in oracle.checks))
+    assert counts.counts() == GROUPLIKE_COUNTS[name.split()[0]]
 
 
 def test_dual_module_coinvariants_match_right_integrals():

@@ -10,6 +10,7 @@ the unit family is not pivotal while g is.
 import pytest
 
 from tests.conftest import GF5, QQ, make_sweedler, sign_flip_rho, spans
+from tests.oracles import bumped
 from xmhopf.crossed import identity_cm
 from xmhopf.errors import NotPivotalError
 from xmhopf.groups import cyclic
@@ -162,10 +163,9 @@ def test_twisted_constructor_rejects_invalid_classical_data():
 
     f = QQ
     kz2 = group_algebra(f, cyclic(2))
-    rows = [list(r) for r in kz2.delta(0, 0).data]
-    rows[0][1] = f.add(rows[0][1], f.one)
     broken = GradedHopfCoalgebra(
-        f, kz2.H, kz2.components, {(0, 0): Matrix(f, rows)}, kz2.counit, kz2.antipode
+        f, kz2.H, kz2.components, {(0, 0): bumped(kz2.delta(0, 0), 0, 1)}, kz2.counit,
+        kz2.antipode
     )
     cm = identity_cm(cyclic(2))
     ident = Matrix.identity(f, 2)

@@ -12,9 +12,15 @@ from tests.conftest import (
     spans,
     z3_in_s3,
 )
-from tests.test_action_oracle import oracle_action_laws, oracle_xi_action
-from tests.test_lemma_oracle import oracle_antipode_action_compat, oracle_phi_preserves_unit
-from tests.test_regular_module_oracle import oracle_hopf_xi_module
+from tests.oracles import (
+    bumped,
+    oracle_action_laws,
+    oracle_antipode_action_compat,
+    oracle_hopf_xi_module,
+    oracle_phi_preserves_unit,
+    oracle_xi_action,
+    perturbed_duals,
+)
 from xmhopf.crossed import identity_cm, inclusion, kernel_image_cokernel, trivial_over
 from xmhopf.groups import cyclic
 from xmhopf.hopf import enumerate_grouplikes, group_algebra, grouplike_product
@@ -340,13 +346,9 @@ def test_dual_of_trivial_graded_algebra():
 
 
 def test_dual_algebra_mutation_witness():
-    from xmhopf.xihopf import HopfXiAlgebra
-
     b = dualize(make_bichar_z2())
     mul = dict(b.mul)
-    bad = [list(r) for r in mul[(0, 0)].data]
-    bad[0][0] = QQ.add(bad[0][0], QQ.one)
-    mul[(0, 0)] = Matrix(QQ, bad)
+    mul[(0, 0)] = bumped(mul[(0, 0)], 0, 0)
     mutated = HopfXiAlgebra(
         b.cm, b.field, b.dims, mul, b.unit, b.delta, b.eps, b.antipode, b.action
     )
@@ -358,38 +360,11 @@ def test_dual_algebra_mutation_witness():
     assert "regular Hopf module: (c) action and coaction intertwine" in failing
 
 
-def single_entry_perturbations(b, name):
-    """b with 1 added to one entry of the structure map or unit `name`, once per entry."""
-    f, maps = b.field, getattr(b, name)
-
-    def with_field(value):  # the constructor on b's fields, with `name` set to value
-        fields = (value if n == name else getattr(b, n) for n in HopfXiAlgebra.__slots__)
-        return HopfXiAlgebra(*fields)
-
-    if name == "unit":
-        for i in range(len(maps)):
-            unit = list(maps)
-            unit[i] = f.add(unit[i], f.one)
-            yield with_field(tuple(unit))
-        return
-    keyed = maps if isinstance(maps, dict) else dict(enumerate(maps))
-    for key, m in keyed.items():
-        for i in range(m.rows):
-            for j in range(m.cols):
-                rows = [list(r) for r in m.data]
-                rows[i][j] = f.add(rows[i][j], f.one)
-                changed = dict(keyed)
-                changed[key] = Matrix(f, rows, m.rows, m.cols)
-                if not isinstance(maps, dict):
-                    changed = tuple(changed.values())
-                yield with_field(changed)
-
-
 # Sweedler's algebra (168 perturbations) is left out to keep the suite fast.
 @pytest.mark.parametrize("name", ["mul", "unit", "delta", "eps", "antipode", "action"])
 @pytest.mark.parametrize("build", ALL_EXAMPLES, ids=lambda build: build.__name__[5:])
 def test_dual_validator_rejects_every_single_entry_perturbation(build, name):
-    perturbed = list(single_entry_perturbations(dualize(build()), name))
+    perturbed = list(perturbed_duals(dualize(build()), name))
     assert perturbed
     assert not any(validate_hopf_xi_algebra(p).ok for p in perturbed)
 

@@ -13,7 +13,7 @@ E, by its label where E's group declares labels and by its index.  Then it
 builds the benchmark's generated workloads (perfbench/gen.py) at seed GEN_SEED
 in a temporary directory and runs each of their invocations, sorted; the
 directory's path shows as GEN_DIR in their lines.  Then it runs `verify - g` on
-each MALFORMED and DEFERRED_MALFORMED document of tests/test_cli.py, read from
+each MALFORMED and DEFERRED_MALFORMED document of tests/conftest.py, read from
 stdin; their lines show the document as `< MALFORMED[id]`.  Then, on each
 mutation document with a `trivial: v` Hopf module added over each of its Hopf
 structures for each v of one group of TRIVIAL_FIBRES, once per group, read from
@@ -60,7 +60,7 @@ GEN_SEED = 1
 # a document of its own, so the lines of the earlier groups keep their document and digests
 TRIVIAL_FIBRES = ((0, 2), (3,))
 GEN_DIR = "<gen>"
-CLI_TESTS = os.path.join(ROOT, "tests", "test_cli.py")
+CLI_TESTS = os.path.join(ROOT, "tests", "conftest.py")
 DOC = "fixtures/k_xi_z2.json"
 HOM = ["hom", DOC, "k_xi_z2", "k1", "kh"]
 ARGV = [
@@ -155,7 +155,7 @@ def malformed():
     """(label, document bytes) of every document that the malformed-input tests feed to
     `verify - g`: WELL_FORMED with each entry of MALFORMED and DEFERRED_MALFORMED put in.
 
-    The three dicts are read from tests/test_cli.py without importing it (it needs pytest).
+    The three dicts are read from tests/conftest.py without importing it (it needs pytest).
     """
     with open(CLI_TESTS) as fh:
         tree = ast.parse(fh.read(), CLI_TESTS)
