@@ -18,7 +18,10 @@ stdin; their lines show the document as `< MALFORMED[id]`.  Then, on each
 mutation document with a `trivial: v` Hopf module added over each of its Hopf
 structures for each v of one group of TRIVIAL_FIBRES, once per group, read from
 stdin, it runs `verify` of each added module and `structure-theorem` on it;
-their lines show the document as `< TRIVIAL[file]`.  Each of these invocations runs once as text and once with
+their lines show the document as `< TRIVIAL[file]`.  Then, on the explicit form that
+docio.serialize writes of each fixture and mutation document, read from stdin, it runs
+`verify` of every named object and `report` of every Hopf structure; their lines show the
+document as `< EXPLICIT[file]`.  Each of these invocations runs once as text and once with
 --json.
 
 Last come the argument lists of ARGV, each run once, with fixtures/k_xi_z2.json
@@ -50,7 +53,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import gen  # noqa: E402
 from xmhopf.cli import main as cli_main  # noqa: E402
-from xmhopf.docio import parse  # noqa: E402
+from xmhopf.docio import parse, serialize  # noqa: E402
 from xmhopf.errors import XmhopfError  # noqa: E402
 
 SECTIONS = ("groups", "crossed_modules", "hopf", "modules", "hopf_modules", "grouplikes",
@@ -199,6 +202,26 @@ def trivial_modules():
     return out
 
 
+def explicit():
+    """(argument list, document bytes, label) of `verify` of every named object and `report` of
+    every Hopf structure of the docio.serialize form of each fixture and mutation document.
+
+    The explicit form writes every structure map out, one literal matrix per entry of each
+    table, so a map that a document repeats is read many times: the digests pin what a parse
+    builds of repeated and of near-duplicate literal matrices.
+    """
+    out = []
+    for rel in documents():
+        with open(os.path.join(ROOT, rel), "rb") as fh:
+            data = serialize(parse(fh.read()))
+        doc = json.loads(data)
+        label = f" < EXPLICIT[{os.path.basename(rel)}]"
+        out += [(["verify", "-", name], data, label)
+                for section in SECTIONS for name in sorted(doc.get(section, {}))]
+        out += [(["report", "-", name], data, label) for name in sorted(doc.get("hopf", {}))]
+    return out
+
+
 def run(argv, stdin=b""):
     """(exit code, stdout, stderr) of one in-process call; an escaped exception is its own code."""
     out, err = io.StringIO(), io.StringIO()
@@ -222,6 +245,7 @@ def main():
         calls += [(args, b"", "") for args in generated(tmp)]
         calls += [(["verify", "-", "g"], data, f" < {label}") for label, data in malformed()]
         calls += trivial_modules()
+        calls += explicit()
         for args, stdin, source in calls:
             for argv in (args, args + ["--json"]):
                 code, out, err = run(argv, stdin)
