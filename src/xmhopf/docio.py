@@ -229,15 +229,23 @@ def _parse_scalar(f: Field, raw, where):
         raise DocumentSyntaxError(str(exc), where)
 
 
-class _Literals:
-    """The scalars of the literals one parse reads over `field`: structure maps repeat few
-    literals, so each distinct one is parsed once.  Only a literal whose type is exactly str
-    or int is looked up, as a dict takes true and 1.0 for the key 1."""
+# the literal types a dict keeps apart: it takes true and 1.0 for the key 1
+_KEYED = frozenset((str, int))
 
-    __slots__ = ("field", "memo")
+
+class _Literals:
+    """The scalars and matrices of the literals one parse reads over `field`: structure maps
+    repeat few literals and few matrices, so each distinct literal is parsed once and each
+    distinct literal matrix is built once, and an equal later entry gets the same immutable
+    Matrix.  A literal is keyed by itself, a matrix by its expected shape (rows, cols) and its
+    rows of literals.  Only literals whose type is exactly str or int are keyed, so a matrix
+    holding true, false or a float is read afresh each time; "1" and 1 are different keys.
+    A refused entry is never kept, so each refusal keeps its message and JSON path."""
+
+    __slots__ = ("field", "memo", "matrices")
 
     def __init__(self, field: Field):
-        self.field, self.memo = field, {}
+        self.field, self.memo, self.matrices = field, {}, {}
 
     def read(self, raw: list, where) -> list:
         """The scalars of the literals in raw, entry k at JSON path where[k]; a literal not
@@ -245,7 +253,7 @@ class _Literals:
         f, memo = self.field, self.memo
         out = []
         for k, v in enumerate(raw):
-            keyed = type(v) in (str, int)
+            keyed = type(v) in _KEYED
             x = memo.get(v) if keyed else None
             if x is None:
                 x = _parse_scalar(f, v, f"{where}[{k}]")
@@ -263,17 +271,22 @@ def _parse_vector(lits: _Literals, raw, where, length=None):
     return tuple(lits.read(raw, where))
 
 
-def _parse_matrix(lits: _Literals, raw, where, rows=None, cols=None) -> Matrix:
+def _parse_matrix(lits: _Literals, raw, where, rows: int, cols: int) -> Matrix:
     if not isinstance(raw, list) or (raw and not all(isinstance(r, list) for r in raw)):
         raise DocumentSyntaxError("expected a row-major list of lists", where)
-    if rows is not None and len(raw) != rows:
+    if len(raw) != rows:
         raise DocumentSyntaxError(f"expected {rows} rows, got {len(raw)}", where)
-    data = [lits.read(r, f"{where}[{i}]") for i, r in enumerate(raw)]
-    if data and cols is not None and any(len(r) != cols for r in data):
-        raise DocumentSyntaxError(f"expected {cols} columns", where)
-    if rows is not None and cols is not None:
-        return Matrix(lits.field, data, rows, cols)
-    return Matrix(lits.field, data)
+    key = (rows, cols, *map(tuple, raw))
+    keyed = _KEYED.issuperset(map(type, chain.from_iterable(raw)))
+    m = lits.matrices.get(key) if keyed else None
+    if m is None:
+        data = [lits.read(r, f"{where}[{i}]") for i, r in enumerate(raw)]
+        if any(len(r) != cols for r in data):
+            raise DocumentSyntaxError(f"expected {cols} columns", where)
+        m = Matrix(lits.field, data, rows, cols)
+        if keyed:
+            lits.matrices[key] = m
+    return m
 
 
 def _parse_table(lits: _Literals, raw, where, what, keys, rows, cols, shape) -> dict:

@@ -8,6 +8,7 @@ import pytest
 from tests.conftest import DEFERRED_MALFORMED, MALFORMED, WELL_FORMED, cli_env
 from xmhopf.docio import (
     MAX_GROUP_ORDER,
+    DocumentError,
     DocumentSyntaxError,
     FieldMismatchError,
     UnknownNameError,
@@ -15,7 +16,7 @@ from xmhopf.docio import (
     parse,
     serialize,
 )
-from xmhopf.linalg import literal_int
+from xmhopf.linalg import Matrix, literal_int
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -141,6 +142,128 @@ def test_a_literal_is_refused_wherever_it_follows_equal_values(tmp_path, capsys,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"input error: {section}.{name}.{table}[0,0][{row}][1]: {message}\n"
+
+
+# The intern of literal matrices: a parse builds each distinct (shape, literals) pair once and
+# hands an equal later entry the same Matrix, and a refused entry is refused as if read alone.
+DOCUMENTS = sorted(str(p.relative_to(FIXTURES.parent)) for p in FIXTURES.glob("**/*.json")
+                   if p.name != "manifest.json")
+
+
+def wide_s3_document(tmp_path) -> bytes:
+    """The benchmark's wide-s3 document (perfbench/gen.py, seed 1): explicit, with the Hopf
+    module A (x) k, whose rho and psi tables are the structure's coproduct and action."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", FIXTURES.parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.wide_s3(1, str(tmp_path))
+    return (tmp_path / "wide_s3.json").read_bytes()
+
+
+def literal_matrix_builds(monkeypatch, data: bytes):
+    """parse(data), and the (rows, cols, literals as JSON) of each Matrix it builds from a
+    literal matrix of the document."""
+    from xmhopf import docio
+
+    builds, init = [], Matrix.__init__
+
+    def spy(self, field, rows_data, rows=None, cols=None):
+        caller = sys._getframe(1)
+        if caller.f_code is docio._parse_matrix.__code__:
+            builds.append((rows, cols, json.dumps(caller.f_locals["raw"])))
+        init(self, field, rows_data, rows, cols)
+
+    monkeypatch.setattr(Matrix, "__init__", spy)
+    doc = parse(data)
+    monkeypatch.undo()
+    return doc, builds
+
+
+def test_equal_literal_matrices_of_wide_s3_are_one_object(tmp_path, monkeypatch):
+    doc, builds = literal_matrix_builds(monkeypatch, wide_s3_document(tmp_path))
+    a, (_, m) = doc.hopf["wide"], doc.hopf_modules["triv1"]
+    for x in a.H.elements():
+        for y in a.H.elements():
+            assert m.rho[(x, y)] is a.delta(x, y)
+        for e in a.E.elements():
+            assert m.psi[(x, e)] is a.phi(x, e)
+    assert len(builds) == len(set(builds))
+
+
+@pytest.mark.parametrize("path", DOCUMENTS)
+def test_a_parse_builds_each_distinct_literal_matrix_once(monkeypatch, path):
+    # the explicit form writes every map out; a mutation's near-duplicates, one entry apart
+    # from the originals beside them, must each keep their own matrix
+    explicit = serialize(parse((FIXTURES.parent / path).read_bytes()))
+    doc, builds = literal_matrix_builds(monkeypatch, explicit)
+    assert builds and len(builds) == len(set(builds))
+    assert serialize(doc) == explicit
+
+
+IDENTITY = [[1, 0], [0, 1]]
+R0 = [[1, 0, 0, 1], [0, 1, 1, 0]]  # r[0] of the dual module, its only 2 x 4 entry
+# entries of the explicit integer form of bichar_z2: the antipode is its first 2 x 2 entry and
+# psi[0,0] of the dual module comes after the action; each of the three holds IDENTITY
+ANTIPODE, PSI, R = ("hopf", "antipode", 0), ("hopf_modules", "psi", "0,0"), ("hopf_modules", "r", 0)
+
+
+def with_entry(matrix, row, col, value):
+    return [[value if (i, j) == (row, col) else v for j, v in enumerate(r)]
+            for i, r in enumerate(matrix)]
+
+
+def interned_cases():
+    """(id, fixture, slot, matrix, refusal): the matrix put in at the slot refuses the parse, after
+    an equal good matrix (`later`) or before one (`earlier`), as a reader of each entry alone
+    refuses it."""
+    cases = []
+    for fixture, refused, extra in (
+        ("bichar_z2.json", "not a rational literal: {}", []),
+        ("bichar_z2_gf5.json", "GF(5) scalar must be an integer, got {}",
+         [("1", 1, "'1'", "rational literal '1' in a GF(5) document")]),
+    ):
+        literals = [(value, col, shown, refused.format(shown))
+                    for value, col, shown in ((True, 1, "True"), (False, 0, "False"),
+                                              (1.0, 1, "1.0"))]
+        for value, col, shown, message in literals + extra:
+            for order, slot in (("later", PSI), ("earlier", ANTIPODE)):
+                cases.append((f"{fixture}-{shown}-{order}", fixture, slot,
+                              with_entry(IDENTITY, 1, col, value), f"[1][{col}]: {message}"))
+    # a matrix interned at one shape, met again where another is expected
+    for order, slot, matrix, cols in (
+        ("2x2-later-at-2x4", R, IDENTITY, 4),
+        ("2x4-later-at-2x2", PSI, R0, 2),
+        ("2x4-earlier-at-2x2", ANTIPODE, R0, 2),
+    ):
+        cases.append((f"shape-{order}", "bichar_z2.json", slot, matrix,
+                      f": expected {cols} columns"))
+    return cases
+
+
+@pytest.mark.parametrize("fixture, slot, matrix, refusal", [c[1:] for c in interned_cases()],
+                         ids=[c[0] for c in interned_cases()])
+def test_a_copy_of_an_interned_matrix_is_refused_as_if_read_alone(fixture, slot, matrix,
+                                                                 refusal):
+    doc = integer_literal_document(fixture)
+    section, table, key = slot
+    name = next(iter(doc[section]))
+    doc[section][name][table][key] = matrix
+    with pytest.raises(DocumentError) as err:
+        parse(doc_bytes(doc))
+    assert str(err.value) == f"{section}.{name}.{table}[{key}]{refusal}"
+
+
+@pytest.mark.parametrize("first, second", [("2/2", "1"), ("1", "2/2"), (1, "1"), ("1", 1)],
+                         ids=["2/2-then-1", "1-then-2/2", "int-then-str", "str-then-int"])
+def test_different_literals_of_equal_scalars_give_equal_matrices(first, second):
+    doc = integer_literal_document("bichar_z2.json")
+    doc["hopf"]["bichar_z2"]["antipode"][0] = with_entry(IDENTITY, 1, 1, first)
+    doc["hopf"]["bichar_z2"]["action"]["0,0"] = with_entry(IDENTITY, 1, 1, second)
+    a = parse(doc_bytes(doc)).hopf["bichar_z2"]
+    assert a.S(0) == a.phi(0, 0) == Matrix.identity(a.field, 2)
 
 
 def test_missing_name_is_reference_error():
