@@ -36,7 +36,7 @@ class ComponentAlgebra(Record, eq=True):
     column index i*dim + j for e_i e_j; unit is the coordinate vector of 1.
     """
 
-    __slots__ = ("field", "dim", "mul", "unit")
+    __slots__ = ("field", "dim", "mul", "unit", "_unit_col")
 
     def __post_init__(self):
         if self.dim < 1:
@@ -58,7 +58,12 @@ class ComponentAlgebra(Record, eq=True):
         return [[list(products[i * d + j]) for j in range(d)] for i in range(d)]
 
     def unit_col(self) -> Matrix:
-        return Matrix.col(self.field, self.unit)
+        """The unit as a dim x 1 column, built on the first call."""
+        col = getattr(self, "_unit_col", None)
+        if col is None:
+            col = Matrix.col(self.field, self.unit)
+            object.__setattr__(self, "_unit_col", col)
+        return col
 
     def multiply(self, u: Sequence, v: Sequence) -> tuple:
         return self.mul.apply(vec_kron(self.field, u, v))

@@ -64,6 +64,19 @@ def divided_power_algebra():
     return classical_hopf(f, alg, delta, counit)
 
 
+def test_a_component_builds_its_unit_column_once():
+    f = QQ
+    c = [[[f.one, f.zero], [f.zero, f.one]], [[f.zero, f.one], [f.one, f.zero]]]
+    alg, twin = (ComponentAlgebra.from_structure_constants(f, c, (f.one, f.zero)) for _ in "ab")
+    col = alg.unit_col()
+    assert col is alg.unit_col() and col == Matrix.col(f, (f.one, f.zero))
+    # the kept column is no field: not compared, hashed, printed or given to the constructor
+    assert alg == twin and hash(alg) == hash(twin) and repr(alg) == repr(twin)
+    assert ComponentAlgebra(f, alg.dim, alg.mul, alg.unit) == alg
+    with pytest.raises(TypeError, match="takes the fields field, dim, mul, unit$"):
+        ComponentAlgebra(f, alg.dim, alg.mul, alg.unit, col)
+
+
 def test_trivial_family_is_coalgebra():
     a = make_k_h_z2().base
     assert oracle_h_coalgebra(a).ok
