@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import settings
@@ -196,7 +197,9 @@ def cli_env():
     return env
 
 
-def full_suite_outputs():
+def full_suite_outputs(pool):
+    """The outputs of the CLI suite, each command a child process started through `pool`, in
+    the suite's order."""
     commands = [
         ("verify", "k_xi_z2.json", ["k_xi_z2"]),
         ("verify", "bichar_z2.json", ["bichar_z2"]),
@@ -210,12 +213,10 @@ def full_suite_outputs():
         ("hom", "k_xi_z2.json", ["k_xi_z2", "k1", "kh"]),
         ("report", "k_xi_z2.json", ["k_xi_z2"]),
     ]
-    outputs = []
-    for cmd, doc, args in commands:
-        for flags in ([], ["--json"]):
-            proc = run_cli(cmd, str(FIXTURES / doc), *args, *flags)
-            outputs.append((cmd, doc, tuple(args), tuple(flags), proc.returncode, proc.stdout))
-    return outputs
+    calls = [(cmd, doc, tuple(args), flags)
+             for cmd, doc, args in commands for flags in ((), ("--json",))]
+    procs = pool.map(lambda c: run_cli(c[0], str(FIXTURES / c[1]), *c[2], *c[3]), calls)
+    return [(*call, proc.returncode, proc.stdout) for call, proc in zip(calls, procs)]
 
 
 WELL_FORMED = {
@@ -322,8 +323,12 @@ DEFERRED_MALFORMED = {
 
 @pytest.fixture(scope="session")
 def determinism_pair():
-    """Two full runs of the CLI suite, computed once and shared by the tests that compare them."""
-    return full_suite_outputs(), full_suite_outputs()
+    """Two full runs of the CLI suite, computed once and shared by the tests that compare them.
+
+    Each run starts its children two at a time; each child draws its own hash seed.
+    """
+    with ThreadPoolExecutor(2) as pool:
+        return full_suite_outputs(pool), full_suite_outputs(pool)
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,6 @@ are produced.  Everything is exact arithmetic; there are no tolerances.
 import json
 import pathlib
 
-import pytest
-
 from tests.conftest import (
     GF5,
     QQ,

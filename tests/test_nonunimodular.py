@@ -9,7 +9,7 @@ the unit family is not pivotal while g is.
 
 import pytest
 
-from tests.conftest import GF5, QQ, make_sweedler, sign_flip_rho, spans
+from tests.conftest import GF5, QQ, make_sweedler, spans
 from tests.oracles import bumped
 from xmhopf.crossed import identity_cm
 from xmhopf.errors import NotPivotalError
