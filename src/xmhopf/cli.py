@@ -41,7 +41,7 @@ from .hopfmod import (
 )
 from .linalg import MAX_LITERAL_DIGITS, Field, Matrix, _ascii_digits
 from .repcat import hom_space, validate_module
-from .report import Report
+from .report import Report, given
 from .xihopf import full_validation_report, grouplike_pairing
 
 
@@ -86,7 +86,7 @@ def _pairings(a, fams, chk: Report) -> list:
             pairing = grouplike_pairing(a, fam)
         except DefiningIdentityFailedError as exc:
             out.append(None)
-            failures.append((f"family {k}: {exc}", False, True))
+            failures.append(("family {}: {}", (k, exc), given, (False, True)))
             continue
         shown = {str(e): a.field.show(v) for e, v in sorted(pairing.items())}
         out.append((shown, all(v == a.field.one for v in pairing.values())))

@@ -21,7 +21,7 @@ from .groups import (
     validate_hom,
 )
 from .record import Record
-from .report import Report
+from .report import Report, given
 
 
 class CrossedModule(Record, eq=True):
@@ -53,11 +53,11 @@ def validate_crossed_module(cm: CrossedModule) -> Report:
     E, H = cm.E, cm.H
 
     rep.identity("equivariance xi(x.e) = x xi(e) x^-1", (
-        (f"x={x} e={e}", cm.xi(cm.act(x, e)), H.conj(x, cm.xi(e)))
+        ("x={} e={}", (x, e), given, (cm.xi(cm.act(x, e)), H.conj(x, cm.xi(e))))
         for x in H.elements() for e in E.elements()
     ))
     rep.identity("Peiffer identity xi(e).f = e f e^-1", (
-        (f"e={e} f={f}", cm.act(cm.xi(e), f), E.conj(e, f))
+        ("e={} f={}", (e, f), given, (cm.act(cm.xi(e), f), E.conj(e, f)))
         for e in E.elements() for f in E.elements()
     ))
     return rep
@@ -180,10 +180,12 @@ def coker_action_on_kernel(cm: CrossedModule) -> tuple[tuple[tuple[int, ...], ..
     kpos = {k: i for i, k in enumerate(kernel)}
 
     rep.identity("kernel is stable under the H-action", (
-        (f"x={x} k={k}", cm.act(x, k) in kpos, True) for x in cm.H.elements() for k in kernel
+        ("x={} k={}", (x, k), given, (cm.act(x, k) in kpos, True))
+        for x in cm.H.elements() for k in kernel
     ))
     rep.identity("action factors through the cokernel", (
-        (f"coset {c}: x={x} vs rep {rep_x} on k={k}", cm.act(x, k), cm.act(rep_x, k))
+        ("coset {}: x={} vs rep {} on k={}", (c, x, rep_x, k), given,
+         (cm.act(x, k), cm.act(rep_x, k)))
         for c, rep_x in enumerate(kic.section)
         for x in cm.H.elements()
         if kic.projection[x] == c

@@ -11,7 +11,7 @@ from itertools import permutations
 
 from .errors import NotNormalError, ShapeMismatchError
 from .record import Record
-from .report import Report
+from .report import Report, given
 
 
 def _indices(rows, length, bound) -> bool:
@@ -77,16 +77,17 @@ def validate_group(g: FiniteGroup) -> Report:
     rep = Report("group")
     n, e = g.order, g.identity
     rep.identity("identity", (
-        (f"{x}*{y} = {g.mul(x, y)} != {a}", g.mul(x, y), a)
+        ("{}*{} = {} != {}", (x, y, g.mul(x, y), a), given, (g.mul(x, y), a))
         for a in range(n) for x, y in ((e, a), (a, e))
     ))
     rep.identity("inverses", (
-        (f"{a}*{b} = {g.mul(a, b)}, {b}*{a} = {g.mul(b, a)}, expected {e}",
-         (g.mul(a, b), g.mul(b, a)), (e, e))
+        ("{0}*{1} = {2}, {1}*{0} = {3}, expected {4}", (a, b, g.mul(a, b), g.mul(b, a), e),
+         given, ((g.mul(a, b), g.mul(b, a)), (e, e)))
         for a, b in enumerate(g.inverses)
     ))
     rep.identity("associativity", (
-        (f"({a}*{b})*{c} != {a}*({b}*{c})", g.mul(g.mul(a, b), c), g.mul(a, g.mul(b, c)))
+        ("({0}*{1})*{2} != {0}*({1}*{2})", (a, b, c), given,
+         (g.mul(g.mul(a, b), c), g.mul(a, g.mul(b, c))))
         for a in range(n) for b in range(n) for c in range(n)
     ))
     return rep
@@ -168,7 +169,8 @@ def validate_hom(f: GroupHom) -> Report:
     rep = Report("group hom")
     g, h = f.source, f.target
     rep.identity("multiplicative", (
-        (f"map({a}*{b}) != map({a})*map({b})", f.map[g.mul(a, b)], h.mul(f.map[a], f.map[b]))
+        ("map({0}*{1}) != map({0})*map({1})", (a, b), given,
+         (f.map[g.mul(a, b)], h.mul(f.map[a], f.map[b])))
         for a in g.elements() for b in g.elements()
     ))
     return rep
@@ -208,16 +210,17 @@ def validate_action(a: GroupAction) -> Report:
     h, e_grp = a.actor, a.space
     es = e_grp.elements()
     rep.identity("identity acts trivially", (
-        (f"act(1, {e}) = {a.act(h.identity, e)}", a.act(h.identity, e), e) for e in es
+        ("act(1, {}) = {}", (e, a.act(h.identity, e)), given, (a.act(h.identity, e), e))
+        for e in es
     ))
     rep.identity("action is multiplicative in the actor", (
-        (f"act({x}, act({y}, {e})) != act({x}*{y}, {e})",
-         a.act(x, a.act(y, e)), a.act(h.mul(x, y), e))
+        ("act({0}, act({1}, {2})) != act({0}*{1}, {2})", (x, y, e), given,
+         (a.act(x, a.act(y, e)), a.act(h.mul(x, y), e)))
         for x in h.elements() for y in h.elements() for e in es
     ))
     rep.identity("each actor element acts by an automorphism", (
-        (f"act({x}, {e}*{f}) is not multiplicative",
-         a.act(x, e_grp.mul(e, f)), e_grp.mul(a.act(x, e), a.act(x, f)))
+        ("act({}, {}*{}) is not multiplicative", (x, e, f), given,
+         (a.act(x, e_grp.mul(e, f)), e_grp.mul(a.act(x, e), a.act(x, f))))
         for x in h.elements() for e in es for f in es
     ))
     return rep

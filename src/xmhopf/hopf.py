@@ -21,7 +21,7 @@ from .errors import (
 from .groups import FiniteGroup, cyclic
 from .linalg import Field, Matrix
 from .record import Record
-from .report import Report
+from .report import Report, given
 
 
 def vec_kron(field: Field, u: Sequence, v: Sequence) -> tuple:
@@ -134,21 +134,31 @@ def validate_bicoalgebra(a: GradedHopfCoalgebra) -> Report:
     rep = Report("graded bicoalgebra")
     H, f, comps = a.H, a.field, a.components
     xs, one = H.elements(), H.identity
-    ident = [Matrix.identity(f, a.dim(x)) for x in xs]
+    ident = Matrix.identities(f, [a.dim(x) for x in xs])
+
+    def right_unit(mul_x, id_x, unit_x):
+        return mul_x.matmul_kron(id_x, unit_x), id_x
+
+    def right_counit(id_x, delta_x1):
+        return id_x.kron_matmul(a.counit, delta_x1), id_x
+
+    def preserves_units(delta_xy, unit_xy, unit_x, unit_y):
+        return delta_xy @ unit_xy, unit_x.kron(unit_y)
+
     rep.identity("right unit", (
-        (f"x={x}", comps[x].mul.matmul_kron(ident[x], comps[x].unit_col()), ident[x]) for x in xs
+        ("x={}", (x,), right_unit, (comps[x].mul, ident[x], comps[x].unit_col())) for x in xs
     ))
     rep.identity("right counit", (
-        (f"x={x}", ident[x].kron_matmul(a.counit, a.delta(x, one)), ident[x]) for x in xs
+        ("x={}", (x,), right_counit, (ident[x], a.delta(x, one))) for x in xs
     ))
     rep.identity("coproduct preserves units", (
-        (f"(x,y)=({x},{y})",
-         a.delta(x, y) @ comps[H.mul(x, y)].unit_col(),
-         comps[x].unit_col().kron(comps[y].unit_col()))
+        ("(x,y)=({},{})", (x, y), preserves_units,
+         (a.delta(x, y), comps[H.mul(x, y)].unit_col(), comps[x].unit_col(), comps[y].unit_col()))
         for x in xs for y in xs
     ))
     rep.identity("counit is an algebra map", [
-        ("eps mu_1 != eps (x) eps", a.counit @ comps[one].mul, a.counit.kron(a.counit)),
+        ("eps mu_1 != eps (x) eps", (), given,
+         (a.counit @ comps[one].mul, a.counit.kron(a.counit))),
     ])
     return rep
 
@@ -198,17 +208,28 @@ def validate_antipode(a: GradedHopfCoalgebra) -> Report:
     rep = Report("antipode axioms")
     H, f, comps = a.H, a.field, a.components
     xs = H.elements()
-    ident = [Matrix.identity(f, a.dim(x)) for x in xs]
-    eta_eps = [comps[x].unit_col() @ a.counit for x in xs]
+    ident = Matrix.identities(f, [a.dim(x) for x in xs])
+
+    def left_identity(mul_x, s_x, id_x, delta, unit_x):
+        return mul_x @ s_x.kron_matmul(id_x, delta), unit_x @ a.counit
+
+    def right_identity(mul_x, id_x, s_x, delta, unit_x):
+        return mul_x @ id_x.kron_matmul(s_x, delta), unit_x @ a.counit
+
+    def bijective(s_x):
+        return s_x.is_invertible(), True
+
     rep.identity("left identity mu (S (x) id) Delta = eta eps", (
-        (f"x={x}", comps[x].mul @ a.S(x).kron_matmul(ident[x], a.delta(H.inv(x), x)), eta_eps[x])
+        ("x={}", (x,), left_identity,
+         (comps[x].mul, a.S(x), ident[x], a.delta(H.inv(x), x), comps[x].unit_col()))
         for x in xs
     ))
     rep.identity("right identity mu (id (x) S) Delta = eta eps", (
-        (f"x={x}", comps[x].mul @ ident[x].kron_matmul(a.S(x), a.delta(x, H.inv(x))), eta_eps[x])
+        ("x={}", (x,), right_identity,
+         (comps[x].mul, ident[x], a.S(x), a.delta(x, H.inv(x)), comps[x].unit_col()))
         for x in xs
     ))
-    rep.identity("bijectivity", ((f"x={x}", a.S(x).is_invertible(), True) for x in xs))
+    rep.identity("bijectivity", (("x={}", (x,), bijective, (a.S(x),)) for x in xs))
     return rep
 
 
@@ -223,9 +244,15 @@ def _counit_of(a: GradedHopfCoalgebra, G):
     return a.counit.apply(G[a.H.identity])[0]
 
 
+def _coproduct(f: Field, delta_xy: Matrix, g_xy, g_x, g_y) -> tuple:
+    """Delta_{x,y}(G_xy) and G_x (x) G_y, the two sides of the coproduct condition at (x, y)."""
+    return delta_xy.apply(g_xy), vec_kron(f, g_x, g_y)
+
+
 def _coproduct_holds(a: GradedHopfCoalgebra, G, x: int, y: int) -> bool:
     """Delta_{x,y}(G_xy) = G_x (x) G_y; reads only the components of degree x, y and xy."""
-    return a.delta(x, y).apply(G[a.H.mul(x, y)]) == vec_kron(a.field, G[x], G[y])
+    lhs, rhs = _coproduct(a.field, a.delta(x, y), G[a.H.mul(x, y)], G[x], G[y])
+    return lhs == rhs
 
 
 def grouplike_report(a: GradedHopfCoalgebra, G: GrouplikeFamily) -> Report:
@@ -238,9 +265,10 @@ def grouplike_report(a: GradedHopfCoalgebra, G: GrouplikeFamily) -> Report:
         raise ShapeMismatchError("family has wrong component dimensions")
     rep = Report("grouplike candidate")
     eps = _counit_of(a, G)
-    rep.identity("counit normalization eps(G_1) = 1", [(f"eps(G_1) = {f.show(eps)}", eps, f.one)])
+    rep.identity("counit normalization eps(G_1) = 1",
+                 [("eps(G_1) = {}", (f.show(eps),), given, (eps, f.one))])
     rep.identity("Delta_{x,y}(G_xy) = G_x (x) G_y", (
-        (f"(x,y)=({x},{y})", _coproduct_holds(a, G, x, y), True)
+        ("(x,y)=({},{})", (x, y), _coproduct, (f, a.delta(x, y), G[H.mul(x, y)], G[x], G[y]))
         for x in H.elements() for y in H.elements()
     ))
     return rep
@@ -290,15 +318,15 @@ def enumerate_grouplikes(a: GradedHopfCoalgebra) -> list[GrouplikeFamily]:
     than GROUPLIKE_VISIT_BUDGET visits raises SearchBudgetError.
     """
     H, f = a.H, a.field
-    per_component = []
-    for x in H.elements():
-        cands = []
-        for v in Matrix.identity(f, a.dim(x)).data:
+    by_dim = {}  # one candidate list per dimension: equal candidates are one object
+    for d in {a.dim(x) for x in H.elements()}:
+        cands = by_dim[d] = []
+        for v in Matrix.identity(f, d).data:
             cands.append(v)
             neg = tuple(f.neg(c) for c in v)
             if neg != v:
                 cands.append(neg)
-        per_component.append(cands)
+    per_component = [by_dim[a.dim(x)] for x in H.elements()]
     due = [[] for _ in H.elements()]  # due[d]: the (x, y) decided once G_d is assigned
     for x in H.elements():
         for y in H.elements():
@@ -341,7 +369,7 @@ def is_pivotal_element(a: GradedHopfCoalgebra, G: GrouplikeFamily) -> Report:
             ss = a.S(x) @ a.S(H.inv(x))
             for i, basis in enumerate(Matrix.identity(f, comp.dim).data):
                 conjugated = comp.multiply(comp.multiply(G[x], basis), ginv[x])
-                yield f"x={x} basis={i}", ss.apply(basis), conjugated
+                yield "x={} basis={}", (x, i), given, (ss.apply(basis), conjugated)
 
     rep = Report("pivotal element")
     rep.identity("S_x S_{x^-1} equals conjugation by G", cases())

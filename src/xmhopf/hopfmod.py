@@ -93,10 +93,15 @@ class HopfXiModule(Record):
                     raise ShapeMismatchError(f"psi at ({x},{e}) has wrong shape")
 
 
-def _unit_law(m: HopfXiModule):
+def _unit_law(psi_x1: Matrix):
+    """psi_{x,1} and the identity of its source, the two sides of psi's unit law at x."""
+    return psi_x1, Matrix.identity(psi_x1.field, psi_x1.cols)
+
+
+def _unit_law_cases(m: HopfXiModule):
     """The cases of psi_{x,1} = id."""
     a = m.algebra
-    return ((f"unit law at x={x}", m.psi[(x, a.E.identity)], Matrix.identity(a.field, m.dim(x)))
+    return (("unit law at x={}", (x,), _unit_law, (m.psi[(x, a.E.identity)],))
             for x in a.H.elements())
 
 
@@ -119,55 +124,75 @@ def validate_hopf_xi_module(a: HopfXiCoalgebra, m: HopfXiModule) -> Report:
     xi(1) = 1 and x > 1 = 1 (groups.validate_hom, groups.validate_action);
     validate_module_premises checks them, and full_validation_report, which checks A as its
     own regular Hopf module, has them already.
+
+    Each law is one case kind, a function of the maps that its two sides are built from;
+    Report.identity decides each distinct tuple of maps once.
     """
     rep = Report("Hopf crossed-module module")
     f, H, E, cm = a.field, a.H, a.E, a.cm
-    xs, es, one = H.elements(), E.elements(), H.identity
-    ident_a = [Matrix.identity(f, a.dim(x)) for x in xs]
-    ident_m = [Matrix.identity(f, m.dim(x)) for x in xs]
+    xs, es, one, e1 = H.elements(), E.elements(), H.identity, E.identity
+    delta, phi, rho, psi, r = a.base.coproduct, a.action, m.rho, m.psi, m.r
+    ident_a = Matrix.identities(f, [a.dim(x) for x in xs])
+    ident_m = Matrix.identities(f, m.dims)
+    tgt = [[H.mul(cm.xi_of(e), x) for e in es] for x in xs]  # tgt[x][e] = xi(e)x
 
-    def tgt(x, e):
-        return H.mul(cm.xi_of(e), x)
+    def coassociativity(delta_xy, id_z, rho_xy_z, id_x, rho_yz, rho_x_yz):
+        return delta_xy.kron_matmul(id_z, rho_xy_z), id_x.kron_matmul(rho_yz, rho_x_yz)
+
+    def counitality(id_x, rho_1x):
+        return a.counit.kron_matmul(id_x, rho_1x), id_x
+
+    def intertwining(rho_xy, r_xy, mul_x, r_y, delta_xy):
+        dx, dy = mul_x.rows, delta_xy.rows // mul_x.rows
+        return (rho_xy @ r_xy,
+                mul_x.kron(r_y).flip_cols(dx, dy, dx, r_y.rows).matmul_kron(delta_xy, rho_xy))
+
+    def composition(psi_te_f, psi_xe, psi_x_fe):
+        return psi_te_f @ psi_xe, psi_x_fe
+
+    def action_compatibility(psi_xe, r_x, r_te, phi_xe):
+        return psi_xe @ r_x, r_te.matmul_kron(phi_xe, psi_xe)
+
+    def coaction_compatibility(phi_xe, psi_yf, rho_xy, rho_tt, psi_xy_l):
+        return phi_xe.kron_matmul(psi_yf, rho_xy), rho_tt @ psi_xy_l
 
     def comodule_cases():
         for x in xs:
             for y in xs:
+                delta_xy, xy = delta[(x, y)], H.mul(x, y)
                 for z in xs:
-                    yield (f"coassociativity at (x,y,z)=({x},{y},{z})",
-                           a.delta(x, y).kron_matmul(ident_m[z], m.rho[(H.mul(x, y), z)]),
-                           ident_a[x].kron_matmul(m.rho[(y, z)], m.rho[(x, H.mul(y, z))]))
+                    yield ("coassociativity at (x,y,z)=({},{},{})", (x, y, z), coassociativity,
+                           (delta_xy, ident_m[z], rho[(xy, z)],
+                            ident_a[x], rho[(y, z)], rho[(x, H.mul(y, z))]))
         for x in xs:
-            yield (f"counitality at x={x}", a.counit.kron_matmul(ident_m[x], m.rho[(one, x)]),
-                   ident_m[x])
+            yield "counitality at x={}", (x,), counitality, (ident_m[x], rho[(one, x)])
 
     def equivariance_cases():
-        yield from _unit_law(m)
-        moving = [e for e in es if e != E.identity]
+        yield from _unit_law_cases(m)
+        moving = [e for e in es if e != e1]
         for x in xs:
+            tx = tgt[x]
             for e in moving:
+                psi_xe = psi[(x, e)]
                 for g in moving:
-                    yield (f"composition at x={x} e={e} f={g}",
-                           m.psi[(tgt(x, e), g)] @ m.psi[(x, e)], m.psi[(x, E.mul(g, e))])
-                yield (f"action compatibility at x={x} e={e}",
-                       m.psi[(x, e)] @ m.r[x],
-                       m.r[tgt(x, e)].matmul_kron(a.phi(x, e), m.psi[(x, e)]))
+                    yield ("composition at x={} e={} f={}", (x, e, g), composition,
+                           (psi[(tx[e], g)], psi_xe, psi[(x, E.mul(g, e))]))
+                yield ("action compatibility at x={} e={}", (x, e), action_compatibility,
+                       (psi_xe, r[x], r[tx[e]], phi[(x, e)]))
             for y in xs:
+                ty, rho_xy, xy = tgt[y], rho[(x, y)], H.mul(x, y)
                 for e in es:
-                    for g in es:
-                        if (e == E.identity) == (g == E.identity):
-                            continue
-                        label = E.mul(e, cm.act(x, g))
-                        yield (f"coaction compatibility at x={x} y={y} e={e} f={g}",
-                               a.phi(x, e).kron_matmul(m.psi[(y, g)], m.rho[(x, y)]),
-                               m.rho[(tgt(x, e), tgt(y, g))] @ m.psi[(H.mul(x, y), label)])
+                    for g in moving if e == e1 else (e1,):  # exactly one of e and g is 1
+                        yield ("coaction compatibility at x={} y={} e={} f={}", (x, y, e, g),
+                               coaction_compatibility,
+                               (phi[(x, e)], psi[(y, g)], rho_xy, rho[(tx[e], ty[g])],
+                                psi[(xy, E.mul(e, cm.act(x, g)))]))
 
     rep.merge(validate_module(a, AModule(a, m.dims, m.r)))
     rep.identity("(b) (M, rho) is a comodule", comodule_cases())
     rep.identity("(c) action and coaction intertwine", (
-        (f"(x,y)=({x},{y})",
-         m.rho[(x, y)] @ m.r[H.mul(x, y)],
-         a.component(x).mul.kron(m.r[y]).flip_cols(a.dim(x), a.dim(y), a.dim(x), m.dim(y))
-         .matmul_kron(a.delta(x, y), m.rho[(x, y)]))
+        ("(x,y)=({},{})", (x, y), intertwining,
+         (rho[(x, y)], r[H.mul(x, y)], a.component(x).mul, r[y], delta[(x, y)]))
         for x in xs for y in xs
     ))
     rep.identity("(d) psi equivariance laws", equivariance_cases())
@@ -186,7 +211,7 @@ def validate_module_premises(a: HopfXiCoalgebra) -> Report:
     rep = Report("premises over the structure")
     rep.merge(validate_components(a.cm))
     rep.merge(validate_crossed_module(a.cm))
-    rep.identity("phi_{x,1} = id", _unit_law(regular_hopf_module(a)))
+    rep.identity("phi_{x,1} = id", _unit_law_cases(regular_hopf_module(a)))
     return rep
 
 
@@ -338,26 +363,33 @@ def integral_report(a: HopfXiCoalgebra, lam: tuple, side: str) -> Report:
     if len(lam) != H.order or any(len(lam[x]) != a.dim(x) for x in H.elements()):
         raise ShapeMismatchError("family has wrong component dimensions")
 
+    xs, es = H.elements(), E.elements()
+    ident = Matrix.identities(f, [a.dim(x) for x in xs])
+    row_of = {v: Matrix.row(f, v) for v in set(map(tuple, lam))}
+    rows = [row_of[tuple(v)] for v in lam]  # one object per distinct covector
+
+    def coproduct_condition(left, right, delta_xy, unit, lam_xy):
+        return left.kron_matmul(right, delta_xy), unit @ lam_xy
+
+    def action_invariance(lam_tgt, phi_xe, lam_x):
+        return lam_tgt @ phi_xe, lam_x
+
     def coproduct_cases():
-        for x in H.elements():
-            for y in H.elements():
-                lam_row = Matrix.row(f, lam[H.mul(x, y)])
+        for x in xs:
+            for y in xs:
+                lam_xy = rows[H.mul(x, y)]
                 if side == "left":
-                    lhs = Matrix.identity(f, a.dim(x)).kron_matmul(Matrix.row(f, lam[y]),
-                                                                   a.delta(x, y))
-                    rhs = a.component(x).unit_col() @ lam_row
+                    operands = (ident[x], rows[y], a.delta(x, y), a.component(x).unit_col(), lam_xy)
                 else:
-                    lhs = Matrix.row(f, lam[x]).kron_matmul(Matrix.identity(f, a.dim(y)),
-                                                            a.delta(x, y))
-                    rhs = a.component(y).unit_col() @ lam_row
-                yield f"(x,y)=({x},{y})", lhs, rhs
+                    operands = (rows[x], ident[y], a.delta(x, y), a.component(y).unit_col(), lam_xy)
+                yield "(x,y)=({},{})", (x, y), coproduct_condition, operands
 
     rep = Report(f"{side} integral candidate")
     rep.identity("coproduct condition", coproduct_cases())
     rep.identity("action invariance", (
-        (f"(x,e)=({x},{e})",
-         Matrix.row(f, lam[H.mul(a.cm.xi_of(e), x)]) @ a.phi(x, e), Matrix.row(f, lam[x]))
-        for x in H.elements() for e in E.elements()
+        ("(x,e)=({},{})", (x, e), action_invariance,
+         (rows[H.mul(a.cm.xi_of(e), x)], a.phi(x, e), rows[x]))
+        for x in xs for e in es
     ))
     return rep
 

@@ -416,6 +416,14 @@ class Matrix:
         return _new(field, n, n, tuple(((i, 1),) for i in range(n)))
 
     @staticmethod
+    def identities(field: Field, dims: Sequence[int]) -> list:
+        """The identity of each size in dims, one object per distinct size: a validator's
+        cases that differ only in which of two equal identities they use share one verdict
+        (report.Report.identity)."""
+        made = {d: Matrix.identity(field, d) for d in set(dims)}
+        return [made[d] for d in dims]
+
+    @staticmethod
     def col(field: Field, entries: Sequence[Scalar]) -> "Matrix":
         return Matrix(field, [[e] for e in entries], len(entries), 1)
 

@@ -19,7 +19,7 @@ from .errors import (
 from .hopf import grouplike_inverse, is_pivotal_element
 from .linalg import Matrix
 from .record import Record
-from .report import Report
+from .report import Report, given
 from .xihopf import HopfXiCoalgebra
 
 
@@ -66,16 +66,21 @@ class GradedHom(Record):
 def validate_module(a: HopfXiCoalgebra, m: AModule) -> Report:
     rep = Report("graded module")
     f, xs = a.field, a.H.elements()
-    ident_m = [Matrix.identity(f, m.dim(x)) for x in xs]
+    ident_a = Matrix.identities(f, [a.dim(x) for x in xs])
+    ident_m = Matrix.identities(f, m.dims)
+
+    def associativity(r_x, mul_x, id_m, id_a):
+        return r_x.matmul_kron(mul_x, id_m), r_x.matmul_kron(id_a, r_x)
+
+    def unitality(r_x, unit_x, id_m):
+        return r_x.matmul_kron(unit_x, id_m), id_m
+
     rep.identity("action is associative", (
-        (f"x={x}",
-         m.r(x).matmul_kron(a.component(x).mul, ident_m[x]),
-         m.r(x).matmul_kron(Matrix.identity(f, a.dim(x)), m.r(x)))
+        ("x={}", (x,), associativity, (m.r(x), a.component(x).mul, ident_m[x], ident_a[x]))
         for x in xs
     ))
     rep.identity("action is unital", (
-        (f"x={x}", m.r(x).matmul_kron(a.component(x).unit_col(), ident_m[x]), ident_m[x])
-        for x in xs
+        ("x={}", (x,), unitality, (m.r(x), a.component(x).unit_col(), ident_m[x])) for x in xs
     ))
     return rep
 
@@ -350,16 +355,16 @@ def dual_zigzag_report(a: HopfXiCoalgebra, m: AModule, piv: tuple) -> Report:
     ident = Matrix.identity(f, md)
 
     rep.identity("left duality", [
-        ("(lev (x) id)(id (x) lcoev) != id on M*",
-         dd.left_ev.kron_matmul(ident, ident.kron(dd.left_coev)), ident),
-        ("(id (x) lev)(lcoev (x) id) != id on M",
-         ident.kron_matmul(dd.left_ev, dd.left_coev.kron(ident)), ident),
+        ("(lev (x) id)(id (x) lcoev) != id on M*", (), given,
+         (dd.left_ev.kron_matmul(ident, ident.kron(dd.left_coev)), ident)),
+        ("(id (x) lev)(lcoev (x) id) != id on M", (), given,
+         (ident.kron_matmul(dd.left_ev, dd.left_coev.kron(ident)), ident)),
     ])
     rep.identity("right duality", [
-        ("(rev (x) id)(id (x) rcoev) != id on M",
-         dd.right_ev.kron_matmul(ident, ident.kron(dd.right_coev)), ident),
-        ("(id (x) rev)(rcoev (x) id) != id on M*",
-         ident.kron_matmul(dd.right_ev, dd.right_coev.kron(ident)), ident),
+        ("(rev (x) id)(id (x) rcoev) != id on M", (), given,
+         (dd.right_ev.kron_matmul(ident, ident.kron(dd.right_coev)), ident)),
+        ("(id (x) rev)(rcoev (x) id) != id on M*", (), given,
+         (ident.kron_matmul(dd.right_ev, dd.right_coev.kron(ident)), ident)),
     ])
     return rep
 

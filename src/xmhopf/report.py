@@ -5,12 +5,26 @@ boolean: each named check carries the first few concrete witnesses of a
 violation, so user-supplied structure constants can be debugged.
 
 Every exact identity is checked through `Report.identity(name, cases)`:
-it opens the check `name` and walks a lazily generated stream of
-(label, lhs, rhs) cases, recording the label of each case whose sides
-differ.  A validator is then the list of its identities, each written once
-as a generator over its index space; shapes and ranges are checked when
-objects are built, so no validator opens a check by hand.  A verdict that
-is not an identity of two sides is recorded by `Report.settle`.
+it opens the check `name` and walks a lazily generated stream of cases.  A
+case is data, `(template, args, kind, operands)`: `kind(*operands)` computes
+its two sides, and `template.format(*args)` is its label.  A validator is
+then the list of its identities, each written once as a generator over its
+index space; shapes and ranges are checked when objects are built, so no
+validator opens a check by hand.  A case whose sides are values already
+passes them as the operands of the kind `given`; so does `Report.settle`,
+which records a verdict that is not an identity of two sides.
+
+`identity` decides each distinct (kind, operands) once per call: the key is
+the kind and the `id` of each operand, and a later case with the same key
+reuses the verdict instead of computing its sides again.  The key is sound
+because a kind's sides depend on its operands only, every operand the
+validators pass is immutable (a `Matrix`, a `Field`, a tuple, an int or a
+bool), and the call keeps a reference to the operands of each key it
+holds, so no id is reused while the key lives.  Two equal but distinct operands only miss the reuse.  Only
+the verdict is kept, not the sides, and the keys go when the call returns.
+`violations` counts every failing case, reused or not, in the order of the
+stream, and a label is formatted only for the first WITNESS_CAP failing
+cases, the witnesses a check keeps.
 
 Where a boolean predicate is also needed (is_grouplike, is_integral), it
 is its report's `.ok`.
@@ -25,6 +39,15 @@ from .record import Record
 WITNESS_CAP = 10
 
 
+def given(lhs, rhs):
+    """The kind of a case whose two sides are its operands."""
+    return lhs, rhs
+
+
+class _Verdicts(dict):
+    """The verdict of each (kind, id of each operand) key decided in one identity call."""
+
+
 class Check(Record, eq=True, frozen=False):
     __slots__ = ("name", "witnesses", "violations")  # the first WITNESS_CAP witnesses
     _defaults = {"witnesses": list, "violations": int}
@@ -32,11 +55,6 @@ class Check(Record, eq=True, frozen=False):
     @property
     def ok(self) -> bool:
         return self.violations == 0
-
-    def add(self, witness: str) -> None:
-        self.violations += 1
-        if len(self.witnesses) < WITNESS_CAP:
-            self.witnesses.append(witness)
 
 
 class Report(Record, eq=True, frozen=False):
@@ -48,17 +66,29 @@ class Report(Record, eq=True, frozen=False):
         self.checks.append(c)
         return c
 
-    def identity(self, name: str, cases: Iterable[tuple[str, object, object]]) -> None:
-        """Open check `name`; record the label of each (label, lhs, rhs) case with lhs != rhs."""
+    def identity(self, name: str, cases: Iterable[tuple]) -> None:
+        """Open check `name`; count each (template, args, kind, operands) case whose sides
+        differ, deciding each distinct (kind, operands) once, and keep the labels of the
+        first WITNESS_CAP of them."""
         c = self.check(name)
-        for label, lhs, rhs in cases:
-            if lhs != rhs:
-                c.add(label)
+        witnesses, violations = c.witnesses, 0
+        verdicts, held = _Verdicts(), []  # held: the operands whose ids the keys name
+        verdict = verdicts.get
+        for template, args, kind, operands in cases:
+            key = (kind, *map(id, operands))
+            ok = verdict(key)
+            if ok is None:
+                lhs, rhs = kind(*operands)
+                ok = verdicts[key] = lhs == rhs
+                held.append(operands)
+            if not ok:
+                violations += 1
+                if len(witnesses) < WITNESS_CAP:
+                    witnesses.append(template.format(*args))
+        c.violations = violations
 
     def settle(self, name: str, ok: bool, witness: str = "") -> None:
-        c = self.check(name)
-        if not ok:
-            c.add(witness or name)
+        self.identity(name, [("{}", (witness or name,), given, (ok, True))])
 
     def merge(self, other: "Report") -> None:
         for c in other.checks:

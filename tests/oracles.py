@@ -49,7 +49,7 @@ from xmhopf.hopfmod import (
 )
 from xmhopf.linalg import Field, Matrix
 from xmhopf.repcat import AModule, _flatten, validate_module
-from xmhopf.report import Report
+from xmhopf.report import Report, given
 from xmhopf.xihopf import HopfXiAlgebra, HopfXiCoalgebra, full_validation_report, is_xi_grouplike
 
 # -- examples ----------------------------------------------------------------------------------
@@ -212,15 +212,17 @@ def oracle_xi_action(a: HopfXiCoalgebra, label=None, reduced: bool = False) -> R
     def tgt(x, e):
         return H.mul(cm.xi_of(e), x)
 
-    rep.identity("phi_{x,1} = id", ((f"x={x}", a.phi(x, E.identity), ident[x]) for x in xs))
+    rep.identity("phi_{x,1} = id", (
+        ("x={}", (x,), given, (a.phi(x, E.identity), ident[x])) for x in xs))
     rep.identity("phi_{xi(e)x,f} phi_{x,e} = phi_{x,fe}", (
-        (f"x={x} e={e} f={g}", a.phi(tgt(x, e), g) @ a.phi(x, e), a.phi(x, E.mul(g, e)))
+        ("x={} e={} f={}", (x, e, g), given,
+         (a.phi(tgt(x, e), g) @ a.phi(x, e), a.phi(x, E.mul(g, e))))
         for x in xs for e in es for g in es
     ))
     rep.identity(COMPATIBILITY, (
-        (f"x={x} y={y} e={e} f={g}",
-         a.phi(x, e).kron(a.phi(y, g)) @ a.delta(x, y),
-         a.delta(tgt(x, e), tgt(y, g)) @ a.phi(H.mul(x, y), label(x, e, g)))
+        ("x={} y={} e={} f={}", (x, y, e, g), given,
+         (a.phi(x, e).kron(a.phi(y, g)) @ a.delta(x, y),
+          a.delta(tgt(x, e), tgt(y, g)) @ a.phi(H.mul(x, y), label(x, e, g))))
         for x in xs for y in xs for e in es for g in es
         if not reduced or e == E.identity or g == E.identity
     ))
@@ -229,13 +231,13 @@ def oracle_xi_action(a: HopfXiCoalgebra, label=None, reduced: bool = False) -> R
         for x in xs:
             for e in es:
                 p, src, dst = a.phi(x, e), a.component(x), a.component(tgt(x, e))
-                yield f"x={x} e={e}: multiplication", p @ src.mul, dst.mul @ p.kron(p)
-                yield f"x={x} e={e}: unit", p @ src.unit_col(), dst.unit_col()
+                yield "x={} e={}: multiplication", (x, e), given, (p @ src.mul, dst.mul @ p.kron(p))
+                yield "x={} e={}: unit", (x, e), given, (p @ src.unit_col(), dst.unit_col())
 
     rep.identity("each phi_{x,e} is an algebra morphism", morphism_cases())
     if not reduced:
         rep.identity("phi_{x,e}^-1 = phi_{xi(e)x,e^-1}", (
-            (f"x={x} e={e}", a.phi(tgt(x, e), E.inv(e)) @ a.phi(x, e), ident[x])
+            ("x={} e={}", (x, e), given, (a.phi(tgt(x, e), E.inv(e)) @ a.phi(x, e), ident[x]))
             for x in xs for e in es
         ))
     return rep
@@ -256,23 +258,24 @@ def oracle_antipode_properties(a: GradedHopfCoalgebra) -> Report:
     H, comps = a.H, a.components
     xs = H.elements()
     rep.identity("anti-multiplicativity", (
-        (f"x={x}",
-         a.S(x) @ comps[H.inv(x)].mul,
-         comps[x].mul.flip_cols(1, a.dim(x), a.dim(x), 1) @ a.S(x).kron(a.S(x)))
+        ("x={}", (x,), given,
+         (a.S(x) @ comps[H.inv(x)].mul,
+          comps[x].mul.flip_cols(1, a.dim(x), a.dim(x), 1) @ a.S(x).kron(a.S(x))))
         for x in xs
     ))
     rep.identity("unit preservation", (
-        (f"x={x}", a.S(x) @ comps[H.inv(x)].unit_col(), comps[x].unit_col()) for x in xs
+        ("x={}", (x,), given, (a.S(x) @ comps[H.inv(x)].unit_col(), comps[x].unit_col()))
+        for x in xs
     ))
     rep.identity("anti-comultiplicativity", (
-        (f"(x,y)=({x},{y})",
-         a.delta(x, y) @ a.S(H.mul(x, y)),
-         a.S(x).kron(a.S(y)).flip_cols(1, a.dim(H.inv(y)), a.dim(H.inv(x)), 1)
-         @ a.delta(H.inv(y), H.inv(x)))
+        ("(x,y)=({},{})", (x, y), given,
+         (a.delta(x, y) @ a.S(H.mul(x, y)),
+          a.S(x).kron(a.S(y)).flip_cols(1, a.dim(H.inv(y)), a.dim(H.inv(x)), 1)
+          @ a.delta(H.inv(y), H.inv(x))))
         for x in xs for y in xs
     ))
     rep.identity("counit compatibility", [
-        ("eps S_1 != eps", a.counit @ a.S(H.identity), a.counit),
+        ("eps S_1 != eps", (), given, (a.counit @ a.S(H.identity), a.counit)),
     ])
     return rep
 
@@ -282,9 +285,9 @@ def oracle_antipode_action_compat(a: HopfXiCoalgebra) -> Report:
     rep = Report("antipode/action compatibility")
     cm, H, E = a.cm, a.H, a.E
     rep.identity("phi S = S phi'", (
-        (f"x={x} e={e}",
-         a.phi(x, e) @ a.S(x),
-         a.S(H.mul(cm.xi_of(e), x)) @ a.phi(H.inv(x), cm.act(H.inv(x), E.inv(e))))
+        ("x={} e={}", (x, e), given,
+         (a.phi(x, e) @ a.S(x),
+          a.S(H.mul(cm.xi_of(e), x)) @ a.phi(H.inv(x), cm.act(H.inv(x), E.inv(e)))))
         for x in H.elements() for e in E.elements()
     ))
     return rep
@@ -295,7 +298,8 @@ def oracle_counit_preserves_unit(a: GradedHopfCoalgebra) -> Report:
     rep = Report("graded bicoalgebra")
     f = a.field
     rep.identity("counit preserves the unit", [
-        ("eps(1_1) != 1", a.counit @ a.components[a.H.identity].unit_col(), Matrix(f, [[f.one]])),
+        ("eps(1_1) != 1", (), given,
+         (a.counit @ a.components[a.H.identity].unit_col(), Matrix(f, [[f.one]]))),
     ])
     return rep
 
@@ -305,8 +309,8 @@ def oracle_phi_preserves_unit(a: HopfXiCoalgebra) -> Report:
     rep = Report("crossed-module action")
     cm, H = a.cm, a.H
     rep.identity("each phi_{x,e} preserves the unit", (
-        (f"x={x} e={e}", a.phi(x, e) @ a.component(x).unit_col(),
-         a.component(H.mul(cm.xi_of(e), x)).unit_col())
+        ("x={} e={}", (x, e), given,
+         (a.phi(x, e) @ a.component(x).unit_col(), a.component(H.mul(cm.xi_of(e), x)).unit_col()))
         for x in H.elements() for e in a.E.elements()
     ))
     return rep
@@ -328,15 +332,17 @@ def oracle_kernel_image_cokernel(cm: CrossedModule) -> Report:
     kic = kernel_image_cokernel(cm)
     rep = Report("kernel/image/cokernel")
     rep.identity("kernel is central in E", (
-        (f"k={k} e={e}", E.mul(k, e), E.mul(e, k)) for k in kic.kernel for e in E.elements()
+        ("k={} e={}", (k, e), given, (E.mul(k, e), E.mul(e, k)))
+        for k in kic.kernel for e in E.elements()
     ))
     image = set(kic.image)
     rep.identity("image is normal in H", (
-        (f"x={x} i={i}", H.conj(x, i) in image, True) for x in H.elements() for i in kic.image
+        ("x={} i={}", (x, i), given, (H.conj(x, i) in image, True))
+        for x in H.elements() for i in kic.image
     ))
     p, coker = kic.projection, kic.cokernel
     rep.identity("projection is a homomorphism", (
-        (f"x={x} y={y}", p[H.mul(x, y)], coker.mul(p[x], p[y]))
+        ("x={} y={}", (x, y), given, (p[H.mul(x, y)], coker.mul(p[x], p[y])))
         for x in H.elements() for y in H.elements()
     ))
     return rep
@@ -347,7 +353,8 @@ def oracle_hom_preserves_identity(f: GroupHom) -> Report:
     rep = Report("group hom")
     g, h = f.source, f.target
     rep.identity("preserves identity", [
-        (f"map(1) = {f.map[g.identity]} != {h.identity}", f.map[g.identity], h.identity),
+        ("map(1) = {} != {}", (f.map[g.identity], h.identity), given,
+         (f.map[g.identity], h.identity)),
     ])
     return rep
 
@@ -357,7 +364,8 @@ def oracle_action_rows_bijective(a: GroupAction) -> Report:
     rep = Report("group action")
     n = a.space.order
     rep.identity("each actor element acts bijectively", (
-        (f"act[{x}] is not a bijection", len(set(a.table[x])), n) for x in a.actor.elements()
+        ("act[{}] is not a bijection", (x,), given, (len(set(a.table[x])), n))
+        for x in a.actor.elements()
     ))
     return rep
 
@@ -378,11 +386,12 @@ def oracle_component_algebra(comp: ComponentAlgebra) -> Report:
     lhs = comp.mul @ comp.mul.kron(ident)
     rhs = comp.mul @ ident.kron(comp.mul)
     rep.identity("associativity", (
-        (f"basis triple index {j}", lhs.column(j), rhs.column(j)) for j in range(lhs.cols)
+        ("basis triple index {}", (j,), given, (lhs.column(j), rhs.column(j)))
+        for j in range(lhs.cols)
     ))
     rep.identity("two-sided unit", [
-        ("1 . v != v", comp.mul @ comp.unit_col().kron(ident), ident),
-        ("v . 1 != v", comp.mul @ ident.kron(comp.unit_col()), ident),
+        ("1 . v != v", (), given, (comp.mul @ comp.unit_col().kron(ident), ident)),
+        ("v . 1 != v", (), given, (comp.mul @ ident.kron(comp.unit_col()), ident)),
     ])
     return rep
 
@@ -394,17 +403,17 @@ def oracle_h_coalgebra(a: GradedHopfCoalgebra) -> Report:
     xs, one = H.elements(), H.identity
     ident = [Matrix.identity(f, a.dim(x)) for x in xs]
     rep.identity("coassociativity", (
-        (f"(x,y,z)=({x},{y},{z})",
-         a.delta(x, y).kron(ident[z]) @ a.delta(H.mul(x, y), z),
-         ident[x].kron(a.delta(y, z)) @ a.delta(x, H.mul(y, z)))
+        ("(x,y,z)=({},{},{})", (x, y, z), given,
+         (a.delta(x, y).kron(ident[z]) @ a.delta(H.mul(x, y), z),
+          ident[x].kron(a.delta(y, z)) @ a.delta(x, H.mul(y, z))))
         for x in xs for y in xs for z in xs
     ))
     rep.identity("counit laws", (
         case for x in xs for case in (
-            (f"(id (x) eps) Delta_({x},1) != id",
-             ident[x].kron(a.counit) @ a.delta(x, one), ident[x]),
-            (f"(eps (x) id) Delta_(1,{x}) != id",
-             a.counit.kron(ident[x]) @ a.delta(one, x), ident[x]),
+            ("(id (x) eps) Delta_({},1) != id", (x,), given,
+             (ident[x].kron(a.counit) @ a.delta(x, one), ident[x])),
+            ("(eps (x) id) Delta_(1,{}) != id", (x,), given,
+             (a.counit.kron(ident[x]) @ a.delta(one, x), ident[x])),
         )
     ))
     return rep
@@ -420,22 +429,22 @@ def oracle_bicoalgebra(a: GradedHopfCoalgebra) -> Report:
         comp_rep.title = f"component {x}"
         rep.merge(comp_rep)
     rep.identity("coproduct is multiplicative", (
-        (f"(x,y)=({x},{y})",
-         a.delta(x, y) @ comps[H.mul(x, y)].mul,
-         comps[x].mul.kron(comps[y].mul).flip_cols(a.dim(x), a.dim(y), a.dim(x), a.dim(y))
-         @ a.delta(x, y).kron(a.delta(x, y)))
+        ("(x,y)=({},{})", (x, y), given,
+         (a.delta(x, y) @ comps[H.mul(x, y)].mul,
+          comps[x].mul.kron(comps[y].mul).flip_cols(a.dim(x), a.dim(y), a.dim(x), a.dim(y))
+          @ a.delta(x, y).kron(a.delta(x, y))))
         for x in xs for y in xs
     ))
     rep.identity("coproduct preserves units", (
-        (f"(x,y)=({x},{y})",
-         a.delta(x, y) @ comps[H.mul(x, y)].unit_col(),
-         comps[x].unit_col().kron(comps[y].unit_col()))
+        ("(x,y)=({},{})", (x, y), given,
+         (a.delta(x, y) @ comps[H.mul(x, y)].unit_col(),
+          comps[x].unit_col().kron(comps[y].unit_col())))
         for x in xs for y in xs
     ))
     one = comps[H.identity]
     rep.identity("counit is an algebra map", [
-        ("eps mu_1 != eps (x) eps", a.counit @ one.mul, a.counit.kron(a.counit)),
-        ("eps(1_1) != 1", a.counit @ one.unit_col(), Matrix(f, [[f.one]])),
+        ("eps mu_1 != eps (x) eps", (), given, (a.counit @ one.mul, a.counit.kron(a.counit))),
+        ("eps(1_1) != 1", (), given, (a.counit @ one.unit_col(), Matrix(f, [[f.one]]))),
     ])
     return rep
 
@@ -468,36 +477,37 @@ def oracle_hopf_xi_module(a: HopfXiCoalgebra, m: HopfXiModule) -> Report:
         for x in xs:
             for y in xs:
                 for z in xs:
-                    yield (f"coassociativity at (x,y,z)=({x},{y},{z})",
-                           a.delta(x, y).kron(ident_m[z]) @ m.rho[(H.mul(x, y), z)],
-                           ident_a[x].kron(m.rho[(y, z)]) @ m.rho[(x, H.mul(y, z))])
+                    yield ("coassociativity at (x,y,z)=({},{},{})", (x, y, z), given,
+                           (a.delta(x, y).kron(ident_m[z]) @ m.rho[(H.mul(x, y), z)],
+                            ident_a[x].kron(m.rho[(y, z)]) @ m.rho[(x, H.mul(y, z))]))
         for x in xs:
-            yield f"counitality at x={x}", a.counit.kron(ident_m[x]) @ m.rho[(one, x)], ident_m[x]
+            yield ("counitality at x={}", (x,), given,
+                   (a.counit.kron(ident_m[x]) @ m.rho[(one, x)], ident_m[x]))
 
     def equivariance_cases():
         for x in xs:
-            yield f"psi_(x,1) != id at x={x}", m.psi[(x, E.identity)], ident_m[x]
+            yield "psi_(x,1) != id at x={}", (x,), given, (m.psi[(x, E.identity)], ident_m[x])
             for e in es:
                 for g in es:
-                    yield (f"composition at x={x} e={e} f={g}",
-                           m.psi[(tgt(x, e), g)] @ m.psi[(x, e)], m.psi[(x, E.mul(g, e))])
-                yield (f"action compatibility at x={x} e={e}",
-                       m.psi[(x, e)] @ m.r[x], m.r[tgt(x, e)] @ a.phi(x, e).kron(m.psi[(x, e)]))
+                    yield ("composition at x={} e={} f={}", (x, e, g), given,
+                           (m.psi[(tgt(x, e), g)] @ m.psi[(x, e)], m.psi[(x, E.mul(g, e))]))
+                yield ("action compatibility at x={} e={}", (x, e), given,
+                       (m.psi[(x, e)] @ m.r[x], m.r[tgt(x, e)] @ a.phi(x, e).kron(m.psi[(x, e)])))
             for y in xs:
                 for e in es:
                     for g in es:
                         label = E.mul(e, cm.act(x, g))
-                        yield (f"coaction compatibility at x={x} y={y} e={e} f={g}",
-                               a.phi(x, e).kron(m.psi[(y, g)]) @ m.rho[(x, y)],
-                               m.rho[(tgt(x, e), tgt(y, g))] @ m.psi[(H.mul(x, y), label)])
+                        yield ("coaction compatibility at x={} y={} e={} f={}", (x, y, e, g), given,
+                               (a.phi(x, e).kron(m.psi[(y, g)]) @ m.rho[(x, y)],
+                                m.rho[(tgt(x, e), tgt(y, g))] @ m.psi[(H.mul(x, y), label)]))
 
     rep.merge(validate_module(a, AModule(a, m.dims, m.r)))
     rep.identity("(b) (M, rho) is a comodule", comodule_cases())
     rep.identity("(c) action and coaction intertwine", (
-        (f"(x,y)=({x},{y})",
-         m.rho[(x, y)] @ m.r[H.mul(x, y)],
-         a.component(x).mul.kron(m.r[y]).flip_cols(a.dim(x), a.dim(y), a.dim(x), m.dim(y))
-         @ a.delta(x, y).kron(m.rho[(x, y)]))
+        ("(x,y)=({},{})", (x, y), given,
+         (m.rho[(x, y)] @ m.r[H.mul(x, y)],
+          a.component(x).mul.kron(m.r[y]).flip_cols(a.dim(x), a.dim(y), a.dim(x), m.dim(y))
+          @ a.delta(x, y).kron(m.rho[(x, y)])))
         for x in xs for y in xs
     ))
     rep.identity("(d) psi equivariance laws", equivariance_cases())
@@ -554,16 +564,20 @@ def oracle_bicharacter(f: Field, e_group: FiniteGroup, g_group: FiniteGroup, tab
     """omega nonzero, omega(1,.) = omega(.,1) = 1, and multiplicative in both arguments."""
     es, gs = e_group.elements(), g_group.elements()
     rep = Report("bicharacter")
-    rep.identity("nonzero", ((f"omega({e},{g})", table[e][g] == f.zero, False)
+    rep.identity("nonzero", (("omega({},{})", (e, g), given, (table[e][g] == f.zero, False))
                              for e in es for g in gs))
-    rep.identity("omega(1,g) = 1", ((f"g={g}", table[e_group.identity][g], f.one) for g in gs))
-    rep.identity("omega(e,1) = 1", ((f"e={e}", table[e][g_group.identity], f.one) for e in es))
+    rep.identity("omega(1,g) = 1", (
+        ("g={}", (g,), given, (table[e_group.identity][g], f.one)) for g in gs))
+    rep.identity("omega(e,1) = 1", (
+        ("e={}", (e,), given, (table[e][g_group.identity], f.one)) for e in es))
     rep.identity("multiplicative in E", (
-        (f"({a},{b},{g})", table[e_group.mul(a, b)][g], f.mul(table[a][g], table[b][g]))
+        ("({},{},{})", (a, b, g), given,
+         (table[e_group.mul(a, b)][g], f.mul(table[a][g], table[b][g])))
         for a in es for b in es for g in gs
     ))
     rep.identity("multiplicative in G", (
-        (f"({e},{g},{h})", table[e][g_group.mul(g, h)], f.mul(table[e][g], table[e][h]))
+        ("({},{},{})", (e, g, h), given,
+         (table[e][g_group.mul(g, h)], f.mul(table[e][g], table[e][h])))
         for e in es for g in gs for h in gs
     ))
     return rep
@@ -573,12 +587,13 @@ def oracle_h_action(classical: GradedHopfCoalgebra, H: FiniteGroup, rho) -> Repo
     """Each rho_x an algebra automorphism of A, and rho: H -> Aut_alg(A) a homomorphism."""
     alg, f, xs = classical.components[0], classical.field, H.elements()
     rep = Report("homomorphism into Aut_alg(A)")
-    rep.identity("invertible", ((f"x={x}", rho[x].is_invertible(), True) for x in xs))
-    rep.identity("multiplicative", ((f"x={x}", rho[x] @ alg.mul, alg.mul @ rho[x].kron(rho[x]))
-                                    for x in xs))
-    rep.identity("unital", ((f"x={x}", rho[x] @ alg.unit_col(), alg.unit_col()) for x in xs))
-    rep.identity("rho(1) = id", [("x=1", rho[H.identity], Matrix.identity(f, alg.dim))])
-    rep.identity("homomorphism", ((f"({x},{y})", rho[x] @ rho[y], rho[H.mul(x, y)])
+    rep.identity("invertible", (("x={}", (x,), given, (rho[x].is_invertible(), True)) for x in xs))
+    rep.identity("multiplicative", (
+        ("x={}", (x,), given, (rho[x] @ alg.mul, alg.mul @ rho[x].kron(rho[x]))) for x in xs))
+    rep.identity("unital", (
+        ("x={}", (x,), given, (rho[x] @ alg.unit_col(), alg.unit_col())) for x in xs))
+    rep.identity("rho(1) = id", [("x=1", (), given, (rho[H.identity], Matrix.identity(f, alg.dim)))])
+    rep.identity("homomorphism", (("({},{})", (x, y), given, (rho[x] @ rho[y], rho[H.mul(x, y)]))
                                   for x in xs for y in xs))
     return rep
 
@@ -616,9 +631,9 @@ def oracle_distinguished_grouplike(a: HopfXiCoalgebra, right: list) -> Report | 
     (lam,), f, H = right, a.field, a.H
     rep = Report("distinguished grouplike")
     rep.identity("defining identity", (
-        (f"({x},{y})",
-         Matrix.identity(f, a.dim(x)).kron_matmul(Matrix.row(f, lam[y]), a.delta(x, y)),
-         Matrix.col(f, g[x]) @ Matrix.row(f, lam[H.mul(x, y)]))
+        ("({},{})", (x, y), given,
+         (Matrix.identity(f, a.dim(x)).kron_matmul(Matrix.row(f, lam[y]), a.delta(x, y)),
+          Matrix.col(f, g[x]) @ Matrix.row(f, lam[H.mul(x, y)])))
         for x in H.elements() for y in H.elements()
     ))
     rep.settle("grouplike", is_grouplike(a.base, g))

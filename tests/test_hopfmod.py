@@ -143,8 +143,8 @@ def test_check_d_draws_only_the_cases_the_unit_laws_leave_open(monkeypatch, make
     def counting(rep, name, cases):
         if name == "(d) psi equivariance laws":
             cases = list(cases)
-            for label, _, _ in cases:
-                law = label.split(" at ")[0]
+            for _, _, kind, _ in cases:  # each law is one case kind, named after it
+                law = kind.__name__.strip("_").replace("_", " ")
                 counts[law] = counts.get(law, 0) + 1
         identity(rep, name, cases)
 
