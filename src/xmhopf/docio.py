@@ -240,15 +240,13 @@ class _Literals:
     Matrix.  A literal is keyed by itself, a matrix by its expected shape (rows, cols) and its
     rows of literals.  Only literals whose type is exactly str or int are keyed, so a matrix
     holding true, false or a float is read afresh each time; "1" and 1 are different keys.
-    A refused entry is never kept, so each refusal keeps its message and JSON path.  An
-    explicit component algebra that parses is keyed by the literals of its structure tensor
-    and unit, each a str or an int then, so equal components are one object, and so are
-    their multiplication and unit column."""
+    A refused entry is never kept, so each refusal keeps its message and JSON path.  This
+    saves parse time only: Report.identity compares operands by value, not by identity."""
 
-    __slots__ = ("field", "memo", "matrices", "components")
+    __slots__ = ("field", "memo", "matrices")
 
     def __init__(self, field: Field):
-        self.field, self.memo, self.matrices, self.components = field, {}, {}, {}
+        self.field, self.memo, self.matrices = field, {}, {}
 
     def read(self, raw: list, where) -> list:
         """The scalars of the literals in raw, entry k at JSON path where[k]; a literal not
@@ -511,11 +509,7 @@ def _parse_hopf(doc: StructureDocument, name: str, spec, where, lits) -> HopfXiC
                 ]
             )
         unit = _parse_vector(lits, c.get("unit"), f"{cw}.unit", dim)
-        key = (*(tuple(map(tuple, plane)) for plane in mul_raw), tuple(c["unit"]))
-        comp = lits.components.get(key)
-        if comp is None:
-            comp = lits.components[key] = ComponentAlgebra.from_structure_constants(f, tensor, unit)
-        comps.append(comp)
+        comps.append(ComponentAlgebra.from_structure_constants(f, tensor, unit))
     _check_cost(where, validation_cost(H.order, cm.E.order, max(c.dim for c in comps)))
     coproduct = _parse_table(
         lits, spec.get("coproduct"), f"{where}.coproduct", "coproduct", "x,y",

@@ -134,7 +134,7 @@ def validate_bicoalgebra(a: GradedHopfCoalgebra) -> Report:
     rep = Report("graded bicoalgebra")
     H, f, comps = a.H, a.field, a.components
     xs, one = H.elements(), H.identity
-    ident = Matrix.identities(f, [a.dim(x) for x in xs])
+    ident = [Matrix.identity(f, a.dim(x)) for x in xs]
 
     def right_unit(mul_x, id_x, unit_x):
         return mul_x.matmul_kron(id_x, unit_x), id_x
@@ -208,7 +208,7 @@ def validate_antipode(a: GradedHopfCoalgebra) -> Report:
     rep = Report("antipode axioms")
     H, f, comps = a.H, a.field, a.components
     xs = H.elements()
-    ident = Matrix.identities(f, [a.dim(x) for x in xs])
+    ident = [Matrix.identity(f, a.dim(x)) for x in xs]
 
     def left_identity(mul_x, s_x, id_x, delta, unit_x):
         return mul_x @ s_x.kron_matmul(id_x, delta), unit_x @ a.counit
@@ -259,8 +259,10 @@ def grouplike_report(a: GradedHopfCoalgebra, G: GrouplikeFamily) -> Report:
     """The grouplike conditions on a candidate family G, one identity each, with witnesses.
 
     A G not shaped like the components raises ShapeMismatchError; docio checks a document's.
+    A G given as lists is read as tuples, since its entries are case operands.
     """
     H, f = a.H, a.field
+    G = tuple(map(tuple, G))
     if len(G) != H.order or any(len(G[x]) != a.dim(x) for x in H.elements()):
         raise ShapeMismatchError("family has wrong component dimensions")
     rep = Report("grouplike candidate")
@@ -318,15 +320,15 @@ def enumerate_grouplikes(a: GradedHopfCoalgebra) -> list[GrouplikeFamily]:
     than GROUPLIKE_VISIT_BUDGET visits raises SearchBudgetError.
     """
     H, f = a.H, a.field
-    by_dim = {}  # one candidate list per dimension: equal candidates are one object
-    for d in {a.dim(x) for x in H.elements()}:
-        cands = by_dim[d] = []
-        for v in Matrix.identity(f, d).data:
+    per_component = []
+    for x in H.elements():
+        cands = []
+        for v in Matrix.identity(f, a.dim(x)).data:
             cands.append(v)
             neg = tuple(f.neg(c) for c in v)
             if neg != v:
                 cands.append(neg)
-    per_component = [by_dim[a.dim(x)] for x in H.elements()]
+        per_component.append(cands)
     due = [[] for _ in H.elements()]  # due[d]: the (x, y) decided once G_d is assigned
     for x in H.elements():
         for y in H.elements():

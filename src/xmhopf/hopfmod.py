@@ -132,8 +132,8 @@ def validate_hopf_xi_module(a: HopfXiCoalgebra, m: HopfXiModule) -> Report:
     f, H, E, cm = a.field, a.H, a.E, a.cm
     xs, es, one, e1 = H.elements(), E.elements(), H.identity, E.identity
     delta, phi, rho, psi, r = a.base.coproduct, a.action, m.rho, m.psi, m.r
-    ident_a = Matrix.identities(f, [a.dim(x) for x in xs])
-    ident_m = Matrix.identities(f, m.dims)
+    ident_a = [Matrix.identity(f, a.dim(x)) for x in xs]
+    ident_m = [Matrix.identity(f, d) for d in m.dims]
     tgt = [[H.mul(cm.xi_of(e), x) for e in es] for x in xs]  # tgt[x][e] = xi(e)x
 
     def coassociativity(delta_xy, id_z, rho_xy_z, id_x, rho_yz, rho_x_yz):
@@ -364,9 +364,8 @@ def integral_report(a: HopfXiCoalgebra, lam: tuple, side: str) -> Report:
         raise ShapeMismatchError("family has wrong component dimensions")
 
     xs, es = H.elements(), E.elements()
-    ident = Matrix.identities(f, [a.dim(x) for x in xs])
-    row_of = {v: Matrix.row(f, v) for v in set(map(tuple, lam))}
-    rows = [row_of[tuple(v)] for v in lam]  # one object per distinct covector
+    ident = [Matrix.identity(f, a.dim(x)) for x in xs]
+    rows = [Matrix.row(f, v) for v in lam]
 
     def coproduct_condition(left, right, delta_xy, unit, lam_xy):
         return left.kron_matmul(right, delta_xy), unit @ lam_xy

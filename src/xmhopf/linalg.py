@@ -377,7 +377,7 @@ class Matrix:
     in lowest terms (an int, a Rational or a fractions.Fraction).
     """
 
-    __slots__ = ("field", "rows", "cols", "nz", "den", "_data")
+    __slots__ = ("field", "rows", "cols", "nz", "den", "_data", "_hash")
 
     def __init__(self, field: Field, data: Sequence[Sequence[Scalar]], rows=None, cols=None):
         data = [tuple(row) for row in data]
@@ -414,14 +414,6 @@ class Matrix:
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
         return _new(field, n, n, tuple(((i, 1),) for i in range(n)))
-
-    @staticmethod
-    def identities(field: Field, dims: Sequence[int]) -> list:
-        """The identity of each size in dims, one object per distinct size: a validator's
-        cases that differ only in which of two equal identities they use share one verdict
-        (report.Report.identity)."""
-        made = {d: Matrix.identity(field, d) for d in set(dims)}
-        return [made[d] for d in dims]
 
     @staticmethod
     def col(field: Field, entries: Sequence[Scalar]) -> "Matrix":
@@ -505,7 +497,12 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.den, self.nz))
+        """The hash of the fields compared by ==, computed on first use."""
+        h = self._hash
+        if h is None:
+            h = hash((self.field, self.rows, self.cols, self.den, self.nz))
+            _set_hash(self, h)
+        return h
 
     def __repr__(self):
         body = "; ".join(" ".join(str(self.field.show(x)) for x in row) for row in self.data)
@@ -846,7 +843,7 @@ class Matrix:
 
 
 # Slot setters: the one way to fill a Matrix past its immutability guard.
-_set_field, _set_rows, _set_cols, _set_nz, _set_den, _set_data = (
+_set_field, _set_rows, _set_cols, _set_nz, _set_den, _set_data, _set_hash = (
     Matrix.__dict__[name].__set__ for name in Matrix.__slots__
 )
 
@@ -858,6 +855,7 @@ def _set(m: Matrix, field: Field, rows: int, cols: int, nz: tuple, den: int) -> 
     _set_nz(m, nz)
     _set_den(m, den)
     _set_data(m, None)
+    _set_hash(m, None)
 
 
 def _row(acc: dict, p) -> tuple:

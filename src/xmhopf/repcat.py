@@ -66,8 +66,8 @@ class GradedHom(Record):
 def validate_module(a: HopfXiCoalgebra, m: AModule) -> Report:
     rep = Report("graded module")
     f, xs = a.field, a.H.elements()
-    ident_a = Matrix.identities(f, [a.dim(x) for x in xs])
-    ident_m = Matrix.identities(f, m.dims)
+    ident_a = [Matrix.identity(f, a.dim(x)) for x in xs]
+    ident_m = [Matrix.identity(f, d) for d in m.dims]
 
     def associativity(r_x, mul_x, id_m, id_a):
         return r_x.matmul_kron(mul_x, id_m), r_x.matmul_kron(id_a, r_x)

@@ -15,13 +15,13 @@ passes them as the operands of the kind `given`; so does `Report.settle`,
 which records a verdict that is not an identity of two sides.
 
 `identity` decides each distinct (kind, operands) once per call: the key is
-the kind and the `id` of each operand, and a later case with the same key
-reuses the verdict instead of computing its sides again.  The key is sound
-because a kind's sides depend on its operands only, every operand the
-validators pass is immutable (a `Matrix`, a `Field`, a tuple, an int or a
-bool), and the call keeps a reference to the operands of each key it
-holds, so no id is reused while the key lives.  Two equal but distinct operands only miss the reuse.  Only
-the verdict is kept, not the sides, and the keys go when the call returns.
+the kind and the operands' values, and a later case with an equal key reuses
+the verdict instead of computing its sides again.  The key is sound because a
+kind's sides depend on its operands' values only, and every operand the
+validators pass is an immutable value (a `Matrix`, a `Field`, a tuple, an int
+or a bool) that compares and hashes by value; a `Matrix` has one canonical
+(nz, den), so equal maps are equal keys however they were built.  Only the
+verdict is kept, not the sides, and the keys go when the call returns.
 `violations` counts every failing case, reused or not, in the order of the
 stream, and a label is formatted only for the first WITNESS_CAP failing
 cases, the witnesses a check keeps.
@@ -45,7 +45,7 @@ def given(lhs, rhs):
 
 
 class _Verdicts(dict):
-    """The verdict of each (kind, id of each operand) key decided in one identity call."""
+    """The verdict of each (kind, operands) key, by value, decided in one identity call."""
 
 
 class Check(Record, eq=True, frozen=False):
@@ -72,15 +72,14 @@ class Report(Record, eq=True, frozen=False):
         first WITNESS_CAP of them."""
         c = self.check(name)
         witnesses, violations = c.witnesses, 0
-        verdicts, held = _Verdicts(), []  # held: the operands whose ids the keys name
+        verdicts = _Verdicts()
         verdict = verdicts.get
         for template, args, kind, operands in cases:
-            key = (kind, *map(id, operands))
+            key = (kind, operands)
             ok = verdict(key)
             if ok is None:
                 lhs, rhs = kind(*operands)
                 ok = verdicts[key] = lhs == rhs
-                held.append(operands)
             if not ok:
                 violations += 1
                 if len(witnesses) < WITNESS_CAP:

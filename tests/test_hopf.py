@@ -263,6 +263,21 @@ def test_grouplike_report_raises_on_a_wrong_shape():
                 is_grouplike(a.base, fam)
 
 
+def test_a_family_given_as_lists_is_read_as_the_same_tuples():
+    # a family's entries are case operands, which Report.identity keys by value
+    for label, a in fixture_structures():
+        b = a.base
+        grouplikes = enumerate_grouplikes(b)
+        for fam in [*grouplikes, *itertools.islice(sign_basis_families(b), 4)]:
+            listed = [list(v) for v in fam]
+            assert grouplike_report(b, listed) == grouplike_report(b, fam), (label, fam)
+            assert is_grouplike(b, listed) == is_grouplike(b, fam)
+        for fam in grouplikes:
+            listed = [list(v) for v in fam]
+            assert grouplike_inverse(b, listed) == grouplike_inverse(b, fam)
+            assert is_pivotal_element(b, listed) == is_pivotal_element(b, fam), (label, fam)
+
+
 def test_group_algebra_grouplikes_are_group_elements():
     a = group_algebra(QQ, cyclic(2))
     fams = enumerate_grouplikes(a)

@@ -1,5 +1,5 @@
-"""Report.identity: each distinct (kind, operands) decided once per call, labels formatted
-only for the witnesses a check keeps.
+"""Report.identity: each distinct (kind, operands) decided once per call, operands compared by
+value, labels formatted only for the witnesses a check keeps.
 
 The reuse of a verdict must change no report: every validator runs twice on every fixture,
 every mutation and the perturbations of tests/oracles.py, once as written and once with the
@@ -9,7 +9,7 @@ check names, violation counts and witnesses.
 
 import pytest
 
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, GF5, QQ
 from tests.oracles import (
     conjugated_psi_perturbations,
     perturbed_crossed_modules,
@@ -31,6 +31,7 @@ from xmhopf.hopfmod import (
     validate_hopf_xi_module,
     validate_module_premises,
 )
+from xmhopf.linalg import Matrix
 from xmhopf.repcat import dual_zigzag_report, validate_module
 from xmhopf.report import WITNESS_CAP, Report, given
 from xmhopf.xihopf import dualize, full_validation_report, validate_hopf_xi_algebra
@@ -200,6 +201,26 @@ def test_only_the_kept_witnesses_are_formatted_and_every_failing_case_is_counted
     assert len(decided) == 5  # each distinct (kind, operands) once
     # case 5 reuses case 1's verdict, and is named by its own index
     assert cases[5][3] is cases[1][3] and "case 5" in check.witnesses
+
+
+def test_equal_matrices_built_apart_share_one_verdict_and_each_field_its_own():
+    decided = []
+
+    def over_q(m):
+        decided.append(m)
+        return m.field, QQ
+
+    built = []
+    for f in (QQ, GF5):
+        eye = Matrix.identity(f, 2)
+        built += [eye, eye @ eye, Matrix(f, [[f.one, f.zero], [f.zero, f.one]])]
+    q, g = built[0], built[3]
+    assert q.nz == g.nz and q.den == g.den and q != g
+    assert len({id(m) for m in built}) == 6
+    rep = Report("by value")
+    rep.identity("over Q", [("{}", (k,), over_q, (m,)) for k, m in enumerate(built)])
+    assert len(decided) == 2 and decided[0] is q and decided[1] is g  # once per field
+    assert (rep.checks[0].violations, rep.checks[0].witnesses) == (3, ["3", "4", "5"])
 
 
 def test_the_key_holds_the_kind():
