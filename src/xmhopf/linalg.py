@@ -11,12 +11,12 @@ Conventions fixed here and used by every other module:
   * matrices act on column vectors: M maps k^cols -> k^rows;
   * tensor products flatten left-major: the basis vector u_i (x) v_j of
     U (x) V has flat index i * dim(V) + j;
-  * kernel bases and solves use reduced row echelon form with
-    smallest-index pivoting, so results are reproducible bit for bit;
+  * kernel bases and solves read the reduced row echelon form, which is
+    unique, so results do not depend on the order elimination takes rows in;
   * a row stores only its nonzero entries, as (column, int) pairs in column
-    order, and every operation but elimination takes time in proportion to
-    the rows and nonzero entries it reads and writes: the structure maps
-    are mostly zero;
+    order, and every operation works on these rows, elimination on sparse
+    working rows built from them; only `Matrix.data` is dense: the structure
+    maps are mostly zero;
   * a Kronecker product inside a composite is never built: (X (x) Y) @ Z is
     `X.kron_matmul(Y, Z)` and Z @ (X (x) Y) is `Z.matmul_kron(X, Y)`;
   * elimination over Q is fraction-free: integer rows, cross-multiplied,
@@ -368,9 +368,8 @@ class Matrix:
     for j.  Over Q, den > 0 and no prime divides den and every numerator, so each matrix
     has exactly one (nz, den); over GF(p), the ints are residues in [1, p) and den is 1.
     Both fields run the same int loops and differ only in how a result is normalised:
-    reduced mod p as it is computed, or by the gcd in `_new`.  Every operation but
-    elimination costs time in proportion to the rows and nonzero entries it reads and
-    writes.
+    reduced mod p as it is computed, or by the gcd in `_new`.  Every operation works on
+    the sparse rows, elimination on sparse working rows built from them.
     Public scalars (`Rational` over Q) appear only where entries enter or leave: the
     constructor takes dense rows of them, and `data` is the dense view, built on first
     use.  An entry given over Q may be anything with int `numerator` and `denominator`
@@ -461,19 +460,16 @@ class Matrix:
         """The entries as dense rows of public scalars, built on first use."""
         data = self._data
         if data is None:
-            if self.field.p:
-                data = tuple(map(tuple, self._dense()))
-            else:
-                # one Rational per distinct numerator: structure maps hold few values
-                den = self.den
-                shown = {x: _reduced(x, den) for row in self.nz for _, x in row}
-                out = []
-                for row in self.nz:
-                    dense = [_ZERO] * self.cols
-                    for j, x in row:
-                        dense[j] = shown[x]
-                    out.append(tuple(dense))
-                data = tuple(out)
+            # over Q, one Rational per distinct numerator: structure maps hold few values
+            p, den, zero = self.field.p, self.den, self.field.zero
+            shown = {x: x if p else _reduced(x, den) for row in self.nz for _, x in row}
+            out = []
+            for row in self.nz:
+                dense = [zero] * self.cols
+                for j, x in row:
+                    dense[j] = shown[x]
+                out.append(tuple(dense))
+            data = tuple(out)
             _set_data(self, data)
         return data
 
@@ -708,82 +704,43 @@ class Matrix:
 
     # -- elimination ----------------------------------------------------------
 
-    def _dense(self) -> list[list[int]]:
-        """The numerators as dense int rows, one new list each."""
-        out = []
-        for row in self.nz:
-            dense = [0] * self.cols
-            for j, x in row:
-                dense[j] = x
-            out.append(dense)
-        return out
-
     def _rref(self):
-        """Reduced row echelon form with smallest-index pivoting.
+        """Reduced row echelon form: (pivot rows, pivot columns), in pivot order.
 
-        Returns (rows as lists of public scalars, pivot column indices).
-        The elimination runs on dense int rows.  Over Q it is fraction-free:
-        each working row is an integer multiple of the row it stands for.
-        With g = gcd(piv, a), a row R with entry a in the pivot column becomes
-        (piv / g) * R - (a / g) * P for the pivot row P, and then R over its
-        content when piv / g is not 1; only the finished rows are divided by
-        their pivots.  Scaling a row changes neither which entries are zero
-        nor its normalised form, so the pivots and the result are those of
-        elimination by division, bit for bit.
+        Each pivot row is a dict {column: public scalar} of its nonzero entries, 1 at its
+        pivot; the zero rows of the form are left out.  The elimination runs on sparse int
+        rows built from `nz`, taken in turn.  The rows kept so far are each zero left of
+        their pivot and at every other pivot, so a new row loses its entry at each pivot
+        it has by one pass over them; if anything is left, its first nonzero column is a
+        new pivot, which is cleared from the kept rows.  The reduced row echelon form of a
+        matrix is unique, so any order of taking the rows gives the same pivots and the
+        same normalised rows; only the working rows differ.  Over Q the elimination is
+        fraction-free: each working row is an integer multiple of a combination of the
+        rows (see `_clear`), and only the finished rows are divided by their pivots.
         """
-        p, nrows, ncols = self.field.p, self.rows, self.cols
-        m = self._dense()
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            if r >= nrows:
-                break
-            for i in range(r, nrows):
-                if m[i][c]:
-                    break
-            else:
+        p = self.field.p
+        kept = {}  # pivot column -> working row, zero at every other pivot
+        for nzrow in self.nz:
+            row = dict(nzrow)
+            for c in [c for c, _ in nzrow if c in kept]:
+                row = _clear(row, c, kept[c], p)
+            if not row:
                 continue
-            m[r], m[i] = m[i], m[r]
-            pr = m[r]
+            c = min(row)
             if p:
-                inv = pow(pr[c], p - 2, p)
+                inv = pow(row[c], p - 2, p)
                 if inv != 1:
-                    pr = m[r] = [x * inv % p for x in pr]
-            elif pr[c] < 0:
-                pr = m[r] = [-x for x in pr]
-            piv = pr[c]
-            # the pivot row is zero left of c
-            nonzero = [(j, pr[j]) for j in range(c, ncols) if pr[j]]
-            for i, row in enumerate(m):
-                a = row[c]
-                if not a or i == r:
-                    continue
-                if p:
-                    for j, y in nonzero:
-                        row[j] = (row[j] - a * y) % p
-                    continue
-                g = gcd(piv, a)
-                s, a = piv // g, a // g
-                if s != 1:
-                    row = m[i] = [s * x for x in row]
-                for j, y in nonzero:
-                    row[j] -= a * y
-                if s != 1:
-                    g = gcd(*row)
-                    if g > 1:
-                        m[i] = [x // g for x in row]
-            pivots.append(c)
-            r += 1
-        if p:
-            return m, pivots
-        out = []
-        for r, row in enumerate(m):
-            if r < len(pivots):
-                piv = row[pivots[r]]
-                out.append([_reduced(x, piv) if x else _ZERO for x in row])
-            else:
-                out.append([_ZERO] * ncols)
-        return out, pivots
+                    row = {j: x * inv % p for j, x in row.items()}
+            for b, other in kept.items():
+                if c in other:
+                    kept[b] = _clear(other, c, row, p)
+            kept[c] = row
+        pivots = sorted(kept)
+        rows = [kept[c] for c in pivots]
+        if not p:
+            rows = [{j: _reduced(x, row[c]) for j, x in row.items()}
+                    for row, c in zip(rows, pivots)]
+        return rows, pivots
 
     def rank(self) -> int:
         return len(self._rref()[1])
@@ -806,8 +763,8 @@ class Matrix:
                 continue
             v = [f.zero] * self.cols
             v[free] = f.one
-            for r, pc in enumerate(pivots):
-                v[pc] = f.neg(m[r][free])
+            for row, pc in zip(m, pivots):
+                v[pc] = f.neg(row.get(free, f.zero))
             basis.append(tuple(v))
         return basis
 
@@ -833,8 +790,8 @@ class Matrix:
         if self.cols in pivots:
             return None
         x = [f.zero] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = m[r][self.cols]
+        for row, pc in zip(m, pivots):
+            x[pc] = row.get(self.cols, f.zero)
         unique = len(pivots) == self.cols
         return tuple(x), unique
 
@@ -864,6 +821,36 @@ def _row(acc: dict, p) -> tuple:
     if p:
         return tuple([(j, y) for j, x in sorted(acc.items()) if (y := x % p)])
     return tuple([(j, x) for j, x in sorted(acc.items()) if x])
+
+
+def _clear(row: dict, c: int, pivot: dict, p) -> dict:
+    """The working row `row`, changed in place where it can be, with its entry at column c
+    cleared by the pivot row `pivot`.
+
+    Over GF(p) the pivot is 1, and the row becomes row - row[c] * pivot.  Over Q, with
+    g = gcd(piv, a) for the pivot piv and row's entry a, the row becomes
+    (piv / g) * row - (a / g) * pivot, then over its content when piv / g is not 1.
+    """
+    a = row[c]
+    if not p:
+        g = gcd(pivot[c], a)
+        s, a = pivot[c] // g, a // g
+        if s != 1:
+            row = {j: s * x for j, x in row.items()}
+    get = row.get
+    for j, y in pivot.items():
+        x = get(j, 0) - a * y
+        if p:
+            x %= p
+        if x:
+            row[j] = x
+        else:  # a * y is not zero, so row had an entry at j
+            del row[j]
+    if not p and s != 1:
+        g = gcd(*row.values())
+        if g > 1:
+            row = {j: x // g for j, x in row.items()}
+    return row
 
 
 def _scaled(c: int, row: tuple, p) -> tuple:

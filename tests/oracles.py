@@ -11,6 +11,8 @@ this module.  Each kind of object has one single-entry generator, `perturbed_*`,
 `PYTHONPATH=src python -m tests.oracles` runs every structure oracle on every single-entry
 perturbation (stride 1) of each Hopf structure of `fixtures/*.json`, prints how often each
 fails, and exits 1 if `full_validation_report` passes a perturbation on which one fails.
+Its stdout is committed as `tests/oracle_sweep.txt`, so a change that moves a count must
+come with the regenerated file.
 """
 
 import functools

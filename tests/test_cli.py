@@ -1123,6 +1123,34 @@ def test_trivial_hopf_module_at_the_cost_bound_is_prompt(doc, args):
     assert proc.stderr == ""
 
 
+_LARGE_COINVARIANTS = """
+import sys
+from xmhopf.docio import parse
+from xmhopf.hopfmod import coinvariants, trivial_hopf_module
+a, v = parse(sys.stdin.buffer.read()).hopf["k"], 40
+f = a.field
+expected = [tuple(f.mul(u, f.one if k == i else f.zero)
+                  for u in a.component(x).unit for k in range(v)) for i in range(v)
+            for x in a.H.elements()]
+basis = coinvariants(a, trivial_hopf_module(a, v))
+print(len(basis), [c for family in basis for c in family] == expected)
+"""
+
+
+def test_coinvariants_of_a_large_trivial_module_are_prompt():
+    # the coinvariant system of A (x) V over Z/38 with dim V = 40 has 115,520 rows of 1,520
+    # columns: eliminating on dense working rows ran out of the 2 GiB address space
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", _LARGE_COINVARIANTS], input=json.dumps(trivial_cyclic(38)),
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+    )
+    assert time.monotonic() - start < 10
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    # the 40 coinvariants 1_x (x) v_i, as in test_coinvariants_of_trivial_modules
+    assert proc.stdout == "40 True\n"
+
+
 def test_trivial_hopf_module_cost_bound_sits_where_the_ladder_put_it():
     # 4 |H| dim (dim v)^3 units: the trivial structure over Z/2 admits a fibre of 146, where
     # structure-theorem takes 0.08 s (docio's trivial_module_cost), and refuses 147

@@ -696,6 +696,14 @@ def naive_rref(m: Matrix):
     return rows, pivots
 
 
+def dense_rref(m: Matrix):
+    """m._rref() in naive_rref's form: the pivot rows densified, then the zero rows."""
+    rows, pivots = m._rref()
+    zero = m.field.zero
+    dense = [[row.get(j, zero) for j in range(m.cols)] for row in rows]
+    return dense + [[zero] * m.cols for _ in range(m.rows - len(rows))], pivots
+
+
 def combination(field, coeffs, rows):
     """sum_k coeffs[k] * rows[k], entrywise through the field."""
     out = [field.zero] * (len(rows[0]) if rows else 0)
@@ -719,17 +727,22 @@ def draw_deficient(data, field, rows, cols, extra):
 @given(data=st.data(), shape=st.tuples(dims, dims), extra=st.integers(min_value=0, max_value=3))
 def test_rref_matches_naive_gauss_jordan(field, data, shape, extra):
     m = draw_deficient(data, field, *shape, extra)
-    got = m._rref()
+    got = dense_rref(m)
     assert got == naive_rref(m)
     assert len(got[1]) <= shape[0]  # the combinations and the zero row add no pivot
     assert_canonical(field, [x for row in got[0] for x in row])
+    # the form is unique, so the order elimination takes the rows in changes nothing
+    order = data.draw(st.permutations(range(m.rows)))
+    permuted = Matrix(field, [m.data[i] for i in order], m.rows, m.cols)
+    assert permuted._rref() == m._rref()
+    assert permuted.kernel_basis() == m.kernel_basis()
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
 def test_rref_of_empty_shapes(field):
     for rows, cols in ((0, 0), (0, 3), (3, 0)):
         m = Matrix.zeros(field, rows, cols)
-        assert m._rref() == naive_rref(m) == ([[field.zero] * cols for _ in range(rows)], [])
+        assert dense_rref(m) == naive_rref(m) == ([[field.zero] * cols for _ in range(rows)], [])
 
 
 def assert_kernel_coordinates(field, m, coeffs):
@@ -765,7 +778,7 @@ def test_rref_with_coprime_denominators():
     q = Fraction
     m = Matrix(QQ, [[q(1, 2), q(1, 3), q(2, 5)], [q(3, 7), q(-1, 11), q(5, 3)],
                     [q(1, 2) + q(3, 7), q(1, 3) - q(1, 11), q(2, 5) + q(5, 3)]])
-    rows, pivots = m._rref()
+    rows, pivots = dense_rref(m)
     assert (rows, pivots) == naive_rref(m)
     assert pivots == [0, 1] and rows[2] == [0, 0, 0]
     assert m.kernel_basis() == [(-rows[0][2], -rows[1][2], Fraction(1))]
