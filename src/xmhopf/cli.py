@@ -186,8 +186,10 @@ def _check_hopf_module(doc: StructureDocument, name: str, res: CommandResult):
     A (x) V.  A (x) V's maps are A's tensored with id_V: r_x = mu_x (x) id, rho_{x,y} =
     Delta_{x,y} (x) id and psi_{x,e} = phi_{x,e} (x) id, with V the last tensor factor.  Each
     side of each case of validate_hopf_xi_module is built from these by products, tensor
-    products with identities and column flips that move only A's factors, so on A (x) V it
-    is the same side on A's regular module tensored with id_V.  For v >= 1, X (x) id_V =
+    products with identities and, in check (c), the row flip I (x) flip (x) I_q of
+    Delta_{x,y} (x) rho_{x,y}, whose last factor is I_q = I_{dim A_y} (x) I_v: it moves only
+    A's factors and keeps V last.  So on A (x) V each side is the same side on A's regular
+    module tensored with id_V.  For v >= 1, X (x) id_V =
     Y (x) id_V exactly when X = Y, so each case has the same verdict, and its label names
     (x, y, z, e, f) only: the report has the same checks, counts and witnesses.  For v = 0
     every matrix of A (x) 0 is empty and every case holds, whatever A is, so that module is

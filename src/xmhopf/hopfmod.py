@@ -144,8 +144,9 @@ def validate_hopf_xi_module(a: HopfXiCoalgebra, m: HopfXiModule) -> Report:
 
     def intertwining(rho_xy, r_xy, mul_x, r_y, delta_xy):
         dx, dy = mul_x.rows, delta_xy.rows // mul_x.rows
+        # flip the rows of Delta (x) rho (nnz(Delta) nnz(rho)): mu (x) r is never built
         return (rho_xy @ r_xy,
-                mul_x.kron(r_y).flip_cols(dx, dy, dx, r_y.rows).matmul_kron(delta_xy, rho_xy))
+                mul_x.kron_matmul(r_y, delta_xy.kron(rho_xy).flip_rows(dx, dy, dx, r_y.rows)))
 
     def composition(psi_te_f, psi_xe, psi_x_fe):
         return psi_te_f @ psi_xe, psi_x_fe
@@ -341,13 +342,13 @@ def integral_space(a: HopfXiCoalgebra, side: str) -> list[tuple]:
     for x in H.elements():
         for y in H.elements():
             xy, dx, dy = H.mul(x, y), dims[x], dims[y]
-            delta_t = a.delta(x, y).T
+            delta = a.delta(x, y)
             if side == "left":  # (id (x) lambda_y) Delta_{x,y} = 1_x lambda_xy
                 z, unit = y, a.component(x).unit_col()
-                coef = delta_t.reshape(dims[xy] * dx, dy)
+                coef = delta.T.reshape(dims[xy] * dx, dy)
             else:  # (lambda_x (x) id) Delta_{x,y} = 1_y lambda_xy
                 z, unit = x, a.component(y).unit_col()
-                coef = delta_t.flip_cols(1, dy, dx, 1).reshape(dims[xy] * dy, dx)
+                coef = delta.flip_rows(1, dx, dy, 1).T.reshape(dims[xy] * dy, dx)
             rows.append([(z, coef), (xy, ident[xy].kron(unit.scale(minus)))])
         for e in E.elements():
             rows.append([(H.mul(a.cm.xi_of(e), x), a.phi(x, e).T), (x, ident[x].scale(minus))])

@@ -21,10 +21,10 @@ Conventions fixed here and used by every other module:
     `X.kron_matmul(Y, Z)` and Z @ (X (x) Y) is `Z.matmul_kron(X, Y)`;
   * elimination over Q is fraction-free: integer rows, cross-multiplied,
     with each row's content divided out;
-  * a tensor flip inside a composite is a column reindexing
-    (`Matrix.flip_cols`), never a permutation-matrix product;
-  * above this module, every reindexing of a structure map is `reshape`,
-    `flip_cols` or `T`, and every linear system or block matrix is
+  * a tensor flip inside a composite reorders the rows of the right-hand
+    factor (`Matrix.flip_rows`), never a permutation-matrix product;
+  * every reindexing of a structure map is `reshape`, `flip_rows` or `T`, and
+    every linear system or block matrix, `solve`'s [A | b] included, is
     assembled by block placement (`Matrix.place`), never entry by entry.
 """
 
@@ -425,7 +425,7 @@ class Matrix:
     @staticmethod
     def flip(field: Field, a: int, b: int) -> "Matrix":
         """Permutation matrix of the tensor flip U (x) V -> V (x) U, dim U = a, dim V = b."""
-        return Matrix.identity(field, a * b).flip_cols(1, a, b, 1)
+        return Matrix.identity(field, a * b).flip_rows(1, a, b, 1)
 
     @staticmethod
     def place(field: Field, rows: int, cols: int, blocks) -> "Matrix":
@@ -642,27 +642,18 @@ class Matrix:
             return tuple([_make(s, 1) for s in out])
         return tuple([_reduced(s, den) if s else _ZERO for s in out])
 
-    def flip_cols(self, p: int, a: int, b: int, q: int) -> "Matrix":
-        """self @ (I_p (x) flip(a, b) (x) I_q), by reindexing columns.
+    def flip_rows(self, p: int, a: int, b: int, q: int) -> "Matrix":
+        """(I_p (x) flip(a, b) (x) I_q) @ self, by reordering rows.
 
-        Column ((s*a + i)*b + j)*q + t of the result is column
-        ((s*b + j)*a + i)*q + t of self.
+        Row ((s*b + j)*a + i)*q + t of the result is row ((s*a + i)*b + j)*q + t of self.
         """
-        n = p * a * b * q
-        if self.cols != n:
-            raise ShapeMismatchError(f"product of {self.rows}x{self.cols} with {n}x{n}")
-        aq, bq, abq = a * q, b * q, a * b * q
-        out = []
-        for row in self.nz:
-            moved = []
-            for k, x in row:
-                s, k = divmod(k, abq)
-                j, k = divmod(k, aq)
-                i, t = divmod(k, q)
-                moved.append((s * abq + i * bq + j * q + t, x))
-            moved.sort()
-            out.append(tuple(moved))
-        return _new(self.field, self.rows, n, tuple(out), self.den)
+        if self.rows != p * a * b * q:
+            raise ShapeMismatchError(f"product of {p * b * a * q}x{p * a * b * q} "
+                                     f"with {self.rows}x{self.cols}")
+        nz = self.nz
+        out = tuple(nz[((s * a + i) * b + j) * q + t]
+                    for s in range(p) for j in range(b) for i in range(a) for t in range(q))
+        return _new(self.field, self.rows, self.cols, out, self.den)
 
     def reshape(self, rows: int, cols: int) -> "Matrix":
         """The rows x cols matrix with the same entries, read and written row-major."""
@@ -768,16 +759,6 @@ class Matrix:
             basis.append(tuple(v))
         return basis
 
-    def _beside(self, other: "Matrix") -> "Matrix":
-        """The block matrix [self | other], over the lcm of the two denominators."""
-        den = lcm(self.den, other.den)
-        a, b, c0 = den // self.den, den // other.den, self.cols
-        nz = tuple(
-            tuple([(j, a * x) for j, x in r] + [(c0 + j, b * y) for j, y in s])
-            for r, s in zip(self.nz, other.nz)
-        )
-        return _new(self.field, self.rows, self.cols + other.cols, nz, den)
-
     def solve(self, rhs: Sequence[Scalar]) -> tuple | None:
         """One exact solution of self . x = rhs, or None if inconsistent.
 
@@ -786,14 +767,15 @@ class Matrix:
         if len(rhs) != self.rows:
             raise ShapeMismatchError(f"solve {self.rows}x{self.cols} with rhs of length {len(rhs)}")
         f = self.field
-        m, pivots = self._beside(Matrix.col(f, rhs))._rref()
-        if self.cols in pivots:
+        n = self.cols
+        m, pivots = Matrix.place(f, self.rows, n + 1,
+                                 [(0, 0, self), (0, n, Matrix.col(f, rhs))])._rref()
+        if n in pivots:
             return None
-        x = [f.zero] * self.cols
+        x = [f.zero] * n
         for row, pc in zip(m, pivots):
-            x[pc] = row.get(self.cols, f.zero)
-        unique = len(pivots) == self.cols
-        return tuple(x), unique
+            x[pc] = row.get(n, f.zero)
+        return tuple(x), len(pivots) == n
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows

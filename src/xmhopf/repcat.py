@@ -141,7 +141,7 @@ def _contragredient(a: HopfXiCoalgebra, x: int, r: Matrix) -> Matrix:
     n = a.dim(a.H.inv(x))
     acts = r.matmul_kron(a.S(x), Matrix.identity(f, d))  # column i*d + c: S(h_i) . m_c
     # row j, column c*n + i of the reshaped transpose: phi_j(S(h_i) . m_c)
-    return acts.reshape(d * n, d).T.flip_cols(1, n, d, 1)
+    return acts.reshape(d * n, d).flip_rows(1, d, n, 1).T
 
 
 # -- tensor product -------------------------------------------------------------------
@@ -173,8 +173,8 @@ def tensor_modules(a: HopfXiCoalgebra, m: AModule, n: AModule) -> AModule:
     f = a.field
     actions = tuple(
         _direct_sum_action(f, a.dim(u), [
-            m.r(y).kron(n.r(z)).flip_cols(a.dim(y), a.dim(z), m.dim(y), n.dim(z))
-            .matmul_kron(a.delta(y, z), Matrix.identity(f, size))
+            m.r(y).kron_matmul(n.r(z), a.delta(y, z).kron(Matrix.identity(f, size))
+                               .flip_rows(a.dim(y), a.dim(z), m.dim(y), n.dim(z)))
             for (y, z, _, size) in tensor_layout(a, m, n, u) if size
         ])
         for u in a.H.elements()
@@ -235,9 +235,10 @@ def hom_space(a: HopfXiCoalgebra, m: AModule, n: AModule, e: int) -> list[Graded
     f = a.field
     pulled = pullback_phi_e(a, n, e)
     shapes = hom_block_shapes(a, m, n, e)
-    rows = [
-        [(x, Matrix.identity(f, r).kron(m.r(x).T)
-          - pulled.r(x).reshape(r * a.dim(x), r).kron(Matrix.identity(f, c)))]
+    minus = f.of(-1)
+    rows = [  # the two terms sit at one offset, where place adds them
+        [(x, Matrix.identity(f, r).kron(m.r(x).T)),
+         (x, pulled.r(x).reshape(r * a.dim(x), r).kron(Matrix.identity(f, c)).scale(minus))]
         for x, (r, c) in enumerate(shapes)
     ]
     return [

@@ -262,7 +262,7 @@ def oracle_antipode_properties(a: GradedHopfCoalgebra) -> Report:
     rep.identity("anti-multiplicativity", (
         ("x={}", (x,), given,
          (a.S(x) @ comps[H.inv(x)].mul,
-          comps[x].mul.flip_cols(1, a.dim(x), a.dim(x), 1) @ a.S(x).kron(a.S(x))))
+          comps[x].mul @ a.S(x).kron(a.S(x)).flip_rows(1, a.dim(x), a.dim(x), 1)))
         for x in xs
     ))
     rep.identity("unit preservation", (
@@ -272,8 +272,8 @@ def oracle_antipode_properties(a: GradedHopfCoalgebra) -> Report:
     rep.identity("anti-comultiplicativity", (
         ("(x,y)=({},{})", (x, y), given,
          (a.delta(x, y) @ a.S(H.mul(x, y)),
-          a.S(x).kron(a.S(y)).flip_cols(1, a.dim(H.inv(y)), a.dim(H.inv(x)), 1)
-          @ a.delta(H.inv(y), H.inv(x))))
+          a.S(x).kron(a.S(y))
+          @ a.delta(H.inv(y), H.inv(x)).flip_rows(1, a.dim(H.inv(y)), a.dim(H.inv(x)), 1)))
         for x in xs for y in xs
     ))
     rep.identity("counit compatibility", [
@@ -433,8 +433,8 @@ def oracle_bicoalgebra(a: GradedHopfCoalgebra) -> Report:
     rep.identity("coproduct is multiplicative", (
         ("(x,y)=({},{})", (x, y), given,
          (a.delta(x, y) @ comps[H.mul(x, y)].mul,
-          comps[x].mul.kron(comps[y].mul).flip_cols(a.dim(x), a.dim(y), a.dim(x), a.dim(y))
-          @ a.delta(x, y).kron(a.delta(x, y))))
+          comps[x].mul.kron(comps[y].mul)
+          @ a.delta(x, y).kron(a.delta(x, y)).flip_rows(a.dim(x), a.dim(y), a.dim(x), a.dim(y))))
         for x in xs for y in xs
     ))
     rep.identity("coproduct preserves units", (
@@ -508,8 +508,8 @@ def oracle_hopf_xi_module(a: HopfXiCoalgebra, m: HopfXiModule) -> Report:
     rep.identity("(c) action and coaction intertwine", (
         ("(x,y)=({},{})", (x, y), given,
          (m.rho[(x, y)] @ m.r[H.mul(x, y)],
-          a.component(x).mul.kron(m.r[y]).flip_cols(a.dim(x), a.dim(y), a.dim(x), m.dim(y))
-          @ a.delta(x, y).kron(m.rho[(x, y)])))
+          a.component(x).mul.kron(m.r[y])
+          @ a.delta(x, y).kron(m.rho[(x, y)]).flip_rows(a.dim(x), a.dim(y), a.dim(x), m.dim(y))))
         for x in xs for y in xs
     ))
     rep.identity("(d) psi equivariance laws", equivariance_cases())

@@ -23,7 +23,8 @@ from tests.conftest import (
 from xmhopf import cli
 from xmhopf.cli import main
 from xmhopf.docio import MAX_GROUP_ORDER, MAX_VALIDATION_COST, parse
-from xmhopf.xihopf import dualize, dualize_algebra, validate_hopf_xi_algebra
+from xmhopf.linalg import Matrix
+from xmhopf.xihopf import dualize, dualize_algebra, full_validation_report, validate_hopf_xi_algebra
 
 DOC = str(FIXTURES / "k_xi_z2.json")
 
@@ -1064,6 +1065,22 @@ def test_cost_guard_runs_before_a_directive_is_built(monkeypatch, tmp_path, caps
     assert cli.main(["verify", str(path), "g"]) == 0  # the structure is not reached
     assert cli.main(["verify", str(path), "k"]) == 2
     assert "above the bound" in capsys.readouterr().err
+
+
+def test_validation_builds_no_kronecker_product_of_two_products(monkeypatch):
+    # over k[Z/16], Delta and the regular module's rho have 16 nonzeros each, mu and r 256:
+    # check (c) flips the rows of Delta (x) rho (256 nonzeros) and never builds mu (x) r (65,536)
+    a = parse(json.dumps(bicharacter_cyclic(16)).encode()).hopf["k"]
+    kron, sizes = Matrix.kron, []
+
+    def spy(self, other):
+        out = kron(self, other)
+        sizes.append(sum(map(len, out.nz)))
+        return out
+
+    monkeypatch.setattr(Matrix, "kron", spy)
+    assert full_validation_report(a).ok
+    assert sizes and max(sizes) <= 256
 
 
 def _limit_memory():

@@ -443,9 +443,10 @@ def test_flip_sandwich_matches_naive_oracle():
         assert m @ sandwich == naive_mul(m, sandwich)
         assert back @ sandwich == Matrix.identity(field, 36)
         assert sandwich.apply(m.data[1]) == naive_apply(sandwich, m.data[1])
-        assert m.flip_cols(2, 2, 3, 3) == naive_mul(m, sandwich)
+        assert m.T.flip_rows(2, 2, 3, 3) == naive_mul(sandwich, m.T)
+        assert m.T.flip_rows(2, 3, 2, 3) == naive_mul(back, m.T)
         with pytest.raises(ShapeMismatchError):
-            m.flip_cols(2, 3, 2, 2)
+            m.T.flip_rows(2, 3, 2, 2)
 
 
 def naive_flip(field, a, b):
@@ -548,12 +549,12 @@ def test_place_over_coprime_denominators():
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
 @given(data=st.data(), shape=st.tuples(dims, flip_dims, flip_dims, flip_dims, flip_dims))
-def test_flip_cols_matches_naive_sandwich(field, data, shape):
-    rows, p, a, b, q = shape
-    x = draw_matrix(data, field, rows, p * a * b * q)
+def test_flip_rows_matches_naive_sandwich(field, data, shape):
+    cols, p, a, b, q = shape
+    x = draw_matrix(data, field, p * a * b * q, cols)
     i_p, i_q = Matrix.identity(field, p), Matrix.identity(field, q)
     sandwich = naive_kron(naive_kron(i_p, naive_flip(field, a, b)), i_q)
-    assert x.flip_cols(p, a, b, q) == naive_mul(x, sandwich)
+    assert x.flip_rows(p, a, b, q) == naive_mul(sandwich, x)
     assert Matrix.flip(field, a, b) == naive_flip(field, a, b)
 
 
@@ -635,6 +636,28 @@ def test_solve_cases():
     sol = mat(QQ, [[1, 1]]).solve((Fraction(2),))
     assert sol == ((Fraction(2), Fraction(0)), False)
     assert mat(QQ, [[0]]).solve((Fraction(1),)) is None
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@given(data=st.data(), shape=st.tuples(dims, dims))
+def test_solve_returns_a_solution_exactly_when_one_exists(field, data, shape):
+    # solve places [A | b]; over Q, b's denominators (7, 11 or 13) are coprime to A's (at
+    # most 6), so a placement that does not take their lcm gives a wrong system
+    rows, cols = shape
+    a = draw_matrix(data, field, rows, cols)
+    if field.p is None:
+        d = data.draw(st.sampled_from((7, 11, 13)))
+        ints = data.draw(st.lists(st.integers(min_value=-3, max_value=3),
+                                  min_size=cols, max_size=cols))
+        x = tuple(Fraction(n * a.den, d) for n in ints)  # A x is an int matrix times ints / d
+    else:
+        x = tuple(data.draw(st.lists(sparse_scalars(field), min_size=cols, max_size=cols)))
+    b = a.apply(x)
+    y, unique = a.solve(b)
+    assert a.apply(y) == b
+    assert unique == (a.rank() == cols) == (not a.kernel_basis())
+    padded = Matrix.place(field, rows + 1, cols, [(0, 0, a)])  # a zero row below A
+    assert padded.solve(b + (field.one,)) is None
 
 
 def test_solve_shape_error():
@@ -841,7 +864,7 @@ def test_routes_to_one_value_meet_in_one_normal_form(field, data, shape):
     assert_same(a.kron(Matrix.identity(field, 1)), a)
     assert_same((a + b) - b, a)
     assert_same(a.T.T, a)
-    assert_same(a.flip_cols(1, 1, cols, 1), a)
+    assert_same(a.flip_rows(1, 1, rows, 1), a)
     assert_same(naive_mul(a, ident_c), a)
 
 
@@ -853,7 +876,7 @@ def test_every_public_operation_gives_canonical_entries(field, data, n):
     vec = tuple(data.draw(st.lists(sparse_scalars(field), min_size=n, max_size=n)))
     c = data.draw(sparse_scalars(field))
     placed = Matrix.place(field, n + 1, n + 2, [(0, 0, a), (1, n, b), (1, 0, a)])
-    results = [a @ b, a.kron(b), a.flip_cols(1, 1, n, 1), a.transpose(), a + a, a.scale(c),
+    results = [a @ b, a.kron(b), a.flip_rows(1, 1, n, 1), a.transpose(), a + a, a.scale(c),
                b.reshape(2, n), placed]
     for m in results:
         assert_normal(m)

@@ -81,6 +81,41 @@ def test_tensor_of_regulars_valid(bichar_z2):
     assert validate_module(bichar_z2, t).ok
 
 
+def naive_tensor_action(a, m, n, u):
+    """The action of A_u on (M (x) N)_u entry by entry: a_i . (m_j (x) n_k) sums
+    c (a_s . m_j) (x) (b_t . n_k) over the entries c of Delta_{y,z}(a_i) at a_s (x) b_t."""
+    f = a.field
+    layout = tensor_layout(a, m, n, u)
+    total, du = sum(size for *_, size in layout), a.dim(u)
+    out = [[f.zero] * (du * total) for _ in range(total)]
+    for y, z, off, _ in layout:
+        delta, rm, rn, dz, my, nz = a.delta(y, z), m.r(y), n.r(z), a.dim(z), m.dim(y), n.dim(z)
+        for i in range(du):
+            for s in range(a.dim(y)):
+                for t in range(dz):
+                    c = delta[s * dz + t, i]
+                    for j in range(my):
+                        for k in range(nz):
+                            col = i * total + off + j * nz + k
+                            for j2 in range(my):
+                                for k2 in range(nz):
+                                    v = f.mul(c, f.mul(rm[j2, s * my + j], rn[k2, t * nz + k]))
+                                    row = off + j2 * nz + k2
+                                    out[row][col] = f.add(out[row][col], v)
+    return Matrix(f, out, total, du * total)
+
+
+def test_tensor_action_matches_naive_oracle(rho_z2, bichar_z2):
+    # modules of unequal dimensions, so that a flip with M's and N's dimensions swapped differs
+    for a in (rho_z2, bichar_z2):
+        mods = [unit_module(a)] + [regular_module(a, x) for x in a.H.elements()]
+        for m in mods:
+            for n in mods:
+                t = tensor_modules(a, m, n)
+                for u in a.H.elements():
+                    assert t.r(u) == naive_tensor_action(a, m, n, u)
+
+
 def _flat_positions_left(a, m, n, p, u):
     """Positions of basis triples in ((M (x) N) (x) P)_u, keyed (x,y,z,i,j,k)."""
     mn = tensor_modules(a, m, n)
