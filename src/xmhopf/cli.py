@@ -28,18 +28,17 @@ from .crossed import kernel_image_cokernel, validate_components, validate_crosse
 from .docio import DocumentError, StructureDocument, UnknownNameError, parse
 from .errors import DefiningIdentityFailedError, XmhopfError
 from .groups import validate_group
-from .hopf import enumerate_grouplikes, grouplike_report, vec_kron
+from .hopf import enumerate_grouplikes, grouplike_report
 from .hopfmod import (
     coinvariants,
     distinguished_grouplike,
     integral_report,
     integral_space,
-    regular_hopf_module,
     structure_iso,
     validate_hopf_xi_module,
     validate_module_premises,
 )
-from .linalg import MAX_LITERAL_DIGITS, Field, Matrix, _ascii_digits
+from .linalg import MAX_LITERAL_DIGITS, Field, _ascii_digits
 from .repcat import hom_space, validate_module
 from .report import Report, given
 from .xihopf import full_validation_report, grouplike_pairing
@@ -158,8 +157,9 @@ def _verify_object(doc: StructureDocument, name: str, res: CommandResult) -> Non
         res.add_report(validate_module(doc.hopf[over], mod))
         res.output("dims", list(mod.dims))
     elif section == "hopf_modules":
-        _check_hopf_module(doc, name, res)
-        res.output("dims", list(obj[1].dims))
+        over, mod = obj
+        _check_hopf_module(doc.hopf[over], mod, res)
+        res.output("dims", list(mod.dims))
     elif section == "grouplikes":
         over, fam = obj
         a = doc.hopf[over]
@@ -176,43 +176,11 @@ def _verify_object(doc: StructureDocument, name: str, res: CommandResult) -> Non
         res.add_report(integral_report(a, fam, side))
 
 
-def _check_hopf_module(doc: StructureDocument, name: str, res: CommandResult):
-    """Merge the checks of the Hopf module `name` over A into res, and return (M, v): the
-    module M that they and a trivialisation of `name` run on, and v, the fibre of a
-    `trivial: v` module or None.
-
-    The checks are validate_module_premises(A), then validate_hopf_xi_module on M: the module
-    itself, or, for a `trivial: v` module with v >= 1, A's regular Hopf module in place of
-    A (x) V.  A (x) V's maps are A's tensored with id_V: r_x = mu_x (x) id, rho_{x,y} =
-    Delta_{x,y} (x) id and psi_{x,e} = phi_{x,e} (x) id, with V the last tensor factor.  Each
-    side of each case of validate_hopf_xi_module is built from these by products, tensor
-    products with identities and, in check (c), the row flip I (x) flip (x) I_q of
-    Delta_{x,y} (x) rho_{x,y}, whose last factor is I_q = I_{dim A_y} (x) I_v: it moves only
-    A's factors and keeps V last.  So on A (x) V each side is the same side on A's regular
-    module tensored with id_V.  For v >= 1, X (x) id_V =
-    Y (x) id_V exactly when X = Y, so each case has the same verdict, and its label names
-    (x, y, z, e, f) only: the report has the same checks, counts and witnesses.  For v = 0
-    every matrix of A (x) 0 is empty and every case holds, whatever A is, so that module is
-    checked as itself and does not pick up A's failures.
-
-    The same holds for the trivialisation (cmd_structure_theorem), for v >= 1:
-    * Coinvariants.  Each block of A (x) V's coinvariant system, rho_{x,y} (x) I_v,
-      1_x (x) I_{dim A_y} (x) I_v, psi_{x,e} (x) I_v and I_{dim A_x} (x) I_v, is A's block
-      tensored with I_v, and the blocks sit at A's offsets times v, so the system is A's
-      system (x) I_v, rows and columns in the same order.  Row reduction is unique:
-      RREF(S (x) I_v) = RREF(S) (x) I_v, whose free columns are (c, j) for each free column
-      c of S and j < v.  Its kernel basis is A's basis (x) e_j, in (c, j) order.
-    * structure_iso.  Each composite it compares (eps_x, pi, nu_x, eps nu and nu eps) is,
-      on A (x) V with that basis, A's composite on A's basis tensored with id_V, and pi lands
-      in the span exactly when A's does.  So, as above, each comparison has A's verdict and
-      the error names the same component.
-    """
-    over, mod = doc.hopf_modules[name]
-    a, v = doc.hopf[over], doc.fibres.get(name)
-    m = regular_hopf_module(a) if v else mod
+def _check_hopf_module(a, m, res: CommandResult) -> None:
+    """Merge into res the checks of the Hopf module m over A: validate_module_premises(A),
+    then validate_hopf_xi_module(A, m)."""
     res.add_report(validate_module_premises(a))
     res.add_report(validate_hopf_xi_module(a, m))
-    return m, v
 
 
 def cmd_verify(doc: StructureDocument, args, res: CommandResult) -> None:
@@ -278,20 +246,13 @@ def cmd_dual(doc: StructureDocument, args, res: CommandResult) -> None:
 
 
 def cmd_structure_theorem(doc: StructureDocument, args, res: CommandResult) -> None:
-    """Trivialise a Hopf module M; a `trivial: v` module, v >= 1, through A's regular module,
-    with each coinvariant c of A shown as c (x) e_1, ..., c (x) e_v (_check_hopf_module)."""
     a = _arg(doc, args.name, "hopf")
-    _arg(doc, args.module, "hopf_modules", over=args.name)
-    m, v = _check_hopf_module(doc, args.module, res)
+    m = _arg(doc, args.module, "hopf_modules", over=args.name)
+    _check_hopf_module(a, m, res)
     chk = Report("structure theorem")
     coinv = coinvariants(a, m)
-    if v:
-        fibre = Matrix.identity(a.field, v).data
-        shown = [tuple(vec_kron(a.field, cx, e) for cx in c) for c in coinv for e in fibre]
-    else:
-        shown = coinv
-    res.output("coinvariants_dimension", len(shown))
-    res.output("coinvariants_basis", [_show_family(a.field, c) for c in shown])
+    res.output("coinvariants_dimension", len(coinv))
+    res.output("coinvariants_basis", [_show_family(a.field, c) for c in coinv])
     try:
         structure_iso(a, m, coinv)
         chk.settle("trivialization maps are exact two-sided inverses", True)

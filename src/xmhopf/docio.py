@@ -42,18 +42,19 @@ from .xihopf import (
 MAX_GROUP_ORDER = 100
 
 # The largest validation_cost a Hopf structure may have, fitted on a ladder with the guard
-# lifted (Python 3.11, one 2-vCPU VM), each structure carrying a `dual: true` Hopf module,
-# when Matrix stored dense rows.  The largest sizes it admits are the trivial structure over
-# id: Z/38 -> Z/38 (cost 2.4e7) and k[Z/16] with E = Z/16 (2.0e7) or E trivial (1.8e7);
-# Z/39 and k[Z/17] cost 2.6e7.  On them `verify`, `report`, `dual` and `structure-theorem`
-# took 1.4-1.6 s on dense rows.  On sparse rows they take 0.8-0.9 s over Z/38 and 0.08-0.10 s
-# over k[Z/16], and `integrals` and `grouplikes` at most 0.13 s (best of 3 CLI runs, same
-# VM and Python); the bound has not been re-fitted to that kernel.
+# lifted, each structure carrying a `dual: true` Hopf module.  The largest sizes it admits
+# are the trivial structure over id: Z/38 -> Z/38 (cost 2.4e7) and k[Z/16] with E = Z/16
+# (2.0e7) or E trivial (1.8e7); Z/39 and k[Z/17] cost 2.6e7.  On them `verify`, `report`,
+# `dual` and `structure-theorem` (of the dual module) take 0.49-0.58 s over Z/38 and
+# 0.09-0.17 s over k[Z/16], and `integrals` and `grouplikes` at most 0.13 s (best of 3 CLI
+# runs, Python 3.11, one 2-vCPU VM); the bound was fitted to a slower kernel and has not
+# been re-fitted.
 MAX_VALIDATION_COST = 25 * 10**6
 
 # What one case of an identity costs beyond the entries of its matrices, counted in
-# entries: the Matrix objects a case builds, multiplies and compares.  Fitted on the
-# same VM: a case of the trivial structure over Z/22 takes 14 us, an entry 0.13-0.19 us.
+# entries: the Matrix objects a case builds, multiplies and compares.  A case whose
+# operands repeat an earlier case's builds nothing (report.Report.identity), so the
+# estimate errs high where a structure's maps repeat.
 _CASE_COST = 100
 
 
@@ -101,14 +102,13 @@ def trivial_module_cost(h_order: int, dim: int, v: int) -> int:
     """Estimated work, in the units of validation_cost, of the trivial Hopf module A (x) V
     with dim V = v over |H| components of dim <= dim.
 
-    Fitted on `structure-theorem` when it solved one system per vector of M_1 and Matrix
-    stored dense rows.  At the bound it now takes 0.08 s over the trivial structure of Z/2
-    (v = 146), 0.05 s over Z/1 (v = 184) and 0.04 s over Sweedler's algebra (v = 29), best
-    of 3 CLI runs (Python 3.11, one 2-vCPU VM).  `verify` and `structure-theorem` of a
-    trivial module with v >= 1 check and trivialise A's regular Hopf module in its place
-    (cli._check_hopf_module), so what still grows with v is A (x) V, built at parse, and the
-    basis `structure-theorem` prints: over id: Z/38 -> Z/38 the estimate admits v = 54,
-    where that call takes 0.94 s (best of 3 CLI runs).
+    Fitted on `structure-theorem` over the trivial structures of Z/2 and Z/1 and Sweedler's
+    algebra, with a slower kernel.  `verify` and `structure-theorem` check and trivialise
+    A (x) V itself.  At the bound (best of 3 CLI runs, Python 3.11, one 2-vCPU VM), each
+    takes at most 0.12 s over Z/2 (v = 146), Z/1 (v = 184) and Sweedler's algebra (v = 29);
+    over k[Z/16] (v = 4) `verify` takes 0.23 s and `structure-theorem` 0.24 s; over
+    id: Z/38 -> Z/38 (v = 54) `verify` takes 0.61 s and `structure-theorem` 2.1 s, most of
+    it eliminating A (x) V's coinvariant system of 155,952 equations in 2,052 unknowns.
     """
     return 4 * h_order * dim * (dim * v) ** 3
 
@@ -176,13 +176,12 @@ class StructureDocument(Record):
 
     modules and hopf_modules hold (Hopf structure name, module), grouplikes hold (name,
     family), integrals hold (name, side, family); element_names maps a group name to
-    the tuple of its element labels, and fibres the name of each `trivial: v` Hopf module
-    to v.
+    the tuple of its element labels.
     """
 
     __slots__ = ("field", "groups", "crossed_modules", "hopf", "modules", "hopf_modules",
-                 "grouplikes", "integrals", "element_names", "fibres")
-    _defaults = dict(dict.fromkeys(__slots__[1:-2], Section), element_names=dict, fibres=dict)
+                 "grouplikes", "integrals", "element_names")
+    _defaults = dict(dict.fromkeys(__slots__[1:-1], Section), element_names=dict)
 
     def element_index(self, group, label: str):
         """Resolve an element label of a group of this document, `group` itself, to its index.
@@ -577,7 +576,6 @@ def _parse_hopf_module(doc: StructureDocument, name: str, spec, where, lits):
     if "trivial" in spec:
         a, v = doc.hopf[over], _int(spec["trivial"], where)
         _check_cost(where, trivial_module_cost(a.H.order, max(map(a.dim, a.H.elements())), v))
-        doc.fibres[name] = v
         return over, trivial_hopf_module(a, v)
     if _directive(spec, "dual", where):
 

@@ -31,18 +31,9 @@ statements against it on single-entry perturbations of Delta, phi, mu, S and eps
 
 `verify` of a Hopf module over A and `structure-theorem` on one validate A only
 as far as the premises of check (d) (validate_module_premises), and then run
-validate_hopf_xi_module on (cli._check_hopf_module):
-* an explicit module: the module itself;
-* a `dual: true` module: the module itself, since its axioms follow from all of
-  A's, which they do not validate;
-* a `trivial: v` module, v >= 1: A's regular Hopf module.  A (x) V's maps are A's
-  tensored with id_V, so each case on A (x) V is the same case on A tensored with
-  id_V, with the same verdict and label;
-* a `trivial: 0` module: A (x) 0 itself, on which every case holds.
-`structure-theorem` then solves the coinvariants of, and trivialises, the module it
-checked.  For `trivial: v`, v >= 1, A (x) V's coinvariant system and each composite of
-the trivialisation are A's tensored with the identity of V, so it prints A's coinvariants
-tensored with V's basis and A's verdict (cli._check_hopf_module derives it).
+validate_hopf_xi_module on the module itself, whatever its kind: explicit,
+`dual: true` or `trivial: v`.  `structure-theorem` then solves the coinvariants
+of, and trivialises, that same module.
 """
 
 from __future__ import annotations
@@ -205,9 +196,7 @@ def validate_module_premises(a: HopfXiCoalgebra) -> Report:
     checks, and phi_{x,1} = id, the unit law of `a` read as its own regular Hopf module.
 
     `verify` of a Hopf module and `structure-theorem` merge these, and not the rest of
-    full_validation_report(a), ahead of validate_hopf_xi_module on the module: an explicit
-    or `dual: true` one, or A (x) 0, itself, and a `trivial: v` one with v >= 1 as A's regular
-    Hopf module (cli._check_hopf_module).
+    full_validation_report(a), ahead of validate_hopf_xi_module on the module itself.
     """
     rep = Report("premises over the structure")
     rep.merge(validate_components(a.cm))
@@ -224,17 +213,29 @@ def regular_hopf_module(a: HopfXiCoalgebra) -> HopfXiModule:
 
 
 def trivial_hopf_module(a: HopfXiCoalgebra, v_dim: int) -> HopfXiModule:
-    """A (x) V with the structure maps tensored by the identity of V."""
+    """A (x) V with the structure maps tensored by the identity of V.
+
+    Each distinct map of `a` is tensored once, and equal maps share the product: keyed by
+    value, as docio._Literals keys literals, so that Report.identity finds equal operands
+    the same object and does not compare them entry by entry.
+    """
     if v_dim < 0:
         raise ValueError("v_dim must be nonnegative")
-    iv = Matrix.identity(a.field, v_dim)
+    iv, built = Matrix.identity(a.field, v_dim), {}
+
+    def tensored(g: Matrix) -> Matrix:
+        t = built.get(g)
+        if t is None:
+            t = built[g] = g.kron(iv)
+        return t
+
     xs, es = a.H.elements(), a.E.elements()
     return HopfXiModule(
         a,
         tuple(a.dim(x) * v_dim for x in xs),
-        tuple(a.component(x).mul.kron(iv) for x in xs),
-        {(x, y): a.delta(x, y).kron(iv) for x in xs for y in xs},
-        {(x, e): a.phi(x, e).kron(iv) for x in xs for e in es},
+        tuple(tensored(a.component(x).mul) for x in xs),
+        {(x, y): tensored(a.delta(x, y)) for x in xs for y in xs},
+        {(x, e): tensored(a.phi(x, e)) for x in xs for e in es},
     )
 
 

@@ -181,6 +181,60 @@ def sweedler_rho(k: int) -> Matrix:
     return Matrix(f, [[diag[i] if i == j else f.zero for j in range(4)] for i in range(4)])
 
 
+def make_unequal_dims(field=QQ):
+    """A well-shaped structure over id: Z/2 -> Z/2 whose components have dims 2 and 3, so
+    that a flip with two A-dimensions swapped moves entries; no other test structure has
+    dim A_x varying with x.  Its axioms need not hold.
+
+    A_x is the algebra of functions on the set S_x = {0, ..., dim A_x - 1}, with the point
+    idempotents as basis.  Delta_{x,y} and phi_{x,e} are pullbacks along seeded maps
+    S_x x S_y -> S_{xy} and S_{xi(e)x} -> S_x, so the bialgebra law and each phi's
+    multiplicativity hold, and every check (c) case of the regular Hopf module passes.  Each
+    of these maps sends 0 to 0 (and phi_{x,1} is the identity), so the evaluations at 0
+    form a left and a right integral.  The counit is the evaluation at 0 and each S_x is
+    the identity.
+    """
+    import random
+
+    from xmhopf.crossed import identity_cm
+    from xmhopf.hopf import ComponentAlgebra, GradedHopfCoalgebra
+    from xmhopf.xihopf import HopfXiCoalgebra
+
+    rng, f, dims = random.Random(0), field, (2, 3)
+    cm = identity_cm(cyclic(2))
+    H = cm.H
+
+    def point(n, i):
+        return [f.one if k == i else f.zero for k in range(n)]
+
+    def pullback(source: list, n: int) -> Matrix:
+        """The matrix of e_u -> the sum of e_s over the s with source[s] = u, on k^n."""
+        return Matrix(f, [[f.one if u == target else f.zero for u in range(n)]
+                          for target in source], len(source), n)
+
+    algebras = tuple(ComponentAlgebra.from_structure_constants(
+        f, [[point(n, i) if i == j else point(n, None) for j in range(n)] for i in range(n)],
+        tuple([f.one] * n)) for n in dims)
+    coproduct = {}
+    for x in H.elements():
+        for y in H.elements():
+            dx, dy, dxy = dims[x], dims[y], dims[H.mul(x, y)]
+            # (s, t) with s = 0 or t = 0 goes to 0, the others to seeded points
+            product = [0 if s == 0 or t == 0 else rng.randrange(dxy)
+                       for s in range(dx) for t in range(dy)]
+            coproduct[(x, y)] = pullback(product, dxy)
+    action = {}
+    for x in H.elements():
+        for e in cm.E.elements():
+            # S_{xi(e)x} -> S_x: 0 goes to 0, the others to seeded points
+            points = [0] + [rng.randrange(dims[x]) for _ in range(dims[H.mul(cm.xi_of(e), x)] - 1)]
+            action[(x, e)] = (Matrix.identity(f, dims[x]) if e == cm.E.identity
+                              else pullback(points, dims[x]))
+    base = GradedHopfCoalgebra(f, H, algebras, coproduct, Matrix.row(f, point(dims[0], 0)))
+    base = base.with_antipode([Matrix.identity(f, n) for n in dims])
+    return HopfXiCoalgebra(cm, base, action)
+
+
 def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "xmhopf.cli", *args],

@@ -14,7 +14,7 @@ oracles copy entries one index at a time.
 
 import pytest
 
-from tests.conftest import fixture_structures
+from tests.conftest import GF5, QQ, fixture_structures, make_unequal_dims
 from tests.oracles import EXAMPLES, build
 from xmhopf.errors import NotInvertibleError
 from xmhopf.hopf import antipode_solve_details
@@ -237,6 +237,17 @@ def test_antipode_system_matches_oracle(structure):
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_integral_system_matches_oracle(structure, side):
     assert integral_space(structure, side) == oracle_integrals(structure, side)
+
+
+@pytest.mark.parametrize("field", [QQ, GF5], ids=repr)
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_integral_system_over_components_of_unequal_dimension_matches_oracle(field, side):
+    # dim A_0 = 2 and dim A_1 = 3, so that a flip with dx and dy swapped moves entries; the
+    # evaluations at 0 are an integral, so a wrong system shows as a different kernel
+    a = make_unequal_dims(field)
+    basis = integral_space(a, side)
+    assert basis == oracle_integrals(a, side)
+    assert basis == [((field.one, field.zero), (field.one, field.zero, field.zero))]
 
 
 def test_coinvariant_system_matches_oracle(structure):

@@ -23,20 +23,20 @@ perturbations psi'_{x,e} = T_{xi(e)x} psi_{x,e} T_x^-1, for a graded automorphis
 with r and rho left alone.  On those too the reduced report fails wherever the full one
 does, and some of them fail check (d) on most examples.
 
-`verify` of a `trivial: v` Hopf module and `structure-theorem` on one check A's regular
-Hopf module in place of A (x) V when v >= 1, and `structure-theorem` trivialises it and
-tensors A's coinvariants with V's basis (`cli._check_hopf_module` derives both).  The
-oracle is the check of A (x) V itself, `validate_hopf_xi_module(a, trivial_hopf_module(a,
-v))` after `validate_module_premises(a)`, then `coinvariants` and `structure_iso` on it: on
-every Hopf structure of every fixture and mutation and v = 0, 1, 2 and 3, the CLI's checks
-equal it in names, counts and witnesses, and its coinvariant basis is the oracle's.
+`verify` of a `trivial: v` Hopf module and `structure-theorem` on one check and trivialise
+A (x) V as it is parsed from the document.  The oracle is the library on A (x) V built
+apart, `validate_hopf_xi_module(a, trivial_hopf_module(a, v))` after
+`validate_module_premises(a)`, then `coinvariants` and `structure_iso` on it: on every Hopf
+structure of every fixture and mutation and v = 0, 1, 2 and 3, the CLI's checks equal it in
+names, counts and witnesses, and its coinvariant basis is the oracle's.  No CLI digest
+covers v = 1.
 """
 
 import json
 
 import pytest
 
-from tests.conftest import FIXTURES, GF5, QQ, make_sweedler
+from tests.conftest import FIXTURES, GF5, QQ, make_sweedler, make_unequal_dims
 from tests.oracles import (
     EXAMPLES,
     MODULE_EXAMPLES,
@@ -201,6 +201,27 @@ def test_reduced_check_d_keeps_the_cases_e_1_of_a_structure(field):
         ("(d) psi equivariance laws", 2)]
 
 
+@pytest.mark.parametrize("field", [QQ, GF5], ids=["Q", "GF(5)"])
+def test_check_c_over_components_of_unequal_dimension_is_the_oracles(field):
+    # dim A_0 = 2 and dim A_1 = 3, so that a flip with dx and dy swapped moves entries: every
+    # case of A's regular Hopf module holds, and perturbations of rho fail some
+    a = make_unequal_dims(field)
+
+    def check_c(rep):
+        (c,) = [c for c in rep.checks if c.name.startswith("(c)")]
+        return c.violations, c.witnesses
+
+    m = regular_hopf_module(a)
+    assert check_c(validate_hopf_xi_module(a, m)) == check_c(oracle_hopf_xi_module(a, m)) == (
+        0, [])
+    counts = Tally()
+    for kind, p in perturbed_modules(m):
+        got = check_c(validate_hopf_xi_module(a, p))
+        assert got == check_c(oracle_hopf_xi_module(a, p)), kind
+        counts.add(kind, got[0] > 0)
+    assert counts.counts() == {"rho": (62, 37), "psi": (25, 0)}  # the same over Q and GF(5)
+
+
 # (document, Hopf structure) for every Hopf structure of every fixture and mutation
 TRIVIAL_OVER = [
     (path.relative_to(FIXTURES).as_posix(), over)
@@ -227,8 +248,6 @@ def test_cli_checks_a_trivial_module_as_its_oracle_does(rel, over, v, tmp_path, 
     assert code == (0 if oracle.ok else 1)
     assert [(c["name"], c["violations"], c["witnesses"]) for c in checks] == [
         (c.name, c.violations, c.witnesses) for c in oracle.checks]
-    # structure-theorem trivialises A and tensors its coinvariants with V's basis; the
-    # oracle trivialises A (x) V itself
     coinv = coinvariants(a, m)
     trivialised = Report("structure theorem")
     try:

@@ -1,6 +1,6 @@
 import pytest
 
-from tests.conftest import QQ
+from tests.conftest import GF5, QQ, make_unequal_dims
 from xmhopf.errors import NotHomogeneousError
 from xmhopf.linalg import Matrix
 from xmhopf.repcat import (
@@ -105,15 +105,26 @@ def naive_tensor_action(a, m, n, u):
     return Matrix(f, out, total, du * total)
 
 
+def assert_tensor_actions_match_naive_oracle(a):
+    mods = [unit_module(a)] + [regular_module(a, x) for x in a.H.elements()]
+    for m in mods:
+        for n in mods:
+            t = tensor_modules(a, m, n)
+            for u in a.H.elements():
+                assert t.r(u) == naive_tensor_action(a, m, n, u)
+
+
 def test_tensor_action_matches_naive_oracle(rho_z2, bichar_z2):
     # modules of unequal dimensions, so that a flip with M's and N's dimensions swapped differs
     for a in (rho_z2, bichar_z2):
-        mods = [unit_module(a)] + [regular_module(a, x) for x in a.H.elements()]
-        for m in mods:
-            for n in mods:
-                t = tensor_modules(a, m, n)
-                for u in a.H.elements():
-                    assert t.r(u) == naive_tensor_action(a, m, n, u)
+        assert_tensor_actions_match_naive_oracle(a)
+
+
+@pytest.mark.parametrize("field", [QQ, GF5], ids=repr)
+def test_tensor_action_of_unequal_components_matches_naive_oracle(field):
+    # dim A_0 = 2 and dim A_1 = 3, so that a flip with A_y's and A_z's dimensions swapped
+    # differs
+    assert_tensor_actions_match_naive_oracle(make_unequal_dims(field))
 
 
 def _flat_positions_left(a, m, n, p, u):
