@@ -216,8 +216,8 @@ def _parse_scalar(f: Field, raw, where):
         return f.parse(raw)
     except ValueError as exc:
         # distinguish a literal of the other field from outright garbage
-        other = Field.rational() if f.kind == "prime" else None
-        if f.kind == "prime":
+        other = Field.rational() if f.p else None
+        if f.p:
             try:
                 other.parse(raw)
                 raise FieldMismatchError(f"{where}: rational literal {raw!r} in a GF({f.p}) document")
@@ -862,7 +862,7 @@ def serialize(doc: StructureDocument) -> bytes:
     f = doc.field
     out = {}
     out["field"] = (
-        {"kind": "rational"} if f.kind == "rational" else {"kind": "prime", "characteristic": f.p}
+        {"kind": "rational"} if f.p is None else {"kind": "prime", "characteristic": f.p}
     )
     refs = _Refs(doc)
     for section, _, show in SECTIONS:

@@ -2,10 +2,12 @@
 
 The structure theorem (every Hopf module is trivial) is implemented with
 its explicit quasi-inverse and checked exactly; the integral solver stacks
-all coproduct and action conditions into one linear system; the module of
-functionals {A*_{x^-1}} carries a Hopf module structure whose coinvariants
-are exactly the right integrals, which yields the one-dimensionality of
-the integral space for finite-type structures over a field.
+all coproduct and action conditions into one linear system, and
+integral_report evaluates its rows on a candidate, so each condition is
+written once; the module of functionals {A*_{x^-1}} carries a Hopf module
+structure whose coinvariants are exactly the right integrals, which yields
+the one-dimensionality of the integral space for finite-type structures
+over a field.
 
 `report` validates A and solves its right-integral system, and neither
 builds nor checks that dual Hopf module M = dual_hopf_module(A): both would
@@ -47,8 +49,8 @@ from .errors import (
 )
 from .linalg import Matrix
 from .record import Record
-from .report import Report
-from .repcat import AModule, _contragredient, _flatten, _graded_kernel, validate_module
+from .report import Report, given
+from .repcat import AModule, _contragredient, _flatten, _graded_kernel, _vanishes, validate_module
 from .xihopf import HopfXiCoalgebra
 
 
@@ -322,15 +324,11 @@ def structure_iso(a: HopfXiCoalgebra, m: HopfXiModule, coinv: list[tuple]):
 # -- integrals ------------------------------------------------------------------------------
 
 
-def integral_space(a: HopfXiCoalgebra, side: str) -> list[tuple]:
-    """Deterministic basis of the left or right integral space.
-
-    An integral is a family of covectors (lambda_x) satisfying the
-    coproduct condition on every (x, y) and invariance under the action;
-    the stacked system is solved by one exact kernel computation.  Each
-    (x, y) gives the block row [Delta_{x,y}^T reshaped | -(I (x) 1)] on
-    (lambda_y, lambda_xy) for the left side and on (lambda_x, lambda_xy) for
-    the right, where a flip first puts the A_y factor ahead; each (x, e)
+def _integral_rows(a: HopfXiCoalgebra, side: str) -> dict:
+    """The `side` integral conditions on a family of covectors (lambda_x), as _graded_kernel
+    block rows: {check: [(label template, args, row)]}.  Each (x, y) gives [Delta_{x,y}^T
+    reshaped | -(I (x) 1)] on (lambda_y, lambda_xy) for the left side and on (lambda_x,
+    lambda_xy) for the right, where a flip first puts the A_y factor ahead; each (x, e)
     gives [phi_{x,e}^T | -I] on (lambda_{xi(e)x}, lambda_x).
     """
     if side not in ("left", "right"):
@@ -339,7 +337,7 @@ def integral_space(a: HopfXiCoalgebra, side: str) -> list[tuple]:
     dims = [a.dim(x) for x in H.elements()]
     minus = f.of(-1)
     ident = [Matrix.identity(f, d) for d in dims]
-    rows = []
+    coproduct, action = [], []
     for x in H.elements():
         for y in H.elements():
             xy, dx, dy = H.mul(x, y), dims[x], dims[y]
@@ -350,48 +348,33 @@ def integral_space(a: HopfXiCoalgebra, side: str) -> list[tuple]:
             else:  # (lambda_x (x) id) Delta_{x,y} = 1_y lambda_xy
                 z, unit = x, a.component(y).unit_col()
                 coef = delta.flip_rows(1, dx, dy, 1).T.reshape(dims[xy] * dy, dx)
-            rows.append([(z, coef), (xy, ident[xy].kron(unit.scale(minus)))])
-        for e in E.elements():
-            rows.append([(H.mul(a.cm.xi_of(e), x), a.phi(x, e).T), (x, ident[x].scale(minus))])
-    return _graded_kernel(f, dims, rows)
+            coproduct.append(("(x,y)=({},{})", (x, y),
+                              [(z, coef), (xy, ident[xy].kron(unit.scale(minus)))]))
+        for e in E.elements():  # lambda_{xi(e)x} phi_{x,e} = lambda_x
+            action.append(("(x,e)=({},{})", (x, e),
+                           [(H.mul(a.cm.xi_of(e), x), a.phi(x, e).T), (x, ident[x].scale(minus))]))
+    return {"coproduct condition": coproduct, "action invariance": action}
+
+
+def integral_space(a: HopfXiCoalgebra, side: str) -> list[tuple]:
+    """Deterministic basis of the left or right integral space: one exact kernel computation
+    of the coproduct conditions and action invariances of _integral_rows."""
+    rows = [row for cases in _integral_rows(a, side).values() for _, _, row in cases]
+    return _graded_kernel(a.field, [a.dim(x) for x in a.H.elements()], rows)
 
 
 def integral_report(a: HopfXiCoalgebra, lam: tuple, side: str) -> Report:
-    """The `side` integral conditions on a candidate family lam, one identity each, with witnesses.
+    """The `side` integral conditions on a candidate family lam, with witnesses: a case fails
+    where its row of integral_space's system does not vanish on lam.
 
     A lam not shaped like the components raises ShapeMismatchError; docio checks a document's.
     """
-    f, H, E = a.field, a.H, a.E
-    if len(lam) != H.order or any(len(lam[x]) != a.dim(x) for x in H.elements()):
+    if len(lam) != a.H.order or any(len(lam[x]) != a.dim(x) for x in a.H.elements()):
         raise ShapeMismatchError("family has wrong component dimensions")
-
-    xs, es = H.elements(), E.elements()
-    ident = [Matrix.identity(f, a.dim(x)) for x in xs]
-    rows = [Matrix.row(f, v) for v in lam]
-
-    def coproduct_condition(left, right, delta_xy, unit, lam_xy):
-        return left.kron_matmul(right, delta_xy), unit @ lam_xy
-
-    def action_invariance(lam_tgt, phi_xe, lam_x):
-        return lam_tgt @ phi_xe, lam_x
-
-    def coproduct_cases():
-        for x in xs:
-            for y in xs:
-                lam_xy = rows[H.mul(x, y)]
-                if side == "left":
-                    operands = (ident[x], rows[y], a.delta(x, y), a.component(x).unit_col(), lam_xy)
-                else:
-                    operands = (rows[x], ident[y], a.delta(x, y), a.component(y).unit_col(), lam_xy)
-                yield "(x,y)=({},{})", (x, y), coproduct_condition, operands
-
     rep = Report(f"{side} integral candidate")
-    rep.identity("coproduct condition", coproduct_cases())
-    rep.identity("action invariance", (
-        ("(x,e)=({},{})", (x, e), action_invariance,
-         (rows[H.mul(a.cm.xi_of(e), x)], a.phi(x, e), rows[x]))
-        for x in xs for e in es
-    ))
+    for name, cases in _integral_rows(a, side).items():
+        rep.identity(name, ((template, args, given, (_vanishes(row, lam), True))
+                            for template, args, row in cases))
     return rep
 
 

@@ -261,58 +261,52 @@ def _is_prime(n: int) -> bool:
 
 
 class Field(Record, eq=True):
-    """Ground field: kind "rational" with p None, or kind "prime" for GF(p)."""
+    """Ground field: Q where p is None, and GF(p) for a prime p."""
 
-    __slots__ = ("kind", "p")
+    __slots__ = ("p",)
 
     def __post_init__(self):
-        if self.kind == "rational":
-            if self.p is not None:
-                raise ValueError("rational field has no characteristic")
-        elif self.kind == "prime":
-            if self.p is None or not _is_prime(self.p):
-                raise ValueError(f"characteristic must be prime, got {self.p}")
-        else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
+        if self.p is not None and not _is_prime(self.p):
+            raise ValueError(f"characteristic must be prime, got {self.p}")
 
     @staticmethod
     def rational() -> "Field":
-        return Field("rational", None)
+        return Field(None)
 
     @staticmethod
     def prime(p: int) -> "Field":
-        return Field("prime", p)
+        return Field(p)
 
     # -- scalar arithmetic ------------------------------------------------
 
     @property
     def zero(self) -> Scalar:
-        return _ZERO if self.kind == "rational" else 0
+        return _ZERO if self.p is None else 0
 
     @property
     def one(self) -> Scalar:
-        return _ONE if self.kind == "rational" else 1
+        return _ONE if self.p is None else 1
 
     def of(self, n: int) -> Scalar:
         """Canonical image of the integer n."""
-        return Rational(n) if self.kind == "rational" else n % self.p
+        return Rational(n) if self.p is None else n % self.p
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return a + b if self.kind == "rational" else (a + b) % self.p
+        return a + b if self.p is None else (a + b) % self.p
 
     def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return a - b if self.kind == "rational" else (a - b) % self.p
+        return a - b if self.p is None else (a - b) % self.p
 
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return a * b if self.kind == "rational" else (a * b) % self.p
+        return a * b if self.p is None else (a * b) % self.p
 
     def neg(self, a: Scalar) -> Scalar:
-        return -a if self.kind == "rational" else (-a) % self.p
+        return -a if self.p is None else (-a) % self.p
 
     def inv(self, a: Scalar) -> Scalar:
         if not a:
             raise DivisionByZeroError("inverse of zero")
-        if self.kind == "rational":
+        if self.p is None:
             n, d = a.numerator, a.denominator
             return _make(d, n) if n > 0 else _make(-d, -n)
         return pow(a, self.p - 2, self.p)
@@ -327,7 +321,7 @@ class Field(Record, eq=True):
         fractions.Fraction reads (no '+', space, decimal point, exponent, '_' or digit
         outside ASCII) is one.
         """
-        if self.kind == "prime":
+        if self.p:
             if isinstance(text, bool) or not isinstance(text, int):
                 raise ValueError(f"GF({self.p}) scalar must be an integer, got {text!r}")
             if not 0 <= text < self.p:
@@ -346,13 +340,13 @@ class Field(Record, eq=True):
 
     def show(self, a: Scalar) -> str | int:
         """Canonical literal for serialization (inverse of parse)."""
-        if self.kind == "prime":
+        if self.p:
             return int(a)
         n, d = a.numerator, a.denominator
         return str(n) if d == 1 else f"{n}/{d}"
 
     def __repr__(self):
-        return "Q" if self.kind == "rational" else f"GF({self.p})"
+        return "Q" if self.p is None else f"GF({self.p})"
 
 
 def require_same_field(a: Field, b: Field) -> None:

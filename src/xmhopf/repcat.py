@@ -3,7 +3,8 @@
 Objects are finite-support graded families M = {M_x} of exact vector
 spaces with one action matrix per component; morphisms carry a degree e
 and one block M_x -> N_{xi(e)x} per component.  Hom spaces are computed as
-deterministic kernel bases; the category itself is never materialized.
+deterministic kernel bases, and hom_is_linear evaluates the rows that
+hom_space eliminates; the category itself is never materialized.
 """
 
 from __future__ import annotations
@@ -222,39 +223,45 @@ def _graded_kernel(f, dims, block_rows) -> list[tuple]:
     return [tuple(v[o:o + d] for o, d in zip(offsets, dims)) for v in system.kernel_basis()]
 
 
-def hom_space(a: HopfXiCoalgebra, m: AModule, n: AModule, e: int) -> list[GradedHom]:
-    """Deterministic basis of the degree-e morphism space M -> N.
+def _vanishes(row, family) -> bool:
+    """Whether the block row [(x, B), ...] of a _graded_kernel system vanishes on the graded
+    family: the sum of each B applied to the component of degree x is zero."""
+    f = row[0][1].field
+    total = [f.zero] * row[0][1].rows
+    for x, b in row:
+        total = [f.add(s, t) for s, t in zip(total, b.apply(family[x]))]
+    return not any(total)
 
-    A degree-e morphism is a family of blocks alpha_x: M_x -> N_{xi(e)x},
-    each A_x-linear into the pullback along phi_{x,e}; the linearity
-    constraints over all x form one exact linear system.  With alpha_x
-    flattened row-major, the block of alpha_x (shape r x c) is
-    I_r (x) r_M(x)^T - P (x) I_c, for P the pullback's action reshaped to
-    (r dim A_x) x r; the blocks sit on the diagonal of the system.
-    """
+
+def _hom_rows(a: HopfXiCoalgebra, m: AModule, n: AModule, e: int) -> list:
+    """A-linearity of the blocks alpha_x: M_x -> N_{xi(e)x} of a degree-e morphism into the
+    pullback along phi_{x,e}, as _graded_kernel block rows on alpha_x flattened row-major: for
+    alpha_x of shape r x c, I_r (x) r_M(x)^T - P (x) I_c, for P the pullback's action reshaped
+    to (r dim A_x) x r; the two terms sit at one offset, where place adds them."""
     f = a.field
     pulled = pullback_phi_e(a, n, e)
-    shapes = hom_block_shapes(a, m, n, e)
     minus = f.of(-1)
-    rows = [  # the two terms sit at one offset, where place adds them
+    return [
         [(x, Matrix.identity(f, r).kron(m.r(x).T)),
          (x, pulled.r(x).reshape(r * a.dim(x), r).kron(Matrix.identity(f, c)).scale(minus))]
-        for x, (r, c) in enumerate(shapes)
+        for x, (r, c) in enumerate(hom_block_shapes(a, m, n, e))
     ]
+
+
+def hom_space(a: HopfXiCoalgebra, m: AModule, n: AModule, e: int) -> list[GradedHom]:
+    """Deterministic basis of the degree-e morphism space M -> N: one exact kernel
+    computation of the rows of _hom_rows, whose blocks sit on the system's diagonal."""
+    f, shapes = a.field, hom_block_shapes(a, m, n, e)
     return [
         GradedHom(e, tuple(Matrix.row(f, v).reshape(r, c) for v, (r, c) in zip(fam, shapes)))
-        for fam in _graded_kernel(f, [r * c for r, c in shapes], rows)
+        for fam in _graded_kernel(f, [r * c for r, c in shapes], _hom_rows(a, m, n, e))
     ]
 
 
 def hom_is_linear(a: HopfXiCoalgebra, m: AModule, n: AModule, h: GradedHom) -> bool:
-    """alpha_x r_M(x) = r_{phi_e^*N}(x) (id (x) alpha_x) for each block alpha_x of h."""
-    pulled = pullback_phi_e(a, n, h.degree)
-    return all(
-        h.block(x) @ m.r(x)
-        == pulled.r(x).matmul_kron(Matrix.identity(a.field, a.dim(x)), h.block(x))
-        for x in a.H.elements()
-    )
+    """Whether every row of hom_space's system vanishes on h's blocks, flattened row-major."""
+    family = [_flatten(b.data) for b in h.blocks]
+    return all(_vanishes(row, family) for row in _hom_rows(a, m, n, h.degree))
 
 
 def identity_hom(a: HopfXiCoalgebra, m: AModule) -> GradedHom:
@@ -374,7 +381,7 @@ def ev_coev_as_homs(a: HopfXiCoalgebra, m: AModule, piv: tuple):
     """The four (co)evaluations as degree-1 graded homs between tensor modules.
 
     Returns (lev, lcoev, rev, rcoev) together with their source/target
-    modules, so A-linearity can be checked with hom_is_linear.
+    modules, so A-linearity can be checked with hom_is_linear, on the rows of hom_space.
     """
     f, H, E = a.field, a.H, a.E
     x, one = m.degree(), H.identity

@@ -133,13 +133,12 @@ def full_validation_report(a: HopfXiCoalgebra) -> Report:
 
 
 def grouplike_pairing(a: HopfXiCoalgebra, G: GrouplikeFamily) -> dict:
-    """The pairing <G, e> = eps(phi_{xi(e^-1), e}(G_{xi(e^-1)})), one value per e.
+    """The pairing <G, e> = eps(phi_{xi(e^-1), e}(G_{xi(e^-1)})), one value per e, of a
+    family G that is grouplike (is_grouplike); its callers have decided that already.
 
     The identity phi_{x,e}(G_x) = <G,e> G_{xi(e)x} is verified for every
     (x, e); failure means the input is not a valid structure.
     """
-    if not is_grouplike(a.base, G):
-        raise NotGrouplikeError("pairing needs a grouplike family")
     cm, f, H, E = a.cm, a.field, a.H, a.E
     pairing = {}
     for e in E.elements():
@@ -158,6 +157,9 @@ def grouplike_pairing(a: HopfXiCoalgebra, G: GrouplikeFamily) -> dict:
 
 
 def is_xi_grouplike(a: HopfXiCoalgebra, G: GrouplikeFamily) -> bool:
+    """Whether G pairs to 1 with every e; NotGrouplikeError where G is not grouplike."""
+    if not is_grouplike(a.base, G):
+        raise NotGrouplikeError("pairing needs a grouplike family")
     pairing = grouplike_pairing(a, G)
     return all(v == a.field.one for v in pairing.values())
 

@@ -280,6 +280,23 @@ WELL_FORMED = {
     "hopf": {"k": {"trivial": "cm"}},
 }
 
+# the bialgebra k[{1, z}], z^2 = z, Delta(g) = g (x) g: well formed, but z has no antipode
+NO_ANTIPODE = {
+    "field": {"kind": "rational"},
+    "groups": {"one": {"cyclic": 1}},
+    "crossed_modules": {"triv": {"trivial_over": "one"}},
+    "hopf": {"bi": {
+        "cm": "triv",
+        "components": [{"mul": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "1"]]],
+                        "unit": ["1", "0"]}],
+        "coproduct": {"0,0": [["1", "0"], ["0", "0"], ["0", "0"], ["0", "1"]]},
+        "counit": ["1", "1"],
+        "action": {"0,0": [["1", "0"], ["0", "1"]]},
+    }},
+}
+
+GF5_FIELD = {"kind": "prime", "characteristic": 5}
+
 # each entry replaces sections of WELL_FORMED; the result must be an input error (exit 2)
 MALFORMED = {
     "groups-not-object": {"groups": []},
@@ -351,6 +368,28 @@ MALFORMED = {
     "scalar-decimal": {"grouplikes": {"s": {"in": "k", "family": [["1.5"], ["1"]]}}},
     "scalar-plus": {"grouplikes": {"s": {"in": "k", "family": [["+1"], ["1"]]}}},
     "scalar-space": {"grouplikes": {"s": {"in": "k", "family": [[" 1"], ["1"]]}}},
+    # the bounds, checked before anything of that size is built: the trivial structure over
+    # Z/39 costs 2.6e7 (docio._check_cost), and a group order is at most 100 (docio._order)
+    "cost-above-bound": {"groups": {"g": {"cyclic": 39}}},
+    "cyclic-101": {"groups": {"g": {"cyclic": 101}}},
+    "characteristic-6": {"field": {"kind": "prime", "characteristic": 6}},
+    # a literal of Q, or a residue out of range, in a GF(5) document (FieldMismatchError)
+    "gf5-rational-literal": {"field": GF5_FIELD,
+                             "grouplikes": {"s": {"in": "k", "family": [["1/2"], [1]]}}},
+    "gf5-residue-5": {"field": GF5_FIELD, "grouplikes": {"s": {"in": "k", "family": [[5], [1]]}}},
+    "name-empty": {"modules": {"": {"over": "k", "unit": True}}},
+    "name-duplicate": {"modules": {"g": {"over": "k", "unit": True}}},
+    # built when `verify - g` looks it up
+    "dual-without-antipode": dict(NO_ANTIPODE, hopf_modules={"g": {"over": "bi", "dual": True}}),
+}
+
+# each entry replaces sections of WELL_FORMED; the result is read, and `verify` of each of its
+# objects ends in a verdict (exit 0 or 1)
+CONSTRUCTS = {
+    "product-group": {"groups": {"h": {"cyclic": 2}, "g": {"product": ["h", "h"]}}},
+    "to-point": {"crossed_modules": {"cm": {"to_point": "g"}}},
+    # its antipode check fails: "antipode missing and not computable"
+    "antipode-not-computable": NO_ANTIPODE,
 }
 
 # entries whose construction waits for first use: their references, scalars and

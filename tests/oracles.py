@@ -50,7 +50,7 @@ from xmhopf.hopfmod import (
     validate_hopf_xi_module,
 )
 from xmhopf.linalg import Field, Matrix
-from xmhopf.repcat import AModule, _flatten, validate_module
+from xmhopf.repcat import AModule, GradedHom, _flatten, pullback_phi_e, validate_module
 from xmhopf.report import Report, given
 from xmhopf.xihopf import HopfXiAlgebra, HopfXiCoalgebra, full_validation_report, is_xi_grouplike
 
@@ -645,6 +645,57 @@ def oracle_distinguished_grouplike(a: HopfXiCoalgebra, right: list) -> Report | 
         invariant = False
     rep.settle("action-invariant", invariant)
     return rep
+
+
+# -- the candidate checks: integral_report and hom_is_linear evaluate their solvers' rows -------
+
+
+def oracle_integral_report(a: HopfXiCoalgebra, lam: tuple, side: str) -> Report:
+    """integral_report as product identities, its form before it evaluated the rows that
+    integral_space eliminates: (id (x) lambda_y) Delta_{x,y} = 1_x lambda_xy on the left, or
+    (lambda_x (x) id) Delta_{x,y} = 1_y lambda_xy on the right, at each (x, y), and
+    lambda_{xi(e)x} phi_{x,e} = lambda_x at each (x, e); same checks, labels and order."""
+    f, H, E = a.field, a.H, a.E
+    xs = H.elements()
+    ident = [Matrix.identity(f, a.dim(x)) for x in xs]
+    rows = [Matrix.row(f, v) for v in lam]
+
+    def coproduct_condition(left, right, delta_xy, unit, lam_xy):
+        return left.kron_matmul(right, delta_xy), unit @ lam_xy
+
+    def action_invariance(lam_tgt, phi_xe, lam_x):
+        return lam_tgt @ phi_xe, lam_x
+
+    def coproduct_cases():
+        for x in xs:
+            for y in xs:
+                lam_xy = rows[H.mul(x, y)]
+                if side == "left":
+                    operands = (ident[x], rows[y], a.delta(x, y), a.component(x).unit_col(), lam_xy)
+                else:
+                    operands = (rows[x], ident[y], a.delta(x, y), a.component(y).unit_col(), lam_xy)
+                yield "(x,y)=({},{})", (x, y), coproduct_condition, operands
+
+    rep = Report(f"{side} integral candidate")
+    rep.identity("coproduct condition", coproduct_cases())
+    rep.identity("action invariance", (
+        ("(x,e)=({},{})", (x, e), action_invariance,
+         (rows[H.mul(a.cm.xi_of(e), x)], a.phi(x, e), rows[x]))
+        for x in xs for e in E.elements()
+    ))
+    return rep
+
+
+def oracle_hom_is_linear(a: HopfXiCoalgebra, m: AModule, n: AModule, h: GradedHom) -> bool:
+    """hom_is_linear as a product identity, its form before it evaluated the rows that
+    hom_space eliminates: alpha_x r_M(x) = r_{phi_e^*N}(x) (id (x) alpha_x) for each block
+    alpha_x of h."""
+    pulled = pullback_phi_e(a, n, h.degree)
+    return all(
+        h.block(x) @ m.r(x)
+        == pulled.r(x).matmul_kron(Matrix.identity(a.field, a.dim(x)), h.block(x))
+        for x in a.H.elements()
+    )
 
 
 # -- sweeps ------------------------------------------------------------------------------------

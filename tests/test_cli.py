@@ -13,9 +13,11 @@ import time
 import pytest
 
 from tests.conftest import (
+    CONSTRUCTS,
     DEFERRED_MALFORMED,
     FIXTURES,
     MALFORMED,
+    NO_ANTIPODE,
     WELL_FORMED,
     cli_env,
     fixture_structures,
@@ -87,6 +89,19 @@ def test_malformed_section_is_input_error(sections):
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "input error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("sections", CONSTRUCTS.values(), ids=list(CONSTRUCTS))
+def test_construct_is_read_and_verified(sections, tmp_path, capsys):
+    doc = dict(WELL_FORMED, **sections)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for name in [name for key, section in doc.items() if key != "field" for name in section]:
+        code = main(["verify", str(path), name])
+        out, err = capsys.readouterr()
+        # NO_ANTIPODE's structure bi fails its antipode check, and only it
+        assert (code, err) == (1 if name == "bi" else 0, ""), out
+        assert ("  witness: antipode missing and not computable\n" in out) == (name == "bi")
 
 
 def test_crossed_module_whose_image_misses_the_identity_fails_its_checks():
@@ -370,22 +385,6 @@ def test_no_report_names_a_check_twice():
             names = [c.name for c in res.report.checks]
             assert len(names) == len(set(names)), where
             assert not [n for n in names if n.endswith(": shape")], where
-
-
-# the bialgebra k[{1, z}], z^2 = z, Delta(g) = g (x) g: well formed, but z has no antipode
-NO_ANTIPODE = {
-    "field": {"kind": "rational"},
-    "groups": {"one": {"cyclic": 1}},
-    "crossed_modules": {"triv": {"trivial_over": "one"}},
-    "hopf": {"bi": {
-        "cm": "triv",
-        "components": [{"mul": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "1"]]],
-                        "unit": ["1", "0"]}],
-        "coproduct": {"0,0": [["1", "0"], ["0", "0"], ["0", "0"], ["0", "1"]]},
-        "counit": ["1", "1"],
-        "action": {"0,0": [["1", "0"], ["0", "1"]]},
-    }},
-}
 
 
 def test_dual_without_an_antipode_is_a_failed_check(tmp_path):

@@ -399,6 +399,8 @@ BROKEN_JSON = {
     "unterminated-string": '{"field": "rational',
     "invalid-escape": '{"field": "\\q"}',
     "one-brace-short": '{"field": {"kind": "rational"}',
+    "top-level-list": '[{"field": {"kind": "rational"}}]',
+    "missing-field": '{"groups": {"g": {"cyclic": 2}}}',
 }
 
 
@@ -424,6 +426,12 @@ def outcome(read, text):
                          ids=[name for name, _ in json_texts()])
 def test_reader_reads_what_json_loads_reads(text):
     assert outcome(_loads, text) == outcome(lambda t: json.loads(t, parse_int=literal_int), text)
+
+
+@pytest.mark.parametrize("text", BROKEN_JSON.values(), ids=list(BROKEN_JSON))
+def test_broken_text_is_refused(text):
+    with pytest.raises(DocumentError):
+        parse(text.encode())
 
 
 def test_deep_nesting_is_a_recursion_error():

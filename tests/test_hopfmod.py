@@ -12,12 +12,15 @@ from tests.conftest import (
     make_rho_z2,
     make_sweedler,
     make_sweedler_z4,
+    make_unequal_dims,
     spans,
 )
 from tests.oracles import (
     EXAMPLES,
     Tally,
+    build,
     oracle_distinguished_grouplike,
+    oracle_integral_report,
     reference_gate,
     swept_structures,
 )
@@ -238,35 +241,58 @@ def test_integral_dimensions_are_one():
 
 
 def test_integral_basis_satisfies_pointwise_checker():
-    # independent oracle: is_integral re-checks the defining identities
-    # directly instead of trusting the kernel computation
+    # is_integral evaluates the rows the kernel computation eliminates; the oracle checks the
+    # defining identities as products instead
     for build in ALL:
         a = build()
         for side in ("left", "right"):
             for lam in integral_space(a, side):
                 assert is_integral(a, lam, side)
-                assert integral_report(a, lam, side).ok
+                assert oracle_integral_report(a, lam, side).ok
+
+
+def integral_candidates(a):
+    """The basis integrals of both sides, each also with 1 added to one entry, every entry."""
+    f = a.field
+    for side in ("left", "right"):
+        for lam in integral_space(a, side):
+            yield lam
+            for x in a.H.elements():
+                for i in range(a.dim(x)):
+                    comp = list(lam[x])
+                    comp[i] = f.add(comp[i], f.one)
+                    yield lam[:x] + (tuple(comp),) + lam[x + 1:]
 
 
 def test_integral_predicate_agrees_with_report():
     # the basis integrals and every single-entry perturbation of them, on both sides
     verdicts = set()
     for label, a in fixture_structures():
-        f = a.field
-        for side in ("left", "right"):
-            for lam in integral_space(a, side):
-                families = [lam]
-                for x in a.H.elements():
-                    for i in range(a.dim(x)):
-                        comp = list(lam[x])
-                        comp[i] = f.add(comp[i], f.one)
-                        families.append(lam[:x] + (tuple(comp),) + lam[x + 1:])
-                for fam in families:
-                    for checked in ("left", "right"):
-                        verdict = is_integral(a, fam, checked)
-                        assert verdict == integral_report(a, fam, checked).ok, (label, fam)
-                        verdicts.add(verdict)
+        for fam in integral_candidates(a):
+            for checked in ("left", "right"):
+                verdict = is_integral(a, fam, checked)
+                assert verdict == integral_report(a, fam, checked).ok, (label, fam)
+                verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_integral_report_matches_its_product_identity_oracle():
+    # integral_report evaluates the rows that integral_space eliminates, so its agreement
+    # with is_integral above shows nothing about those rows; the oracle states each
+    # condition as a product identity.  make_unequal_dims has dim A_x varying with x, which
+    # a flip with two A-dimensions swapped needs to show.
+    structures = fixture_structures() + [(label, build(make, field)) for label, make, field
+                                         in EXAMPLES]
+    structures += [(f"unequal_dims over {f!r}", make_unequal_dims(f)) for f in (QQ, GF5)]
+    failing = set()
+    for label, a in structures:
+        for fam in integral_candidates(a):
+            for side in ("left", "right"):
+                got = integral_report(a, fam, side)
+                assert got == oracle_integral_report(a, fam, side), (label, side, fam)
+                failing.update((a.field, c.name) for c in got.checks if not c.ok)
+    assert failing == {(f, name) for f in (QQ, GF5)
+                       for name in ("coproduct condition", "action invariance")}
 
 
 def test_integral_report_raises_on_a_wrong_shape():

@@ -103,8 +103,6 @@ def test_division_by_zero():
 def test_field_validation():
     with pytest.raises(ValueError):
         Field.prime(6)
-    with pytest.raises(ValueError):
-        Field("rational", 3)
 
 
 # Rational against fractions.Fraction, the reference: one set of numerators per sign and one

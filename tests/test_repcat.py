@@ -1,10 +1,12 @@
 import pytest
 
 from tests.conftest import GF5, QQ, make_unequal_dims
+from tests.oracles import bumped, oracle_hom_is_linear
 from xmhopf.errors import NotHomogeneousError
 from xmhopf.linalg import Matrix
 from xmhopf.repcat import (
     AModule,
+    GradedHom,
     compose_homs,
     dual_module,
     dual_zigzag_report,
@@ -33,6 +35,20 @@ def trivial_char(a, x):
 def k_line(a, x):
     # over structures with one-dimensional components the character is (1)
     return line_module(a, x, Matrix.row(a.field, (a.field.one,) * a.dim(x)))
+
+
+def linear(a, m, n, h) -> bool:
+    """hom_is_linear(a, m, n, h), checked against its product-identity oracle on h, and on h
+    with 1 added to the first entry of its first nonempty block; returns the verdict on h."""
+    verdict = hom_is_linear(a, m, n, h)
+    assert verdict == oracle_hom_is_linear(a, m, n, h)
+    x = next((x for x, b in enumerate(h.blocks) if b.rows and b.cols), None)
+    if x is not None:
+        blocks = list(h.blocks)
+        blocks[x] = bumped(blocks[x], 0, 0)
+        p = GradedHom(h.degree, tuple(blocks))
+        assert hom_is_linear(a, m, n, p) == oracle_hom_is_linear(a, m, n, p)
+    return verdict
 
 
 def test_unit_module_valid(k_xi_z2):
@@ -220,7 +236,7 @@ def test_hom_space_graded_lines(k_xi_z2):
                 expected = 1 if H.mul(a.cm.xi_of(e), x) == y else 0
                 assert len(basis) == expected
                 for h in basis:
-                    assert hom_is_linear(a, k_line(a, x), k_line(a, y), h)
+                    assert linear(a, k_line(a, x), k_line(a, y), h)
 
 
 def test_hom_space_contains_identity(k_xi_z2, bichar_z2):
@@ -229,7 +245,7 @@ def test_hom_space_contains_identity(k_xi_z2, bichar_z2):
         (bichar_z2, regular_module(bichar_z2, 0)),
     ):
         ident = identity_hom(a, m)
-        assert hom_is_linear(a, m, m, ident)
+        assert linear(a, m, m, ident)
         basis = hom_space(a, m, m, a.E.identity)
         assert len(basis) >= 1
         # the identity must be a linear combination of the basis: solve
@@ -292,7 +308,7 @@ def test_composition_degree_law_exhaustive(k_xi_z2):
                             for h2 in hom_space(a, n, p, f_el):
                                 comp = compose_homs(a, h2, h1)
                                 assert comp.degree == E.mul(f_el, e)
-                                assert hom_is_linear(a, m, p, comp)
+                                assert linear(a, m, p, comp)
 
 
 def test_identity_composition(k_xi_z2):
@@ -323,7 +339,7 @@ def test_tensor_hom_degree_law(k_xi_z2):
                                 for beta in hom_space(a, p, q, f_el):
                                     t = tensor_homs(a, alpha, beta, m, n, p, q)
                                     assert t.degree == E.mul(e, cm.act(x0, f_el))
-                                    assert hom_is_linear(
+                                    assert linear(
                                         a,
                                         tensor_modules(a, m, p),
                                         tensor_modules(a, n, q),
@@ -378,7 +394,7 @@ def test_ev_coev_are_morphisms(k_xi_z2, bichar_z2):
         piv = tuple(a.component(x).unit for x in a.H.elements())
         homs = ev_coev_as_homs(a, m, piv)
         for name, (h, src, tgt) in homs.items():
-            assert hom_is_linear(a, src, tgt, h), name
+            assert linear(a, src, tgt, h), name
 
 
 def test_e_direct_sum_ordinary(k_xi_z2):
@@ -411,8 +427,8 @@ def test_e_direct_sum_empty_is_zero(k_xi_z2):
 def _check_biproduct_identities(a, modules, d, injs, projs):
     E = a.E
     for i, m in enumerate(modules):
-        assert hom_is_linear(a, m, d, injs[i])
-        assert hom_is_linear(a, d, m, projs[i])
+        assert linear(a, m, d, injs[i])
+        assert linear(a, d, m, projs[i])
         for j, n in enumerate(modules):
             comp = compose_homs(a, projs[i], injs[j])
             assert comp.degree == E.identity

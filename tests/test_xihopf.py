@@ -1,6 +1,7 @@
 import pytest
 
 from tests.conftest import (
+    FIXTURES,
     GF5,
     QQ,
     make_bichar_z2,
@@ -22,6 +23,7 @@ from tests.oracles import (
     perturbed_duals,
 )
 from xmhopf.crossed import identity_cm, inclusion, kernel_image_cokernel, trivial_over
+from xmhopf.errors import NotGrouplikeError
 from xmhopf.groups import cyclic
 from xmhopf.hopf import enumerate_grouplikes, group_algebra, grouplike_product
 from xmhopf.hopfmod import trivial_hopf_module, validate_hopf_xi_module
@@ -101,6 +103,31 @@ def test_pairing_bicharacter_example():
     fams = enumerate_grouplikes(a.base)
     xi_fams = [f for f in fams if is_xi_grouplike(a, f)]
     assert len(fams) == 2 and xi_fams == [unit_fam]
+
+
+def test_is_xi_grouplike_refuses_a_family_that_is_not_grouplike():
+    # grouplike_pairing takes a family that its caller has decided is grouplike; the public
+    # predicate is where an unchecked family arrives, and oracle_distinguished_grouplike
+    # counts on it raising
+    a = make_bichar_z2()
+    with pytest.raises(NotGrouplikeError, match="^pairing needs a grouplike family$"):
+        is_xi_grouplike(a, ((QQ.one, QQ.one),))
+
+
+@pytest.mark.parametrize("command, name", [("grouplikes", "bichar_z2"), ("report", "bichar_z2"),
+                                           ("verify", "g_family")])
+def test_cli_decides_grouplikeness_once(command, name, monkeypatch, capsys):
+    # report and grouplikes pair the families enumerate_grouplikes accepted, and verify of a
+    # grouplikes object pairs it once grouplike_report passes: no pairing decides it again
+    import xmhopf.cli as cli
+    import xmhopf.xihopf as xihopf
+
+    def refused(*args):
+        raise AssertionError("grouplikeness decided again")
+
+    monkeypatch.setattr(xihopf, "is_grouplike", refused)
+    assert cli.main([command, str(FIXTURES / "bichar_z2.json"), name]) == 0
+    assert "xi_grouplike" in capsys.readouterr().out
 
 
 def test_pairing_trivial_family_over_z2():

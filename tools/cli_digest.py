@@ -13,8 +13,12 @@ E, by its label where E's group declares labels and by its index.  Then it
 builds the benchmark's generated workloads (perfbench/gen.py) at seed GEN_SEED
 in a temporary directory and runs each of their invocations, sorted; the
 directory's path shows as GEN_DIR in their lines.  Then it runs `verify - g` on
-each MALFORMED and DEFERRED_MALFORMED document of tests/conftest.py, read from
-stdin; their lines show the document as `< MALFORMED[id]`.  Then, on each
+each MALFORMED and DEFERRED_MALFORMED document of tests/conftest.py, and on each
+BROKEN_JSON and REPEATED_KEY text of tests/test_docio.py, read from stdin; their
+lines show the document as `< MALFORMED[id]` and alike.  Then, on each CONSTRUCTS
+document of tests/conftest.py, read from stdin, it runs `verify` of every named
+object and `report` and `dual` of every Hopf structure; their lines show the
+document as `< CONSTRUCTS[id]`.  Then, on each
 mutation document with a `trivial: v` Hopf module added over each of its Hopf
 structures for each v of one group of TRIVIAL_FIBRES, once per group, read from
 stdin, it runs `verify` of each added module and `structure-theorem` on it;
@@ -27,7 +31,8 @@ document as `< EXPLICIT[file]`.  Each of these invocations runs once as text and
 Last come the argument lists of ARGV, each run once, with fixtures/k_xi_z2.json
 as the document and on stdin, and shown as `argv` and its JSON list: the forms of
 the command line the CLI accepts (options anywhere, `--opt=V`, `--`, a repeated
-option), the forms it refuses (exit 2 with a usage line), and -h.
+option), the forms it refuses (exit 2 with a usage line), -h, and object names that
+it refuses.
 
 Each line is the sha256 of (exit code, stdout, stderr) and the command line;
 the last line is the sha256 of all the lines before it.  A change that leaves
@@ -63,7 +68,6 @@ GEN_SEED = 1
 # a document of its own, so the lines of the earlier groups keep their document and digests
 TRIVIAL_FIBRES = ((0, 2), (3,))
 GEN_DIR = "<gen>"
-CLI_TESTS = os.path.join(ROOT, "tests", "conftest.py")
 DOC = "fixtures/k_xi_z2.json"
 HOM = ["hom", DOC, "k_xi_z2", "k1", "kh"]
 ARGV = [
@@ -97,6 +101,11 @@ ARGV = [
     # prefix abbreviations
     ["verify", DOC, "z2", "--js"],
     ["integrals", DOC, "k_xi_z2", "--si", "left"],
+    # refused names (cli._arg): unknown, and of the wrong kind for the command
+    ["verify", DOC, "nope"],
+    ["integrals", DOC, "z2"],
+    ["structure-theorem", DOC, "k_xi_z2", "k1"],
+    ["hom", DOC, "k_xi_z2", "k1", "dual_mod"],
 ]
 
 
@@ -154,23 +163,52 @@ def generated(tmp):
     return out
 
 
+def read_tables(fname, names):
+    """{name: value} of the module-level assignments `names` of tests/fname, evaluated in the
+    order the file makes them, so that one may refer to an earlier one, without importing
+    the file (it needs pytest)."""
+    path = os.path.join(ROOT, "tests", fname)
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id in names):
+            found[node.targets[0].id] = eval(compile(ast.Expression(node.value), path, "eval"), found)
+    return found
+
+
+CONFTEST = read_tables("conftest.py", ("NO_ANTIPODE", "GF5_FIELD", "WELL_FORMED", "MALFORMED",
+                                       "DEFERRED_MALFORMED", "CONSTRUCTS"))
+DOCIO_TESTS = read_tables("test_docio.py", ("BROKEN_JSON", "REPEATED_KEY"))
+
+
 def malformed():
     """(label, document bytes) of every document that the malformed-input tests feed to
-    `verify - g`: WELL_FORMED with each entry of MALFORMED and DEFERRED_MALFORMED put in.
+    `verify - g`: WELL_FORMED with each entry of MALFORMED and DEFERRED_MALFORMED put in, then
+    each text of BROKEN_JSON and REPEATED_KEY."""
+    out = [(f"{table}[{key}]", json.dumps(dict(CONFTEST["WELL_FORMED"], **sections)).encode())
+           for table in ("MALFORMED", "DEFERRED_MALFORMED")
+           for key, sections in CONFTEST[table].items()]
+    out += [(f"BROKEN_JSON[{key}]", text.encode())
+            for key, text in DOCIO_TESTS["BROKEN_JSON"].items()]
+    out += [(f"REPEATED_KEY[{key}]", text.encode())
+            for key, (text, _) in DOCIO_TESTS["REPEATED_KEY"].items()]
+    return out
 
-    The three dicts are read from tests/conftest.py without importing it (it needs pytest).
-    """
-    with open(CLI_TESTS) as fh:
-        tree = ast.parse(fh.read(), CLI_TESTS)
-    tables = {
-        node.targets[0].id: eval(compile(ast.Expression(node.value), CLI_TESTS, "eval"), {})
-        for node in tree.body
-        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
-        and node.targets[0].id in ("WELL_FORMED", "MALFORMED", "DEFERRED_MALFORMED")
-    }
-    return [(f"{table}[{key}]", json.dumps(dict(tables["WELL_FORMED"], **sections)).encode())
-            for table in ("MALFORMED", "DEFERRED_MALFORMED")
-            for key, sections in tables[table].items()]
+
+def constructs():
+    """(argument list, document bytes, label) of `verify` of every named object, and `report`
+    and `dual` of every Hopf structure, of WELL_FORMED with each entry of CONSTRUCTS put in."""
+    out = []
+    for key, sections in CONFTEST["CONSTRUCTS"].items():
+        doc = dict(CONFTEST["WELL_FORMED"], **sections)
+        data, label = json.dumps(doc).encode(), f" < CONSTRUCTS[{key}]"
+        out += [(["verify", "-", name], data, label)
+                for section in SECTIONS for name in sorted(doc.get(section, {}))]
+        out += [([cmd, "-", name], data, label)
+                for name in sorted(doc.get("hopf", {})) for cmd in ("report", "dual")]
+    return out
 
 
 def trivial_modules():
@@ -244,6 +282,7 @@ def main():
         calls = [(args, b"", "") for rel in documents() for args in invocations(rel)]
         calls += [(args, b"", "") for args in generated(tmp)]
         calls += [(["verify", "-", "g"], data, f" < {label}") for label, data in malformed()]
+        calls += constructs()
         calls += trivial_modules()
         calls += explicit()
         for args, stdin, source in calls:
