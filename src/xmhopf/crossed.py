@@ -168,35 +168,25 @@ def kernel_image_cokernel(cm: CrossedModule) -> KernelImageCokernel:
     return KernelImageCokernel(kernel, image, coker, projection, tuple(reps))
 
 
-def coker_action_on_kernel(cm: CrossedModule) -> tuple[tuple[tuple[int, ...], ...], Report]:
-    """Action of Coker(xi) on Ker(xi) induced by the H-action.
+def coker_action_on_kernel(cm: CrossedModule) -> tuple[tuple[int, ...], ...]:
+    """Action of Coker(xi) on Ker(xi) induced by the H-action: row c sends kernel[i] to
+    kernel[table[c][i]], through the least element of coset c (the section).
 
-    Well-definedness (independence of the coset representative) and closure
-    (the kernel is stable) are checked exhaustively.
+    Nothing is checked: where validate_components and validate_crossed_module pass, both
+    facts below hold (tests/oracles.py keeps the two checks this function used to run).
+    * Ker(xi) is stable: xi(x > k) = x xi(k) x^-1 = 1 by equivariance.  An entry is -1 only
+      where x > k leaves the kernel, which an invalid crossed module allows.
+    * The action factors through the cokernel: x in coset c is xi(e) s with s = section[c],
+      so x > k = xi(e) > (s > k) by the action law, which is e (s > k) e^-1 by Peiffer, and
+      that is s > k, since s > k is in Ker(xi), which is central in E (kernel_image_cokernel).
     """
     kic = kernel_image_cokernel(cm)
-    rep = Report("cokernel action on kernel")
     kernel = kic.kernel
     kpos = {k: i for i, k in enumerate(kernel)}
-
-    rep.identity("kernel is stable under the H-action", (
-        ("x={} k={}", (x, k), given, (cm.act(x, k) in kpos, True))
-        for x in cm.H.elements() for k in kernel
-    ))
-    rep.identity("action factors through the cokernel", (
-        ("coset {}: x={} vs rep {} on k={}", (c, x, rep_x, k), given,
-         (cm.act(x, k), cm.act(rep_x, k)))
-        for c, rep_x in enumerate(kic.section)
-        for x in cm.H.elements()
-        if kic.projection[x] == c
-        for k in kernel
-    ))
-
-    table = tuple(
+    return tuple(
         tuple(kpos.get(cm.act(kic.section[c], k), -1) for k in kernel)
         for c in range(kic.cokernel.order)
     )
-    return table, rep
 
 
 # -- constructors ----------------------------------------------------------------

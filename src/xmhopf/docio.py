@@ -215,16 +215,15 @@ def _parse_scalar(f: Field, raw, where):
     try:
         return f.parse(raw)
     except ValueError as exc:
-        # distinguish a literal of the other field from outright garbage
-        other = Field.rational() if f.p else None
+        # distinguish an integer out of range and a literal of the other field from garbage
         if f.p:
+            if type(raw) is int:
+                raise FieldMismatchError(f"{where}: residue {raw} out of range for GF({f.p})")
             try:
-                other.parse(raw)
+                Field.rational().parse(raw)
                 raise FieldMismatchError(f"{where}: rational literal {raw!r} in a GF({f.p}) document")
             except ValueError:
                 pass
-            if type(raw) is int:
-                raise FieldMismatchError(f"{where}: residue {raw} out of range for GF({f.p})")
         raise DocumentSyntaxError(str(exc), where)
 
 

@@ -504,20 +504,10 @@ class Matrix:
         require_same_field(self.field, other.field)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatchError(f"add {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        p = self.field.p
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        out = []
-        for r, s in zip(self.nz, other.nz):
-            acc = {j: a * x for j, x in r}
-            get = acc.get
-            for j, y in s:
-                acc[j] = get(j, 0) + b * y
-            out.append(_row(acc, p))
-        return _new(self.field, self.rows, self.cols, tuple(out), den)
+        return Matrix.place(self.field, self.rows, self.cols, [(0, 0, self), (0, 0, other)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scale(self.field.of(-1))
+        return self + other.scale(other.field.of(-1))
 
     def scale(self, c: Scalar) -> "Matrix":
         p = self.field.p

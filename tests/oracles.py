@@ -39,14 +39,22 @@ from xmhopf.crossed import (
 )
 from xmhopf.errors import DefiningIdentityFailedError, XmhopfError
 from xmhopf.groups import FiniteGroup, GroupAction, GroupHom
-from xmhopf.hopf import ComponentAlgebra, GradedHopfCoalgebra, is_grouplike, validate_antipode
+from xmhopf.hopf import (
+    ComponentAlgebra,
+    GradedHopfCoalgebra,
+    grouplike_inverse,
+    is_grouplike,
+    validate_antipode,
+)
 from xmhopf.hopfmod import (
     HopfXiModule,
     _span_coordinates,
+    antipode_transport,
     coinvariants,
     distinguished_grouplike,
     dual_hopf_module,
     integral_space,
+    is_integral,
     validate_hopf_xi_module,
 )
 from xmhopf.linalg import Field, Matrix
@@ -376,6 +384,52 @@ def crossed_module_oracles(cm: CrossedModule) -> tuple[bool, bool, bool]:
     """Whether the cokernel identities, xi(1) = 1 and the bijectivity of each act[x] hold."""
     return (oracle_kernel_image_cokernel(cm).ok, oracle_hom_preserves_identity(cm.xi).ok,
             oracle_action_rows_bijective(cm.action).ok)
+
+
+# -- what the library computations derive (coker_action_on_kernel, grouplike_inverse, -----------
+# antipode_transport)
+
+
+def oracle_coker_action_on_kernel(cm: CrossedModule) -> Report:
+    """Ker(xi) stable under the H-action, and the action on it constant on each coset of
+    Im(xi): the checks coker_action_on_kernel no longer runs."""
+    kic = kernel_image_cokernel(cm)
+    rep = Report("cokernel action on kernel")
+    kernel = set(kic.kernel)
+    rep.identity("kernel is stable under the H-action", (
+        ("x={} k={}", (x, k), given, (cm.act(x, k) in kernel, True))
+        for x in cm.H.elements() for k in kic.kernel
+    ))
+    rep.identity("action factors through the cokernel", (
+        ("coset {}: x={} vs rep {} on k={}", (c, x, rep_x, k), given,
+         (cm.act(x, k), cm.act(rep_x, k)))
+        for c, rep_x in enumerate(kic.section)
+        for x in cm.H.elements()
+        if kic.projection[x] == c
+        for k in kic.kernel
+    ))
+    return rep
+
+
+def oracle_grouplike_inverse(a: GradedHopfCoalgebra, G) -> bool:
+    """Whether grouplike_inverse(a, G) is a two-sided inverse of G in every component: the
+    check it no longer runs."""
+    inv = grouplike_inverse(a, G)
+    return all(c.multiply(G[x], inv[x]) == c.unit == c.multiply(inv[x], G[x])
+               for x, c in enumerate(a.components))
+
+
+def oracle_antipode_transport(a: HopfXiCoalgebra, lam: tuple) -> bool:
+    """Whether antipode_transport(a, lam) is a right integral: the check it no longer runs."""
+    return is_integral(a, antipode_transport(a, lam), "right")
+
+
+def transport_oracles(a: HopfXiCoalgebra, fams) -> tuple[list, list]:
+    """Whether oracle_grouplike_inverse holds for each family of `fams` that is grouplike on
+    `a`, and whether oracle_antipode_transport holds for each left integral of `a`."""
+    inverses = [oracle_grouplike_inverse(a.base, g) for g in fams if is_grouplike(a.base, g)]
+    transports = [oracle_antipode_transport(a, lam) for lam in integral_space(a, "left")]
+    return inverses, transports
 
 
 # -- the validators that A's regular Hopf module replaced --------------------------------------

@@ -78,15 +78,22 @@ def test_rational_literal_in_prime_field_is_field_mismatch():
 
 
 def test_out_of_range_residue_is_field_mismatch():
-    bad = {
-        "field": {"kind": "prime", "characteristic": 5},
-        "groups": {"z2": {"cyclic": 2}},
-        "crossed_modules": {"cm": {"identity": "z2"}},
-        "hopf": {"k_xi": {"trivial": "cm"}},
-        "grouplikes": {"g": {"in": "k_xi", "family": [[7], [1]]}},
-    }
-    with pytest.raises(FieldMismatchError):
-        parse(doc_bytes(bad))
+    # an integer outside [0, 5) is named as a residue, a string literal over Q as a rational
+    for raw, message in [(5, "residue 5 out of range for GF(5)"),
+                         (7, "residue 7 out of range for GF(5)"),
+                         (-1, "residue -1 out of range for GF(5)"),
+                         ("1/2", "rational literal '1/2' in a GF(5) document"),
+                         ("5", "rational literal '5' in a GF(5) document")]:
+        bad = {
+            "field": {"kind": "prime", "characteristic": 5},
+            "groups": {"z2": {"cyclic": 2}},
+            "crossed_modules": {"cm": {"identity": "z2"}},
+            "hopf": {"k_xi": {"trivial": "cm"}},
+            "grouplikes": {"g": {"in": "k_xi", "family": [[raw], [1]]}},
+        }
+        with pytest.raises(FieldMismatchError) as caught:
+            parse(doc_bytes(bad))
+        assert str(caught.value) == f"grouplikes.g.family[0][0]: {message}", raw
 
 
 def integer_literal_document(fixture: str) -> dict:
@@ -122,7 +129,7 @@ LITERAL_CASES = [
 ] + [
     ("bichar_z2.json", RHO, 3, "x", "not a rational literal: 'x'"),
     ("bichar_z2.json", RHO, 3, "1/0", "not a rational literal: '1/0'"),
-    ("bichar_z2_gf5.json", RHO, 3, 5, "rational literal 5 in a GF(5) document"),
+    ("bichar_z2_gf5.json", RHO, 3, 5, "residue 5 out of range for GF(5)"),
     ("bichar_z2_gf5.json", RHO, 3, "1", "rational literal '1' in a GF(5) document"),
 ]
 

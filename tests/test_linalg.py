@@ -545,6 +545,59 @@ def test_place_over_coprime_denominators():
     assert whole.den == 1 and whole.data == ((q(1), q(-1)),)
 
 
+def naive_entrywise(op, a: Matrix, b: Matrix) -> Matrix:
+    return Matrix(a.field, [[op(a[i, j], b[i, j]) for j in range(a.cols)] for i in range(a.rows)],
+                  a.rows, a.cols)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@given(data=st.data(), shape=st.tuples(dims, dims))
+def test_add_and_sub_match_entrywise_oracle(field, data, shape):
+    rows, cols = shape
+    a = draw_matrix(data, field, rows, cols)
+    b = draw_matrix(data, field, rows, cols)
+    for got, want in ((a + b, naive_entrywise(field.add, a, b)),
+                      (a - b, naive_entrywise(field.sub, a, b)),
+                      (a - a, Matrix.zeros(field, rows, cols))):
+        assert got == want
+        assert_normal(got)
+    with pytest.raises(ShapeMismatchError):
+        a + draw_matrix(data, field, rows + 1, cols)
+    with pytest.raises(ShapeMismatchError):
+        a - draw_matrix(data, field, rows, cols + 1)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_add_and_sub_edges(field):
+    one, ident = field.one, Matrix.identity(field, 2)
+    assert_same(ident + ident.scale(field.of(-1)), Matrix.zeros(field, 2, 2))
+    assert_same(Matrix.zeros(field, 0, 3) + Matrix.zeros(field, 0, 3), Matrix.zeros(field, 0, 3))
+    if field.p:  # residues that add up to p cancel
+        residues = Matrix.row(field, [one, field.of(2)])
+        assert_same(residues + Matrix.row(field, [field.of(-1), field.of(-2)]),
+                    Matrix.zeros(field, 1, 2))
+    else:  # operands over 2 and 3 add over 6, and two halves meet in a whole
+        q = Fraction
+        half, third = Matrix(QQ, [[q(1, 2), q(-1, 2)]]), Matrix(QQ, [[q(1, 3), q(1, 6)]])
+        for got, want in ((half + third, ((q(5, 6), q(-1, 3)),)),
+                          (half - third, ((q(1, 6), q(-2, 3)),)),
+                          (half + half, ((q(1), q(-1)),))):
+            assert_normal(got)
+            assert got.data == want and got.den == max(x.denominator for x in want[0])
+    # the same-shape check: place would pad the smaller operand
+    for other in (Matrix.identity(field, 3), Matrix.zeros(field, 2, 1), Matrix.zeros(field, 1, 2)):
+        with pytest.raises(ShapeMismatchError, match="^add 2x2 with "):
+            ident + other
+        with pytest.raises(ShapeMismatchError):
+            ident - other
+    other_field = GF7 if field.p != 7 else GF5
+    for bigger in (False, True):  # the field is checked ahead of the shape
+        with pytest.raises(MixedFieldsError):
+            ident + Matrix.identity(other_field, 2 + bigger)
+        with pytest.raises(MixedFieldsError):
+            ident - Matrix.identity(other_field, 2 + bigger)
+
+
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
 @given(data=st.data(), shape=st.tuples(dims, flip_dims, flip_dims, flip_dims, flip_dims))
 def test_flip_rows_matches_naive_sandwich(field, data, shape):

@@ -12,13 +12,14 @@ import pytest
 from tests.conftest import FIXTURES, GF5, QQ
 from tests.oracles import (
     conjugated_psi_perturbations,
+    oracle_coker_action_on_kernel,
     perturbed_crossed_modules,
     perturbed_modules,
     perturbed_structures,
 )
 from xmhopf import report
 from xmhopf.cli import _pairings
-from xmhopf.crossed import coker_action_on_kernel, validate_components, validate_crossed_module
+from xmhopf.crossed import validate_components, validate_crossed_module
 from xmhopf.docio import parse
 from xmhopf.errors import XmhopfError
 from xmhopf.groups import validate_group
@@ -102,7 +103,7 @@ def document_reports(path) -> Reports:
     for cm in doc.crossed_modules.values():
         out.run(validate_components, cm)
         out.run(validate_crossed_module, cm)
-        out.run(lambda: coker_action_on_kernel(cm)[1])
+        out.run(oracle_coker_action_on_kernel, cm)
     for name in sorted(doc.hopf):
         a = out.lookup(doc.hopf, name)
         if a is None:
@@ -134,7 +135,7 @@ def perturbation_reports(path) -> Reports:
         for _, p in perturbed_crossed_modules(cm):
             out.run(validate_components, p)
             out.run(validate_crossed_module, p)
-            out.run(lambda: coker_action_on_kernel(p)[1])
+            out.run(oracle_coker_action_on_kernel, p)
     for name in sorted(doc.hopf):
         a = doc.hopf[name]
         integrals, fams = integrals_and_grouplikes(a)
