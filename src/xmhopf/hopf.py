@@ -364,7 +364,11 @@ def enumerate_grouplikes(a: GradedHopfCoalgebra) -> list[GrouplikeFamily]:
 def is_pivotal_element(a: GradedHopfCoalgebra, G: GrouplikeFamily) -> Report:
     """Check S_x S_{x^-1}(v) = G_x v G_x^-1 on every basis vector; a G that is not grouplike
     raises NotGrouplikeError from grouplike_inverse."""
-    ginv = grouplike_inverse(a, G)
+    return _pivotal_report(a, G, grouplike_inverse(a, G))
+
+
+def _pivotal_report(a: GradedHopfCoalgebra, G: GrouplikeFamily, ginv) -> Report:
+    """is_pivotal_element's report for a grouplike G with inverse ginv = grouplike_inverse(a, G)."""
     H, f = a.H, a.field
 
     def cases():

@@ -19,6 +19,8 @@ Conventions fixed here and used by every other module:
     maps are mostly zero;
   * a Kronecker product inside a composite is never built: (X (x) Y) @ Z is
     `X.kron_matmul(Y, Z)` and Z @ (X (x) Y) is `Z.matmul_kron(X, Y)`;
+  * `kron_matmul` is the one product loop: A @ Z is (A (x) 1) @ Z, with the 1x1
+    identity, and Z @ (X (x) Y) is the transpose of (X.T (x) Y.T) @ Z.T;
   * elimination over Q is fraction-free: integer rows, cross-multiplied,
     with each row's content divided out;
   * a tensor flip inside a composite reorders the rows of the right-hand
@@ -363,7 +365,9 @@ class Matrix:
     has exactly one (nz, den); over GF(p), the ints are residues in [1, p) and den is 1.
     Both fields run the same int loops and differ only in how a result is normalised:
     reduced mod p as it is computed, or by the gcd in `_new`.  Every operation works on
-    the sparse rows, elimination on sparse working rows built from them.
+    the sparse rows, elimination on sparse working rows built from them.  Every product
+    runs `kron_matmul`'s loop: `@` with the 1x1 identity as its middle factor, and
+    `matmul_kron` on transposes.
     Public scalars (`Rational` over Q) appear only where entries enter or leave: the
     constructor takes dense rows of them, and `data` is the dense view, built on first
     use.  An entry given over Q may be anything with int `numerator` and `denominator`
@@ -518,26 +522,13 @@ class Matrix:
         return _new(self.field, self.rows, self.cols, nz, self.den * d)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """self @ other, as (self (x) 1) @ other with the 1x1 identity."""
         require_same_field(self.field, other.field)
         if self.cols != other.rows:
             raise ShapeMismatchError(
                 f"product of {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
-        # each nonzero a_ik of a left row meets the nonzero b_kj of right row k
-        p, brows = self.field.p, other.nz
-        out = []
-        for arow in self.nz:
-            if len(arow) == 1:  # one right row, scaled: no sums to merge
-                k, a = arow[0]
-                out.append(_scaled(a, brows[k], p))
-                continue
-            acc = {}
-            get = acc.get
-            for k, a in arow:
-                for j, b in brows[k]:
-                    acc[j] = get(j, 0) + a * b
-            out.append(_row(acc, p))
-        return _new(self.field, self.rows, other.cols, tuple(out), self.den * other.den)
+        return self.kron_matmul(Matrix.identity(self.field, 1), other)
 
     def kron_matmul(self, y: "Matrix", z: "Matrix") -> "Matrix":
         """(self (x) y) @ z, without building self (x) y.
@@ -572,32 +563,13 @@ class Matrix:
                     self.den * y.den * z.den)
 
     def matmul_kron(self, x: "Matrix", y: "Matrix") -> "Matrix":
-        """self @ (x (x) y), without building x (x) y.
-
-        An entry c of self in column k*y.rows + t meets row k of x and row t of y: it adds
-        c a_kj b_tl to the result's column j*y.cols + l.
-        """
+        """self @ (x (x) y), without building x (x) y: the transpose of (x.T (x) y.T) @ self.T."""
         require_same_field(self.field, x.field)
         require_same_field(self.field, y.field)
-        r2, c2 = y.rows, y.cols
-        if self.cols != x.rows * r2:
+        if self.cols != x.rows * y.rows:
             raise ShapeMismatchError(f"product of {self.rows}x{self.cols} "
-                                     f"with {x.rows * r2}x{x.cols * c2}")
-        p, arows, brows = self.field.p, x.nz, y.nz
-        out = []
-        for row in self.nz:
-            acc = {}
-            get = acc.get
-            for kt, c in row:
-                k, t = divmod(kt, r2)
-                brow = brows[t]
-                for j, a in arows[k]:
-                    ca, base = c * a, j * c2
-                    for l, b in brow:
-                        jl = base + l
-                        acc[jl] = get(jl, 0) + ca * b
-            out.append(_row(acc, p))
-        return _new(self.field, self.rows, x.cols * c2, tuple(out), self.den * x.den * y.den)
+                                     f"with {x.rows * y.rows}x{x.cols * y.cols}")
+        return x.T.kron_matmul(y.T, self.T).T
 
     def apply(self, vec: Sequence[Scalar]) -> tuple:
         """Matrix-vector product (vec as coordinates of the source)."""

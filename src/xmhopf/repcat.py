@@ -17,7 +17,7 @@ from .errors import (
     NotPivotalError,
     ShapeMismatchError,
 )
-from .hopf import grouplike_inverse, is_pivotal_element
+from .hopf import _pivotal_report, grouplike_inverse
 from .linalg import Matrix
 from .record import Record
 from .report import Report, given
@@ -341,9 +341,9 @@ def dual_module(a: HopfXiCoalgebra, m: AModule, piv: tuple) -> DualData:
     """
     f, H = a.field, a.H
     x = m.degree()
-    if not is_pivotal_element(a.base, piv).ok:
-        raise NotPivotalError("family is not a pivotal element")
     piv_inv = grouplike_inverse(a.base, piv)
+    if not _pivotal_report(a.base, piv, piv_inv).ok:
+        raise NotPivotalError("family is not a pivotal element")
     md = m.dim(x)
     dual = _concentrated(a, H.inv(x), md, _contragredient(a, x, m.r(x)))
 

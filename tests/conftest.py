@@ -8,6 +8,9 @@ import pytest
 from hypothesis import settings
 
 settings.register_profile("ci", derandomize=True, max_examples=60, deadline=None)
+# the deeper run of the kernel oracles, chosen with `pytest --hypothesis-profile deep`, which
+# hypothesis's plugin loads after this file's default
+settings.register_profile("deep", derandomize=True, max_examples=500, deadline=None)
 settings.load_profile("ci")
 
 from xmhopf import (  # noqa: E402
@@ -381,6 +384,46 @@ MALFORMED = {
     "name-duplicate": {"modules": {"g": {"over": "k", "unit": True}}},
     # built when `verify - g` looks it up
     "dual-without-antipode": dict(NO_ANTIPODE, hopf_modules={"g": {"over": "bi", "dual": True}}),
+    # one per refusal of docio's section parsers that no entry above reaches
+    # (test_docio.py::test_every_parse_refusal_is_reached keeps this list complete)
+    "field-kind-real": {"field": {"kind": "real"}},
+    "elements-repeated": {"groups": {"g": {"cyclic": 2, "elements": ["a", "a"]}}},
+    "product-no-factors": {"groups": {"g": {"product": []}}},
+    "table-ragged": {"groups": {"g": {"table": [[0, 1], [1]]}}},
+    "group-constructor-unknown": {"groups": {"g": {"dihedral": 3}}},
+    "xi-short": {
+        "crossed_modules": {"cm": {"E": "g", "H": "g", "xi": [0], "action": [[0, 1], [0, 1]]}}
+    },
+    "action-table-short": {
+        "crossed_modules": {"cm": {"E": "g", "H": "g", "xi": [0, 1], "action": [[0, 1]]}}
+    },
+    "crossed-module-constructor-unknown": {"crossed_modules": {"cm": {"kernel": "g"}}},
+    "hopf-components-short": {"hopf": {"k": {"cm": "cm", "components": []}}},
+    "component-mul-not-cubic": {
+        "hopf": {"k": {"cm": "cm", "components": [{"mul": [[]], "unit": ["1"]}] * 2}}
+    },
+    # explicit k[Z/2]-graded structure constants, complete up to a short antipode
+    "antipode-short": {"hopf": {"k": {
+        "cm": "cm",
+        "components": [{"mul": [[["1"]]], "unit": ["1"]}] * 2,
+        "coproduct": {f"{x},{y}": [["1"]] for x in range(2) for y in range(2)},
+        "counit": ["1"],
+        "antipode": [[["1"]]],
+    }}},
+    "module-action-rows-not-lists": {
+        "modules": {"m": {"over": "k", "dims": [1, 0], "actions": [["1"], []]}}
+    },
+    "module-action-extra-row": {
+        "modules": {"m": {"over": "k", "dims": [1, 0], "actions": [[["1"], ["1"]], []]}}
+    },
+    "hopf-module-coaction-missing-entry": {
+        "hopf_modules": {"m": {"over": "k", "dims": [1, 0], "r": [[["1"]], []], "rho": {}}}
+    },
+    "family-vector-long": {"grouplikes": {"s": {"in": "k", "family": [["1", "0"], ["1"]]}}},
+    "family-short": {"grouplikes": {"s": {"in": "k", "family": [["1"]]}}},
+    "integral-side-middle": {
+        "integrals": {"l": {"in": "k", "side": "middle", "family": [["1"], ["1"]]}}
+    },
 }
 
 # each entry replaces sections of WELL_FORMED; the result is read, and `verify` of each of its

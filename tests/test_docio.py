@@ -1,3 +1,4 @@
+import ast
 import json
 import pathlib
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 from tests.conftest import DEFERRED_MALFORMED, MALFORMED, WELL_FORMED, cli_env
+from xmhopf import docio
 from xmhopf.docio import (
     MAX_GROUP_ORDER,
     DocumentError,
@@ -16,6 +18,7 @@ from xmhopf.docio import (
     parse,
     serialize,
 )
+from xmhopf.errors import XmhopfError
 from xmhopf.linalg import Matrix, literal_int
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
@@ -481,3 +484,56 @@ def test_object_that_repeats_a_key_is_refused(text, key):
     with pytest.raises(DocumentSyntaxError) as exc:
         parse(text.encode())
     assert str(exc.value) == f"document: an object repeats the key {key!r}"
+
+
+# docio's parse path: the functions that read a document and build its entries, those built on
+# first lookup included (their builders are nested in the _parse_* functions)
+PARSE_PATH = ("parse", "_built", "_expect", "_int", "_order", "_ref", "_directive", "_check_cost",
+              "_object", "_loads", "_invalid")
+
+
+def parse_path_raises():
+    """(first line, last line, function: source) of each `raise` with an argument in docio's
+    parse path.  A bare `raise` re-raises what it caught and is not listed: `_built`'s, of a
+    DocumentError that names its own path, and `_loads`', in the SystemError branch that runs
+    only before Python 3.12 and only when json.decoder is already loaded."""
+    source = pathlib.Path(docio.__file__).read_text(encoding="utf-8")
+    return [(r.lineno, r.end_lineno, f"{node.name}: {ast.get_source_segment(source, r)}")
+            for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)
+            and (node.name in PARSE_PATH or node.name.startswith("_parse_"))
+            for r in ast.walk(node) if isinstance(r, ast.Raise) and r.exc is not None]
+
+
+def test_every_parse_refusal_is_reached():
+    # every document of MALFORMED, DEFERRED_MALFORMED, BROKEN_JSON and REPEATED_KEY is parsed,
+    # and each entry of one that parses is looked up, under a tracer of docio's lines
+    texts = [json.dumps(dict(WELL_FORMED, **sections))
+             for sections in (*MALFORMED.values(), *DEFERRED_MALFORMED.values())]
+    texts += [*BROKEN_JSON.values(), *(text for text, _ in REPEATED_KEY.values())]
+    code_file, reached = docio.parse.__code__.co_filename, set()
+
+    def lines(frame, event, arg):
+        if event == "line":
+            reached.add(frame.f_lineno)
+        return lines
+
+    def calls(frame, event, arg):
+        return lines if frame.f_code.co_filename == code_file else None
+
+    saved = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        for text in texts:
+            try:
+                doc = parse(text.encode())
+                for name in doc.all_names():
+                    doc.lookup(name)
+            except XmhopfError:
+                pass
+    finally:
+        sys.settrace(saved)
+    raises = parse_path_raises()
+    assert len(raises) >= 40  # 42 when this test was written: the walk finds them
+    assert [shown for first, last, shown in raises
+            if reached.isdisjoint(range(first, last + 1))] == []

@@ -630,6 +630,29 @@ def test_matmul_shape_and_field_errors():
             z.matmul_kron(x, y)
 
 
+def test_product_shape_error_texts():
+    # each product names its two operands' shapes, a fused one the Kronecker factor's
+    # shape though it is never built; a field mismatch is reported ahead of a shape one
+    x, y = mat(QQ, [[1, 2, 3], [4, 5, 6]]), mat(QQ, [[1, 2]])  # x (x) y is 2x6
+    cases = [
+        (lambda: mat(QQ, [[1, 2]]) @ mat(QQ, [[1, 2]]), "product of 1x2 with 1x2"),
+        (lambda: Matrix.zeros(QQ, 0, 3) @ Matrix.zeros(QQ, 0, 4), "product of 0x3 with 0x4"),
+        (lambda: x.kron_matmul(y, Matrix.zeros(QQ, 5, 4)), "product of 2x6 with 5x4"),
+        (lambda: y.kron_matmul(x, Matrix.zeros(QQ, 0, 1)), "product of 2x6 with 0x1"),
+        (lambda: Matrix.zeros(QQ, 3, 5).matmul_kron(x, y), "product of 3x5 with 2x6"),
+        (lambda: Matrix.zeros(QQ, 1, 0).matmul_kron(y, x), "product of 1x0 with 2x6"),
+    ]
+    for product, message in cases:
+        with pytest.raises(ShapeMismatchError) as e:
+            product()
+        assert str(e.value) == message
+    odd = Matrix.zeros(GF5, 7, 7)
+    for product in (lambda: x @ odd, lambda: x.kron_matmul(y, odd), lambda: odd.matmul_kron(x, y),
+                    lambda: odd @ x, lambda: odd.kron_matmul(y, x), lambda: y.matmul_kron(odd, x)):
+        with pytest.raises(MixedFieldsError):
+            product()
+
+
 def test_kron_identities():
     assert Matrix.identity(QQ, 2).kron(Matrix.identity(QQ, 3)) == Matrix.identity(QQ, 6)
     m = mat(QQ, [[1, 2], [3, 4]])

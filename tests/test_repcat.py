@@ -1,7 +1,8 @@
 import pytest
 
-from tests.conftest import GF5, QQ, make_unequal_dims
+from tests.conftest import GF5, QQ, make_k_h_z2, make_unequal_dims
 from tests.oracles import bumped, oracle_hom_is_linear
+from xmhopf import hopf, repcat
 from xmhopf.errors import NotHomogeneousError
 from xmhopf.linalg import Matrix
 from xmhopf.repcat import (
@@ -367,6 +368,27 @@ def test_dual_of_unit_is_unit(k_xi_z2):
     assert dd.left_ev == Matrix(QQ, [[QQ.one]])
     assert dd.right_ev == Matrix(QQ, [[QQ.one]])
     assert dual_zigzag_report(a, unit_module(a), piv).ok
+
+
+def test_dual_module_decides_its_pivotal_family_grouplike_once(monkeypatch):
+    # the family's inverse is computed once, and it decides that the family is grouplike
+    a, calls = make_k_h_z2(), {"grouplike_report": 0, "grouplike_inverse": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return original(*args)
+        return spy
+
+    monkeypatch.setattr(hopf, "grouplike_report", counted(hopf, "grouplike_report"))
+    inverse = counted(hopf, "grouplike_inverse")
+    monkeypatch.setattr(hopf, "grouplike_inverse", inverse)
+    monkeypatch.setattr(repcat, "grouplike_inverse", inverse)
+    piv = tuple(a.component(x).unit for x in a.H.elements())
+    dual_module(a, unit_module(a), piv)
+    assert calls == {"grouplike_report": 1, "grouplike_inverse": 1}
 
 
 def test_dual_regular_module_zigzags(bichar_z2):

@@ -29,7 +29,7 @@ document as `< EXPLICIT[file]`.  Each of these invocations runs once as text and
 --json.
 
 Last come the argument lists of ARGV, each run once, with fixtures/k_xi_z2.json
-as the document and on stdin, and shown as `argv` and its JSON list: the forms of
+on stdin and, but for one, as the document, and shown as `argv` and its JSON list: the forms of
 the command line the CLI accepts (options anywhere, `--opt=V`, `--`, a repeated
 option), the forms it refuses (exit 2 with a usage line), -h, and object names that
 it refuses.
@@ -101,11 +101,13 @@ ARGV = [
     # prefix abbreviations
     ["verify", DOC, "z2", "--js"],
     ["integrals", DOC, "k_xi_z2", "--si", "left"],
-    # refused names (cli._arg): unknown, and of the wrong kind for the command
+    # refused names (cli._arg): unknown, of the wrong kind for the command, and a module over
+    # another Hopf structure
     ["verify", DOC, "nope"],
     ["integrals", DOC, "z2"],
     ["structure-theorem", DOC, "k_xi_z2", "k1"],
     ["hom", DOC, "k_xi_z2", "k1", "dual_mod"],
+    ["structure-theorem", "fixtures/k_xi_s3.json", "k_z2_triv", "dual_mod"],
 ]
 
 
