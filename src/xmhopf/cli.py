@@ -290,9 +290,6 @@ def cmd_hom(doc: StructureDocument, args, res: CommandResult) -> None:
                 for h in basis
             ],
         )
-    chk = Report("hom computation")
-    chk.settle("hom spaces computed", True)
-    res.add_report(chk)
 
 
 def cmd_report(doc: StructureDocument, args, res: CommandResult) -> None:

@@ -187,10 +187,13 @@ def antipode_solve_details(a: GradedHopfCoalgebra, x: int):
 
 
 def compute_antipode(a: GradedHopfCoalgebra) -> tuple[Matrix, ...] | None:
-    """Convolution inverse of the identity, or None when it does not exist.
-
-    Solves the left identity per component, then accepts the solution only
-    if validate_antipode passes; any failure means the bicoalgebra is not Hopf.
+    """The solution S_x of the left antipode identity in each degree x, or None where one of
+    these systems has none.  It is not checked: the antipode axioms of full_validation_report
+    decide it, as they decide a given antipode.  Nothing is lost, since where `a` has an
+    antipode S each left solution L is S: under convolution, L = L * (id * S) = (L * id) * S
+    = eta eps * S = S by the unit, counit, associativity and coassociativity laws, which the
+    same report checks.  tests/oracles.py keeps the old acceptance rule as
+    oracle_compute_antipode.
     """
     out = []
     for x in a.H.elements():
@@ -198,7 +201,7 @@ def compute_antipode(a: GradedHopfCoalgebra) -> tuple[Matrix, ...] | None:
         if s is None:
             return None
         out.append(s)
-    return tuple(out) if validate_antipode(a.with_antipode(out)).ok else None
+    return tuple(out)
 
 
 def validate_antipode(a: GradedHopfCoalgebra) -> Report:

@@ -91,10 +91,9 @@ def _unit_law(psi_x1: Matrix):
     return psi_x1, Matrix.identity(psi_x1.field, psi_x1.cols)
 
 
-def _unit_law_cases(m: HopfXiModule):
-    """The cases of psi_{x,1} = id."""
-    a = m.algebra
-    return (("unit law at x={}", (x,), _unit_law, (m.psi[(x, a.E.identity)],))
+def _unit_law_cases(a: HopfXiCoalgebra, psi):
+    """The cases of psi_{x,1} = id for the table psi[(x, e)] of a module over `a`."""
+    return (("unit law at x={}", (x,), _unit_law, (psi[(x, a.E.identity)],))
             for x in a.H.elements())
 
 
@@ -162,7 +161,7 @@ def validate_hopf_xi_module(a: HopfXiCoalgebra, m: HopfXiModule) -> Report:
             yield "counitality at x={}", (x,), counitality, (ident_m[x], rho[(one, x)])
 
     def equivariance_cases():
-        yield from _unit_law_cases(m)
+        yield from _unit_law_cases(a, psi)
         moving = [e for e in es if e != e1]
         for x in xs:
             tx = tgt[x]
@@ -203,7 +202,7 @@ def validate_module_premises(a: HopfXiCoalgebra) -> Report:
     rep = Report("premises over the structure")
     rep.merge(validate_components(a.cm))
     rep.merge(validate_crossed_module(a.cm))
-    rep.identity("phi_{x,1} = id", _unit_law_cases(regular_hopf_module(a)))
+    rep.identity("phi_{x,1} = id", _unit_law_cases(a, a.action))
     return rep
 
 

@@ -44,6 +44,20 @@ def fixture_structures():
     return out
 
 
+def benchmark_document(workload: str, tmp_path) -> pathlib.Path:
+    """The document of the benchmark workload `workload` (perfbench/gen.py, seed 1), written
+    under tmp_path."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", FIXTURES.parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    name = workload.replace("-", "_")
+    getattr(gen, name)(1, str(tmp_path))
+    return tmp_path / f"{name}.json"
+
+
 def spans(f, vectors, target) -> bool:
     """Whether target is a linear combination of vectors."""
     cols = Matrix(f, [[v[i] for v in vectors] for i in range(len(target))],
@@ -433,6 +447,22 @@ CONSTRUCTS = {
     "to-point": {"crossed_modules": {"cm": {"to_point": "g"}}},
     # its antipode check fails: "antipode missing and not computable"
     "antipode-not-computable": NO_ANTIPODE,
+    # k[x]/(x^2) with Delta(x) = x (x) 1, with no antipode given: only the left antipode
+    # identity solves, so nx is built with that solution and fails the right identity and
+    # bijectivity, and its dual Hopf module is built on it
+    "left-antipode-only": {
+        "groups": {"one": {"cyclic": 1}},
+        "crossed_modules": {"triv": {"trivial_over": "one"}},
+        "hopf": {"nx": {
+            "cm": "triv",
+            "components": [{"mul": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]],
+                            "unit": ["1", "0"]}],
+            "coproduct": {"0,0": [["1", "0"], ["0", "0"], ["0", "1"], ["0", "0"]]},
+            "counit": ["1", "0"],
+            "action": {"0,0": [["1", "0"], ["0", "1"]]},
+        }},
+        "hopf_modules": {"dm": {"over": "nx", "dual": True}},
+    },
 }
 
 # entries whose construction waits for first use: their references, scalars and

@@ -42,6 +42,7 @@ from xmhopf.groups import FiniteGroup, GroupAction, GroupHom
 from xmhopf.hopf import (
     ComponentAlgebra,
     GradedHopfCoalgebra,
+    compute_antipode,
     grouplike_inverse,
     is_grouplike,
     validate_antipode,
@@ -422,6 +423,13 @@ def oracle_grouplike_inverse(a: GradedHopfCoalgebra, G) -> bool:
 def oracle_antipode_transport(a: HopfXiCoalgebra, lam: tuple) -> bool:
     """Whether antipode_transport(a, lam) is a right integral: the check it no longer runs."""
     return is_integral(a, antipode_transport(a, lam), "right")
+
+
+def oracle_compute_antipode(a: GradedHopfCoalgebra):
+    """compute_antipode's answer where validate_antipode passes on it, and None elsewhere: the
+    acceptance rule it no longer applies."""
+    s = compute_antipode(a)
+    return s if s is not None and validate_antipode(a.with_antipode(s)).ok else None
 
 
 def transport_oracles(a: HopfXiCoalgebra, fams) -> tuple[list, list]:

@@ -19,6 +19,7 @@ from tests.conftest import (
     MALFORMED,
     NO_ANTIPODE,
     WELL_FORMED,
+    benchmark_document,
     cli_env,
     fixture_structures,
     run_cli,
@@ -99,9 +100,13 @@ def test_construct_is_read_and_verified(sections, tmp_path, capsys):
     for name in [name for key, section in doc.items() if key != "field" for name in section]:
         code = main(["verify", str(path), name])
         out, err = capsys.readouterr()
-        # NO_ANTIPODE's structure bi fails its antipode check, and only it
-        assert (code, err) == (1 if name == "bi" else 0, ""), out
+        # NO_ANTIPODE's structure bi fails its antipode check; nx fails its right identity
+        # and bijectivity, and dm, the dual Hopf module built on nx's left solution, fails
+        # check (c); every other object passes
+        assert (code, err) == (1 if name in ("bi", "nx", "dm") else 0, ""), out
         assert ("  witness: antipode missing and not computable\n" in out) == (name == "bi")
+        assert ("antipode axioms: right identity mu (id (x) S) Delta = eta eps: FAIL" in out
+                and "antipode axioms: bijectivity: FAIL" in out) == (name == "nx")
 
 
 def test_crossed_module_whose_image_misses_the_identity_fails_its_checks():
@@ -314,6 +319,17 @@ def test_hom_command():
         assert outputs[f"degree_{degree}_dimension"] == dim and len(outputs) == 2
     proc = run_cli(*args, "--degree", "2")
     assert (proc.returncode, proc.stderr) == (2, "input error: degree 2 out of range\n")
+
+
+def test_hom_report_has_no_check():
+    # hom only computes hom spaces, so its report has no check and passes
+    args = ("hom", DOC, "k_xi_z2", "k1", "kh")
+    text = run_cli(*args)
+    assert (text.returncode, text.stderr) == (0, "")
+    assert not [line for line in text.stdout.splitlines() if line.startswith("check ")]
+    assert text.stdout.endswith("\nresult: PASS\n")
+    payload = json.loads(run_cli(*args, "--json").stdout)
+    assert (payload["checks"], payload["ok"]) == ([], True)
 
 
 def test_hom_command_accepts_element_labels():
@@ -1286,6 +1302,47 @@ def test_structure_is_validated_only_by_the_commands_that_report_it(
         calls.clear()
         assert cli.main([args[0], str(path), *args[1:]]) == 0, args
         assert len(calls) == validations, args
+    capsys.readouterr()
+
+
+def test_computed_antipode_is_checked_only_by_the_report(monkeypatch, tmp_path, capsys):
+    # sweedler-q's Sweedler algebra is explicit and gives no antipode, so parse computes one;
+    # validate_antipode runs once, in full_validation_report, and only where that runs
+    import xmhopf.hopf as hopf
+    import xmhopf.xihopf as xihopf
+
+    path = str(benchmark_document("sweedler-q", tmp_path))
+    calls = _count_calls(monkeypatch, "validate_antipode", hopf, xihopf)
+    for args, validations in [
+        (["hom", "sw", "reg", "reg"], 0),
+        (["integrals", "sw"], 0),
+        (["grouplikes", "sw"], 0),
+        (["structure-theorem", "sw", "dualmod"], 0),
+        (["verify", "dualmod"], 0),
+        (["verify", "reg"], 0),
+        (["verify", "sw"], 1),
+        (["report", "sw"], 1),
+        (["dual", "sw"], 1),
+    ]:
+        calls.clear()
+        assert cli.main([args[0], path, *args[1:]]) == 0, args
+        assert len(calls) == validations, args
+    capsys.readouterr()
+
+
+def test_module_premises_build_no_regular_hopf_module(monkeypatch, capsys):
+    # validate_module_premises reads phi_{x,1} off the structure; only the structure's own
+    # report checks it as its regular Hopf module
+    import xmhopf.hopfmod as hopfmod
+
+    builds = _count_calls(monkeypatch, "regular_hopf_module", hopfmod)
+    for args, count in [(["verify", DOC, "dual_mod"], 0),
+                        (["verify", DOC, "trivial_mod_2"], 0),
+                        (["structure-theorem", DOC, "k_xi_z2", "dual_mod"], 0),
+                        (["verify", DOC, "k_xi_z2"], 1)]:
+        builds.clear()
+        assert cli.main(args) == 0, args
+        assert len(builds) == count, args
     capsys.readouterr()
 
 

@@ -8,13 +8,19 @@ before:
   omega(.,1) = 1 (mk_bicharacter_group_algebra);
 - `oracle_h_action`: each rho_x an algebra automorphism of A (invertible, multiplicative,
   unital) and rho a homomorphism, rho(1) = id (mk_from_h_action);
-- `oracle_abelian`: E abelian (abelian_to_point).
+- `oracle_abelian`: E abelian (abelian_to_point);
+- `oracle_compute_antipode`: the left antipode identity's solution accepted only where
+  validate_antipode passes on it (compute_antipode, which docio calls on every explicit
+  structure without an antipode).
 
 The bicharacter laws are exactly the axioms of k^omega[G], so the report fails exactly
 where the oracle does.  The rho laws are sufficient for the twisted structure's action
 laws, not necessary: wherever the oracle passes, the report passes, and a rho that fails
 it may still give a valid structure (a character of H times id, over 1 -> H).  For E -> 1
-the Peiffer identity is abelianness.
+the Peiffer identity is abelianness.  A left solution of the antipode identity is the
+antipode wherever there is one (compute_antipode's docstring), so the report's verdict is the
+same under the old rule and the new, and a structure that only the left identity solves
+fails the report's antipode axioms instead of missing its antipode.
 """
 
 import itertools
@@ -31,17 +37,28 @@ from tests.conftest import (
     sweedler_rho,
 )
 from tests.oracles import (
+    EXAMPLES,
+    ORACLE_STRIDE,
+    Tally,
+    build,
     bumped,
     oracle_abelian,
     oracle_bicharacter,
+    oracle_compute_antipode,
     oracle_h_action,
     perturbed_scalar_tables,
+    perturbed_structures,
 )
 from xmhopf.crossed import abelian_to_point, identity_cm, trivial_over, validate_crossed_module
 from xmhopf.groups import cyclic, direct_product, symmetric
-from xmhopf.hopf import group_algebra
+from xmhopf.hopf import GradedHopfCoalgebra, compute_antipode, group_algebra
 from xmhopf.linalg import Field, Matrix
-from xmhopf.xihopf import full_validation_report, mk_bicharacter_group_algebra, mk_from_h_action
+from xmhopf.xihopf import (
+    HopfXiCoalgebra,
+    full_validation_report,
+    mk_bicharacter_group_algebra,
+    mk_from_h_action,
+)
 
 
 def power_bicharacter(f: Field, n: int, m: int, root: int):
@@ -159,3 +176,55 @@ def test_peiffer_fails_exactly_where_e_to_the_point_is_not_abelian():
     assert all(oracle == report for oracle, report in verdicts.values())
     assert sorted(name for name, (ok, _) in verdicts.items() if not ok) == [
         "S3", "S3 x Z/2", "S4"]
+
+
+def with_antipode(a: HopfXiCoalgebra, antipode) -> HopfXiCoalgebra:
+    """`a` with the antipode `antipode`, which may be None."""
+    b = a.base
+    base = GradedHopfCoalgebra(b.field, b.H, b.components, b.coproduct, b.counit, antipode)
+    return HopfXiCoalgebra(a.cm, base, a.action)
+
+
+ANTIPODE = "antipode axioms: "
+LEFT, RIGHT, BIJECTIVITY = (ANTIPODE + name for name in (
+    "left identity mu (S (x) id) Delta = eta eps",
+    "right identity mu (id (x) S) Delta = eta eps",
+    "bijectivity",
+))
+# per example and map: (perturbations of the example without its antipode, of which only the
+# left identity solves, of which the report fails the right identity only, bijectivity only,
+# both); the same over Q and GF(5)
+ANTIPODE_COUNTS = {
+    "k_xi_z2": {"delta": (4, 0, 0, 0, 0), "mu": (2, 0, 0, 0, 0), "eps": (1, 0, 0, 0, 0)},
+    "k_h_z2": {"delta": (4, 0, 0, 0, 0), "mu": (2, 0, 0, 0, 0), "eps": (1, 0, 0, 0, 0)},
+    "k_xi_s3": {"delta": (9, 1, 1, 0, 0), "mu": (1, 0, 0, 0, 0), "eps": (1, 0, 0, 0, 0)},
+    "bichar_z2": {"delta": (8, 4, 2, 2, 0), "mu": (8, 0, 0, 0, 0), "eps": (2, 0, 0, 0, 0)},
+    "rho_z2": {"delta": (32, 8, 4, 4, 0), "mu": (16, 0, 0, 0, 0), "eps": (2, 0, 0, 0, 0)},
+    "sweedler": {"delta": (21, 13, 12, 0, 1), "mu": (22, 13, 13, 0, 0), "eps": (1, 1, 1, 0, 0)},
+    "conj_s3": {"mu": (1, 0, 0, 0, 0)},
+    "sweedler_z4": {"delta": (3, 1, 1, 0, 0), "mu": (1, 0, 0, 0, 0)},
+}
+
+
+@pytest.mark.parametrize("name, make, field", EXAMPLES, ids=[e[0] for e in EXAMPLES])
+def test_report_verdict_is_the_same_under_the_old_antipode_rule(name, make, field):
+    # each single-entry perturbation of Delta, mu and eps, at ORACLE_STRIDE, of the example
+    # without its antipode, as docio builds an explicit structure that gives none.  Where the
+    # two rules give the same antipode the two structures are one, so only where the old rule
+    # refuses a left solution are both reports run
+    example = name.split()[0]
+    bare = with_antipode(build(make, field), None)
+    stride, counts = ORACLE_STRIDE.get(example, 1), Tally()
+    for kind, p in perturbed_structures(bare, stride, ("delta", "mu", "eps")):
+        new, old = compute_antipode(p.base), oracle_compute_antipode(p.base)
+        left_only, failed = old != new, set()
+        if left_only:
+            assert old is None and new is not None, kind
+            rep = full_validation_report(with_antipode(p, new))
+            assert not full_validation_report(with_antipode(p, old)).ok and not rep.ok, kind
+            failed = {c.name for c in rep.checks if not c.ok}
+            assert LEFT not in failed and failed & {RIGHT, BIJECTIVITY}, kind
+        right, bijectivity = RIGHT in failed, BIJECTIVITY in failed
+        counts.add(kind, left_only, right and not bijectivity, bijectivity and not right,
+                   right and bijectivity)
+    assert counts.counts() == ANTIPODE_COUNTS[example]

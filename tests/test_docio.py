@@ -6,7 +6,13 @@ import sys
 
 import pytest
 
-from tests.conftest import DEFERRED_MALFORMED, MALFORMED, WELL_FORMED, cli_env
+from tests.conftest import (
+    DEFERRED_MALFORMED,
+    MALFORMED,
+    WELL_FORMED,
+    benchmark_document,
+    cli_env,
+)
 from xmhopf import docio
 from xmhopf.docio import (
     MAX_GROUP_ORDER,
@@ -163,14 +169,7 @@ DOCUMENTS = sorted(str(p.relative_to(FIXTURES.parent)) for p in FIXTURES.glob("*
 def wide_s3_document(tmp_path) -> bytes:
     """The benchmark's wide-s3 document (perfbench/gen.py, seed 1): explicit, with the Hopf
     module A (x) k, whose rho and psi tables are the structure's coproduct and action."""
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", FIXTURES.parent / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    gen.wide_s3(1, str(tmp_path))
-    return (tmp_path / "wide_s3.json").read_bytes()
+    return benchmark_document("wide-s3", tmp_path).read_bytes()
 
 
 def literal_matrix_builds(monkeypatch, data: bytes):
